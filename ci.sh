@@ -7,6 +7,9 @@ cd "$(dirname "$0")"
 go build ./...
 go vet ./...
 go test -race ./...
+# The benchmark is a module of its own over internal/...: vet and test it
+# where it lives (tier-1's TestBenchModule runs the same line).
+(cd bench && go vet ./... && go test ./...)
 
 # Cross-mode equivalence: full, timing-only and memoized digest execution
 # must produce identical metrics and figure output for every scheme.

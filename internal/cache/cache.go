@@ -182,6 +182,26 @@ func (c *Cache) Write(addr uint64, class Class) *Line {
 	return ln
 }
 
+// Rehit accounts n further hits on ln, a line the caller's last access
+// hit or filled, in constant time: exactly what n Read calls (n Write
+// calls, when write is set) on ln's block would leave behind — n accesses
+// counted, the LRU clock advanced n ticks and stamped on the line. The
+// block-span paths use it for the bytes of a span that follow the first
+// one into the same block; ln must already hold class (and be dirty, for
+// writes), as it does after that first access.
+func (c *Cache) Rehit(ln *Line, class Class, n uint64, write bool) {
+	if n == 0 {
+		return
+	}
+	if write {
+		c.Stat.Writes[class] += n
+	} else {
+		c.Stat.Accesses[class] += n
+	}
+	c.clock += n
+	ln.lru = c.clock
+}
+
 // reclass moves a resident line to a new traffic class, keeping the
 // per-class residency counters in step so the later eviction decrements
 // the class the line actually holds. Leaving the stale class in place

@@ -439,7 +439,7 @@ func runCrashLeg(cfg CrashConfig, id int, kind, stage, dir string) (*CrashInject
 			return nil, fmt.Errorf("checkpoint 2: %w", cerr)
 		}
 		sealed[2] = src.roots()
-		if err := applyDiskTamper(cfg, kind, dir, id); err != nil {
+		if err := applyDiskTamper(cfg, kind, dir, id, rng); err != nil {
 			return nil, err
 		}
 	}
@@ -497,13 +497,13 @@ func rootsEqual(a, b [][]byte) bool {
 // applyDiskTamper mutates the committed on-disk state for a tamper leg.
 // Epoch 2 is committed at this point; the tamper targets it (or, for the
 // replay, reinstalls epoch 1's surviving... — see each kind).
-func applyDiskTamper(cfg CrashConfig, kind, dir string, id int) error {
+func applyDiskTamper(cfg CrashConfig, kind, dir string, id int, rng *rand.Rand) error {
 	shardIdx := id % cfg.Shards
 	switch kind {
 	case CrashTamperSegment:
-		return flipSegmentByte(dir, 2, shardIdx, false)
+		return flipSegmentByte(dir, 2, shardIdx, rng, false)
 	case CrashForgeSegment:
-		return flipSegmentByte(dir, 2, shardIdx, true)
+		return flipSegmentByte(dir, 2, shardIdx, rng, true)
 	case CrashTruncateWAL:
 		// Keep epoch 1's intent+commit, drop epoch 2's: the snapshot now
 		// leads the log — committed epochs hidden.
@@ -516,20 +516,22 @@ func applyDiskTamper(cfg CrashConfig, kind, dir string, id int) error {
 	return fmt.Errorf("unknown tamper kind %q", kind)
 }
 
-// flipSegmentByte flips one byte in the middle of a segment's image. With
-// forge, the file's trailing FNV checksum is recomputed so every
-// crash-consistency check passes and only the engine's root walk can
-// refuse the state.
-func flipSegmentByte(dir string, epoch uint64, shardIdx int, forge bool) error {
+// flipSegmentByte flips one bit of a segment's image, in a byte the leg's
+// generator draws from the whole image: interior tree chunks, the code
+// region and the program's data alike. With forge, the file's trailing
+// checksum is recomputed so every crash-consistency check passes and only
+// the engine's root walk can refuse the state.
+func flipSegmentByte(dir string, epoch uint64, shardIdx int, rng *rand.Rand, forge bool) error {
 	name := filepath.Join(dir, fmt.Sprintf("seg-%06d-%03d.dat", epoch, shardIdx))
 	buf, err := os.ReadFile(name)
 	if err != nil {
 		return err
 	}
-	if len(buf) < 64 {
-		return fmt.Errorf("segment %s too short to tamper", name)
+	img, err := persist.SegmentImage(buf)
+	if err != nil {
+		return fmt.Errorf("segment %s: %w", name, err)
 	}
-	buf[len(buf)/2] ^= 0x01
+	img[rng.Intn(len(img))] ^= 0x01
 	if forge {
 		binary.LittleEndian.PutUint64(buf[len(buf)-8:], persist.Checksum64(buf[:len(buf)-8]))
 	}

@@ -58,8 +58,25 @@ type Machine struct {
 // the wrapped message carries the first violation.
 var ErrHalted = errors.New("core: machine halted by integrity violation")
 
-// NewMachine assembles a machine from cfg.
-func NewMachine(cfg Config) (*Machine, error) {
+// NewMachine assembles a machine from cfg over an all-zero protected
+// region, its hash tree computed from those contents.
+func NewMachine(cfg Config) (*Machine, error) { return newMachine(cfg, nil, nil) }
+
+// NewMachineFromState assembles a machine from cfg whose protected region
+// is img and whose root register is root — a SaveState snapshot, typically
+// one read back from disk. Nothing is hashed and nothing is trusted yet:
+// the tree is whatever img holds, and reads verify it against root as they
+// go (VerifyAll checks all of it at once).
+func NewMachineFromState(cfg Config, img, root []byte) (*Machine, error) {
+	if img == nil {
+		return nil, fmt.Errorf("core: NewMachineFromState needs a state image")
+	}
+	return newMachine(cfg, img, root)
+}
+
+// newMachine is the one constructor. The tree source is img and root when
+// img is non-nil, and the engine's own initialization otherwise.
+func newMachine(cfg Config, img, root []byte) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -162,7 +179,12 @@ func NewMachine(cfg Config) (*Machine, error) {
 	case SchemeIncr:
 		m.Engine = integrity.NewIncr(m.Sys, []byte("memverify-machine-key"))
 	}
-	if cfg.Functional && cfg.Scheme != SchemeBase {
+	switch {
+	case img != nil:
+		if err := m.installState(img, root); err != nil {
+			return nil, err
+		}
+	case cfg.Functional && cfg.Scheme != SchemeBase:
 		m.Engine.(integrity.TreeInitializer).InitializeTree()
 	}
 
@@ -350,8 +372,37 @@ func (m *Machine) syncChecks() {
 // fully overwritten block is allocated without fetching or checking its
 // old contents.
 func (m *Machine) StoreBytes(off uint64, p []byte) error {
+	if err := m.beginAccess("StoreBytes"); err != nil {
+		return err
+	}
+	m.span(off, p, true)
+	return nil
+}
+
+// LoadBytes performs a verified program load of len(p) bytes at data
+// offset off. Any integrity violation detected during the load chain is
+// returned (and also recorded in the system stats).
+func (m *Machine) LoadBytes(off uint64, p []byte) error {
+	if err := m.beginAccess("LoadBytes"); err != nil {
+		return err
+	}
+	before := m.Sys.Stat.Violations
+	m.span(off, p, false)
+	// In speculative mode the load returns its data before the background
+	// check resolves; the violation surfaces at the next Barrier (or
+	// poisons later accesses under the halt policy) instead of here.
+	if !m.Cfg.Speculative && m.Sys.Stat.Violations > before {
+		return m.Sys.First
+	}
+	return nil
+}
+
+// beginAccess is the entry gate of every direct functional access: it
+// resolves speculative checks that have completed by now and refuses a
+// machine the halt policy has stopped.
+func (m *Machine) beginAccess(op string) error {
 	if !m.Cfg.Functional {
-		return fmt.Errorf("core: StoreBytes requires a functional machine")
+		return fmt.Errorf("core: %s requires a functional machine", op)
 	}
 	if m.Sys.Pending != nil {
 		m.Sys.ResolvePending(m.now)
@@ -359,11 +410,23 @@ func (m *Machine) StoreBytes(off uint64, p []byte) error {
 	if m.halted {
 		return fmt.Errorf("%w (%v)", ErrHalted, m.haltCause)
 	}
+	return nil
+}
+
+// span moves len(p) bytes between p and the program data region at offset
+// off (wrapping at ProgSpan), one block at a time. A span costs exactly
+// what its bytes cost one at a time — every byte is an L2 access in the
+// counters, the LRU order and the clock — but the engine is entered once
+// per block touched (l2data). A store that covers a whole aligned block
+// allocates it without fetching the old contents (§5.3).
+func (m *Machine) span(off uint64, p []byte, write bool) {
 	h := (*hierarchy)(m)
 	bs := uint64(m.Cfg.L2Block)
 	for len(p) > 0 {
-		a := m.ProgAddr(off)
-		if a%bs == 0 && uint64(len(p)) >= bs {
+		o := off % m.dataSize
+		a := m.codeBase + m.codeSize + o // ProgAddr(off)
+		n := min(bs-a&(bs-1), m.dataSize-o, uint64(len(p)))
+		if write && n == bs {
 			ln := m.L2.Write(a, cache.Data)
 			for try := 0; ln == nil; try++ {
 				if try == fillRetries {
@@ -372,42 +435,38 @@ func (m *Machine) StoreBytes(off uint64, p []byte) error {
 				m.now = m.Engine.AllocateFullWrite(m.now, a)
 				ln = m.L2.Peek(a)
 			}
-			copy(ln.Data, p[:bs])
-			off += bs
-			p = p[bs:]
-			continue
+			copy(ln.Data, p[:n])
+		} else {
+			m.now = h.l2data(m.now, a, write, p[:n])
 		}
-		m.now = h.l2data(m.now, a, true, p[:1])
-		off++
-		p = p[1:]
+		off += n
+		p = p[n:]
 	}
-	return nil
 }
 
-// LoadBytes performs a verified program load of len(p) bytes at data
-// offset off. Any integrity violation detected during the load chain is
-// returned (and also recorded in the system stats).
-func (m *Machine) LoadBytes(off uint64, p []byte) error {
-	if !m.Cfg.Functional {
-		return fmt.Errorf("core: LoadBytes requires a functional machine")
-	}
-	if m.Sys.Pending != nil {
-		m.Sys.ResolvePending(m.now)
-	}
-	if m.halted {
-		return fmt.Errorf("%w (%v)", ErrHalted, m.haltCause)
-	}
+// VerifyAll drains the machine to a commit point and then reads every
+// block of the layout's data region — the code region below ProgAddr(0)
+// included — through the verification engine, so the whole external-memory
+// image, every stored record on the way up, is checked against the root
+// register. It stops at the first violation, which it returns (as it
+// returns ErrHalted from a machine the halt policy has stopped); in
+// speculative mode the closing Barrier forces every deferred verdict.
+func (m *Machine) VerifyAll() error {
+	m.Flush()
 	h := (*hierarchy)(m)
 	before := m.Sys.Stat.Violations
-	for i := range p {
-		a := m.ProgAddr(off + uint64(i))
-		m.now = h.l2data(m.now, a, false, p[i:i+1])
+	buf := make([]byte, m.Cfg.L2Block)
+	for a := m.Layout.DataStart(); a < m.Layout.Size(); a += uint64(len(buf)) {
+		if err := m.beginAccess("VerifyAll"); err != nil {
+			return err
+		}
+		m.now = h.l2data(m.now, a, false, buf)
+		if !m.Cfg.Speculative && m.Sys.Stat.Violations > before {
+			return m.Sys.First
+		}
 	}
-	// In speculative mode the load returns its data before the background
-	// check resolves; the violation surfaces at the next Barrier (or
-	// poisons later accesses under the halt policy) instead of here.
-	if !m.Cfg.Speculative && m.Sys.Stat.Violations > before {
-		return m.Sys.First
+	if m.Cfg.Speculative {
+		return m.Barrier()
 	}
 	return nil
 }
@@ -478,31 +537,23 @@ func (h *hierarchy) l2write(now uint64, addr uint64) uint64 {
 	return done
 }
 
-// l2data is the byte-accurate variant used by Store/LoadBytes.
+// l2data is the byte-accurate access of the span paths: p is the part of
+// a span that lies within addr's block. The first byte is the access the
+// engine sees — hit or miss, fill retries and the verification walk are
+// those of a one-byte access — and the block, resident from then on,
+// serves the remaining bytes as the L2 hits they are, accounted in bulk:
+// the counters, the LRU clock and the cycle clock end where a byte-at-a-
+// time loop would leave them, and a traced machine emits the same events.
 func (h *hierarchy) l2data(now uint64, addr uint64, write bool, p []byte) uint64 {
+	var ln *cache.Line
+	kind := telemetry.KindL2Read
 	if write {
-		ln := h.L2.Write(addr, cache.Data)
-		done := now + h.Cfg.L2Latency
-		miss := uint64(0)
-		if ln == nil {
-			miss = 1
-			for try := 0; ln == nil; try++ {
-				if try == fillRetries {
-					panic("core: write-allocate failed to cache the block")
-				}
-				if t := h.Engine.ReadBlock(now+h.Cfg.L2Latency, addr); t > done {
-					done = t
-				}
-				ln = h.L2.Write(addr, cache.Data)
-			}
-		}
-		copy(ln.Data[addr-ln.Addr:], p)
-		h.tel.Emit(telemetry.TrackL2, telemetry.KindL2Write, now, done, addr, miss)
-		return done
+		ln, kind = h.L2.Write(addr, cache.Data), telemetry.KindL2Write
+	} else {
+		ln = h.L2.Read(addr, cache.Data)
 	}
 	done := now + h.Cfg.L2Latency
 	miss := uint64(0)
-	ln := h.L2.Read(addr, cache.Data)
 	if ln == nil {
 		miss = 1
 		for try := 0; ln == nil; try++ {
@@ -512,12 +563,28 @@ func (h *hierarchy) l2data(now uint64, addr uint64, write bool, p []byte) uint64
 			if t := h.Engine.ReadBlock(now+h.Cfg.L2Latency, addr); t > done {
 				done = t
 			}
-			ln = h.L2.Peek(addr)
+			if write {
+				ln = h.L2.Write(addr, cache.Data) // the allocating store dirties the line
+			} else {
+				ln = h.L2.Peek(addr)
+			}
 		}
 	}
-	copy(p, ln.Data[addr-ln.Addr:uint64(len(ln.Data))])
-	h.tel.Emit(telemetry.TrackL2, telemetry.KindL2Read, now, done, addr, miss)
-	return done
+	if write {
+		copy(ln.Data[addr-ln.Addr:], p)
+	} else {
+		copy(p, ln.Data[addr-ln.Addr:])
+	}
+	h.tel.Emit(telemetry.TrackL2, kind, now, done, addr, miss)
+	rest := uint64(len(p)) - 1
+	h.L2.Rehit(ln, cache.Data, rest, write)
+	if h.tel != nil {
+		for i := uint64(1); i <= rest; i++ {
+			t := done + (i-1)*h.Cfg.L2Latency
+			h.tel.Emit(telemetry.TrackL2, kind, t, t+h.Cfg.L2Latency, addr+i, 0)
+		}
+	}
+	return done + rest*h.Cfg.L2Latency
 }
 
 // Barrier implements cpu.BarrierPort: a cryptographic instruction may not

@@ -60,10 +60,33 @@ func (m *Machine) StateSize() uint64 { return m.Layout.Size() }
 //
 // RestoreState does not verify anything itself: reads after it go through
 // the ordinary verification walk, so a restored image that disagrees with
-// root (tampering, or a rolled-back snapshot) is detected on consumption.
-// internal/persist forces that detection eagerly by re-reading the whole
-// region after restore.
+// root (tampering, or a rolled-back snapshot) is detected on consumption;
+// VerifyAll forces that detection eagerly. Recovery does not come through
+// here: internal/persist builds its machines from the saved state
+// (NewMachineFromState) rather than restoring over a fresh one.
 func (m *Machine) RestoreState(img []byte, root []byte) error {
+	if err := m.installState(img, root); err != nil {
+		return err
+	}
+	for ba := uint64(0); ba < m.Layout.Size(); ba += uint64(m.Cfg.L2Block) {
+		m.L2.Invalidate(ba)
+		if m.VC != nil {
+			m.VC.Invalidate(ba)
+		}
+	}
+	m.Sys.Exec.InvalidateMemo()
+	// A restore is a reboot: the halt latch clears and detection starts
+	// over against the restored state. Counters are left alone — callers
+	// diff them around the post-restore verification pass.
+	m.halted = false
+	m.haltCause = nil
+	return nil
+}
+
+// installState writes a saved image into external memory and loads the
+// root register: all of RestoreState that a machine with empty caches and
+// an empty memo table (one under construction) needs.
+func (m *Machine) installState(img, root []byte) error {
 	if err := m.persistable(); err != nil {
 		return err
 	}
@@ -76,19 +99,7 @@ func (m *Machine) RestoreState(img []byte, root []byte) error {
 			len(root), m.Layout.HashSize)
 	}
 	m.backing.Write(0, img)
-	for ba := uint64(0); ba < m.Layout.Size(); ba += uint64(m.Cfg.L2Block) {
-		m.L2.Invalidate(ba)
-		if m.VC != nil {
-			m.VC.Invalidate(ba)
-		}
-	}
-	m.Sys.Exec.InvalidateMemo()
 	m.Sys.Root = append(m.Sys.Root[:0], root...)
-	// A restore is a reboot: the halt latch clears and detection starts
-	// over against the restored state. Counters are left alone — callers
-	// diff them around the post-restore verification pass.
-	m.halted = false
-	m.haltCause = nil
 	return nil
 }
 

@@ -34,7 +34,7 @@ import (
 //	[4:12]  I_a
 //	[12:20] C_a
 //	[20:36] D_a
-//	[36:44] FNV-1a 64 checksum of bytes [0:36]
+//	[36:44] checksum (Checksum64) of bytes [0:36]
 const (
 	anchorSize = 44
 )
@@ -54,7 +54,7 @@ func (a *anchor) encode() []byte {
 	binary.LittleEndian.PutUint64(buf[4:12], a.Intent)
 	binary.LittleEndian.PutUint64(buf[12:20], a.Commit)
 	copy(buf[20:36], a.Digest[:])
-	binary.LittleEndian.PutUint64(buf[36:44], checksum64(buf[:36]))
+	binary.LittleEndian.PutUint64(buf[36:44], Checksum64(buf[:36]))
 	return buf
 }
 
@@ -65,7 +65,7 @@ func decodeAnchor(buf []byte) (*anchor, error) {
 	if [4]byte(buf[0:4]) != anchorMagic {
 		return nil, errors.New("persist: anchor has bad magic")
 	}
-	if got, want := checksum64(buf[:36]), binary.LittleEndian.Uint64(buf[36:44]); got != want {
+	if got, want := Checksum64(buf[:36]), binary.LittleEndian.Uint64(buf[36:44]); got != want {
 		return nil, errors.New("persist: anchor checksum mismatch")
 	}
 	a := &anchor{

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
@@ -374,17 +375,16 @@ func (s *Store) checkpoint(src Source) (uint64, error) {
 
 	for i := 0; i < n; i++ {
 		seg := &segment{Epoch: epoch, Shard: uint32(i), Fingerprint: fp, Root: roots[i], Image: imgs[i]}
-		buf := seg.encode()
-		if err := s.writeFileSync(filepath.Join(s.dir, segName(epoch, i)), buf); err != nil {
+		if err := s.writeFileSync(filepath.Join(s.dir, segName(epoch, i)), seg.writeTo); err != nil {
 			return 0, fmt.Errorf("persist: segment %d: %w", i, err)
 		}
-		s.stats.BytesWritten += uint64(len(buf))
+		s.stats.BytesWritten += uint64(seg.size())
 	}
 
 	man := &manifest{Epoch: epoch, Fingerprint: fp, Shards: uint32(n)}
 	mbuf := man.encode()
 	tmp := filepath.Join(s.dir, manifestName+".tmp")
-	if err := s.writeFileSync(tmp, mbuf); err != nil {
+	if err := s.writeFileSync(tmp, writeBytes(mbuf)); err != nil {
 		return 0, fmt.Errorf("persist: manifest: %w", err)
 	}
 	if err := s.retry.do(func() error {
@@ -420,16 +420,16 @@ func (s *Store) checkpoint(src Source) (uint64, error) {
 	return epoch, nil
 }
 
-// writeFileSync creates (truncating) name with data and fsyncs it, under
-// the retry policy. The whole write is retried from scratch on a
-// transient failure — segments are rewritten idempotently.
-func (s *Store) writeFileSync(name string, data []byte) error {
+// writeFileSync creates (truncating) name, has write fill it, and fsyncs
+// it, under the retry policy. The whole file is rewritten from scratch on
+// a transient failure — segments are rewritten idempotently.
+func (s *Store) writeFileSync(name string, write func(io.Writer) error) error {
 	return s.retry.do(func() error {
 		f, err := s.fsys.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 		if err != nil {
 			return err
 		}
-		if _, err := f.Write(data); err != nil {
+		if err := write(f); err != nil {
 			f.Close()
 			return err
 		}
@@ -439,6 +439,14 @@ func (s *Store) writeFileSync(name string, data []byte) error {
 		}
 		return f.Close()
 	})
+}
+
+// writeBytes is the write function of a file that is one buffer.
+func writeBytes(p []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(p)
+		return err
+	}
 }
 
 // gc removes segments of epochs other than keep. Failures are ignored —

@@ -639,9 +639,22 @@ func TestWALRecordRoundtrip(t *testing.T) {
 	}
 }
 
+// encodeSegment is the segment as writeTo puts it in a file.
+func encodeSegment(t testing.TB, s *segment) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.writeTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() != s.size() {
+		t.Fatalf("segment wrote %d bytes, size() says %d", buf.Len(), s.size())
+	}
+	return buf.Bytes()
+}
+
 func TestSegmentRoundtrip(t *testing.T) {
 	s := &segment{Epoch: 3, Shard: 1, Fingerprint: 42, Root: []byte{1, 2, 3, 4}, Image: bytes.Repeat([]byte{9}, 512)}
-	got, err := decodeSegment(s.encode())
+	got, err := decodeSegment(encodeSegment(t, s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,9 +662,19 @@ func TestSegmentRoundtrip(t *testing.T) {
 		!bytes.Equal(got.Root, s.Root) || !bytes.Equal(got.Image, s.Image) {
 		t.Fatalf("roundtrip mismatch: %+v", got)
 	}
-	buf := s.encode()
-	buf[len(buf)/2] ^= 1
-	if _, err := decodeSegment(buf); err == nil {
-		t.Fatal("corrupt segment decoded")
+	// Every truncation and every single-bit flip is refused: the 8-byte
+	// trailer is compared whole, its zero upper half included.
+	enc := encodeSegment(t, s)
+	for n := 0; n < len(enc); n++ {
+		if _, err := decodeSegment(enc[:n]); err == nil {
+			t.Fatalf("segment truncated to %d of %d bytes decoded", n, len(enc))
+		}
+	}
+	for bit := 0; bit < 8*len(enc); bit++ {
+		enc[bit/8] ^= 1 << (bit % 8)
+		if _, err := decodeSegment(enc); err == nil {
+			t.Fatalf("segment with bit %d flipped decoded", bit)
+		}
+		enc[bit/8] ^= 1 << (bit % 8)
 	}
 }

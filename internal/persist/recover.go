@@ -85,12 +85,13 @@ var errFingerprint = errors.New("persist: config fingerprint mismatch")
 // with.
 func IsFingerprintMismatch(err error) bool { return errors.Is(err, errFingerprint) }
 
-// RecoverMachine builds a machine from cfg and restores the last
-// committed state in opts.Dir into it, re-verifying the restored image
-// against the WAL-sealed root through the engine itself. The returned
-// Recovery classifies what happened; on OutcomeViolation the machine is
-// returned fresh (nothing restored) so the caller can inspect it, but its
-// state is NOT the persisted state.
+// RecoverMachine builds a machine from the last committed state in
+// opts.Dir — its segment's image and the WAL-sealed root — and re-verifies
+// the whole image against that root through the engine itself. The
+// returned Recovery classifies what happened; when there is no state to
+// restore (fresh, rolled back to nothing, or an on-disk violation) the
+// machine is returned fresh so the caller can inspect it, but its state
+// is NOT the persisted state.
 //
 // A hard error (unreadable directory, fingerprint mismatch, invalid cfg)
 // is returned as err with a nil machine.
@@ -100,26 +101,30 @@ func RecoverMachine(opts Options, cfg core.Config) (*core.Machine, *Recovery, er
 	if err != nil {
 		return nil, nil, err
 	}
-	m, err := core.NewMachine(cfg)
+	var m *core.Machine
+	if imgs == nil {
+		m, err = core.NewMachine(cfg)
+	} else {
+		m, err = core.NewMachineFromState(cfg, imgs[0], roots[0])
+	}
 	if err != nil {
 		return nil, nil, err
 	}
 	if imgs != nil {
-		if err := m.RestoreState(imgs[0], roots[0]); err != nil {
-			return nil, nil, err
-		}
-		verifyRestored(rec, m)
+		before := m.Sys.Stat.Violations
+		verr := m.VerifyAll()
+		rec.engineVerdict(int(m.Sys.Stat.Violations-before), verr)
 		rec.Roots = [][]byte{m.Root()}
 	}
 	finishRecovery(opts, rec, start)
 	return m, rec, nil
 }
 
-// RecoverStore is RecoverMachine for a sharded store: each shard's
-// segment restores into its machine on that shard's worker goroutine, and
-// re-verification runs through Store.VerifyAll, so one tampered shard is
-// contained — healthy shards restore and verify clean, and under the halt
-// policy only the violated shard halts.
+// RecoverStore is RecoverMachine for a sharded store: each shard's machine
+// is built from its segment, and re-verification runs through
+// Store.VerifyAll, so one tampered shard is contained — healthy shards
+// restore and verify clean, and under the halt policy only the violated
+// shard halts.
 func RecoverStore(opts Options, scfg shard.Config) (*shard.Store, *Recovery, error) {
 	if scfg.Shards < 1 {
 		return nil, nil, fmt.Errorf("persist: need at least one shard, got %d", scfg.Shards)
@@ -131,27 +136,19 @@ func RecoverStore(opts Options, scfg shard.Config) (*shard.Store, *Recovery, err
 	if err != nil {
 		return nil, nil, err
 	}
-	s, err := shard.New(scfg)
+	var s *shard.Store
+	if imgs == nil {
+		s, err = shard.New(scfg)
+	} else {
+		s, err = shard.NewFromState(scfg, imgs, roots)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
 	if imgs != nil {
-		for i := 0; i < scfg.Shards; i++ {
-			i := i
-			var rerr error
-			s.WithShard(i, func(m *core.Machine) { rerr = m.RestoreState(imgs[i], roots[i]) })
-			if rerr != nil {
-				s.Close()
-				return nil, nil, rerr
-			}
-		}
-		before := len(s.Violations())
 		verr := s.VerifyAll()
-		rec.Violations = len(s.Violations()) - before
-		if rec.Violations > 0 || verr != nil {
-			rec.Outcome = OutcomeViolation
-			rec.Detail = "restored image fails engine verification against the sealed root"
-		} else {
+		rec.engineVerdict(len(s.Violations()), verr)
+		if rec.Outcome != OutcomeViolation {
 			rec.Roots = make([][]byte, scfg.Shards)
 			for i := range rec.Roots {
 				i := i
@@ -163,34 +160,14 @@ func RecoverStore(opts Options, scfg shard.Config) (*shard.Store, *Recovery, err
 	return s, rec, nil
 }
 
-// verifyRestored re-reads every protected block of a single machine
-// through the verification engine — the adversarial half of recovery. The
-// restored root register came from the WAL; any image that cannot
-// reproduce it (stale snapshot, flipped tree node, spliced segment) fails
-// here even though every file checksum passed.
-func verifyRestored(rec *Recovery, m *core.Machine) {
-	before := m.Sys.Stat.Violations
-	bs := uint64(m.Cfg.L2Block)
-	buf := make([]byte, bs)
-	span := m.ProgSpan()
-	var failed bool
-	for off := uint64(0); off < span; off += bs {
-		n := bs
-		if off+n > span {
-			n = span - off
-		}
-		if err := m.LoadBytes(off, buf[:n]); err != nil {
-			failed = true // halt policy tripped; the cause is counted below
-			break
-		}
-	}
-	if !failed && m.Cfg.Speculative {
-		if err := m.Barrier(); err != nil {
-			failed = true
-		}
-	}
-	rec.Violations = int(m.Sys.Stat.Violations - before)
-	if rec.Violations > 0 || failed {
+// engineVerdict records the adversarial half of recovery: what the
+// engine's sweep of the restored image (Machine.VerifyAll) found. The root
+// register came from the WAL; any image that cannot reproduce it (stale
+// snapshot, flipped tree node, spliced segment) fails here even though
+// every file checksum passed.
+func (rec *Recovery) engineVerdict(violations int, err error) {
+	rec.Violations = violations
+	if violations > 0 || err != nil {
 		rec.Outcome = OutcomeViolation
 		rec.Detail = "restored image fails engine verification against the sealed root"
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // Segment files hold one shard's complete protected-state image for one
@@ -24,8 +25,11 @@ import (
 //	[...]    root bytes
 //	[...:+8] image length
 //	[...]    image bytes
-//	[...:+8] FNV-1a 64 checksum of everything above
+//	[...:+8] checksum (Checksum64) of everything above
 var segMagic = [4]byte{'M', 'V', 'S', 'G'}
+
+// segFixed is the size of the header fields before the root bytes.
+const segFixed = 4 + 8 + 4 + 8 + 4
 
 // segment is one decoded segment file.
 type segment struct {
@@ -40,19 +44,29 @@ func segName(epoch uint64, shard int) string {
 	return fmt.Sprintf("%s%06d-%03d.dat", segPrefix, epoch, shard)
 }
 
-func (s *segment) encode() []byte {
-	n := 4 + 8 + 4 + 8 + 4 + len(s.Root) + 8 + len(s.Image) + 8
-	buf := make([]byte, 0, n)
-	buf = append(buf, segMagic[:]...)
-	buf = binary.LittleEndian.AppendUint64(buf, s.Epoch)
-	buf = binary.LittleEndian.AppendUint32(buf, s.Shard)
-	buf = binary.LittleEndian.AppendUint64(buf, s.Fingerprint)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.Root)))
-	buf = append(buf, s.Root...)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(s.Image)))
-	buf = append(buf, s.Image...)
-	buf = binary.LittleEndian.AppendUint64(buf, checksum64(buf))
-	return buf
+// size returns the encoded length of the segment in bytes.
+func (s *segment) size() int { return segFixed + len(s.Root) + 8 + len(s.Image) + 8 }
+
+// writeTo writes the segment to w as three writes — header, image,
+// trailer — so the image goes from the snapshot straight to the file: no
+// encoded copy of it is ever built, and the checksum is folded over the
+// header and the image where they lie.
+func (s *segment) writeTo(w io.Writer) error {
+	hdr := make([]byte, 0, segFixed+len(s.Root)+8)
+	hdr = append(hdr, segMagic[:]...)
+	hdr = binary.LittleEndian.AppendUint64(hdr, s.Epoch)
+	hdr = binary.LittleEndian.AppendUint32(hdr, s.Shard)
+	hdr = binary.LittleEndian.AppendUint64(hdr, s.Fingerprint)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(s.Root)))
+	hdr = append(hdr, s.Root...)
+	hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(s.Image)))
+	trailer := binary.LittleEndian.AppendUint64(nil, Checksum64(hdr, s.Image))
+	for _, part := range [][]byte{hdr, s.Image, trailer} {
+		if _, err := w.Write(part); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // decodeSegment parses and checksums a segment file. Any malformation —
@@ -60,15 +74,14 @@ func (s *segment) encode() []byte {
 // recovery layer decides whether that means "torn crash" or "tampering"
 // from the WAL context.
 func decodeSegment(buf []byte) (*segment, error) {
-	const fixed = 4 + 8 + 4 + 8 + 4
-	if len(buf) < fixed+8+8 {
+	if len(buf) < segFixed+8+8 {
 		return nil, errors.New("persist: segment truncated")
 	}
 	if [4]byte(buf[0:4]) != segMagic {
 		return nil, errors.New("persist: segment has bad magic")
 	}
 	body, sum := buf[:len(buf)-8], binary.LittleEndian.Uint64(buf[len(buf)-8:])
-	if checksum64(body) != sum {
+	if Checksum64(body) != sum {
 		return nil, errors.New("persist: segment checksum mismatch")
 	}
 	s := &segment{
@@ -77,16 +90,26 @@ func decodeSegment(buf []byte) (*segment, error) {
 		Fingerprint: binary.LittleEndian.Uint64(buf[16:24]),
 	}
 	rl := int(binary.LittleEndian.Uint32(buf[24:28]))
-	if fixed+rl+8 > len(body) {
+	if segFixed+rl+8 > len(body) {
 		return nil, errors.New("persist: segment root length out of range")
 	}
-	s.Root = buf[fixed : fixed+rl]
-	il := binary.LittleEndian.Uint64(buf[fixed+rl : fixed+rl+8])
-	if uint64(fixed+rl+8)+il != uint64(len(body)) {
+	s.Root = buf[segFixed : segFixed+rl]
+	il := binary.LittleEndian.Uint64(buf[segFixed+rl : segFixed+rl+8])
+	if uint64(segFixed+rl+8)+il != uint64(len(body)) {
 		return nil, errors.New("persist: segment image length out of range")
 	}
-	s.Image = buf[fixed+rl+8 : len(buf)-8]
+	s.Image = buf[segFixed+rl+8 : len(buf)-8]
 	return s, nil
+}
+
+// SegmentImage returns the protected-state image inside the segment file
+// buf, aliasing it: where a tool that tampers with a segment aims.
+func SegmentImage(buf []byte) ([]byte, error) {
+	s, err := decodeSegment(buf)
+	if err != nil {
+		return nil, err
+	}
+	return s.Image, nil
 }
 
 // The manifest is the checkpoint's commit point: a tiny fixed-size file
@@ -112,7 +135,7 @@ func (m *manifest) encode() []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, m.Epoch)
 	buf = binary.LittleEndian.AppendUint64(buf, m.Fingerprint)
 	buf = binary.LittleEndian.AppendUint32(buf, m.Shards)
-	buf = binary.LittleEndian.AppendUint64(buf, checksum64(buf))
+	buf = binary.LittleEndian.AppendUint64(buf, Checksum64(buf))
 	return buf
 }
 
@@ -123,7 +146,7 @@ func decodeManifest(buf []byte) (*manifest, error) {
 	if [4]byte(buf[0:4]) != manifestMagic {
 		return nil, errors.New("persist: manifest has bad magic")
 	}
-	if checksum64(buf[:manifestSize-8]) != binary.LittleEndian.Uint64(buf[manifestSize-8:]) {
+	if Checksum64(buf[:manifestSize-8]) != binary.LittleEndian.Uint64(buf[manifestSize-8:]) {
 		return nil, errors.New("persist: manifest checksum mismatch")
 	}
 	return &manifest{

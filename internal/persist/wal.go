@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -33,7 +34,7 @@ import (
 //	[13:21] config fingerprint (scheme, hash, geometry, size, shards)
 //	[21:25] shard count
 //	[25:41] root digest: FNV-128 over epoch ∥ each shard's root record
-//	[41:49] FNV-1a 64 checksum of bytes [0:41]
+//	[41:49] checksum (Checksum64) of bytes [0:41]
 const (
 	walName       = "wal.log"
 	manifestName  = "MANIFEST"
@@ -64,7 +65,7 @@ func (r *walRecord) encode() []byte {
 	binary.LittleEndian.PutUint64(buf[13:21], r.Fingerprint)
 	binary.LittleEndian.PutUint32(buf[21:25], r.Shards)
 	copy(buf[25:41], r.RootDigest[:])
-	binary.LittleEndian.PutUint64(buf[41:49], checksum64(buf[:41]))
+	binary.LittleEndian.PutUint64(buf[41:49], Checksum64(buf[:41]))
 	return buf
 }
 
@@ -77,7 +78,7 @@ func decodeWALRecord(buf []byte) (walRecord, error) {
 	if [4]byte(buf[0:4]) != walMagic {
 		return r, errors.New("persist: WAL record has bad magic")
 	}
-	if got, want := checksum64(buf[:41]), binary.LittleEndian.Uint64(buf[41:49]); got != want {
+	if got, want := Checksum64(buf[:41]), binary.LittleEndian.Uint64(buf[41:49]); got != want {
 		return r, errors.New("persist: WAL record checksum mismatch")
 	}
 	r.Type = buf[4]
@@ -108,20 +109,24 @@ func rootDigest(epoch uint64, roots [][]byte) [16]byte {
 	return d
 }
 
-// checksum64 is the FNV-1a 64 integrity checksum used by every on-disk
-// structure. It protects against corruption and torn writes, not against
-// an adversary — adversarial integrity comes from re-verifying the
-// restored image against the sealed root with the engine itself.
-func checksum64(p []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(p)
-	return h.Sum64()
+// Checksum64 is the checksum of every on-disk structure — WAL record,
+// segment, manifest, anchor: CRC-32C (Castagnoli, which the CPU computes
+// in hardware) of the parts taken in order as one byte string, carried in
+// the structures' 8-byte checksum fields with the upper half zero. It
+// protects against corruption and torn writes, not against an adversary —
+// adversarial integrity comes from re-verifying the restored image against
+// the sealed root with the engine itself — which is why it is exported:
+// the chaos campaign's forgery leg recomputes a file's checksum after
+// tampering to prove checksums alone are not integrity.
+func Checksum64(parts ...[]byte) uint64 {
+	var crc uint32
+	for _, p := range parts {
+		crc = crc32.Update(crc, castagnoli, p)
+	}
+	return uint64(crc)
 }
 
-// Checksum64 exposes the on-disk checksum function for tooling and the
-// chaos campaign's forgery leg (which recomputes a file's checksum after
-// tampering to prove checksums alone are not integrity).
-func Checksum64(p []byte) uint64 { return checksum64(p) }
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // WALRecordSize is the fixed size of one sealed WAL record, exported for
 // tooling and campaigns that truncate the log at record boundaries.

@@ -119,9 +119,22 @@ type Store struct {
 	halted     []bool
 }
 
-// New assembles a store of cfg.Shards machines. Shard i owns global
+// New assembles a store of cfg.Shards fresh machines. Shard i owns global
 // offsets [i*ShardSpan, (i+1)*ShardSpan).
-func New(cfg Config) (*Store, error) {
+func New(cfg Config) (*Store, error) { return newStore(cfg, nil, nil) }
+
+// NewFromState assembles a store whose shard i is built from the saved
+// image imgs[i] and root register roots[i] (core.NewMachineFromState):
+// the recovery constructor. Nothing is verified yet; VerifyAll does that.
+func NewFromState(cfg Config, imgs, roots [][]byte) (*Store, error) {
+	if len(imgs) != cfg.Shards || len(roots) != cfg.Shards {
+		return nil, fmt.Errorf("shard: %d images and %d roots for %d shards", len(imgs), len(roots), cfg.Shards)
+	}
+	return newStore(cfg, imgs, roots)
+}
+
+// newStore is the one constructor; imgs is nil for fresh machines.
+func newStore(cfg Config, imgs, roots [][]byte) (*Store, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("shard: need at least one shard, got %d", cfg.Shards)
 	}
@@ -156,7 +169,13 @@ func New(cfg Config) (*Store, error) {
 			c.Telemetry = cfg.Recorders[i]
 			c.Benchmark.Name = fmt.Sprintf("%s.s%d", per.Benchmark.Name, i)
 		}
-		m, err := core.NewMachine(c)
+		var m *core.Machine
+		var err error
+		if imgs != nil {
+			m, err = core.NewMachineFromState(c, imgs[i], roots[i])
+		} else {
+			m, err = core.NewMachine(c)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
@@ -479,33 +498,13 @@ func (s *Store) Flush() error {
 	})
 }
 
-// VerifyAll flushes and then re-reads every protected block of every
-// shard through the verification engine. A violation (or a halted shard)
-// surfaces as that shard's wrapped error; healthy shards verify clean
-// regardless — one halted shard never wedges its neighbors.
+// VerifyAll runs Machine.VerifyAll on every shard concurrently: a flush,
+// then every data-region block re-read through the verification engine.
+// A violation (or a halted shard) surfaces as that shard's wrapped error;
+// healthy shards verify clean regardless — one halted shard never wedges
+// its neighbors.
 func (s *Store) VerifyAll() error {
-	return s.doAll(func(_ int, m *core.Machine) error {
-		m.Flush()
-		bs := uint64(m.Cfg.L2Block)
-		buf := make([]byte, bs)
-		span := m.ProgSpan()
-		for off := uint64(0); off < span; off += bs {
-			n := bs
-			if off+n > span {
-				n = span - off
-			}
-			if err := m.LoadBytes(off, buf[:n]); err != nil {
-				return err
-			}
-		}
-		// Speculatively delivered re-reads defer their verdicts; the
-		// epoch barrier forces every outstanding check to resolve so a
-		// tampered shard cannot verify clean.
-		if m.Cfg.Speculative {
-			return m.Barrier()
-		}
-		return nil
-	})
+	return s.doAll(func(_ int, m *core.Machine) error { return m.VerifyAll() })
 }
 
 // WithShard runs f against shard i's machine on that shard's worker

@@ -1,6 +1,30 @@
 package memverify
 
-import "testing"
+import (
+	"os/exec"
+	"testing"
+)
+
+// TestBenchModule keeps the benchmark under tier-1: bench/ is a module of
+// its own that compiles against a dozen internal packages (SaveState,
+// RestoreState, RecoverMachine, VerifyAll, ...), so a change to any of them
+// can break it without the root module's build noticing. Vet and test it
+// where it lives, with the same go tool that runs this test.
+func TestBenchModule(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and tests a second module")
+	}
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("no go tool on PATH")
+	}
+	for _, args := range [][]string{{"vet", "./..."}, {"test", "./..."}} {
+		cmd := exec.Command("go", args...)
+		cmd.Dir = "bench"
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("cd bench && go %s %s: %v\n%s", args[0], args[1], err, out)
+		}
+	}
+}
 
 // TestDisabledTelemetryAllocsAreConstructionOnly pins the alloc half of
 // the telemetry overhead contract at whole-simulation scope: with no
