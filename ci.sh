@@ -95,11 +95,15 @@ go test -run '^$' -bench 'BenchmarkSpeculative/naive' -benchtime 1x . | awk '
 echo "speculative pipeline gate OK"
 
 # Persistence gate: the crash-consistency machinery must hold up under the
-# race detector, and a seeded 200-leg campaign (50 per tree scheme: kills
-# at every commit-protocol stage plus on-disk tampering) must recover every
-# clean crash to the exact sealed root and detect every tamper — cmd/chaos
-# -crash exits nonzero on any false positive, root mismatch, or miss.
-go test -race -run 'TestKillPointProperty|TestRecover|TestDoubleCrash|TestStaleSnapshot|TestCrashCampaign' \
+# race detector — the kill-point property on both kinds of segment, the
+# chain-is-the-image property, the short-write regression — and a seeded
+# 200-leg campaign (50 per tree scheme: kills at every commit-protocol
+# stage plus on-disk tampering with bases, deltas and the chains between
+# them, the campaign's delta legs included in the race run) must recover
+# every clean crash to the exact sealed root and detect every tamper —
+# cmd/chaos -crash exits nonzero on any false positive, root mismatch, or
+# miss.
+go test -race -run 'TestKillPointProperty|TestChainIsTheImage|TestShortWAL|TestRecover|TestDoubleCrash|TestStaleSnapshot|TestCrashCampaign' \
   ./internal/persist/ ./internal/chaos/
 go run ./cmd/chaos -crash -n 50 -seed 17 >/dev/null
 # End-to-end kill/restart walkthrough: loadgen dies mid-checkpoint (exit 3
@@ -360,3 +364,11 @@ echo "service gate OK"
 # post-eviction corruption.
 go test -fuzz FuzzMachineTamper -fuzztime 10s ./internal/mem/ >/dev/null
 echo "machine fuzz smoke OK"
+
+# Parser fuzz smoke: every decoder of on-disk bytes — segments of both
+# kinds, the WAL, the manifest, the anchor — takes ten seconds of mutated
+# input without a panic or a value that is not what the bytes say.
+for target in FuzzDecodeSegment FuzzScanWAL FuzzDecodeManifest FuzzDecodeAnchor; do
+  go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/persist/ >/dev/null
+done
+echo "persist parser fuzz smoke OK"

@@ -8,7 +8,8 @@
 // With -crash the campaign targets the persistence layer instead of live
 // memory: seeded process kills inside the checkpoint commit protocol plus
 // on-disk tampering (segment flips, forged checksums, WAL truncation,
-// stale-snapshot replay), gated the same way — every clean kill/restart
+// stale-snapshot replay, and flipped, forged, dropped, substituted and
+// truncated links of a base-and-deltas chain), gated the same way — every clean kill/restart
 // must reproduce the sealed root exactly, every tamper must be detected.
 //
 // Usage:
@@ -227,7 +228,7 @@ func runCrashCampaign(seed uint64, n int, schemes, hashMode, policy string,
 
 	reg := rf.NewRegistry()
 	tbl := stats.NewTable("crash campaign (seed "+fmt.Sprint(seed)+")",
-		"scheme", "legs", "kills", "tampers", "clean rec", "false pos",
+		"scheme", "legs", "delta legs", "kills", "tampers", "clean rec", "false pos",
 		"root mism", "missed", "det rate")
 	tbl.SetPrecision(2)
 
@@ -255,6 +256,7 @@ func runCrashCampaign(seed uint64, n int, schemes, hashMode, policy string,
 			point := telemetry.NewRegistry()
 			pfx := "crash." + string(scheme) + "."
 			point.Add(pfx+"legs", uint64(s.Total))
+			point.Add(pfx+"delta_legs", uint64(s.DeltaLegs))
 			point.Add(pfx+"kills", uint64(s.Kills))
 			point.Add(pfx+"tampers", uint64(s.Tampers))
 			point.Add(pfx+"clean_recoveries", uint64(s.CleanRecoveries))
@@ -271,7 +273,7 @@ func runCrashCampaign(seed uint64, n int, schemes, hashMode, policy string,
 		fr.Record(obs.EvCampaign, -1, 0, fmt.Sprintf(
 			"crash scheme=%s legs=%d kills=%d tampers=%d missed=%d false_positives=%d",
 			scheme, s.Total, s.Kills, s.Tampers, s.Missed, s.FalsePositives))
-		tbl.AddRow(string(scheme), s.Total, s.Kills, s.Tampers, s.CleanRecoveries,
+		tbl.AddRow(string(scheme), s.Total, s.DeltaLegs, s.Kills, s.Tampers, s.CleanRecoveries,
 			s.FalsePositives, s.RootMismatches, s.Missed, s.DetectionRate)
 		if s.FalsePositives > 0 {
 			fmt.Fprintf(os.Stderr, "FAIL: scheme %s: %d clean crashes classified as violations\n", scheme, s.FalsePositives)

@@ -794,8 +794,8 @@ func runPersistent(s *shard.Store, scfg shard.Config, dir, anchor, workload stri
 	}
 
 	pst := st.Stats()
-	fmt.Printf("loadgen: persist checkpoints=%d wal_records=%d bytes_written=%d retries=%d\n",
-		pst.Checkpoints, pst.WALRecords, pst.BytesWritten, pst.Retries)
+	fmt.Printf("loadgen: persist checkpoints=%d wal_records=%d bytes_written=%d base_segments=%d delta_segments=%d retries=%d\n",
+		pst.Checkpoints, pst.WALRecords, pst.BytesWritten, pst.BaseSegments, pst.DeltaSegments, pst.Retries)
 	return nil
 }
 

@@ -23,6 +23,10 @@ func goldenRegistry() (*telemetry.Registry, map[string]float64) {
 	reg.Add("integrity.violations", 1)
 	reg.Add("persist.checkpoints", 12)
 	reg.Add("persist.checkpoint_nanos", 84213991)
+	reg.Add("persist.base_segments", 4)
+	reg.Add("persist.delta_segments", 20)
+	reg.Add("persist.delta_bytes", 1871360)
+	reg.SetGauge("persist.chain_links", 5)
 	reg.SetGauge("bus.utilization", 0.3125)
 	reg.SetGauge("shard.halted_shards", 1)
 	reg.SetGauge("l2.resident_lines_data", 16384)

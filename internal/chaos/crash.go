@@ -51,7 +51,39 @@ const (
 	// outside the directory: the external trusted-storage anchor must
 	// classify the replay as a violation.
 	CrashReplayDir = "replay-dir"
+
+	// The chain legs commit a base and three deltas over it, then attack
+	// the chain recovery has to walk: no link of it is trusted, so each
+	// must end as a violation, raised by the decoder, by the walk or by
+	// the engine's sweep of the folded image against the sealed root.
+
+	// CrashFlipLink flips one byte of one delta of the chain.
+	CrashFlipLink = "flip-link"
+	// CrashForgeLink flips one byte of the head delta's line bytes and
+	// recomputes the file's checksum.
+	CrashForgeLink = "forge-link"
+	// CrashDropLink deletes a delta from the middle of the chain.
+	CrashDropLink = "drop-link"
+	// CrashSubstituteLink installs an older delta in a newer one's place,
+	// its labels rewritten and its checksum recomputed so that the chain
+	// is well-formed from end to end.
+	CrashSubstituteLink = "substitute-link"
+	// CrashTruncateBase cuts the chain's base short.
+	CrashTruncateBase = "truncate-base"
 )
+
+// chainEpochs is how many epochs a chain leg commits: a base and three
+// deltas, so that the chain has a head, a middle and a base to attack.
+const chainEpochs = 4
+
+// chainLeg reports whether kind attacks a chain of segments.
+func chainLeg(kind string) bool {
+	switch kind {
+	case CrashFlipLink, CrashForgeLink, CrashDropLink, CrashSubstituteLink, CrashTruncateBase:
+		return true
+	}
+	return false
+}
 
 // killStages is the protocol-stage rotation for CrashKill legs.
 var killStages = []string{
@@ -64,11 +96,13 @@ var killStages = []string{
 	persist.StageManifestRename,
 }
 
-// crashKinds is the per-leg rotation: three kills (cycling through the
-// seven stages across legs) for every five tamper legs.
+// crashKinds is the per-leg rotation: five kills (cycling through the
+// seven stages across legs) for every ten tamper legs.
 var crashKinds = []string{
 	CrashKill, CrashTamperSegment, CrashKill, CrashForgeSegment,
 	CrashKill, CrashTruncateWAL, CrashStaleSnapshot, CrashReplayDir,
+	CrashKill, CrashFlipLink, CrashForgeLink,
+	CrashKill, CrashDropLink, CrashSubstituteLink, CrashTruncateBase,
 }
 
 // CrashConfig configures a crash campaign. The zero value is not usable;
@@ -92,7 +126,13 @@ type CrashConfig struct {
 	ProtectedBytes uint64
 	L2Size         int
 
-	// WritesPerRound is the number of 64-byte stores between checkpoints.
+	// WritesPerRound is the number of 64-byte stores before the first
+	// checkpoint. Later rounds draw theirs with the leg's generator: up to
+	// four times as many before the second checkpoint of a two-epoch leg
+	// — on the default footprint a shard's segment stops being a delta
+	// and is a base again at about twice as many, so a campaign kills and
+	// tampers with both kinds in like numbers — and up to half as many in
+	// each round of a chain leg, which must write deltas.
 	WritesPerRound int
 
 	// Dir is the scratch root for the per-leg store directories; ""
@@ -111,7 +151,7 @@ func DefaultCrashConfig(scheme core.Scheme) CrashConfig {
 		Shards:         1,
 		ProtectedBytes: 16 << 10,
 		L2Size:         8 << 10,
-		WritesPerRound: 24,
+		WritesPerRound: 32,
 	}
 }
 
@@ -148,8 +188,11 @@ type CrashInjection struct {
 	Detected bool `json:"detected"`
 	// ExactRoot: a clean recovery whose restored roots are byte-identical
 	// to the sealed roots of the recovered epoch.
-	ExactRoot bool   `json:"exact_root"`
-	Detail    string `json:"detail,omitempty"`
+	ExactRoot bool `json:"exact_root"`
+	// Bases and Deltas count the segments the leg's store wrote, by kind.
+	Bases  int    `json:"bases"`
+	Deltas int    `json:"deltas"`
+	Detail string `json:"detail,omitempty"`
 }
 
 // CrashSummary aggregates a crash campaign.
@@ -171,6 +214,9 @@ type CrashSummary struct {
 	// rest. The gate requires Missed == 0.
 	Detected int `json:"detected"`
 	Missed   int `json:"missed"`
+	// DeltaLegs counts the legs whose store wrote at least one delta
+	// segment; the others killed or tampered with bases only.
+	DeltaLegs int `json:"delta_legs"`
 
 	// DetectionRate is Detected / Tampers.
 	DetectionRate float64 `json:"detection_rate"`
@@ -193,10 +239,10 @@ type CrashReport struct {
 // Summary.MarshalJSON).
 func (s CrashSummary) MarshalJSON() ([]byte, error) {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, `{"clean_recoveries":%d,"detected":%d,"detection_rate":%.6f,`+
+	fmt.Fprintf(&b, `{"clean_recoveries":%d,"delta_legs":%d,"detected":%d,"detection_rate":%.6f,`+
 		`"false_positives":%d,"kills":%d,"missed":%d,"root_mismatches":%d,`+
 		`"tampers":%d,"total":%d}`,
-		s.CleanRecoveries, s.Detected, s.DetectionRate,
+		s.CleanRecoveries, s.DeltaLegs, s.Detected, s.DetectionRate,
 		s.FalsePositives, s.Kills, s.Missed, s.RootMismatches,
 		s.Tampers, s.Total)
 	return b.Bytes(), nil
@@ -206,6 +252,9 @@ func (r *CrashReport) summarize() {
 	var s CrashSummary
 	for _, inj := range r.Injections {
 		s.Total++
+		if inj.Deltas > 0 {
+			s.DeltaLegs++
+		}
 		if inj.Kind == CrashKill {
 			s.Kills++
 			switch {
@@ -233,13 +282,13 @@ func (r *CrashReport) summarize() {
 
 // WriteCSV writes one header line plus one line per leg.
 func (r *CrashReport) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "id,scheme,hash_mode,policy,shards,kind,stage,outcome,epoch,detected,exact_root"); err != nil {
+	if _, err := fmt.Fprintln(w, "id,scheme,hash_mode,policy,shards,kind,stage,outcome,epoch,detected,exact_root,bases,deltas"); err != nil {
 		return err
 	}
 	for _, inj := range r.Injections {
-		if _, err := fmt.Fprintf(w, "%d,%s,%s,%s,%d,%s,%s,%s,%d,%t,%t\n",
+		if _, err := fmt.Fprintf(w, "%d,%s,%s,%s,%d,%s,%s,%s,%d,%t,%t,%d,%d\n",
 			inj.ID, r.Scheme, r.HashMode, r.Policy, r.Shards,
-			inj.Kind, inj.Stage, inj.Outcome, inj.Epoch, inj.Detected, inj.ExactRoot); err != nil {
+			inj.Kind, inj.Stage, inj.Outcome, inj.Epoch, inj.Detected, inj.ExactRoot, inj.Bases, inj.Deltas); err != nil {
 			return err
 		}
 	}
@@ -417,28 +466,43 @@ func runCrashLeg(cfg CrashConfig, id int, kind, stage, dir string) (*CrashInject
 		defer os.RemoveAll(dir + ".stash")
 	}
 
-	// Epoch 2: killed or committed, depending on the leg kind.
-	if err := src.write(rng, cfg.WritesPerRound); err != nil {
-		return nil, err
+	// The epochs after the first: a chain leg commits three rounds of
+	// light traffic, each a delta over the last; the others commit or kill
+	// one round whose weight decides which kind of segment that is.
+	last := uint64(2)
+	if chainLeg(kind) {
+		last = chainEpochs
 	}
-	if kind == CrashKill {
-		ffs.Kill(persist.KillRule{Stage: stage})
+	var cerr error
+	for e := uint64(2); e <= last; e++ {
+		n := 1 + rng.Intn(4*cfg.WritesPerRound)
+		if chainLeg(kind) {
+			n = 1 + rng.Intn(cfg.WritesPerRound/2)
+		}
+		if err := src.write(rng, n); err != nil {
+			return nil, err
+		}
+		if kind == CrashKill {
+			ffs.Kill(persist.KillRule{Stage: stage})
+		}
+		if _, cerr = st.Checkpoint(src); cerr != nil && kind != CrashKill {
+			return nil, fmt.Errorf("checkpoint %d: %w", e, cerr)
+		}
 	}
-	_, cerr := st.Checkpoint(src)
-	switch kind {
-	case CrashKill:
+	// The roots the last checkpoint sealed — or, killed, INTENDED to seal:
+	// SaveState flushed the machines before the first disk write, so their
+	// live roots are exactly the candidates.
+	sealed[last] = src.roots()
+	stats := st.Stats()
+	inj.Bases, inj.Deltas = int(stats.BaseSegments), int(stats.DeltaSegments)
+	switch {
+	case kind == CrashKill:
 		if cerr == nil || !ffs.Killed() {
 			return nil, fmt.Errorf("kill stage %s never fired", stage)
 		}
-		// The roots the killed checkpoint INTENDED to seal: SaveState
-		// flushed the machines before the first disk write, so their live
-		// roots are exactly the epoch-2 candidates.
-		sealed[2] = src.roots()
+	case chainLeg(kind) && inj.Deltas != (chainEpochs-1)*cfg.Shards:
+		return nil, fmt.Errorf("chain leg wrote %d bases and %d deltas: its rounds are too heavy for the footprint", inj.Bases, inj.Deltas)
 	default:
-		if cerr != nil {
-			return nil, fmt.Errorf("checkpoint 2: %w", cerr)
-		}
-		sealed[2] = src.roots()
 		if err := applyDiskTamper(cfg, kind, dir, id, rng); err != nil {
 			return nil, err
 		}
@@ -495,15 +559,20 @@ func rootsEqual(a, b [][]byte) bool {
 }
 
 // applyDiskTamper mutates the committed on-disk state for a tamper leg.
-// Epoch 2 is committed at this point; the tamper targets it (or, for the
-// replay, reinstalls epoch 1's surviving... — see each kind).
+// The last epoch is committed at this point — epoch 2, or a chain leg's
+// chainEpochs — and the tamper targets what it reaches.
 func applyDiskTamper(cfg CrashConfig, kind, dir string, id int, rng *rand.Rand) error {
 	shardIdx := id % cfg.Shards
+	seg := func(epoch uint64) string { return segPath(dir, epoch, shardIdx) }
+	// middle draws a delta between the chain's base and its head.
+	middle := func() uint64 { return uint64(2 + rng.Intn(chainEpochs-2)) }
 	switch kind {
-	case CrashTamperSegment:
-		return flipSegmentByte(dir, 2, shardIdx, rng, false)
-	case CrashForgeSegment:
-		return flipSegmentByte(dir, 2, shardIdx, rng, true)
+	case CrashTamperSegment, CrashForgeSegment:
+		shard, err := busyShard(cfg, dir, 2, shardIdx)
+		if err != nil {
+			return err
+		}
+		return flipSegmentByte(segPath(dir, 2, shard), rng, kind == CrashForgeSegment)
 	case CrashTruncateWAL:
 		// Keep epoch 1's intent+commit, drop epoch 2's: the snapshot now
 		// leads the log — committed epochs hidden.
@@ -512,17 +581,80 @@ func applyDiskTamper(cfg CrashConfig, kind, dir string, id int, rng *rand.Rand) 
 		return staleSnapshotSwap(cfg, dir)
 	case CrashReplayDir:
 		return replayWholeDir(dir, dir+".stash")
+	case CrashFlipLink:
+		epoch := uint64(2 + rng.Intn(chainEpochs-1))
+		shard, err := busyShard(cfg, dir, epoch, shardIdx)
+		if err != nil {
+			return err
+		}
+		return flipSegmentByte(segPath(dir, epoch, shard), rng, false)
+	case CrashForgeLink:
+		// The head: a forged line of an older link could be one a newer
+		// link overwrites, and then the folded image would be the honest
+		// one.
+		shard, err := busyShard(cfg, dir, chainEpochs, shardIdx)
+		if err != nil {
+			return err
+		}
+		return flipSegmentByte(segPath(dir, chainEpochs, shard), rng, true)
+	case CrashDropLink:
+		return os.Remove(seg(middle()))
+	case CrashSubstituteLink:
+		// Over a link that carries lines: passing an idle epoch's empty
+		// delta off as the next idle epoch's changes nothing.
+		older := middle()
+		shard, err := busyShard(cfg, dir, older+1, shardIdx)
+		if err != nil {
+			return err
+		}
+		buf, err := os.ReadFile(segPath(dir, older, shard))
+		if err != nil {
+			return err
+		}
+		if err := persist.RelabelSegment(buf, older+1); err != nil {
+			return err
+		}
+		return os.WriteFile(segPath(dir, older+1, shard), buf, 0o644)
+	case CrashTruncateBase:
+		info, err := os.Stat(seg(1))
+		if err != nil {
+			return err
+		}
+		return os.Truncate(seg(1), int64(rng.Intn(int(info.Size()))))
 	}
 	return fmt.Errorf("unknown tamper kind %q", kind)
 }
 
-// flipSegmentByte flips one bit of a segment's image, in a byte the leg's
-// generator draws from the whole image: interior tree chunks, the code
-// region and the program's data alike. With forge, the file's trailing
-// checksum is recomputed so every crash-consistency check passes and only
-// the engine's root walk can refuse the state.
-func flipSegmentByte(dir string, epoch uint64, shardIdx int, rng *rand.Rand, forge bool) error {
-	name := filepath.Join(dir, fmt.Sprintf("seg-%06d-%03d.dat", epoch, shardIdx))
+func segPath(dir string, epoch uint64, shard int) string {
+	return filepath.Join(dir, fmt.Sprintf("seg-%06d-%03d.dat", epoch, shard))
+}
+
+// busyShard returns the first shard, from shard first on, whose segment of
+// the epoch carries image bytes: a shard the epoch's traffic missed wrote
+// an empty delta, which has no line to flip or lose.
+func busyShard(cfg CrashConfig, dir string, epoch uint64, first int) (int, error) {
+	for k := 0; k < cfg.Shards; k++ {
+		shard := (first + k) % cfg.Shards
+		buf, err := os.ReadFile(segPath(dir, epoch, shard))
+		if err != nil {
+			return 0, err
+		}
+		if img, err := persist.SegmentImage(buf); err != nil {
+			return 0, fmt.Errorf("epoch %d shard %d: %w", epoch, shard, err)
+		} else if len(img) > 0 {
+			return shard, nil
+		}
+	}
+	return 0, fmt.Errorf("no shard wrote any line in epoch %d", epoch)
+}
+
+// flipSegmentByte flips one bit of the image bytes a segment file carries
+// — a base's image, a delta's line bytes — in a byte the leg's generator
+// draws from all of them: interior tree chunks, the code region and the
+// program's data alike. With forge, the file's trailing checksum is
+// recomputed so every crash-consistency check passes and only the engine's
+// root walk can refuse the state.
+func flipSegmentByte(name string, rng *rand.Rand, forge bool) error {
 	buf, err := os.ReadFile(name)
 	if err != nil {
 		return err

@@ -8,12 +8,12 @@ import (
 	"memverify/internal/core"
 )
 
-// testCrashConfig shrinks the campaign for test runtime: 16 legs cover
-// every kind (including replay-dir) at least twice and six of the seven
-// kill stages.
+// testCrashConfig shrinks the campaign for test runtime: 30 legs cover
+// every kind (including replay-dir and the five chain legs) twice and all
+// seven kill stages.
 func testCrashConfig(scheme core.Scheme) CrashConfig {
 	cfg := DefaultCrashConfig(scheme)
-	cfg.Injections = 16
+	cfg.Injections = 30
 	return cfg
 }
 
@@ -34,6 +34,9 @@ func assertCrashGates(t *testing.T, rep *CrashReport) {
 	}
 	if s.Kills == 0 || s.Tampers == 0 {
 		t.Errorf("degenerate campaign: %d kills, %d tampers", s.Kills, s.Tampers)
+	}
+	if s.Total >= len(crashKinds) && (s.DeltaLegs == 0 || s.DeltaLegs == s.Total) {
+		t.Errorf("campaign of %d legs has %d that wrote a delta: it attacks one kind of segment only", s.Total, s.DeltaLegs)
 	}
 	for _, inj := range rep.Injections {
 		if inj.Kind == CrashKill && inj.Epoch != 1 && inj.Epoch != 2 {

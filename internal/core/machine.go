@@ -50,6 +50,7 @@ type Machine struct {
 	dataSize uint64
 	storeSeq uint64
 	now      uint64 // advancing store-stamp clock for direct accesses
+	snapSeq  uint64 // Seq of the latest snapshot; 0 when none is current
 }
 
 // ErrHalted is returned by LoadBytes and StoreBytes once a machine running

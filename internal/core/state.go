@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"memverify/internal/integrity"
+	"memverify/internal/mem"
 )
 
 // This file is the machine side of the persistence layer (internal/persist):
@@ -14,29 +16,79 @@ import (
 // Everything else (caches, memo tables, the pending-check window) is
 // reconstructible or must be empty at a commit point anyway.
 
-// SaveState drains the machine to a commit point and returns a snapshot of
-// its protected state: the full external-memory image of the hash-tree
-// region ([0, Layout.Size())) and a copy of the secure root register. It
-// is an implicit barrier — Flush writes back every dirty line and resolves
-// every outstanding speculative check — so on return external memory is
-// authoritative: every clean cached line matches it and the stored records
-// cover exactly the returned image.
+// Snapshot is one commit-point capture of a machine's protected state:
+// the whole external-memory image of the hash-tree region
+// ([0, Layout.Size())), or only the lines of it written since an earlier
+// snapshot, and in both cases a copy of the secure root register.
+type Snapshot struct {
+	// Seq names this snapshot to the machine that took it. Passed back as
+	// since, it asks for the changes made after this snapshot — and is
+	// honoured only while this is still the machine's latest snapshot.
+	Seq  uint64
+	Root []byte
+	// Image is the full image, nil when the snapshot is a delta.
+	Image []byte
+	// Runs and Lines are the delta: the maximal runs of 64-byte lines
+	// written since snapshot since, ascending, and the bytes those lines
+	// hold, run after run (the image's last line may be short). Applied in
+	// place over the image of snapshot since, they give the image of this
+	// one.
+	Runs  []mem.LineRun
+	Lines []byte
+}
+
+// snapshotSeq hands out snapshot sequence numbers. They are unique across
+// the machines of a process, so one machine's number can never be taken
+// for another's; none is ever 0, the "since nothing" argument.
+var snapshotSeq atomic.Uint64
+
+// SaveStateSince drains the machine to a commit point and captures its
+// protected state. It is an implicit barrier — Flush writes back every
+// dirty line and resolves every outstanding speculative check — so on
+// return external memory is authoritative: every clean cached line
+// matches it and the stored records cover exactly what is returned.
 //
-// SaveState fails on a non-functional machine (there are no bytes to
-// save), on the base scheme (no root to seal), under the timing-only hash
-// unit (its records are vacuous stand-ins), and on a halted machine
-// (tampered state must not be checkpointed as if it were committed).
-func (m *Machine) SaveState() (img []byte, root []byte, err error) {
+// The capture is a delta when since names the machine's latest snapshot
+// and no more than maxLines lines were written after it, and the full
+// image otherwise: since 0, a since some later SaveState, SaveStateSince
+// or RestoreState has made stale, another machine's since, or a write set
+// the caller has no use for as a delta. The choice is made from the count
+// of dirty lines, before anything is copied. Every write to external
+// memory counts, whoever made it — the engine, a restore, an adversary on
+// the bus — so that a delta over its predecessor is always byte for byte
+// what the full image would have been.
+//
+// It fails on a non-functional machine (there are no bytes to save), on
+// the base scheme (no root to seal), under the timing-only hash unit (its
+// records are vacuous stand-ins), and on a halted machine (tampered state
+// must not be checkpointed as if it were committed).
+func (m *Machine) SaveStateSince(since uint64, maxLines int) (Snapshot, error) {
 	if err := m.persistable(); err != nil {
-		return nil, nil, err
+		return Snapshot{}, err
 	}
 	m.Flush()
 	if m.halted {
-		return nil, nil, fmt.Errorf("%w (%v)", ErrHalted, m.haltCause)
+		return Snapshot{}, fmt.Errorf("%w (%v)", ErrHalted, m.haltCause)
 	}
-	img = make([]byte, m.Layout.Size())
-	m.backing.Read(0, img)
-	return img, append([]byte(nil), m.Sys.Root...), nil
+	size := m.Layout.Size()
+	snap := Snapshot{Root: append([]byte(nil), m.Sys.Root...)}
+	if n := m.backing.DirtyLines(size); since != 0 && since == m.snapSeq && n <= maxLines {
+		snap.Runs, snap.Lines = m.backing.AppendDirty(size, nil, make([]byte, 0, n*mem.LineSize))
+	} else {
+		snap.Image = make([]byte, size)
+		m.backing.Read(0, snap.Image)
+	}
+	m.backing.ClearDirty()
+	m.snapSeq = snapshotSeq.Add(1)
+	snap.Seq = m.snapSeq
+	return snap, nil
+}
+
+// SaveState is SaveStateSince since nothing: it returns the full image
+// and the root.
+func (m *Machine) SaveState() (img []byte, root []byte, err error) {
+	snap, err := m.SaveStateSince(0, 0)
+	return snap.Image, snap.Root, err
 }
 
 // Root returns a copy of the secure root register: the root hash, or the
@@ -75,6 +127,8 @@ func (m *Machine) RestoreState(img []byte, root []byte) error {
 		}
 	}
 	m.Sys.Exec.InvalidateMemo()
+	// No snapshot describes what memory holds now: the next one is full.
+	m.snapSeq = 0
 	// A restore is a reboot: the halt latch clears and detection starts
 	// over against the restored state. Counters are left alone — callers
 	// diff them around the post-restore verification pass.

@@ -1,0 +1,132 @@
+package core
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+
+	"memverify/internal/mem"
+)
+
+// applyRuns folds a delta snapshot into img.
+func applyRuns(img []byte, s Snapshot) {
+	lines := s.Lines
+	for _, r := range s.Runs {
+		n := copy(img[uint64(r.Line)*mem.LineSize:], lines[:min(int(r.Count)*mem.LineSize, len(lines))])
+		lines = lines[n:]
+	}
+}
+
+// TestSaveStateSince holds the snapshot routine to its contract: a delta
+// over the snapshot it was taken since is byte for byte the full image,
+// whoever wrote to memory in between, and a since the machine no longer
+// recognises as its latest — stale, foreign, zero, or invalidated by a
+// restore — yields the full image.
+func TestSaveStateSince(t *testing.T) {
+	for _, scheme := range []Scheme{SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
+		t.Run(string(scheme), func(t *testing.T) {
+			cfg := smallCfg(scheme)
+			cfg.ViolationPolicy = "record"
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			other, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size := int(m.StateSize())
+			truth := func() []byte {
+				img := make([]byte, size)
+				m.backing.Read(0, img)
+				return img
+			}
+			rng := rand.New(rand.NewSource(3))
+			store := func(n int) {
+				buf := make([]byte, 100)
+				for i := 0; i < n; i++ {
+					rng.Read(buf)
+					if err := m.StoreBytes(rng.Uint64()%(m.ProgSpan()-100), buf); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			store(50)
+			first, err := m.SaveStateSince(0, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first.Image == nil || first.Seq == 0 || !bytes.Equal(first.Image, truth()) {
+				t.Fatalf("since nothing: want the full image and a sequence number")
+			}
+			shadow := bytes.Clone(first.Image)
+
+			// Deltas chain: each folds into the last image to give this one,
+			// an adversary's write between them included.
+			last := first.Seq
+			for round := 0; round < 4; round++ {
+				store(20)
+				if round == 2 {
+					m.Flush()
+					m.Adversary().Corrupt(m.ProgAddr(12345), 0x80)
+				}
+				d, err := m.SaveStateSince(last, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d.Image != nil || len(d.Runs) == 0 || d.Seq == last {
+					t.Fatalf("round %d: want a delta under a new sequence number, got image=%v runs=%d", round, d.Image != nil, len(d.Runs))
+				}
+				applyRuns(shadow, d)
+				if !bytes.Equal(shadow, truth()) || !bytes.Equal(d.Root, m.Root()) {
+					t.Fatalf("round %d: delta folded over its predecessor is not the image", round)
+				}
+				if round == 2 {
+					m.Adversary().Corrupt(m.ProgAddr(12345), 0x80)
+				}
+				last = d.Seq
+			}
+
+			// An idle epoch is an empty delta, not a full image.
+			idle, err := m.SaveStateSince(last, 0)
+			if err != nil || idle.Image != nil || len(idle.Runs) != 0 || len(idle.Lines) != 0 {
+				t.Fatalf("idle epoch: %v, image=%v runs=%d", err, idle.Image != nil, len(idle.Runs))
+			}
+			last = idle.Seq
+
+			// More dirty lines than the caller wants as a delta: full image.
+			store(20)
+			if s, _ := m.SaveStateSince(last, 3); s.Image == nil {
+				t.Fatal("a write set over maxLines came back as a delta")
+			} else {
+				last = s.Seq
+			}
+
+			// Stale (an interleaved SaveState), foreign and restored sinces.
+			store(5)
+			if _, _, err := m.SaveState(); err != nil {
+				t.Fatal(err)
+			}
+			store(5)
+			if s, _ := m.SaveStateSince(last, size); s.Image == nil || !bytes.Equal(s.Image, truth()) {
+				t.Fatal("a since made stale by SaveState came back as a delta")
+			}
+			foreign, err := other.SaveStateSince(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s, _ := m.SaveStateSince(foreign.Seq, size); s.Image == nil {
+				t.Fatal("another machine's since came back as a delta")
+			} else {
+				last = s.Seq
+			}
+			if err := m.RestoreState(first.Image, first.Root); err != nil {
+				t.Fatal(err)
+			}
+			if s, _ := m.SaveStateSince(last, size); s.Image == nil || !bytes.Equal(s.Image, first.Image) {
+				t.Fatal("a since from before RestoreState came back as a delta")
+			}
+		})
+	}
+}

@@ -171,3 +171,68 @@ func TestAdversaryDropWrites(t *testing.T) {
 		t.Fatalf("drop-writes = %v, want [9 2 3 9]", got)
 	}
 }
+
+// BenchmarkSparseWrite is the write-back of one 64-byte block to a random
+// line of a materialized 8 MiB region: the engine's store to untrusted
+// memory, with the dirty-line bookkeeping it carries. The dirty set is
+// cleared every 1<<16 writes, as a checkpoint would.
+func BenchmarkSparseWrite(b *testing.B) {
+	const span = 8 << 20
+	s := NewSparse()
+	s.Write(0, make([]byte, span))
+	block := bytes.Repeat([]byte{0xA5}, 64)
+	addr := uint64(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i&(1<<16-1) == 0 {
+			s.ClearDirty()
+		}
+		addr = (addr*6364136223846793005 + 1442695040888963407) % span &^ 63
+		s.Write(addr, block)
+	}
+}
+
+func TestSparseDirtyLines(t *testing.T) {
+	s := NewSparse()
+	if n := s.DirtyLines(1 << 20); n != 0 {
+		t.Fatalf("fresh memory has %d dirty lines", n)
+	}
+	s.Write(4096-64, bytes.Repeat([]byte{1}, 128)) // last line of page 0, first of page 1
+	s.Write(100, []byte{2})                        // one byte dirties its line
+	s.Write(3*4096+63, []byte{3, 4})               // two lines, one byte each
+	s.Write(1<<30, []byte{5})                      // beyond every limit below
+	runs, data := s.AppendDirty(1<<20, nil, nil)
+	want := []LineRun{{Line: 1, Count: 1}, {Line: 63, Count: 2}, {Line: 192, Count: 2}}
+	if len(runs) != len(want) {
+		t.Fatalf("runs = %v, want %v", runs, want)
+	}
+	for i := range want {
+		if runs[i] != want[i] {
+			t.Fatalf("runs = %v, want %v", runs, want)
+		}
+	}
+	if len(data) != 5*LineSize || data[100-64] != 2 || data[64] != 1 || data[3*64+63] != 3 || data[4*64] != 4 {
+		t.Fatalf("dirty bytes do not match what was written (%d bytes)", len(data))
+	}
+	if n := s.DirtyLines(1 << 20); n != 5 {
+		t.Fatalf("DirtyLines = %d, want 5", n)
+	}
+	// A limit inside a line clips that line's bytes; a line starting at or
+	// beyond the limit is not reported at all.
+	runs, data = s.AppendDirty(4096+10, nil, nil)
+	if len(runs) != 2 || runs[1] != (LineRun{Line: 63, Count: 2}) || len(data) != 2*LineSize+10 {
+		t.Fatalf("clipped: runs %v, %d bytes", runs, len(data))
+	}
+	if n := s.DirtyLines(4096); n != 2 {
+		t.Fatalf("DirtyLines(4096) = %d, want 2", n)
+	}
+	s.ClearDirty()
+	if n := s.DirtyLines(1 << 40); n != 0 {
+		t.Fatalf("%d lines dirty after ClearDirty", n)
+	}
+	s.Write(0, make([]byte, 2*4096)) // whole pages: one run across the boundary
+	if runs, _ := s.AppendDirty(1<<20, nil, nil); len(runs) != 1 || runs[0] != (LineRun{Line: 0, Count: 128}) {
+		t.Fatalf("two whole pages: runs %v", runs)
+	}
+}

@@ -136,6 +136,9 @@ type FaultFS struct {
 	// transient-fault injection: the next Transient mutating operations
 	// fail once each with ErrTransient before succeeding on retry.
 	transient int
+	// short-write injection: after shortSkip more writes, the next short
+	// writes commit a prefix of their buffer and fail with ErrTransient.
+	shortSkip, short int
 
 	// Ops counts mutating operations (writes, syncs, renames, removes,
 	// truncates) observed so far, killed or not.
@@ -165,6 +168,16 @@ func (f *FaultFS) FailTransient(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.transient += n
+}
+
+// FailShort makes the n writes that follow the next skip writes short:
+// each commits a prefix of its buffer and then fails with ErrTransient —
+// the EIO or ENOSPC that strikes mid-record — where FailTransient's faults
+// write nothing.
+func (f *FaultFS) FailShort(skip, n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.shortSkip, f.short = skip, n
 }
 
 // Killed reports whether the kill point fired.
@@ -200,7 +213,7 @@ func stageOf(op, name string) string {
 
 // check gates one mutating operation: it returns ErrKilled permanently
 // once the kill point fires, ErrTransient while transient faults are
-// queued, and nil otherwise. torn reports whether a killing write should
+// queued, and nil otherwise. torn reports whether a failing write should
 // commit a partial prefix first.
 func (f *FaultFS) check(op, name string) (torn bool, err error) {
 	f.mu.Lock()
@@ -228,6 +241,14 @@ func (f *FaultFS) check(op, name string) (torn bool, err error) {
 	if f.transient > 0 {
 		f.transient--
 		return false, fmt.Errorf("%w (%s %s)", ErrTransient, op, filepath.Base(name))
+	}
+	if op == "write" && f.short > 0 {
+		if f.shortSkip > 0 {
+			f.shortSkip--
+			return false, nil
+		}
+		f.short--
+		return true, fmt.Errorf("%w (short %s %s)", ErrTransient, op, filepath.Base(name))
 	}
 	return false, nil
 }
@@ -300,8 +321,8 @@ func (f *faultFile) Write(p []byte) (int, error) {
 	torn, err := f.fs.check("write", f.name)
 	if err != nil {
 		if torn && len(p) > 1 {
-			// The dying write commits a prefix: the torn record/segment a
-			// real crash leaves mid-sector.
+			// The failing write commits a prefix: the torn record/segment
+			// a crash, or an I/O error mid-record, leaves behind.
 			n, _ := f.inner.Write(p[:len(p)/2])
 			return n, err
 		}
@@ -320,7 +341,7 @@ func (f *faultFile) Sync() error {
 }
 
 func (f *faultFile) Truncate(size int64) error {
-	if _, err := f.fs.check("write", f.name); err != nil {
+	if _, err := f.fs.check("truncate", f.name); err != nil {
 		return err
 	}
 	return f.inner.Truncate(size)

@@ -26,6 +26,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"memverify/internal/core"
@@ -185,6 +187,10 @@ type Store struct {
 	shards     int    // fixed at the first checkpoint
 	fp         uint64
 	failed     bool
+	// chains is each shard's committed chain as of the last checkpoint,
+	// nil whenever that checkpoint did not complete: the next one then
+	// writes bases only.
+	chains []chain
 
 	stats Stats
 }
@@ -291,14 +297,16 @@ func (s *Store) Epoch() uint64 { return s.epoch }
 
 // Checkpoint drains src to a commit point and persists epoch s.Epoch()+1:
 //
-//  1. SaveState every shard (an implicit Flush barrier per machine).
+//  1. Snapshot every shard (an implicit Flush barrier per machine): the
+//     lines written since the shard's last segment when chain.next allows
+//     a delta, the whole image otherwise.
 //  2. Seal the INTENT record in the WAL (fsync).
-//  3. Write one segment file per shard (fsync each). Names encode the
-//     epoch, so the previous epoch's segments are never touched.
+//  3. Write one segment file per shard, base or delta (fsync each). Names
+//     encode the epoch, so earlier epochs' segments are never touched.
 //  4. Commit: write MANIFEST.tmp, fsync, rename over MANIFEST, fsync
 //     the directory.
 //  5. Seal the COMMIT record in the WAL (fsync).
-//  6. Garbage-collect segments of older epochs.
+//  6. Garbage-collect the segments no shard's chain reaches any more.
 //
 // A crash before step 4's rename leaves the previous epoch fully intact;
 // a crash after it leaves the new epoch recoverable (roll-forward). The
@@ -306,7 +314,7 @@ func (s *Store) Epoch() uint64 { return s.epoch }
 // rolled-back committed one — see the WAL format comment.
 //
 // Transient I/O errors are retried with bounded backoff; exhaustion
-// degrades per Options.Policy. An error from SaveState itself (halted
+// degrades per Options.Policy. An error from the snapshot itself (halted
 // machine, non-persistable config) aborts before anything is written.
 func (s *Store) Checkpoint(src Source) (uint64, error) {
 	if s.failed {
@@ -340,20 +348,38 @@ func (s *Store) checkpoint(src Source) (uint64, error) {
 			fp, n, s.fp, s.shards)
 	}
 
-	imgs := make([][]byte, n)
+	// Whatever happens below, the snapshots consume the machines' record
+	// of what changed: the chains are only good again once this epoch is
+	// sealed.
+	chains := s.chains
+	s.chains, s.stats.ChainLinks = nil, 0
+	if chains == nil {
+		chains = make([]chain, n)
+	}
+	segs := make([]*segment, n)
+	seqs := make([]uint64, n)
 	roots := make([][]byte, n)
+	epoch := s.epoch + 1
 	for i := 0; i < n; i++ {
 		i := i
 		if err := src.WithMachine(i, func(m *core.Machine) error {
-			var err error
-			imgs[i], roots[i], err = m.SaveState()
-			return err
+			size := m.StateSize()
+			snap, err := m.SaveStateSince(chains[i].next(size, m.Layout.HashSize))
+			if err != nil {
+				return err
+			}
+			seg := &segment{Epoch: epoch, Shard: uint32(i), Fingerprint: fp, Root: snap.Root, Image: snap.Image}
+			if snap.Image == nil {
+				seg.Delta, seg.Prev, seg.ImageSize = true, chains[i].head(), size
+				seg.Runs, seg.Lines = snap.Runs, snap.Lines
+			}
+			segs[i], seqs[i], roots[i] = seg, snap.Seq, snap.Root
+			return nil
 		}); err != nil {
 			return 0, fmt.Errorf("persist: snapshot shard %d: %w", i, err)
 		}
 	}
 
-	epoch := s.epoch + 1
 	digest := rootDigest(epoch, roots)
 	rec := walRecord{Type: recIntent, Epoch: epoch, Fingerprint: fp, Shards: uint32(n), RootDigest: digest}
 	if err := s.wal.append(rec, s.retry); err != nil {
@@ -373,12 +399,17 @@ func (s *Store) checkpoint(src Source) (uint64, error) {
 		s.onEvent(EventIntent, epoch, "WAL intent sealed")
 	}
 
-	for i := 0; i < n; i++ {
-		seg := &segment{Epoch: epoch, Shard: uint32(i), Fingerprint: fp, Root: roots[i], Image: imgs[i]}
+	for i, seg := range segs {
 		if err := s.writeFileSync(filepath.Join(s.dir, segName(epoch, i)), seg.writeTo); err != nil {
 			return 0, fmt.Errorf("persist: segment %d: %w", i, err)
 		}
 		s.stats.BytesWritten += uint64(seg.size())
+		if seg.Delta {
+			s.stats.DeltaSegments++
+			s.stats.DeltaBytes += uint64(seg.size())
+		} else {
+			s.stats.BaseSegments++
+		}
 	}
 
 	man := &manifest{Epoch: epoch, Fingerprint: fp, Shards: uint32(n)}
@@ -412,11 +443,21 @@ func (s *Store) checkpoint(src Source) (uint64, error) {
 			return 0, fmt.Errorf("persist: anchor: %w", err)
 		}
 	}
+
+	for i, seg := range segs {
+		chains[i] = chains[i].extend(seg, seqs[i])
+		s.stats.ChainLinks = max(s.stats.ChainLinks, uint64(len(chains[i].epochs)-1))
+	}
+	s.chains = chains
 	if s.onEvent != nil {
-		s.onEvent(EventSeal, epoch, "WAL commit sealed")
+		kinds := make([]string, n)
+		for i, seg := range segs {
+			kinds[i] = fmt.Sprintf("shard %d %s %d B", i, seg.kind(), seg.size())
+		}
+		s.onEvent(EventSeal, epoch, "WAL commit sealed: "+strings.Join(kinds, ", "))
 	}
 
-	s.gc(epoch)
+	s.gc()
 	return epoch, nil
 }
 
@@ -449,18 +490,20 @@ func writeBytes(p []byte) func(io.Writer) error {
 	}
 }
 
-// gc removes segments of epochs other than keep. Failures are ignored —
-// the checkpoint is already committed and stray old segments are inert
-// (recovery reads only the manifest's epoch).
-func (s *Store) gc(keep uint64) {
+// gc removes the segments no shard's committed chain reaches. Failures
+// are ignored — the checkpoint is already committed and stray segments
+// are inert: recovery reads only what the manifest's epoch reaches, and
+// the next gc tries again.
+func (s *Store) gc() {
 	names, err := listSegments(s.fsys, s.dir)
 	if err != nil {
 		return
 	}
-	prefix := fmt.Sprintf("%s%06d-", segPrefix, keep)
 	for _, name := range names {
-		if len(name) < len(prefix) || name[:len(prefix)] != prefix {
-			_ = s.fsys.Remove(filepath.Join(s.dir, name))
+		epoch, shard, ok := parseSegName(name)
+		if ok && shard < len(s.chains) && slices.Contains(s.chains[shard].epochs, epoch) {
+			continue
 		}
+		_ = s.fsys.Remove(filepath.Join(s.dir, name))
 	}
 }

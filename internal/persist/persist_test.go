@@ -31,6 +31,22 @@ func testConfig(scheme core.Scheme, hashMode string) core.Config {
 	return cfg
 }
 
+// noSync is the real disk without its fsyncs, for properties that run
+// hundreds of checkpoints and whose crashes are FaultFS's, not the host's.
+type noSync struct{ OS }
+
+type noSyncFile struct{ File }
+
+func (noSync) SyncDir(string) error { return nil }
+func (noSyncFile) Sync() error      { return nil }
+func (n noSync) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := n.OS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return noSyncFile{f}, nil
+}
+
 // fastRetry keeps test backoff sleeps negligible.
 var fastRetry = RetryPolicy{Attempts: 3, BaseDelay: 1, MaxDelay: 1}
 
@@ -412,10 +428,44 @@ func TestStaleSnapshotReplayDetected(t *testing.T) {
 	}
 }
 
+// killScript is one shape of the kill-point property: the 64-byte stores
+// of each epoch, the last epoch's checkpoint being the one killed, and
+// what that checkpoint must be writing when it dies.
+type killScript struct {
+	name   string
+	writes []int
+	delta  bool // the killed checkpoint writes a delta; otherwise a base
+	deltas int  // deltas in the chain the killed checkpoint extends or closes
+	// gc aims the kill past the checkpoint's own writes, at the first
+	// segment its garbage collection removes: the checkpoint commits.
+	gc bool
+}
+
+// killScripts puts the killed checkpoint, in turn, on every branch of the
+// base-or-delta choice. The test machine's image is 341 lines; a 64-byte
+// store at an 8-byte-aligned offset dirties two data lines and its path
+// of the tree.
+func killScripts(stage string) []killScript {
+	idle := make([]int, maxChainLinks+2) // a base, then a delta per idle epoch up to the cap
+	idle[0], idle[len(idle)-1] = 16, 4
+	scripts := []killScript{
+		{name: "delta", writes: []int{16, 4}, delta: true},
+		{name: "base-half-image", writes: []int{16, 4, 400}, deltas: 1},
+		{name: "base-cumulative-bytes", writes: []int{16, 30, 30, 30, 30}, deltas: 3},
+		{name: "base-link-cap", writes: idle, deltas: maxChainLinks},
+	}
+	if stage == StageSegWrite {
+		// FaultFS counts a Remove as a write to the segment it removes.
+		scripts = append(scripts, killScript{name: "gc-interrupted", writes: []int{16, 4, 400}, deltas: 1, gc: true})
+	}
+	return scripts
+}
+
 // TestKillPointProperty is the seeded property test: a checkpoint→kill→
 // recover cycle at ANY kill point yields a root byte-identical to some
 // committed epoch of an uninterrupted reference run — never a novel root,
-// never a silent violation — across all persistable schemes × hash modes.
+// never a silent violation — across all persistable schemes × hash modes,
+// whichever kind of segment the killed checkpoint was writing.
 func TestKillPointProperty(t *testing.T) {
 	stages := []string{
 		StageWALWrite, StageWALSync, StageBetween,
@@ -428,50 +478,73 @@ func TestKillPointProperty(t *testing.T) {
 		for _, mode := range modes {
 			for _, stage := range stages {
 				t.Run(string(scheme)+"/"+mode+"/"+stage, func(t *testing.T) {
-					killPointCycle(t, scheme, mode, stage)
+					for _, script := range killScripts(stage) {
+						t.Run(script.name, func(t *testing.T) {
+							killPointCycle(t, scheme, mode, stage, script)
+						})
+					}
 				})
 			}
 		}
 	}
 }
 
-func killPointCycle(t *testing.T, scheme core.Scheme, mode, stage string) {
+func killPointCycle(t *testing.T, scheme core.Scheme, mode, stage string, script killScript) {
 	cfg := testConfig(scheme, mode)
 	dir := t.TempDir()
+	last := len(script.writes) // the killed epoch
 
-	// Reference: uninterrupted run, roots per epoch (epoch 0 = initial).
+	// Reference: the same workload through a store nothing kills — roots
+	// per epoch (epoch 0 = initial), and what kind of segment each
+	// checkpoint wrote.
 	ref := newMachine(t, cfg)
 	refRng := rand.New(rand.NewSource(42))
+	refStore := openStore(t, Options{Dir: t.TempDir(), FS: noSync{}, Retry: fastRetry})
 	refRoots := [][]byte{ref.Root()}
-	for i := 0; i < 3; i++ {
-		writeN(t, ref, refRng, 16)
-		ref.Flush()
+	for _, n := range script.writes {
+		before := refStore.Stats()
+		writeN(t, ref, refRng, n)
+		if _, err := refStore.Checkpoint(MachineSource{ref}); err != nil {
+			t.Fatalf("reference checkpoint: %v", err)
+		}
 		refRoots = append(refRoots, ref.Root())
+		if len(refRoots)-1 == last {
+			wrote := refStore.Stats().DeltaSegments > before.DeltaSegments
+			if wrote != script.delta || before.ChainLinks != uint64(script.deltas) {
+				t.Fatalf("script %s: the killed checkpoint writes delta=%v onto a chain of %d deltas, want delta=%v onto %d",
+					script.name, wrote, before.ChainLinks, script.delta, script.deltas)
+			}
+		}
 	}
 
 	// Victim: same workload, checkpoint each round, killed during the
-	// SECOND checkpoint.
-	ffs := NewFaultFS(nil)
+	// LAST checkpoint.
+	ffs := NewFaultFS(noSync{})
 	m := newMachine(t, cfg)
 	rng := rand.New(rand.NewSource(42))
 	st := openStore(t, Options{Dir: dir, FS: ffs, Retry: fastRetry})
-
-	writeN(t, m, rng, 16)
-	if _, err := st.Checkpoint(MachineSource{m}); err != nil {
-		t.Fatalf("checkpoint 1: %v", err)
+	for e, n := range script.writes[:last-1] {
+		writeN(t, m, rng, n)
+		if _, err := st.Checkpoint(MachineSource{m}); err != nil {
+			t.Fatalf("checkpoint %d: %v", e+1, err)
+		}
 	}
-	if !bytes.Equal(m.Root(), refRoots[1]) {
+	if !bytes.Equal(m.Root(), refRoots[last-1]) {
 		t.Fatalf("victim and reference diverged before the kill")
 	}
 
-	ffs.Kill(KillRule{Stage: stage})
-	writeN(t, m, rng, 16)
+	rule := KillRule{Stage: stage}
+	if script.gc {
+		rule.After = 3 // a base's header, image and trailer
+	}
+	ffs.Kill(rule)
+	writeN(t, m, rng, script.writes[last-1])
 	_, err := st.Checkpoint(MachineSource{m})
 	if !ffs.Killed() {
 		t.Skipf("stage %s not reached in this protocol phase", stage)
 	}
-	if err == nil {
-		t.Fatalf("checkpoint survived its kill point")
+	if (err == nil) != script.gc {
+		t.Fatalf("killed checkpoint returned %v", err)
 	}
 
 	// Restart: recover from the real directory with a clean FS.
@@ -483,25 +556,33 @@ func killPointCycle(t *testing.T, scheme core.Scheme, mode, stage string) {
 		t.Fatalf("clean kill/restart classified as violation: %s", rec.Detail)
 	}
 	if rec.Outcome == OutcomeFresh {
-		t.Fatalf("committed epoch 1 lost: recovery says fresh")
+		t.Fatalf("committed epoch %d lost: recovery says fresh", last-1)
 	}
-	if rec.Epoch != 1 && rec.Epoch != 2 {
-		t.Fatalf("recovered to epoch %d, want 1 or 2", rec.Epoch)
+	if rec.Epoch != uint64(last-1) && rec.Epoch != uint64(last) {
+		t.Fatalf("recovered to epoch %d, want %d or %d", rec.Epoch, last-1, last)
+	}
+	if script.gc && (rec.Outcome != OutcomeClean || rec.Epoch != uint64(last)) {
+		t.Fatalf("a checkpoint that died collecting garbage recovered %s at epoch %d, want clean at %d", rec.Outcome, rec.Epoch, last)
 	}
 	if !bytes.Equal(r.Root(), refRoots[rec.Epoch]) {
 		t.Fatalf("recovered root is not byte-identical to the reference epoch-%d root", rec.Epoch)
 	}
 
 	// The recovered machine must be fully usable: resume the workload and
-	// checkpoint again through a fresh store.
+	// checkpoint again through a fresh store, which leaves behind nothing
+	// the new epoch does not reach.
 	st2 := openStore(t, Options{Dir: dir, Retry: fastRetry})
 	writeN(t, r, rand.New(rand.NewSource(43)), 8)
-	if _, err := st2.Checkpoint(MachineSource{r}); err != nil {
+	epoch, err := st2.Checkpoint(MachineSource{r})
+	if err != nil {
 		t.Fatalf("post-recovery checkpoint: %v", err)
 	}
 	_, rec2, err := RecoverMachine(Options{Dir: dir}, cfg)
 	if err != nil || rec2.Outcome != OutcomeClean {
 		t.Fatalf("post-recovery state not clean: %v / %+v", err, rec2)
+	}
+	if names, err := listSegments(OS{}, dir); err != nil || len(names) != 1 || names[0] != segName(epoch, 0) {
+		t.Fatalf("segments after the post-recovery checkpoint: %v (%v), want only epoch %d's", names, err, epoch)
 	}
 }
 

@@ -469,25 +469,64 @@ func recoverState(opts Options, expectFP uint64, expectShards int) (*Recovery, [
 	return rec, imgs, roots, nil
 }
 
-// loadSegments reads and checksums every shard segment of epoch e.
+// loadSegments reads every shard's state at epoch e: the shard's chain,
+// walked from its epoch-e segment through the back-pointers to its base
+// and folded, oldest delta first, into the base's image. What comes back
+// is, per shard, that image under the head's root — the segment a base
+// written at epoch e would have been.
 func loadSegments(fsys FS, dir string, e uint64, fp uint64, shards int) ([]*segment, error) {
 	segs := make([]*segment, shards)
 	for i := 0; i < shards; i++ {
-		buf, err := readFile(fsys, filepath.Join(dir, segName(e, i)))
-		if err != nil {
-			return nil, fmt.Errorf("segment %d missing or unreadable: %w", i, err)
-		}
-		s, err := decodeSegment(buf)
+		s, err := loadChain(fsys, dir, e, i, fp)
 		if err != nil {
 			return nil, fmt.Errorf("segment %d: %w", i, err)
-		}
-		if s.Epoch != e || s.Shard != uint32(i) || s.Fingerprint != fp {
-			return nil, fmt.Errorf("segment %d labeled epoch %d shard %d fp %016x, want epoch %d shard %d fp %016x",
-				i, s.Epoch, s.Shard, s.Fingerprint, e, i, fp)
 		}
 		segs[i] = s
 	}
 	return segs, nil
+}
+
+// loadChain reads one shard's chain. Everything in it is untrusted: the
+// walk is bounded by the link cap and by the bytes a chain may hold (the
+// limits chain.next writes under), every link must carry the labels its
+// file name promises, and what the folded image is worth is for the
+// engine's sweep against the sealed root to say — a link that was
+// flipped, forged, dropped, reordered or replayed yields an image that
+// cannot reproduce that root.
+func loadChain(fsys FS, dir string, e uint64, shard int, fp uint64) (*segment, error) {
+	var deltas []*segment
+	var deltaBytes uint64
+	for at := e; ; {
+		buf, err := readFile(fsys, filepath.Join(dir, segName(at, shard)))
+		if err != nil {
+			return nil, fmt.Errorf("epoch %d link missing or unreadable: %w", at, err)
+		}
+		s, err := decodeSegment(buf)
+		if err != nil {
+			return nil, fmt.Errorf("epoch %d link: %w", at, err)
+		}
+		if s.Epoch != at || s.Shard != uint32(shard) || s.Fingerprint != fp {
+			return nil, fmt.Errorf("link labeled epoch %d shard %d fp %016x, want epoch %d shard %d fp %016x",
+				s.Epoch, s.Shard, s.Fingerprint, at, shard, fp)
+		}
+		if !s.Delta {
+			for i := len(deltas) - 1; i >= 0; i-- {
+				if err := deltas[i].applyTo(s.Image); err != nil {
+					return nil, err
+				}
+			}
+			if len(deltas) > 0 {
+				s.Epoch, s.Root = e, deltas[0].Root
+			}
+			return s, nil
+		}
+		deltaBytes += uint64(len(buf))
+		if len(deltas) == maxChainLinks || deltaBytes > s.ImageSize {
+			return nil, fmt.Errorf("chain from epoch %d is longer than any the store writes", e)
+		}
+		deltas = append(deltas, s)
+		at = s.Prev
+	}
 }
 
 // segmentsMatch recomputes the root digest over the segments' roots and

@@ -35,12 +35,17 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// Stats counts the persistence layer's activity. All fields are
-// monotonic; Fill publishes them under the persist.* namespace.
+// Stats counts the persistence layer's activity. All fields but
+// ChainLinks are monotonic; Fill publishes them under the persist.*
+// namespace.
 type Stats struct {
 	Checkpoints     uint64 // completed checkpoints
 	CheckpointFails uint64 // checkpoints abandoned on error
 	BytesWritten    uint64 // segment + manifest + WAL payload bytes
+	BaseSegments    uint64 // segments written that carry a whole image
+	DeltaSegments   uint64 // segments written that carry only changed lines
+	DeltaBytes      uint64 // bytes of those delta segments
+	ChainLinks      uint64 // deltas in the longest shard chain as of the last checkpoint
 	WALRecords      uint64 // sealed records appended (intent + commit)
 	Retries         uint64 // individual I/O retries after transient errors
 	RetryExhausted  uint64 // operations that failed even after retrying
@@ -57,6 +62,10 @@ func (s *Stats) Fill(reg *telemetry.Registry) {
 	reg.Add("persist.checkpoints", s.Checkpoints)
 	reg.Add("persist.checkpoint_fails", s.CheckpointFails)
 	reg.Add("persist.bytes_written", s.BytesWritten)
+	reg.Add("persist.base_segments", s.BaseSegments)
+	reg.Add("persist.delta_segments", s.DeltaSegments)
+	reg.Add("persist.delta_bytes", s.DeltaBytes)
+	reg.SetGauge("persist.chain_links", max(reg.Gauge("persist.chain_links"), float64(s.ChainLinks)))
 	reg.Add("persist.wal_records", s.WALRecords)
 	reg.Add("persist.retries", s.Retries)
 	reg.Add("persist.retry_exhausted", s.RetryExhausted)

@@ -150,14 +150,19 @@ type walScan struct {
 // only tear the last record — and is reported as an error the caller
 // classifies as a violation (WAL tampering).
 func scanWAL(fsys FS, dir string) (walScan, error) {
-	var s walScan
 	buf, err := readFile(fsys, filepath.Join(dir, walName))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return s, nil
+			return walScan{}, nil
 		}
-		return s, err
+		return walScan{}, err
 	}
+	return scanWALBytes(buf)
+}
+
+// scanWALBytes is scanWAL over the log's bytes.
+func scanWALBytes(buf []byte) (walScan, error) {
+	var s walScan
 	n := len(buf) / walRecordSize
 	for i := 0; i < n; i++ {
 		rec, err := decodeWALRecord(buf[i*walRecordSize : (i+1)*walRecordSize])
@@ -186,26 +191,53 @@ type wal struct {
 	fsys FS
 	dir  string
 	f    File
+	// size is the length of the log's valid prefix: where the next record
+	// belongs. The file is longer only while torn is set.
+	size int64
+	// torn is set when a write failed, and with it possibly left a
+	// fragment of a record behind the valid prefix.
+	torn bool
 }
 
-// openWAL opens (creating if needed) the log for appending.
+// openWAL opens (creating if needed) the log for appending. Whatever the
+// file holds is taken as valid: callers scan it, and cut a torn tail off,
+// first.
 func openWAL(fsys FS, dir string) (*wal, error) {
 	f, err := fsys.OpenFile(filepath.Join(dir, walName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &wal{fsys: fsys, dir: dir, f: f}, nil
+	info, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &wal{fsys: fsys, dir: dir, f: f, size: info.Size()}, nil
 }
 
-// append writes one sealed record and makes it durable.
+// append writes one sealed record and makes it durable. A failed write may
+// have committed a prefix of the record; appending after that fragment
+// would misframe every later record, so the log is cut back to its valid
+// length before any write that follows a failed one — a retry here, or the
+// next append after the retries ran out.
 func (w *wal) append(rec walRecord, retry *retrier) error {
 	buf := rec.encode()
 	if err := retry.do(func() error {
-		_, err := w.f.Write(buf)
-		return err
+		if w.torn {
+			if err := w.f.Truncate(w.size); err != nil {
+				return err
+			}
+			w.torn = false
+		}
+		if _, err := w.f.Write(buf); err != nil {
+			w.torn = true
+			return err
+		}
+		return nil
 	}); err != nil {
 		return fmt.Errorf("persist: WAL append: %w", err)
 	}
+	w.size += walRecordSize
 	if err := retry.do(w.f.Sync); err != nil {
 		return fmt.Errorf("persist: WAL sync: %w", err)
 	}

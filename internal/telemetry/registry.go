@@ -44,6 +44,9 @@ func (r *Registry) Counter(name string) uint64 { return r.counters[name] }
 // SetGauge records a point-in-time float value, replacing any previous one.
 func (r *Registry) SetGauge(name string, v float64) { r.gauges[name] = v }
 
+// Gauge returns the named gauge's value (0 if absent).
+func (r *Registry) Gauge(name string) float64 { return r.gauges[name] }
+
 // MergeHistogram folds h into the named histogram (cloning on first use so
 // the registry owns its data). A nil or empty h is a no-op.
 func (r *Registry) MergeHistogram(name string, h *stats.Histogram) {
