@@ -372,3 +372,25 @@ for target in FuzzDecodeSegment FuzzScanWAL FuzzDecodeManifest FuzzDecodeAnchor;
   go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/persist/ >/dev/null
 done
 echo "persist parser fuzz smoke OK"
+
+# The network half: every parser of bytes a peer or an operator hands us —
+# the batch request, the batch response, the -tenants spec, the scrape
+# checker — takes the same ten seconds each.
+for target in FuzzDecodeRequest FuzzDecodeResponse FuzzParseTenants; do
+  go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/service/ >/dev/null
+done
+go test -run '^$' -fuzz '^FuzzValidateExposition$' -fuzztime 10s ./internal/obs/ >/dev/null
+echo "wire parser fuzz smoke OK"
+
+# Line-buffer ownership gate: one owner per buffer after every step of
+# seeded cache traffic, no pooled image lost on a write-allocate, and no
+# allocation on the steady-state miss path of any scheme — race-clean (the
+# poisoned reruns of the tamper, speculative and verify-cache suites ran
+# with `go test -race ./...` above). The two layer benchmarks run one
+# iteration as a compile-and-run smoke; their allocs/op column is the
+# number to read when the gate fails.
+go test -race -run 'TestLineBuffersHaveOneOwner|TestWriteAllocateReturnsItsImage|TestSteadyStateMissAllocs' \
+  ./internal/cache/ ./internal/integrity/ ./internal/core/
+go test -run '^$' -bench 'BenchmarkFillEvict|BenchmarkMissWalk' -benchtime 1x \
+  ./internal/cache/ ./internal/integrity/ >/dev/null
+echo "line-buffer ownership gate OK"

@@ -148,7 +148,7 @@ func run() error {
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", *listen, err)
 	}
-	httpSrv := &http.Server{Handler: mux}
+	httpSrv := obs.NewHTTPServer(mux)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	logf("serving on http://%s (tenants: %v)", ln.Addr(), svc.Tenants())

@@ -8,6 +8,13 @@
 // pollution analysis of §6.4.1. The L2 is data-bearing: lines hold their
 // actual bytes, which is what makes cached hash-tree nodes trustworthy
 // on-chip roots in the integrity engines.
+//
+// A data-bearing line's buffer has exactly one owner at every moment: the
+// slot while the line is resident; the caller, between a Fill or Invalidate
+// that hands a line out with its Data and the Release that hands it back;
+// the free list otherwise. Fill makes no buffer in steady state — a clean
+// victim's is reused where it sits, a dirty victim's replacement comes off
+// the free list the previous write-back's Release fed.
 package cache
 
 import "fmt"
@@ -45,6 +52,19 @@ type Config struct {
 	// machinery can treat cached chunks as trusted on-chip values.
 	DataBearing bool
 }
+
+// maxFreeBufs bounds the free list. Steady-state traffic needs one buffer
+// per level of write-back nesting (each dirty victim in flight keeps one
+// out); the bound only matters after a flush has invalidated and released
+// a cache's worth of lines, where everything past it is left to the
+// collector instead of being retained.
+const maxFreeBufs = 32
+
+// PoisonReleased is a testing aid: when set, Release fills every buffer
+// with 0xA5 as it takes it back, so code that keeps using a buffer it has
+// released reads garbage — a root mismatch in the integrity engines —
+// instead of bytes that happen to still be right. Only tests set it.
+var PoisonReleased bool
 
 // Line is one cache line. Data is nil in timing-only caches.
 type Line struct {
@@ -88,6 +108,8 @@ type Cache struct {
 	// filledClass tracks residency per traffic class so telemetry can
 	// report how much of the L2 the hash tree occupies (§6.4.1).
 	filledClass [numClasses]int
+	// free holds released line buffers awaiting reuse (at most maxFreeBufs).
+	free [][]byte
 }
 
 // New builds a cache. It panics on an inconsistent geometry, which is a
@@ -217,7 +239,12 @@ func (c *Cache) reclass(ln *Line, class Class) {
 
 // Fill inserts a block, evicting the set's LRU line if necessary. It
 // returns a copy of the evicted line (Valid false if the set had room).
-// data is retained only in data-bearing caches, where it is copied.
+// data is retained only in data-bearing caches, where it is copied; nil
+// data leaves the line all-zero.
+//
+// A dirty victim leaves with its Data: the caller owns that buffer through
+// the write-back and hands it back with Release. A clean victim's buffer
+// stays behind for the incoming block, so its returned copy has no Data.
 func (c *Cache) Fill(addr uint64, class Class, data []byte) Line {
 	ba := c.BlockAddr(addr)
 	set := c.set(ba)
@@ -254,9 +281,6 @@ func (c *Cache) Fill(addr uint64, class Class, data []byte) Line {
 			c.Stat.WriteBacks[evicted.Class]++
 		}
 		c.filledClass[evicted.Class]--
-		// The caller takes ownership of the victim's data buffer: the slot
-		// below receives a brand-new buffer, so no alias to the evicted
-		// bytes remains inside the cache.
 	} else {
 		c.filled++
 	}
@@ -264,17 +288,60 @@ func (c *Cache) Fill(addr uint64, class Class, data []byte) Line {
 	c.clock++
 	nl := Line{Addr: ba, Class: class, Valid: true, lru: c.clock}
 	if c.cfg.DataBearing {
-		nl.Data = make([]byte, c.cfg.BlockSize)
-		if data != nil {
-			copy(nl.Data, data)
+		// A clean victim's buffer stays for the incoming block. An empty
+		// slot has none and a dirty victim's leaves with the caller: the
+		// slot takes one off the free list, or makes it when the list is
+		// empty (cold slots, a write-back nested deeper than any before).
+		zeroed := false
+		switch n := len(c.free); {
+		case evicted.Valid && !evicted.Dirty:
+			nl.Data, evicted.Data = evicted.Data, nil
+		case n > 0:
+			nl.Data, c.free[n-1] = c.free[n-1], nil
+			c.free = c.free[:n-1]
+		default:
+			nl.Data, zeroed = make([]byte, c.cfg.BlockSize), true
+		}
+		if n := copy(nl.Data, data); !zeroed {
+			clear(nl.Data[n:])
 		}
 	}
 	set[victim] = nl
 	return evicted
 }
 
+// Release takes back the buffer of a line Fill or Invalidate handed out
+// and clears ln.Data, so the caller's copy of the line no longer reaches
+// bytes the cache will reuse. A line without Data (timing-only caches,
+// clean victims, an already released line) is a no-op; releasing one
+// buffer twice through two copies of its line is a caller bug and panics.
+func (c *Cache) Release(ln *Line) {
+	buf := ln.Data
+	if buf == nil {
+		return
+	}
+	ln.Data = nil
+	if len(buf) != c.cfg.BlockSize {
+		panic(fmt.Sprintf("cache %s: released a %d-byte buffer, lines hold %d", c.cfg.Name, len(buf), c.cfg.BlockSize))
+	}
+	for _, f := range c.free {
+		if &f[0] == &buf[0] {
+			panic(fmt.Sprintf("cache %s: line %#x released twice", c.cfg.Name, ln.Addr))
+		}
+	}
+	if PoisonReleased {
+		for i := range buf {
+			buf[i] = 0xA5
+		}
+	}
+	if len(c.free) < maxFreeBufs {
+		c.free = append(c.free, buf)
+	}
+}
+
 // Invalidate drops the line holding addr, returning a copy of it (Valid
-// false if absent). The caller owns any dirty data.
+// false if absent). The caller owns the line's Data, dirty or not, and
+// hands it back with Release once done with it.
 func (c *Cache) Invalidate(addr uint64) Line {
 	ba := c.BlockAddr(addr)
 	set := c.set(ba)
@@ -290,19 +357,26 @@ func (c *Cache) Invalidate(addr uint64) Line {
 	return Line{}
 }
 
-// DirtyLines returns copies of every dirty resident line, in no particular
+// DirtyLines returns a copy of every dirty resident line, without its
+// Data (the bytes stay with the slot that owns them), in no particular
 // order. Used by the initialization procedure's cache flush (§5.7.2).
 func (c *Cache) DirtyLines() []Line {
-	var out []Line
+	n := 0
 	for _, set := range c.sets {
 		for i := range set {
 			if set[i].Valid && set[i].Dirty {
-				ln := set[i]
-				if ln.Data != nil {
-					d := make([]byte, len(ln.Data))
-					copy(d, ln.Data)
-					ln.Data = d
-				}
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Line, 0, n)
+	for _, set := range c.sets {
+		for i := range set {
+			if ln := set[i]; ln.Valid && ln.Dirty {
+				ln.Data = nil
 				out = append(out, ln)
 			}
 		}

@@ -1,0 +1,87 @@
+package core
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+)
+
+// TestSteadyStateMissAllocs pins the engines' buffer discipline where it
+// shows: a functional machine warmed over a span 16× its L2 (so nearly
+// every access misses, evicts and, half the time, writes back) must then
+// serve seeded 1–256 B loads and stores without allocating: every line
+// buffer, chunk image, record buffer and MAC scratch changes hands instead
+// of being made. Before line buffers had owners this read 8 objects per op
+// for c, 6 for m, 144 for i (58 memoized), 21 for c with the dedicated
+// verification cache and 2 for naive; all of them now read 0.
+func TestSteadyStateMissAllocs(t *testing.T) {
+	type variant struct {
+		name   string
+		scheme Scheme
+		mode   string
+		vc     int
+	}
+	var variants []variant
+	for _, s := range []Scheme{SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
+		for _, mode := range []string{"full", "memo"} {
+			variants = append(variants, variant{string(s) + "/" + mode, s, mode, 0})
+		}
+	}
+	variants = append(variants, variant{"c/full/verify-cache", SchemeCached, "full", 64})
+
+	for _, v := range variants {
+		v := v
+		t.Run(v.name, func(t *testing.T) {
+			cfg := smallCfg(v.scheme)
+			cfg.HashMode = v.mode
+			cfg.VerifyCacheLines = v.vc
+			cfg.ProtectedBytes = 2 << 20 // room for a span 16× the 64 KiB L2
+			m, err := NewMachine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			span := 16 * uint64(cfg.L2Size)
+			if span > m.ProgSpan() {
+				t.Fatalf("program span %d cannot hold 16× the L2 (%d)", m.ProgSpan(), span)
+			}
+			rng := rand.New(rand.NewSource(24))
+			buf := make([]byte, 256)
+			op := func() {
+				off := uint64(rng.Int63n(int64(span)))
+				p := buf[:1+rng.Intn(256)]
+				var err error
+				if rng.Intn(2) == 0 {
+					err = m.StoreBytes(off, p)
+				} else {
+					err = m.LoadBytes(off, p)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 40_000; i++ {
+				op()
+			}
+			// AllocsPerRun rounds down to whole objects per op, so the
+			// window's mallocs are counted directly. The free lists grow to
+			// the deepest write-back nesting seen, and a deeper one can still
+			// turn up after the warm-up: that is one make per new level, not
+			// per miss, so a handful in 5 000 ops passes and one per op fails.
+			const ops, stray = 5_000, 5
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < ops; i++ {
+				op()
+			}
+			runtime.ReadMemStats(&after)
+			n := after.Mallocs - before.Mallocs
+			t.Logf("%s: %d allocations in %d ops", v.name, n, ops)
+			if n > stray {
+				t.Errorf("%d allocations in %d steady-state ops, want 0 (at most %d for a new nesting depth)", n, ops, stray)
+			}
+			if v := m.Sys.Stat.Violations; v != 0 {
+				t.Errorf("%d violations on clean traffic", v)
+			}
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"memverify/internal/cache"
 	"memverify/internal/hashalg"
 	"memverify/internal/integrity"
 )
@@ -111,5 +112,33 @@ func TestDedicatedVerifyCacheConsistency(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSuitesUnderPoison reruns the verify-cache consistency harness and
+// the speculative, nested-write-back and count-identity suites with every
+// released line buffer overwritten with 0xA5 as its cache takes it back:
+// a use after release — a write-back still forwarding from a victim's
+// buffer, an image composed through a stale alias — then hashes the poison
+// and fails the same assertions on a false violation, diverged data or a
+// root mismatch, instead of passing because the bytes were still intact.
+func TestSuitesUnderPoison(t *testing.T) {
+	cache.PoisonReleased = true
+	defer func() { cache.PoisonReleased = false }()
+	for _, s := range []struct {
+		name string
+		run  func(*testing.T)
+	}{
+		{"DedicatedVerifyCacheConsistency", TestDedicatedVerifyCacheConsistency},
+		{"FillSurvivesPathConflict", TestFillSurvivesPathConflict},
+		{"SpanCountIdentity", TestSpanCountIdentity},
+		{"CleanRunNoFalsePositives", TestCleanRunNoFalsePositives},
+		{"RetryPolicyDistinguishes", TestRetryPolicyDistinguishes},
+		{"SpeculativeMetricsEquivalence", TestSpeculativeMetricsEquivalence},
+		{"SpeculativeDataRootEquivalence", TestSpeculativeDataRootEquivalence},
+		{"SpeculativeBarrierInterleavingProperty", TestSpeculativeBarrierInterleavingProperty},
+		{"SpeculativeHaltPoisoning", TestSpeculativeHaltPoisoning},
+	} {
+		t.Run(s.name, s.run)
 	}
 }

@@ -12,6 +12,10 @@ type Feistel struct {
 	// subkeys holds one precomputed round key per round, derived from the
 	// user key so that round functions are independent.
 	subkeys [][]byte
+	// in and sum are the round function's input and digest scratch, so a
+	// round allocates nothing. They make a Feistel single-goroutine state:
+	// each XorMAC, and each engine above it, owns its own.
+	in, sum []byte
 }
 
 // NewFeistel derives a 4-round 128-bit Feistel cipher from key using alg as
@@ -32,13 +36,9 @@ func NewFeistel(alg Algorithm, key []byte) *Feistel {
 
 // round computes the 64-bit round function F(subkey, half).
 func (f *Feistel) round(r int, half uint64) uint64 {
-	buf := make([]byte, 0, len(f.subkeys[r])+8)
-	buf = append(buf, f.subkeys[r]...)
-	var h [8]byte
-	binary.LittleEndian.PutUint64(h[:], half)
-	buf = append(buf, h[:]...)
-	d := f.alg.Sum(buf)
-	return binary.LittleEndian.Uint64(d[:8])
+	f.in = binary.LittleEndian.AppendUint64(append(f.in[:0], f.subkeys[r]...), half)
+	f.sum = f.alg.AppendSum(f.sum[:0], f.in)
+	return binary.LittleEndian.Uint64(f.sum[:8])
 }
 
 // Encrypt applies the permutation to a 128-bit block.

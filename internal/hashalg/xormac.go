@@ -40,6 +40,11 @@ type XorMAC struct {
 	// It exists so tests can demonstrate the paper's two attacks against
 	// the unstamped variant; production use must leave it true.
 	Timestamps bool
+
+	// in and sum are term's input and digest scratch, so an update
+	// allocates nothing; like the Feistel's, they confine an XorMAC to one
+	// goroutine at a time.
+	in, sum []byte
 }
 
 // NewXorMAC builds an XOR-MAC over alg (which supplies both the term hash
@@ -54,20 +59,16 @@ func NewXorMAC(alg Algorithm, key []byte) *XorMAC {
 // with the final byte cleared (that byte is reserved for the packed
 // timestamps in the accumulator).
 func (m *XorMAC) term(index int, block []byte, stamp bool) [MACSize]byte {
-	buf := make([]byte, 0, len(m.k1)+9+len(block))
-	buf = append(buf, m.k1...)
-	var ix [8]byte
-	binary.LittleEndian.PutUint64(ix[:], uint64(index))
-	buf = append(buf, ix[:]...)
+	buf := binary.LittleEndian.AppendUint64(append(m.in[:0], m.k1...), uint64(index))
 	if m.Timestamps && stamp {
 		buf = append(buf, 1)
 	} else {
 		buf = append(buf, 0)
 	}
-	buf = append(buf, block...)
-	d := m.alg.Sum(buf)
+	m.in = append(buf, block...)
+	m.sum = m.alg.AppendSum(m.sum[:0], m.in)
 	var out [MACSize]byte
-	copy(out[:], d)
+	copy(out[:], m.sum)
 	out[MACSize-1] = 0
 	return out
 }

@@ -461,6 +461,7 @@ func (e *Cached) writeValue(now uint64, addr uint64, val []byte) (done uint64, a
 			}
 			img, ready, _ := e.readAndCheckChunk(now, c, noDemand)
 			e.fillChunk(ready, c, img, ba)
+			s.putImg(img)
 			done = ready
 			ln = s.cacheFor(c).Write(ba, cclass)
 		}
@@ -527,7 +528,7 @@ func (e *Cached) fillChunk(at uint64, c uint64, img []byte, prio uint64) {
 			data = img[i*bs : (i+1)*bs]
 		}
 		if ev := target.Fill(ba, cclass, data); ev.Valid && ev.Dirty {
-			e.evictFn(at, ev)
+			evictAndRelease(target, at, ev, e.evictFn)
 			return
 		}
 	}
@@ -650,16 +651,24 @@ func (e *Cached) evictCached(now uint64, line cache.Line) uint64 {
 	done := hdone
 	var newImg []byte
 	var recBuf []byte
+	// A single-block chunk's new image is the evicted line itself: it is
+	// hashed where it sits in the write buffer (forwarded slot updates land
+	// in those same bytes), with no image buffer and no copy.
+	single := s.chunkBlocks() == 1
 	if s.Functional {
-		newImg = s.getImg()
-		defer s.putImg(newImg)
+		if single {
+			newImg = line.Data
+		} else {
+			newImg = s.getImg()
+			defer s.putImg(newImg)
+		}
 		// rec must survive the re-entrant writeValue below, so it gets its
 		// own pooled buffer rather than the shared digest scratch.
 		recBuf = s.getRec(s.Layout.HashSize)
 	}
 	for attempt := 0; ; attempt++ {
 		e.collectChunk(st, c, evIdx, line.Data)
-		if s.Functional {
+		if s.Functional && !single {
 			// Compose the new image from live state: in-hand blocks carry
 			// the freshest on-chip values; everything else is whatever is
 			// in memory right now (already authenticated by the completion
@@ -746,13 +755,17 @@ func unprotectedRead(s *System, now uint64, addr uint64, evict func(uint64, cach
 	ba := s.L2.BlockAddr(addr)
 	var data []byte
 	if s.Functional {
-		data = make([]byte, bs)
+		if len(s.blkScratch) != bs {
+			s.blkScratch = make([]byte, bs)
+		}
+		data = s.blkScratch
 		s.Mem.Read(ba, data)
 	}
 	s.Stat.DemandBlockReads++
 	critical, _ := s.DRAM.Read(now, bs, bus.Data)
+	// Fill copies data before the eviction can re-enter and reuse it.
 	if ev := s.L2.Fill(ba, cache.Data, data); ev.Valid && ev.Dirty {
-		evict(critical, ev)
+		evictAndRelease(s.L2, critical, ev, evict)
 	}
 	return critical
 }

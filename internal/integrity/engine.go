@@ -87,7 +87,7 @@ func allocateFullWrite(s *System, now uint64, addr uint64, evict func(uint64, ca
 	ba := s.L2.BlockAddr(addr)
 	for try := 0; ; try++ {
 		if ev := s.L2.Fill(ba, cache.Data, nil); ev.Valid && ev.Dirty {
-			evict(now, ev)
+			evictAndRelease(s.L2, now, ev, evict)
 		}
 		if s.L2.Write(ba, cache.Data) != nil {
 			return now + s.L2Latency
@@ -102,7 +102,11 @@ func allocateFullWrite(s *System, now uint64, addr uint64, evict func(uint64, ca
 func (e *Base) Flush(now uint64) uint64 {
 	done := now
 	for _, ln := range e.sys.L2.DirtyLines() {
-		e.sys.L2.Clean(ln.Addr)
+		// The line stays resident and keeps its bytes: the plain write
+		// reads them where they sit and cannot re-enter the cache.
+		cur := e.sys.L2.Peek(ln.Addr)
+		cur.Dirty = false
+		ln.Data = cur.Data
 		if d := e.Evict(done, ln); d > done {
 			done = d
 		}
@@ -153,7 +157,7 @@ func flushVia(s *System, now uint64, ev func(uint64, cache.Line) uint64) uint64 
 				continue
 			}
 			victim := owner.Invalidate(ln.Addr)
-			if d := ev(done, victim); d > done {
+			if d := evictAndRelease(owner, done, victim, ev); d > done {
 				done = d
 			}
 		}

@@ -282,7 +282,7 @@ func (e *Naive) ReadBlock(now uint64, addr uint64) uint64 {
 	ev := s.L2.Fill(ba, cache.Data, img)
 	s.putImg(img)
 	if ev.Valid && ev.Dirty {
-		e.Evict(critical, ev)
+		evictAndRelease(s.L2, critical, ev, e.Evict)
 	}
 	return critical
 }
@@ -330,16 +330,12 @@ func (e *Naive) Evict(now uint64, line cache.Line) uint64 {
 	s.Stat.DataBlockWrites++
 
 	// The hash chain is computed from the processor's own copy of the
-	// chunk (the evicted line), never re-read from untrusted memory — a
+	// chunk (the evicted line, hashed where it sits — this frame owns its
+	// buffer until it returns), never re-read from untrusted memory — a
 	// dropped or substituted write must leave the stored hashes covering
 	// what the processor *meant* to write, so the next read detects it.
 	cur := c
-	var curImg, lineCopy []byte
-	if s.Functional {
-		lineCopy = s.getImg()
-		copy(lineCopy, line.Data)
-		curImg = lineCopy
-	}
+	curImg := line.Data
 	for level := 0; ; level++ {
 		var h []byte
 		if s.Functional {
@@ -384,7 +380,6 @@ func (e *Naive) Evict(now uint64, line cache.Line) uint64 {
 		cur = parent
 		curImg = parentImg
 	}
-	s.putImg(lineCopy)
 	e.releaseAncestors(ancestors)
 	s.Unit.WriteBuf.Release(idx, t)
 	s.noteCheck(t)

@@ -179,14 +179,15 @@ type System struct {
 	// render as garbage in Perfetto.
 	prefLastEnd uint64
 
-	// inflight tracks lines sitting in the write buffer mid-eviction,
-	// keyed by block address. Hardware forwards accesses to write-buffer
-	// entries; without forwarding, a nested write-back re-allocating the
-	// same block would observe the half-committed state (data written,
-	// record not yet — or resurrect a stale copy of the line) and either
-	// raise a false violation or lose an update. Values are the live data
-	// slices of the evicted lines (nil in timing-only mode).
-	inflight map[uint64][]byte
+	// inflight tracks lines sitting in the write buffer mid-eviction.
+	// Hardware forwards accesses to write-buffer entries; without
+	// forwarding, a nested write-back re-allocating the same block would
+	// observe the half-committed state (data written, record not yet — or
+	// resurrect a stale copy of the line) and either raise a false
+	// violation or lose an update. A write-back registers its line on
+	// entry and unregisters it on return, so the slice is a stack exactly
+	// as deep as write-backs are nested and a linear scan beats hashing.
+	inflight []inflightLine
 
 	// Scratch storage reused across engine operations so the per-access
 	// hot path allocates nothing in steady state. imgFree and recFree are
@@ -194,11 +195,21 @@ type System struct {
 	// buffer acquired by an outer operation must survive the nested
 	// write-backs and verifications that run inside it. memScratch and
 	// digestScratch are single buffers, legal only because their contents
-	// are never held across a re-entrant call.
+	// are never held across a re-entrant call; blkScratch likewise carries
+	// an unprotected block from memory to the Fill that copies it.
 	imgFree       [][]byte
 	recFree       [][]byte
 	memScratch    []int
 	digestScratch []byte
+	blkScratch    []byte
+}
+
+// inflightLine is one write-buffer entry: the block address and the live
+// data of the evicted line (nil in timing-only mode), which the write-back
+// running above it owns until it returns.
+type inflightLine struct {
+	ba   uint64
+	data []byte
 }
 
 // getImg returns a chunk-image scratch buffer of ChunkSize bytes (zeroed
@@ -281,20 +292,38 @@ func (s *System) ChecksDone() uint64 { return s.lastCheckDone }
 
 // registerInflight marks a block as sitting in the write buffer.
 func (s *System) registerInflight(ba uint64, data []byte) {
-	if s.inflight == nil {
-		s.inflight = make(map[uint64][]byte)
-	}
-	s.inflight[ba] = data
+	s.inflight = append(s.inflight, inflightLine{ba, data})
 }
 
-// unregisterInflight removes the write-buffer entry.
-func (s *System) unregisterInflight(ba uint64) { delete(s.inflight, ba) }
+// unregisterInflight removes the write-buffer entry the innermost running
+// write-back registered.
+func (s *System) unregisterInflight(ba uint64) {
+	n := len(s.inflight) - 1
+	if s.inflight[n].ba != ba {
+		panic("integrity: write-buffer entries released out of order (engine bug)")
+	}
+	s.inflight[n] = inflightLine{}
+	s.inflight = s.inflight[:n]
+}
 
 // inflightData returns the live data of an in-flight line and whether one
 // exists for ba.
 func (s *System) inflightData(ba uint64) ([]byte, bool) {
-	d, ok := s.inflight[ba]
-	return d, ok
+	for i := len(s.inflight) - 1; i >= 0; i-- {
+		if s.inflight[i].ba == ba {
+			return s.inflight[i].data, true
+		}
+	}
+	return nil, false
+}
+
+// evictAndRelease runs a dirty victim that Fill or Invalidate handed out
+// of owner through the write-back evict and then gives its buffer back:
+// the line is this frame's for exactly the write-back's duration.
+func evictAndRelease(owner *cache.Cache, now uint64, line cache.Line, evict func(uint64, cache.Line) uint64) uint64 {
+	done := evict(now, line)
+	owner.Release(&line)
+	return done
 }
 
 // countExtra attributes n integrity block reads to the read or write-back

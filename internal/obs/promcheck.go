@@ -142,6 +142,9 @@ func parseMeta(sc *Scrape, line string, lineNo int) error {
 		return nil
 	}
 	// TYPE
+	if len(fields) < 4 {
+		return fmt.Errorf("line %d: TYPE line for %q names no type", lineNo, name)
+	}
 	if fam != nil && fam.Type != "" {
 		return fmt.Errorf("line %d: duplicate TYPE for %q", lineNo, name)
 	}

@@ -50,6 +50,11 @@ func TestValidateExpositionRejections(t *testing.T) {
 			"no preceding # TYPE",
 		},
 		{
+			"TYPE line without a type",
+			"# HELP memverify_x h\n# TYPE memverify_x\nmemverify_x 1\n",
+			"names no type",
+		},
+		{
 			"TYPE without HELP",
 			"# TYPE memverify_x counter\nmemverify_x 1\n",
 			"TYPE but no HELP",

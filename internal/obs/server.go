@@ -62,6 +62,23 @@ type Server struct {
 	published *telemetry.Registry
 }
 
+// Header and idle limits of every http.Server the repo's binaries run. A
+// peer gets ReadHeaderTimeout to finish sending a request's header block,
+// so a connection that opens and then trickles (or sends nothing) is shed
+// instead of holding a goroutine and a descriptor forever; an idle
+// keep-alive connection is closed after IdleTimeout. Bodies and handlers
+// are deliberately not bounded here: a batch near the size limit over a
+// slow link, a /debug/pprof/profile and a /trace capture all run long.
+const (
+	ReadHeaderTimeout = 5 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns an http.Server for h with those limits set.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
+
 // Start binds the listener, starts the sampler (when Fill is given) and
 // serves in the background. The returned server's Addr reports the bound
 // address.
@@ -72,7 +89,7 @@ func Start(opts Options) (*Server, error) {
 	}
 	s, mux := NewEmbedded(opts)
 	s.ln = ln
-	s.http = &http.Server{Handler: mux}
+	s.http = NewHTTPServer(mux)
 	go s.http.Serve(ln) //nolint:errcheck // ErrServerClosed on shutdown
 	s.logf("ops: listening on http://%s", ln.Addr())
 	return s, nil

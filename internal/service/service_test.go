@@ -1,8 +1,12 @@
 package service
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -302,5 +306,82 @@ func TestParseTenants(t *testing.T) {
 		if _, err := ParseTenants(bad, base); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
+	}
+}
+
+// TestSlowHeaderIsShedBatchInFlightIsNot is the slow-loris check on the
+// server both binaries build (obs.NewHTTPServer): a peer that sends half
+// a header block and stalls is disconnected once ReadHeaderTimeout runs
+// out, while a batch on another connection — header complete, body still
+// arriving through that whole interval — is served as if nothing happened.
+func TestSlowHeaderIsShedBatchInFlightIsNot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out obs.ReadHeaderTimeout")
+	}
+	svc, err := New(Config{Tenants: []TenantConfig{testTenant("alpha", core.SchemeCached, "record", 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := obs.NewHTTPServer(svc.Handler())
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-served
+	}()
+
+	// The batch: header block complete, then only the first half of the body.
+	payload := []byte("in flight across the timeout")
+	ops := []Op{{Write: true, Off: 64, Data: payload}, {Off: 64, Data: make([]byte, len(payload))}}
+	wire := EncodeRequest(ops)
+	batch, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer batch.Close()
+	fmt.Fprintf(batch, "POST /v1/t/alpha/batch HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n", len(wire))
+	if _, err := batch.Write(wire[:len(wire)/2]); err != nil {
+		t.Fatal(err)
+	}
+
+	// The loris: a request line, one header, and no blank line — ever.
+	loris, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer loris.Close()
+	start := time.Now()
+	fmt.Fprintf(loris, "GET /healthz HTTP/1.1\r\nHost: x\r\n")
+	loris.SetReadDeadline(start.Add(obs.ReadHeaderTimeout + 5*time.Second))
+	// The server may answer 408 before it hangs up; either way the read
+	// side reaches EOF, and not before the timeout has run.
+	if _, err := io.Copy(io.Discard, loris); err != nil {
+		t.Fatalf("half a header was still connected %v after it was sent: %v", time.Since(start), err)
+	}
+	if held := time.Since(start); held < obs.ReadHeaderTimeout-time.Second {
+		t.Fatalf("disconnected after %v, before ReadHeaderTimeout (%v) could have fired", held, obs.ReadHeaderTimeout)
+	}
+
+	if _, err := batch.Write(wire[len(wire)/2:]); err != nil {
+		t.Fatalf("the in-flight batch's connection was closed under it: %v", err)
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(batch), nil)
+	if err != nil {
+		t.Fatalf("reading the batch response: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch status %d", resp.StatusCode)
+	}
+	if err := DecodeResponse(resp.Body, ops); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ops[1].Data, payload) {
+		t.Fatalf("read %q, wrote %q", ops[1].Data, payload)
 	}
 }
