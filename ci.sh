@@ -11,9 +11,9 @@ go test -race ./...
 # where it lives (tier-1's TestBenchModule runs the same line).
 (cd bench && go vet ./... && go test ./...)
 
-# Cross-mode equivalence: full, timing-only and memoized digest execution
-# must produce identical metrics and figure output for every scheme.
-go test -run 'HashMode|MemoRig|TimingConstructors|FigureOutputIdentical' \
+# Cross-mode equivalence: full and timing-only digest execution must
+# produce identical metrics and figure output for every scheme.
+go test -run 'HashMode|TimingConstructors|FigureOutputIdentical' \
   ./internal/integrity/ ./internal/core/ ./internal/figures/
 
 # Timing-only smoke sweep: one figure functionally with digests switched
@@ -53,7 +53,9 @@ echo "prefetch equivalence gate OK"
 # byte-identical to a single machine under every scheme, and the loadgen
 # smoke must verify clean traffic (it exits nonzero on any violation or
 # mirror mismatch) for all four tree schemes. The tamper leg asserts the
-# opposite: a corrupted shard must be detected and fail the run.
+# opposite: a corrupted shard must be detected and fail the run. A tamper
+# leg under timing-only execution has nothing to detect with, so loadgen
+# must refuse the flag pair (exit 1) rather than panic a shard worker.
 go test -race -run 'TestCrossShardEquivalence|TestTamperIsolation|TestConcurrentSubmittersConverge' \
   ./internal/shard/
 for scheme in naive c m i; do
@@ -61,6 +63,11 @@ for scheme in naive c m i; do
 done
 if go run ./cmd/loadgen -shards 2 -workers 2 -ops 500 -tamper 1 >/dev/null 2>&1; then
   echo "FAIL: loadgen did not detect the tampered shard" >&2
+  exit 1
+fi
+if lgout=$(go run ./cmd/loadgen -hashmode timing -tamper 0 -ops 10 2>&1) ||
+  ! grep -q -- '-tamper needs -hashmode full' <<<"$lgout"; then
+  echo "FAIL: loadgen -hashmode timing -tamper 0 did not exit with the flag error: $lgout" >&2
   exit 1
 fi
 echo "sharded store gate OK"
@@ -306,7 +313,7 @@ go build -o "$stmp/memverifyd" ./cmd/memverifyd
 go build -o "$stmp/loadgen" ./cmd/loadgen
 go build -o "$stmp/metricscheck" ./cmd/metricscheck
 "$stmp/memverifyd" -listen 127.0.0.1:0 \
-  -tenants 't0,t1:scheme=naive,t2:scheme=m;hashmode=memo,t3:scheme=i;policy=halt' \
+  -tenants 't0,t1:scheme=naive,t2:scheme=m,t3:scheme=i;policy=halt' \
   -protected $((1 << 21)) -allow-tamper -sample-every 100ms \
   -flight "$stmp/flight.json" >"$stmp/mvd.log" 2>&1 &
 mvdpid=$!

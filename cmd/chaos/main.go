@@ -54,7 +54,6 @@ func run() error {
 		seed        = flag.Uint64("seed", 1, "campaign RNG seed")
 		n           = flag.Int("n", 100, "injections per scheme")
 		schemes     = flag.String("schemes", "naive,c,m,i", "comma-separated verification schemes")
-		hashMode    = flag.String("hashmode", "full", "hash execution mode: full or memo")
 		policy      = flag.String("policy", "record", "violation policy: record, halt or retry")
 		warm        = flag.Int("warm", 24, "warm accesses before each injection")
 		post        = flag.Int("post", 24, "random accesses after each injection")
@@ -113,7 +112,7 @@ func run() error {
 	defer finishOps(srv, lr, fr)
 
 	if *crash {
-		return runCrashCampaign(*seed, *n, *schemes, *hashMode, *policy,
+		return runCrashCampaign(*seed, *n, *schemes, *policy,
 			*crashShards, *crashDir, csvOut, jsonOut, rf, lr, fr)
 	}
 
@@ -131,7 +130,6 @@ func run() error {
 		cfg := chaos.DefaultConfig(scheme)
 		cfg.Seed = *seed
 		cfg.Injections = *n
-		cfg.HashMode = *hashMode
 		cfg.Policy = *policy
 		cfg.WarmAccesses = *warm
 		cfg.PostAccesses = *post
@@ -222,7 +220,7 @@ func run() error {
 // scheme and gates hard: any false positive (clean crash classified as a
 // violation), any root mismatch (clean recovery not reproducing the
 // sealed root), or any missed tamper fails the run.
-func runCrashCampaign(seed uint64, n int, schemes, hashMode, policy string,
+func runCrashCampaign(seed uint64, n int, schemes, policy string,
 	shards int, dir string, csvOut, jsonOut *os.File, rf *runflags.Flags,
 	lr *obs.LockedRegistry, fr *obs.FlightRecorder) error {
 
@@ -238,7 +236,6 @@ func runCrashCampaign(seed uint64, n int, schemes, hashMode, policy string,
 		cfg := chaos.DefaultCrashConfig(scheme)
 		cfg.Seed = seed
 		cfg.Injections = n
-		cfg.HashMode = hashMode
 		cfg.Policy = policy
 		cfg.Shards = shards
 		cfg.Dir = dir

@@ -36,7 +36,7 @@ func main() {
 	fig8 := flag.Bool("fig8", false, "print Figure 8 (m and i schemes)")
 	ablations := flag.Bool("ablations", false, "print the ablation studies (verify cache, arity, hash latency, associativity, tree depth)")
 	functional := flag.Bool("functional", false, "run every point functionally (real data movement; small protected region)")
-	hashmode := flag.String("hashmode", "", "digest execution for functional points: full, timing, memo")
+	hashmode := flag.String("hashmode", "", "digest execution for functional points: full, timing")
 	protected := flag.Uint64("protected", 0, "override the protected-region size in bytes (0 = per-figure default)")
 	csvPath := flag.String("csv", "", "also write every run's configuration and metrics to a CSV file")
 	progress := flag.Bool("progress", false, "show live sweep progress on stderr: points done, throughput, ETA")

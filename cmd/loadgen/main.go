@@ -93,6 +93,11 @@ var errKilled = errors.New("killed at the injected crash point")
 // errFailed signals a failure whose message was already printed.
 var errFailed = errors.New("failed")
 
+// errTamperTiming refuses -tamper under -hashmode timing: timing-only
+// execution checks nothing, so it refuses the adversary the tamper leg
+// needs (with a panic, on a shard worker).
+var errTamperTiming = errors.New("-tamper needs -hashmode full: timing-only digest execution checks nothing")
+
 func main() {
 	err := run()
 	switch {
@@ -204,7 +209,7 @@ func run() error {
 	l2 := flag.Int("l2", 256<<10, "per-shard L2 size in bytes")
 	block := flag.Int("block", cfg.L2Block, "L2 block size in bytes")
 	chunkBlocks := flag.Int("chunk-blocks", 0, "L2 blocks per hash chunk (default 1, or 2 for m/i)")
-	hashmode := flag.String("hashmode", "full", "digest execution: full, timing, memo")
+	hashmode := flag.String("hashmode", "full", "digest execution: full, timing")
 	alg := flag.String("alg", cfg.HashAlg, "hash algorithm: md5, sha1, fnv128")
 	policy := flag.String("policy", "record", "violation policy: record, halt, retry")
 	seed := flag.Uint64("seed", 1, "traffic seed")
@@ -267,6 +272,9 @@ func run() error {
 
 	if *workers < 1 || *ops < 1 || *batch < 1 || *maxLen < 1 {
 		return fmt.Errorf("workers, ops, batch and max-len must be positive")
+	}
+	if *tamper >= 0 && cfg.HashMode == "timing" {
+		return errTamperTiming
 	}
 
 	recs := rf.NewRecorders(*shards)

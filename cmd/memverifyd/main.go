@@ -6,9 +6,8 @@
 //
 // Tenants are declared with -tenants, a comma-separated list of
 // name[:key=value[;key=value]...] specs; each tenant gets its own region,
-// scheme, hash mode and violation policy, and a violation in one tenant
-// 503s only that tenant — the paper's containment story at service
-// granularity. With -persist ROOT each tenant checkpoints into
+// scheme and violation policy, and a violation in one tenant 503s only
+// that tenant — the paper's containment story at service granularity. With -persist ROOT each tenant checkpoints into
 // ROOT/<name> (anchored at ROOT/anchors/<name>.anchor) and recovers at
 // boot, so tenants survive kill/restart.
 //
@@ -52,13 +51,12 @@ func main() {
 func run() error {
 	cfg := core.DefaultConfig()
 	listen := flag.String("listen", "127.0.0.1:8380", "TCP address to serve on (127.0.0.1:0 for an ephemeral port)")
-	tenants := flag.String("tenants", "t0", "tenant specs: name[:key=val[;key=val]...],... (keys: scheme, shards, protected, l2, policy, hashmode, alg, chunk, queue, spec)")
+	tenants := flag.String("tenants", "t0", "tenant specs: name[:key=val[;key=val]...],... (keys: scheme, shards, protected, l2, policy, alg, chunk, queue, spec)")
 	scheme := flag.String("scheme", "c", "default verification scheme: naive, c, m, i")
 	shards := flag.Int("shards", 4, "default shards per tenant")
 	protected := flag.Uint64("protected", 8<<20, "default protected bytes per tenant")
 	l2 := flag.Int("l2", 256<<10, "default per-shard L2 size in bytes")
 	policy := flag.String("policy", "record", "default violation policy: record, halt, retry")
-	hashmode := flag.String("hashmode", "full", "default digest execution: full, timing, memo")
 	alg := flag.String("alg", cfg.HashAlg, "default hash algorithm: md5, sha1, fnv128")
 	queueDepth := flag.Int("queue-depth", 64, "default per-shard request queue depth")
 	pf := flag.Bool("prefetch", false, "enable the tree-ancestor prefetcher on every tenant's machines")
@@ -81,7 +79,6 @@ func run() error {
 	cfg.Benchmark.CodeSet = 4 << 10
 	cfg.ProtectedBytes = *protected
 	cfg.L2Size = *l2
-	cfg.HashMode = *hashmode
 	cfg.HashAlg = *alg
 	cfg.ViolationPolicy = *policy
 	cfg.Functional = true

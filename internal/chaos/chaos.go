@@ -70,10 +70,9 @@ const (
 // Config parameterizes one campaign. The zero value is not usable; start
 // from DefaultConfig.
 type Config struct {
-	Seed     uint64
-	Scheme   core.Scheme
-	HashMode string // "full" or "memo" ("timing" is illegal under attack)
-	Policy   string // "record", "halt" or "retry"
+	Seed   uint64
+	Scheme core.Scheme
+	Policy string // "record", "halt" or "retry"
 
 	// Injections is the number of fault injections to run. Each runs on a
 	// fresh machine so earlier corruption cannot mask later detection.
@@ -129,7 +128,6 @@ func DefaultConfig(scheme core.Scheme) Config {
 	return Config{
 		Seed:           1,
 		Scheme:         scheme,
-		HashMode:       "full",
 		Policy:         "record",
 		Injections:     100,
 		WarmAccesses:   24,
@@ -145,7 +143,6 @@ func (c Config) machineConfig() core.Config {
 	cfg.Scheme = c.Scheme
 	cfg.Functional = true
 	cfg.HashAlg = "fnv128" // fastest algorithm; 16-byte records satisfy scheme i
-	cfg.HashMode = c.HashMode
 	cfg.ViolationPolicy = c.Policy
 	cfg.ProtectedBytes = c.ProtectedBytes
 	cfg.L2Size = c.L2Size
@@ -200,7 +197,6 @@ func Run(cfg Config) (*Report, error) {
 	rep := &Report{
 		Seed:         cfg.Seed,
 		Scheme:       string(cfg.Scheme),
-		HashMode:     cfg.HashMode,
 		Policy:       cfg.Policy,
 		Speculative:  cfg.Speculative,
 		BarrierEvery: cfg.BarrierEvery,

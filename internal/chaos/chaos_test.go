@@ -51,22 +51,19 @@ func TestCampaignDeterministic(t *testing.T) {
 }
 
 // TestCampaignCI is the seeded regression gate CI runs under the race
-// detector: a small campaign per scheme and hash mode must detect every
-// persistent injection with zero misses.
+// detector: a small campaign per scheme must detect every persistent
+// injection with zero misses.
 func TestCampaignCI(t *testing.T) {
 	for _, scheme := range treeSchemes {
-		for _, mode := range []string{"full", "memo"} {
-			t.Run(fmt.Sprintf("%s-%s", scheme, mode), func(t *testing.T) {
-				cfg := DefaultConfig(scheme)
-				cfg.HashMode = mode
-				cfg.Injections = 15
-				rep, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertAllDetected(t, rep)
-			})
-		}
+		t.Run(fmt.Sprintf("%s-full", scheme), func(t *testing.T) {
+			cfg := DefaultConfig(scheme)
+			cfg.Injections = 15
+			rep, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertAllDetected(t, rep)
+		})
 	}
 }
 
@@ -178,22 +175,18 @@ func TestCampaignHaltPolicy(t *testing.T) {
 
 // TestCleanViolations asserts the false-positive side of the gate: the
 // campaign's full access pattern with no adversary flags nothing, for
-// every scheme and hash mode.
+// every scheme.
 func TestCleanViolations(t *testing.T) {
 	for _, scheme := range treeSchemes {
-		for _, mode := range []string{"full", "memo"} {
-			t.Run(fmt.Sprintf("%s-%s", scheme, mode), func(t *testing.T) {
-				cfg := DefaultConfig(scheme)
-				cfg.HashMode = mode
-				n, err := CleanViolations(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n != 0 {
-					t.Fatalf("clean run flagged %d violations", n)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("%s-full", scheme), func(t *testing.T) {
+			n, err := CleanViolations(DefaultConfig(scheme))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != 0 {
+				t.Fatalf("clean run flagged %d violations", n)
+			}
+		})
 	}
 }
 

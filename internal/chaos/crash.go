@@ -108,10 +108,9 @@ var crashKinds = []string{
 // CrashConfig configures a crash campaign. The zero value is not usable;
 // start from DefaultCrashConfig.
 type CrashConfig struct {
-	Seed     uint64
-	Scheme   core.Scheme
-	HashMode string
-	Policy   string
+	Seed   uint64
+	Scheme core.Scheme
+	Policy string
 
 	// Injections is the number of kill/tamper legs.
 	Injections int
@@ -145,7 +144,6 @@ func DefaultCrashConfig(scheme core.Scheme) CrashConfig {
 	return CrashConfig{
 		Seed:           1,
 		Scheme:         scheme,
-		HashMode:       "full",
 		Policy:         "record",
 		Injections:     50,
 		Shards:         1,
@@ -162,7 +160,6 @@ func (c CrashConfig) machineCrashConfig() core.Config {
 	cfg.Scheme = c.Scheme
 	cfg.Functional = true
 	cfg.HashAlg = "fnv128"
-	cfg.HashMode = c.HashMode
 	cfg.ViolationPolicy = c.Policy
 	cfg.ProtectedBytes = c.ProtectedBytes
 	cfg.L2Size = c.L2Size
@@ -225,11 +222,10 @@ type CrashSummary struct {
 // CrashReport is a full crash-campaign result; identical configs produce
 // byte-identical reports.
 type CrashReport struct {
-	Seed     uint64 `json:"seed"`
-	Scheme   string `json:"scheme"`
-	HashMode string `json:"hash_mode"`
-	Policy   string `json:"policy"`
-	Shards   int    `json:"shards"`
+	Seed   uint64 `json:"seed"`
+	Scheme string `json:"scheme"`
+	Policy string `json:"policy"`
+	Shards int    `json:"shards"`
 
 	Injections []CrashInjection `json:"injections"`
 	Summary    CrashSummary     `json:"summary"`
@@ -282,12 +278,12 @@ func (r *CrashReport) summarize() {
 
 // WriteCSV writes one header line plus one line per leg.
 func (r *CrashReport) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "id,scheme,hash_mode,policy,shards,kind,stage,outcome,epoch,detected,exact_root,bases,deltas"); err != nil {
+	if _, err := fmt.Fprintln(w, "id,scheme,policy,shards,kind,stage,outcome,epoch,detected,exact_root,bases,deltas"); err != nil {
 		return err
 	}
 	for _, inj := range r.Injections {
-		if _, err := fmt.Fprintf(w, "%d,%s,%s,%s,%d,%s,%s,%s,%d,%t,%t,%d,%d\n",
-			inj.ID, r.Scheme, r.HashMode, r.Policy, r.Shards,
+		if _, err := fmt.Fprintf(w, "%d,%s,%s,%d,%s,%s,%s,%d,%t,%t,%d,%d\n",
+			inj.ID, r.Scheme, r.Policy, r.Shards,
 			inj.Kind, inj.Stage, inj.Outcome, inj.Epoch, inj.Detected, inj.ExactRoot, inj.Bases, inj.Deltas); err != nil {
 			return err
 		}
@@ -314,11 +310,10 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 		defer os.RemoveAll(root)
 	}
 	rep := &CrashReport{
-		Seed:     cfg.Seed,
-		Scheme:   string(cfg.Scheme),
-		HashMode: cfg.HashMode,
-		Policy:   cfg.Policy,
-		Shards:   cfg.Shards,
+		Seed:   cfg.Seed,
+		Scheme: string(cfg.Scheme),
+		Policy: cfg.Policy,
+		Shards: cfg.Shards,
 	}
 	kills := 0
 	for id := 0; id < cfg.Injections; id++ {

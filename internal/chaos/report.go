@@ -59,10 +59,9 @@ type Summary struct {
 // byte-identical reports: every field is deterministic and serialization
 // never iterates a map.
 type Report struct {
-	Seed     uint64 `json:"seed"`
-	Scheme   string `json:"scheme"`
-	HashMode string `json:"hash_mode"`
-	Policy   string `json:"policy"`
+	Seed   uint64 `json:"seed"`
+	Scheme string `json:"scheme"`
+	Policy string `json:"policy"`
 	// Speculative campaigns record their pipeline mode and barrier
 	// cadence so a report is self-describing; both omit from blocking
 	// campaigns to keep historical report bytes stable.
@@ -111,12 +110,12 @@ func (r *Report) summarize() {
 // WriteCSV writes one header line plus one line per injection.
 func (r *Report) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w,
-		"id,scheme,hash_mode,policy,kind,target,chunk,addr,outcome,accesses,latency_accesses,latency_cycles,resident_accesses,observed,healed,retries,retries_transient,retries_persistent"); err != nil {
+		"id,scheme,policy,kind,target,chunk,addr,outcome,accesses,latency_accesses,latency_cycles,resident_accesses,observed,healed,retries,retries_transient,retries_persistent"); err != nil {
 		return err
 	}
 	for _, inj := range r.Injections {
-		if _, err := fmt.Fprintf(w, "%d,%s,%s,%s,%s,%s,%d,%d,%s,%d,%d,%d,%d,%t,%t,%d,%d,%d\n",
-			inj.ID, r.Scheme, r.HashMode, r.Policy, inj.Kind, inj.Target,
+		if _, err := fmt.Fprintf(w, "%d,%s,%s,%s,%s,%d,%d,%s,%d,%d,%d,%d,%t,%t,%d,%d,%d\n",
+			inj.ID, r.Scheme, r.Policy, inj.Kind, inj.Target,
 			inj.Chunk, inj.Addr, inj.Outcome, inj.Accesses,
 			inj.LatencyAccesses, inj.LatencyCycles, inj.ResidentAccesses,
 			inj.Observed, inj.Healed,

@@ -12,28 +12,24 @@ import (
 // serve seeded 1–256 B loads and stores without allocating: every line
 // buffer, chunk image, record buffer and MAC scratch changes hands instead
 // of being made. Before line buffers had owners this read 8 objects per op
-// for c, 6 for m, 144 for i (58 memoized), 21 for c with the dedicated
+// for c, 6 for m, 144 for i, 21 for c with the dedicated
 // verification cache and 2 for naive; all of them now read 0.
 func TestSteadyStateMissAllocs(t *testing.T) {
 	type variant struct {
 		name   string
 		scheme Scheme
-		mode   string
 		vc     int
 	}
 	var variants []variant
 	for _, s := range []Scheme{SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
-		for _, mode := range []string{"full", "memo"} {
-			variants = append(variants, variant{string(s) + "/" + mode, s, mode, 0})
-		}
+		variants = append(variants, variant{string(s) + "/full", s, 0})
 	}
-	variants = append(variants, variant{"c/full/verify-cache", SchemeCached, "full", 64})
+	variants = append(variants, variant{"c/full/verify-cache", SchemeCached, 64})
 
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			cfg := smallCfg(v.scheme)
-			cfg.HashMode = v.mode
 			cfg.VerifyCacheLines = v.vc
 			cfg.ProtectedBytes = 2 << 20 // room for a span 16× the 64 KiB L2
 			m, err := NewMachine(cfg)

@@ -30,27 +30,25 @@ func cleanConfig(scheme Scheme, mode string) Config {
 
 // TestCleanRunNoFalsePositives is the false-positive regression gate: a
 // full simulated run with no adversary must flag zero violations under
-// every scheme and hash execution mode.
+// every scheme.
 func TestCleanRunNoFalsePositives(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
-		for _, mode := range []string{"full", "memo"} {
-			t.Run(fmt.Sprintf("%s-%s", scheme, mode), func(t *testing.T) {
-				m, err := NewMachine(cleanConfig(scheme, mode))
-				if err != nil {
-					t.Fatal(err)
-				}
-				mt := m.Run()
-				if mt.Violations != 0 {
-					t.Fatalf("clean run flagged %d violations (first: %v)", mt.Violations, m.Sys.First)
-				}
-				if m.Sys.First != nil {
-					t.Fatalf("clean run recorded a first violation: %v", m.Sys.First)
-				}
-				if m.Halted() {
-					t.Fatalf("clean run halted the machine")
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("%s-full", scheme), func(t *testing.T) {
+			m, err := NewMachine(cleanConfig(scheme, "full"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mt := m.Run()
+			if mt.Violations != 0 {
+				t.Fatalf("clean run flagged %d violations (first: %v)", mt.Violations, m.Sys.First)
+			}
+			if m.Sys.First != nil {
+				t.Fatalf("clean run recorded a first violation: %v", m.Sys.First)
+			}
+			if m.Halted() {
+				t.Fatalf("clean run halted the machine")
+			}
+		})
 	}
 }
 

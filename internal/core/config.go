@@ -86,9 +86,8 @@ type Config struct {
 	// HashMode selects how much real digest arithmetic functional runs
 	// perform: "full" (or empty) computes every digest, "timing" charges
 	// the modeled hash latency but skips the arithmetic (illegal once an
-	// adversary attaches), "memo" computes digests but memoizes them per
-	// chunk under a dirty generation. All three produce identical Metrics;
-	// see integrity.HashMode.
+	// adversary attaches). Both produce identical Metrics; see
+	// integrity.HashMode.
 	HashMode string
 
 	// VerifyCacheLines, when > 0, gives the integrity layer a dedicated

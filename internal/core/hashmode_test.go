@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 )
@@ -11,7 +10,7 @@ var allSchemes = []Scheme{SchemeBase, SchemeNaive, SchemeCached, SchemeMulti, Sc
 // TestHashModeMetricsEquivalence is the cross-mode equivalence suite: the
 // hash-execution mode may change how digests are computed, never what the
 // simulator measures. Every scheme must produce identical Metrics in
-// full, timing and memo execution.
+// full and timing execution.
 func TestHashModeMetricsEquivalence(t *testing.T) {
 	for _, s := range allSchemes {
 		s := s
@@ -26,11 +25,8 @@ func TestHashModeMetricsEquivalence(t *testing.T) {
 				return mt
 			}
 			full := run("full")
-			for _, mode := range []string{"timing", "memo"} {
-				if got := run(mode); !reflect.DeepEqual(got, full) {
-					t.Errorf("mode %q metrics diverge from full:\nfull %+v\n%s %+v",
-						mode, full, mode, got)
-				}
+			if got := run("timing"); !reflect.DeepEqual(got, full) {
+				t.Errorf("timing metrics diverge from full:\nfull   %+v\ntiming %+v", full, got)
 			}
 		})
 	}
@@ -73,27 +69,4 @@ func TestTimingModeRejectsAdversary(t *testing.T) {
 		}
 	}()
 	m.Adversary()
-}
-
-// TestMemoModeDetectsTampering attaches an adversary to a memo-mode
-// machine — which silently degrades the memo to full recomputation — and
-// verifies a corrupted load is still caught.
-func TestMemoModeDetectsTampering(t *testing.T) {
-	cfg := smallCfg(SchemeCached)
-	cfg.HashMode = "memo"
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.StoreBytes(0, bytes.Repeat([]byte{0x5a}, 64)); err != nil {
-		t.Fatal(err)
-	}
-	m.Flush()
-	for ba := uint64(0); ba < m.Layout.Size(); ba += uint64(m.Cfg.L2Block) {
-		m.L2.Invalidate(ba)
-	}
-	m.Adversary().Corrupt(m.ProgAddr(5), 0x80)
-	if err := m.LoadBytes(0, make([]byte, 64)); err == nil {
-		t.Fatal("memo-mode machine missed the corrupted load")
-	}
 }

@@ -136,7 +136,7 @@ func newMachine(cfg Config, img, root []byte) (*Machine, error) {
 		L2Latency:   cfg.L2Latency,
 		CheckReads:  true,
 		Functional:  cfg.Functional,
-		Exec:        integrity.NewHashExec(mode),
+		HashMode:    mode,
 		Policy:      policy,
 		OnViolation: m.noteViolation,
 		VC:          m.VC,
@@ -292,13 +292,14 @@ func (m *Machine) EvictProtected() {
 }
 
 // Adversary interposes (once) a physical attacker on the memory bus and
-// returns it. Subsequent calls return the same adversary. Attaching one
-// notifies the hash-execution layer: memo execution falls back to full
-// recomputation, and timing-only execution panics — its checks are
-// vacuous, so it cannot coexist with tampering.
+// returns it. Subsequent calls return the same adversary. Timing-only hash
+// execution panics — its checks are vacuous, so it cannot coexist with
+// tampering.
 func (m *Machine) Adversary() *mem.Adversary {
 	if m.adv == nil {
-		m.Sys.Exec.AdversaryAttached()
+		if m.Sys.HashMode == integrity.HashTiming {
+			panic("core: timing-only hash execution is illegal with an adversary attached (use hash mode full)")
+		}
 		m.adv = mem.NewAdversary(m.backing)
 		m.Sys.Mem = m.adv
 	}

@@ -108,7 +108,7 @@ func driveWorkload(t *testing.T, m *Machine, seed int64) (loaded, root []byte) {
 // final memory image.
 func TestPrefetchEquivalence(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
-		for _, mode := range []string{"full", "timing", "memo"} {
+		for _, mode := range []string{"full", "timing"} {
 			t.Run(fmt.Sprintf("%s-%s", scheme, mode), func(t *testing.T) {
 				base, err := NewMachine(cleanConfig(scheme, mode))
 				if err != nil {

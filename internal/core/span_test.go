@@ -99,12 +99,11 @@ func refLoadBytes(m *Machine, off uint64, p []byte) error {
 
 // spanCfg is a machine small enough that random spans miss, evict and
 // write back constantly: 64 KiB protected behind an 8 KiB 4-way L2.
-func spanCfg(scheme Scheme, mode string, traced bool) Config {
+func spanCfg(scheme Scheme, traced bool) Config {
 	cfg := DefaultConfig()
 	cfg.Scheme = scheme
 	cfg.Functional = true
 	cfg.HashAlg = "fnv128"
-	cfg.HashMode = mode
 	cfg.ProtectedBytes = 64 << 10
 	cfg.L2Size = 8 << 10
 	cfg.Benchmark = trace.Uniform("span", 16<<10)
@@ -135,7 +134,7 @@ func lruOrder(m *Machine) string {
 }
 
 // TestSpanCountIdentity is the seeded property of the block-granular span
-// paths: on every scheme and hash mode, traced or not, a random interleaving
+// paths: on every scheme, traced or not, a random interleaving
 // of loads and stores — 1 to 300 bytes, unaligned, block-crossing,
 // whole-block, wrapping at ProgSpan — leaves the machine exactly where the
 // byte-at-a-time reference leaves its twin: the bytes delivered, the cycle
@@ -143,23 +142,21 @@ func lruOrder(m *Machine) string {
 // the root, the trace and the replacement order of every set.
 func TestSpanCountIdentity(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
-		for _, mode := range []string{"full", "memo"} {
-			for _, traced := range []bool{false, true} {
-				name := fmt.Sprintf("%s/%s/traced=%v", scheme, mode, traced)
-				t.Run(name, func(t *testing.T) {
-					spanIdentity(t, scheme, mode, traced, 0x5ca1ab1e)
-				})
-			}
+		for _, traced := range []bool{false, true} {
+			name := fmt.Sprintf("%s/full/traced=%v", scheme, traced)
+			t.Run(name, func(t *testing.T) {
+				spanIdentity(t, scheme, traced, 0x5ca1ab1e)
+			})
 		}
 	}
 }
 
-func spanIdentity(t *testing.T, scheme Scheme, mode string, traced bool, seed int64) {
-	got, err := NewMachine(spanCfg(scheme, mode, traced))
+func spanIdentity(t *testing.T, scheme Scheme, traced bool, seed int64) {
+	got, err := NewMachine(spanCfg(scheme, traced))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewMachine(spanCfg(scheme, mode, traced))
+	ref, err := NewMachine(spanCfg(scheme, traced))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +231,7 @@ func spanIdentity(t *testing.T, scheme Scheme, mode string, traced bool, seed in
 // which no LoadBytes offset reaches, is still refused.
 func TestVerifyAllReadsTheCodeRegion(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
-		m, err := NewMachine(spanCfg(scheme, "full", false))
+		m, err := NewMachine(spanCfg(scheme, false))
 		if err != nil {
 			t.Fatal(err)
 		}

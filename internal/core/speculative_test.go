@@ -50,7 +50,7 @@ func normalizeSpec(mt Metrics) Metrics {
 // verification traffic.
 func TestSpeculativeMetricsEquivalence(t *testing.T) {
 	for _, s := range allSchemes {
-		for _, mode := range []string{"full", "timing", "memo"} {
+		for _, mode := range []string{"full", "timing"} {
 			s, mode := s, mode
 			t.Run(string(s)+"/"+mode, func(t *testing.T) {
 				run := func(spec bool) Metrics {
@@ -80,7 +80,7 @@ func TestSpeculativeMetricsEquivalence(t *testing.T) {
 // delivered data.
 func TestSpeculativeDataRootEquivalence(t *testing.T) {
 	for _, s := range allSchemes {
-		for _, mode := range []string{"full", "timing", "memo"} {
+		for _, mode := range []string{"full", "timing"} {
 			s, mode := s, mode
 			t.Run(string(s)+"/"+mode, func(t *testing.T) {
 				cfgB := smallCfg(s)

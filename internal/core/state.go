@@ -13,7 +13,7 @@ import (
 // image — data chunks plus the interior chunks holding every stored
 // hash/MAC record, including the scheme-i records whose stamp bits live in
 // the record bytes — together with the secure on-chip root register.
-// Everything else (caches, memo tables, the pending-check window) is
+// Everything else (caches, the pending-check window) is
 // reconstructible or must be empty at a commit point anyway.
 
 // Snapshot is one commit-point capture of a machine's protected state:
@@ -106,9 +106,9 @@ func (m *Machine) StateSize() uint64 { return m.Layout.Size() }
 // register, replacing whatever state the machine holds. The image bytes
 // are written straight into external memory, every protected line is
 // dropped from the caches without write-back (a stale dirty line must not
-// resurface over the restored bytes), the memo table forgets any digests
-// of the displaced image, and the root register is loaded from root — the
-// trusted anchor the restored tree is subsequently verified against.
+// resurface over the restored bytes), and the root register is loaded
+// from root — the trusted anchor the restored tree is subsequently
+// verified against.
 //
 // RestoreState does not verify anything itself: reads after it go through
 // the ordinary verification walk, so a restored image that disagrees with
@@ -126,7 +126,6 @@ func (m *Machine) RestoreState(img []byte, root []byte) error {
 			m.VC.Invalidate(ba)
 		}
 	}
-	m.Sys.Exec.InvalidateMemo()
 	// No snapshot describes what memory holds now: the next one is full.
 	m.snapSeq = 0
 	// A restore is a reboot: the halt latch clears and detection starts
@@ -138,8 +137,8 @@ func (m *Machine) RestoreState(img []byte, root []byte) error {
 }
 
 // installState writes a saved image into external memory and loads the
-// root register: all of RestoreState that a machine with empty caches and
-// an empty memo table (one under construction) needs.
+// root register: all of RestoreState that a machine with empty caches
+// (one under construction) needs.
 func (m *Machine) installState(img, root []byte) error {
 	if err := m.persistable(); err != nil {
 		return err
@@ -166,8 +165,8 @@ func (m *Machine) persistable() error {
 	if m.Cfg.Scheme == SchemeBase {
 		return fmt.Errorf("core: the base scheme has no authenticated state to persist")
 	}
-	if m.Sys.Exec.Mode() == integrity.HashTiming {
-		return fmt.Errorf("core: timing-only hash execution stores vacuous records; persistence requires hash mode full or memo")
+	if m.Sys.HashMode == integrity.HashTiming {
+		return fmt.Errorf("core: timing-only hash execution stores vacuous records; persistence requires hash mode full")
 	}
 	return nil
 }

@@ -44,10 +44,10 @@ type Params struct {
 	// point of the switch is exercising the hash-execution modes below.
 	Functional bool
 	// HashMode selects the digest-execution mode for functional points:
-	// "" / "full", "timing" or "memo" (see core.Config.HashMode).
+	// "" / "full" or "timing" (see core.Config.HashMode).
 	HashMode string
 	// ProtectedBytes overrides the protected-region size when non-zero.
-	// Functional full/memo runs must stay within the 256 MiB tree cap.
+	// Functional full runs must stay within the 256 MiB tree cap.
 	ProtectedBytes uint64
 	// Telemetry, when non-nil, attaches the recorder to every point's
 	// machine. A recorder is single-goroutine, so runAll forces the sweep

@@ -60,7 +60,7 @@ func NewCached(sys *System) *Cached {
 		panic(fmt.Sprintf("integrity: chunk size %d not a multiple of block size %d",
 			sys.Layout.ChunkSize, sys.BlockSize()))
 	}
-	sys.guardExecMode()
+	sys.guardHashMode()
 	e := &Cached{sys: sys}
 	if sys.chunkBlocks() == 1 {
 		e.scheme = "c"
@@ -97,8 +97,7 @@ func (e *Cached) System() *System { return e.sys }
 // memory contents and installs the root, entering secure mode. Under the
 // timing-only unit nothing ever compares stored records, so the walk —
 // the dominant construction cost on large protected regions — is skipped
-// entirely; in memo mode every record computed here is memoized, so the
-// first demand read of an untouched chunk already reuses its digest.
+// entirely.
 func (e *Cached) InitializeTree() {
 	s := e.sys
 	if s.skipDigests() {
@@ -109,10 +108,8 @@ func (e *Cached) InitializeTree() {
 	for c := s.Layout.TotalChunks - 1; ; c-- {
 		s.Mem.Read(s.Layout.ChunkAddr(c), img)
 		rec := e.record(c, img)
-		s.Exec.Install(c, s.Exec.Gen(c), rec)
 		if addr, ok := s.Layout.HashAddr(c); ok {
 			s.Mem.Write(addr, rec)
-			s.Exec.Bump(s.Layout.ChunkOf(addr))
 		} else {
 			s.Root = append(s.Root[:0], rec...)
 		}
@@ -268,10 +265,7 @@ func (e *Cached) readAndCheckChunk(now uint64, c uint64, demandBA uint64) (img [
 	}
 
 	// 2. Compose the memory image; no recursion from here to the compare.
-	// The dirty generation is captured with the image so a memoized digest
-	// is only reused if it still describes exactly these bytes.
 	img, memBlocks := s.composeImage(c)
-	imgGen := s.Exec.Gen(c)
 
 	demandIdx := -1
 	if demandBA != noDemand {
@@ -323,17 +317,7 @@ func (e *Cached) readAndCheckChunk(now uint64, c uint64, demandBA uint64) (img [
 	if s.CheckReads {
 		s.Stat.Checks++
 		if s.Functional {
-			// A memoized digest of the chunk's current memory image stands
-			// in for rehashing it; a successful full verification installs
-			// the stored record so the next clean access skips the hash.
-			failed := false
-			if memod, ok := s.Exec.Lookup(c); ok {
-				failed = !bytes.Equal(memod, stored)
-			} else if !e.verify(c, img, stored) {
-				failed = true
-			} else {
-				s.Exec.Install(c, imgGen, stored)
-			}
+			failed := !e.verify(c, img, stored)
 			if failed {
 				detail := "stored record does not match memory image"
 				if s.Policy == PolicyRetry {
@@ -715,7 +699,6 @@ func (e *Cached) evictCached(now uint64, line cache.Line) uint64 {
 			} else {
 				s.Mem.Write(ba, newImg[i*bs:(i+1)*bs])
 			}
-			s.Exec.Bump(c)
 		}
 		if d := s.DRAM.Write(hdone, bs, bclass); d > done {
 			done = d
@@ -728,11 +711,6 @@ func (e *Cached) evictCached(now uint64, line cache.Line) uint64 {
 		if i != evIdx {
 			s.cacheFor(c).Clean(ba)
 		}
-	}
-	// Memory now equals newImg and recBuf is its record: memoize so clean
-	// re-reads (and the next eviction's completion read) skip the rehash.
-	if recBuf != nil {
-		s.Exec.Install(c, s.Exec.Gen(c), recBuf)
 	}
 	s.putRec(recBuf)
 	s.Unit.WriteBuf.Release(idx, done)

@@ -2,6 +2,8 @@ package integrity
 
 import (
 	"testing"
+
+	"memverify/internal/mem"
 )
 
 func TestParseHashMode(t *testing.T) {
@@ -9,7 +11,7 @@ func TestParseHashMode(t *testing.T) {
 		in   string
 		want HashMode
 	}{
-		{"", HashFull}, {"full", HashFull}, {"timing", HashTiming}, {"memo", HashMemo},
+		{"", HashFull}, {"full", HashFull}, {"timing", HashTiming},
 	} {
 		got, err := ParseHashMode(tc.in)
 		if err != nil || got != tc.want {
@@ -19,94 +21,21 @@ func TestParseHashMode(t *testing.T) {
 			t.Errorf("HashMode(%v).String() empty", got)
 		}
 	}
-	if _, err := ParseHashMode("bogus"); err == nil {
-		t.Error("ParseHashMode accepted an unknown mode")
-	}
-}
-
-func TestHashExecNilIsFull(t *testing.T) {
-	var x *HashExec
-	if x.Mode() != HashFull {
-		t.Errorf("nil exec mode = %v, want HashFull", x.Mode())
-	}
-	if x.MemoActive() {
-		t.Error("nil exec claims an active memo")
-	}
-	// All mutators must be nil-safe no-ops.
-	x.AdversaryAttached()
-	x.Bump(1)
-	if _, ok := x.Lookup(1); ok {
-		t.Error("nil exec served a memo entry")
-	}
-}
-
-func TestHashExecGenerations(t *testing.T) {
-	x := NewHashExec(HashMemo)
-	digest := []byte{1, 2, 3, 4, 5, 6, 7, 8}
-
-	if _, ok := x.Lookup(3); ok {
-		t.Fatal("lookup hit before any install")
-	}
-	x.Install(3, x.Gen(3), digest)
-	got, ok := x.Lookup(3)
-	if !ok || string(got) != string(digest) {
-		t.Fatalf("lookup after install = %x, %v", got, ok)
-	}
-
-	// Any write invalidates: the entry stays installed but is never served.
-	x.Bump(3)
-	if _, ok := x.Lookup(3); ok {
-		t.Fatal("stale-generation entry served after Bump")
-	}
-
-	// Installing at a generation captured before an interleaved Bump must
-	// leave the entry unservable (the image it digests is already stale).
-	g := x.Gen(5)
-	x.Bump(5)
-	x.Install(5, g, digest)
-	if _, ok := x.Lookup(5); ok {
-		t.Fatal("entry installed at a stale generation was served")
-	}
-
-	// Reinstalling at the current generation serves again.
-	x.Install(3, x.Gen(3), digest)
-	if _, ok := x.Lookup(3); !ok {
-		t.Fatal("reinstalled entry not served")
-	}
-
-	if x.MemoHits() == 0 || x.MemoMisses() == 0 {
-		t.Errorf("instrumentation not counting: hits=%d misses=%d", x.MemoHits(), x.MemoMisses())
-	}
-}
-
-func TestHashExecOversizeDigestDropped(t *testing.T) {
-	x := NewHashExec(HashMemo)
-	big := make([]byte, maxRecordBytes+1)
-	x.Install(1, x.Gen(1), big)
-	if _, ok := x.Lookup(1); ok {
-		t.Fatal("oversize digest was memoized")
-	}
-}
-
-func TestAdversaryDisablesMemo(t *testing.T) {
-	x := NewHashExec(HashMemo)
-	x.Install(1, x.Gen(1), []byte{9})
-	x.AdversaryAttached()
-	if x.MemoActive() {
-		t.Fatal("memo still active after adversary attached")
-	}
-	if _, ok := x.Lookup(1); ok {
-		t.Fatal("memo served after adversary attached")
+	for _, bad := range []string{"bogus", "memo"} {
+		if _, err := ParseHashMode(bad); err == nil {
+			t.Errorf("ParseHashMode accepted %q", bad)
+		}
 	}
 }
 
 func TestAdversaryPanicsTimingExec(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AdversaryAttached did not panic in timing mode")
+			t.Fatal("guardHashMode did not panic in timing mode")
 		}
 	}()
-	NewHashExec(HashTiming).AdversaryAttached()
+	s := &System{Mem: mem.NewAdversary(mem.NewSparse()), HashMode: HashTiming}
+	s.guardHashMode()
 }
 
 // TestTimingConstructorsRejectAdversary pins the construction-time guard:
@@ -117,78 +46,13 @@ func TestTimingConstructorsRejectAdversary(t *testing.T) {
 		scheme := scheme
 		t.Run(scheme, func(t *testing.T) {
 			cfg := defaultRig(scheme)
-			cfg.exec = NewHashExec(HashTiming)
+			cfg.mode = HashTiming
 			defer func() {
 				if recover() == nil {
 					t.Fatalf("scheme %s built a timing-only engine over an adversary", scheme)
 				}
 			}()
 			newRig(t, cfg)
-		})
-	}
-}
-
-// TestMemoRigDetectsTampering corrupts memory under memo execution. The
-// rig's adversary means AdversaryAttached has turned the memo off, so
-// detection must be exactly as good as full mode.
-func TestMemoRigDetectsTampering(t *testing.T) {
-	for _, scheme := range protectedSchemes {
-		scheme := scheme
-		t.Run(scheme, func(t *testing.T) {
-			cfg := defaultRig(scheme)
-			cfg.exec = NewHashExec(HashMemo)
-			cfg.exec.AdversaryAttached()
-			r := newRig(t, cfg)
-			ba := r.dataBlocks()[3]
-			data := make([]byte, r.sys.BlockSize())
-			for i := range data {
-				data[i] = byte(i + 1)
-			}
-			r.write(ba, data)
-			r.flush()
-			for _, b := range r.dataBlocks() {
-				r.sys.L2.Invalidate(b)
-			}
-			r.adv.Corrupt(ba+1, 0x01)
-			before := r.sys.Stat.Violations
-			r.read(ba)
-			if r.sys.Stat.Violations == before {
-				t.Fatalf("scheme %s missed tampering in memo mode", scheme)
-			}
-		})
-	}
-}
-
-// TestMemoRigMatchesFull replays the same random workload in full and memo
-// execution over inert memory and requires identical statistics, an
-// identical root, and (memo mode) a stored tree that still covers memory.
-func TestMemoRigMatchesFull(t *testing.T) {
-	for _, scheme := range protectedSchemes {
-		scheme := scheme
-		t.Run(scheme, func(t *testing.T) {
-			run := func(x *HashExec) (Stats, string, *rig) {
-				cfg := defaultRig(scheme)
-				cfg.exec = x
-				cfg.inert = true // no adversary, so the memo stays active
-				r := newRig(t, cfg)
-				r.randomWorkload(400)
-				r.flush()
-				return r.sys.Stat, string(r.sys.Root), r
-			}
-			fullStat, fullRoot, _ := run(NewHashExec(HashFull))
-			memoStat, memoRoot, mr := run(NewHashExec(HashMemo))
-			if fullStat != memoStat {
-				t.Errorf("stats diverge:\nfull %+v\nmemo %+v", fullStat, memoStat)
-			}
-			if fullRoot != memoRoot {
-				t.Errorf("roots diverge: full %x memo %x", fullRoot, memoRoot)
-			}
-			if mr.sys.Exec.MemoHits() == 0 {
-				t.Error("memo run never served a memoized digest")
-			}
-			if err := mr.verifyMemoryTree(); err != nil {
-				t.Errorf("memo-mode stored tree does not cover memory: %v", err)
-			}
 		})
 	}
 }

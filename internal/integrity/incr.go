@@ -59,7 +59,7 @@ func NewIncr(sys *System, key []byte) *Incr {
 		return e.recScratch[:]
 	}
 	e.evictFn = e.evictIncr
-	sys.guardExecMode()
+	sys.guardHashMode()
 	if sys.skipDigests() {
 		e.applyTimingMode()
 	}
@@ -212,13 +212,6 @@ func (e *Incr) evictIncr(now uint64, line cache.Line) uint64 {
 	}
 	if s.Functional {
 		s.Mem.Write(line.Addr, line.Data)
-		s.Exec.Bump(c)
-		if !s.skipDigests() {
-			// The stored record tracks the memory image exactly (data and
-			// record change together), so the fresh tag is the chunk's
-			// current record — memoize it at the post-write generation.
-			s.Exec.Install(c, s.Exec.Gen(c), newTag[:])
-		}
 	}
 	if d := s.DRAM.Write(hdone, bs, bclass); d > done {
 		done = d
@@ -254,12 +247,8 @@ func (e *Incr) InitializeTree() {
 	for c := s.Layout.TotalChunks - 1; ; c-- {
 		s.Mem.Read(s.Layout.ChunkAddr(c), img)
 		rec := e.record(c, img)
-		// Children carry higher indexes, so every slot write into chunk c
-		// has already landed: rec is the record of c's final image.
-		s.Exec.Install(c, s.Exec.Gen(c), rec)
 		if addr, ok := s.Layout.HashAddr(c); ok {
 			s.Mem.Write(addr, rec)
-			s.Exec.Bump(s.Layout.ChunkOf(addr))
 		} else {
 			s.Root = append(s.Root[:0], rec...)
 		}

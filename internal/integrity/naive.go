@@ -35,7 +35,7 @@ func NewNaive(sys *System) *Naive {
 		panic(fmt.Sprintf("integrity: naive engine requires chunk size == block size (%d != %d)",
 			sys.Layout.ChunkSize, sys.BlockSize()))
 	}
-	sys.guardExecMode()
+	sys.guardHashMode()
 	return &Naive{sys: sys}
 }
 
@@ -46,8 +46,7 @@ func (e *Naive) Name() string { return "naive" }
 func (e *Naive) System() *System { return e.sys }
 
 // InitializeTree computes every stored hash bottom-up from memory. The
-// timing-only unit skips the walk (nothing ever compares the records);
-// memo mode memoizes every hash it computes.
+// timing-only unit skips the walk (nothing ever compares the records).
 func (e *Naive) InitializeTree() {
 	s := e.sys
 	if s.skipDigests() {
@@ -58,10 +57,8 @@ func (e *Naive) InitializeTree() {
 	for c := s.Layout.TotalChunks - 1; ; c-- {
 		s.Mem.Read(s.Layout.ChunkAddr(c), img)
 		h := s.hashChunkScratch(img)
-		s.Exec.Install(c, s.Exec.Gen(c), h)
 		if addr, ok := s.Layout.HashAddr(c); ok {
 			s.Mem.Write(addr, h)
-			s.Exec.Bump(s.Layout.ChunkOf(addr))
 		} else {
 			s.Root = append(s.Root[:0], h...)
 		}
@@ -84,27 +81,17 @@ func (e *Naive) readChunkMem(c uint64) []byte {
 }
 
 // checkAgainst verifies chunk cur's memory image curImg against the
-// stored record want: served from the memo cache when a digest of exactly
-// this image is still current, recomputed (and memoized) otherwise, and
-// skipped entirely — always passing — under the timing-only unit. The
-// Checks counter advances identically in every mode. at is the cycle the
-// compared bytes are in hand; the return value is when the check —
-// including any PolicyRetry re-fetch probe — completes.
+// stored record want, skipped entirely — always passing — under the
+// timing-only unit. The Checks counter advances identically in both
+// modes. at is the cycle the compared bytes are in hand; the return value
+// is when the check — including any PolicyRetry re-fetch probe — completes.
 func (e *Naive) checkAgainst(at uint64, cur uint64, curImg, want []byte, detail string) uint64 {
 	s := e.sys
 	s.Stat.Checks++
 	if !s.verifyData() {
 		return at
 	}
-	failed := false
-	if memod, ok := s.Exec.Lookup(cur); ok {
-		failed = !bytes.Equal(memod, want)
-	} else if !bytes.Equal(s.hashChunkScratch(curImg), want) {
-		failed = true
-	} else {
-		s.Exec.Install(cur, s.Exec.Gen(cur), want)
-	}
-	if failed {
+	if !bytes.Equal(s.hashChunkScratch(curImg), want) {
 		if s.Policy == PolicyRetry {
 			passed, rdone := s.retryVerify(at, cur, false, func(probe []byte) bool {
 				ok := bytes.Equal(s.hashChunkScratch(probe), want)
@@ -324,7 +311,6 @@ func (e *Naive) Evict(now uint64, line cache.Line) uint64 {
 	// child's.
 	if s.Functional {
 		s.Mem.Write(line.Addr, line.Data)
-		s.Exec.Bump(c)
 	}
 	s.DRAM.Write(t, s.BlockSize(), bus.Data)
 	s.Stat.DataBlockWrites++
@@ -345,10 +331,6 @@ func (e *Naive) Evict(now uint64, line cache.Line) uint64 {
 				h = s.timingTag(cur)
 			} else {
 				h = s.hashChunkScratch(curImg)
-				// cur's memory bytes are already final (the data write for
-				// c, the slot rewrite for ancestors), so the digest can be
-				// memoized at the current generation.
-				s.Exec.Install(cur, s.Exec.Gen(cur), h)
 			}
 		}
 		hd := s.Unit.Hash(t, s.Layout.ChunkSize)
@@ -373,7 +355,6 @@ func (e *Naive) Evict(now uint64, line cache.Line) uint64 {
 			off := slotAddr - s.Layout.ChunkAddr(parent)
 			copy(parentImg[off:], h)
 			s.Mem.Write(s.Layout.ChunkAddr(parent), parentImg)
-			s.Exec.Bump(parent)
 		}
 		s.DRAM.Write(t, s.Layout.ChunkSize, bus.Hash)
 		s.Stat.HashBlockWrites += uint64(s.Layout.ChunkSize / s.BlockSize())

@@ -74,8 +74,6 @@ func TestSuitesUnderPoison(t *testing.T) {
 		{"RandomGeometriesStayConsistent", TestRandomGeometriesStayConsistent},
 		{"InitializeByTouch", TestInitializeByTouch},
 		{"FlushIsIdempotent", TestFlushIsIdempotent},
-		{"MemoRigDetectsTampering", TestMemoRigDetectsTampering},
-		{"MemoRigMatchesFull", TestMemoRigMatchesFull},
 		{"WriteAllocateReturnsItsImage", TestWriteAllocateReturnsItsImage},
 	} {
 		t.Run(s.name, s.run)

@@ -33,8 +33,7 @@ type rigConfig struct {
 	l2Size      int
 	blockSize   int
 	chunkBlocks int
-	exec        *HashExec // nil = full digest execution
-	inert       bool      // wire memory without the adversary wrapper
+	mode        HashMode
 }
 
 func defaultRig(scheme string) rigConfig {
@@ -59,13 +58,9 @@ func newRig(t testing.TB, cfg rigConfig) *rig {
 	l2 := cache.New(cache.Config{
 		Name: "L2", Size: cfg.l2Size, Ways: 4, BlockSize: cfg.blockSize, DataBearing: true,
 	})
-	var sysMem mem.Memory = adv
-	if cfg.inert {
-		sysMem = backing
-	}
 	sys := &System{
 		L2:         l2,
-		Mem:        sysMem,
+		Mem:        adv,
 		DRAM:       d,
 		Unit:       NewHashUnit(80, 3.2, 16, 16),
 		Layout:     layout,
@@ -73,7 +68,7 @@ func newRig(t testing.TB, cfg rigConfig) *rig {
 		L2Latency:  10,
 		CheckReads: true,
 		Functional: true,
-		Exec:       cfg.exec,
+		HashMode:   cfg.mode,
 	}
 	r := &rig{t: t, sys: sys, adv: adv, rng: trace.NewRNG(42), shadow: make(map[uint64][]byte)}
 	switch cfg.scheme {

@@ -131,11 +131,10 @@ type System struct {
 	// attack tests run with it on over smaller protected regions.
 	Functional bool
 
-	// Exec selects how digests are executed in functional mode: computed
-	// in full, skipped under the timing-only unit, or memoized per chunk
-	// generation. nil means HashFull, so existing constructions are
-	// unchanged. See HashExec.
-	Exec *HashExec
+	// HashMode selects how digests are executed in functional mode:
+	// computed in full (the zero value) or skipped under the timing-only
+	// unit. See HashMode.
+	HashMode HashMode
 
 	// Root is the secure on-chip register holding the root hash (or the
 	// root chunk's MAC record in the i scheme).
@@ -490,7 +489,7 @@ func (s *System) hashChunkScratch(img []byte) []byte {
 // skipDigests reports whether the timing-only hash unit is selected:
 // record slots receive hashalg.Tag stand-ins and every check passes
 // without digest arithmetic.
-func (s *System) skipDigests() bool { return s.Exec.Mode() == HashTiming }
+func (s *System) skipDigests() bool { return s.HashMode == HashTiming }
 
 // verifyData reports whether functional checks actually compare digests.
 // Stats (Checks, Violations against an inert memory) are identical whether
@@ -510,13 +509,12 @@ func (s *System) timingTag(c uint64) []byte {
 	return d
 }
 
-// guardExecMode is called by every verifying engine's constructor: the
-// timing-only unit refuses to coexist with an adversarial memory, and the
-// memo cache switches itself off against one (tampering bypasses its
-// generation bookkeeping).
-func (s *System) guardExecMode() {
-	if _, ok := s.Mem.(*mem.Adversary); ok {
-		s.Exec.AdversaryAttached()
+// guardHashMode is called by every verifying engine's constructor: the
+// timing-only unit refuses to coexist with an adversarial memory, whose
+// tampering its vacuous checks could never detect.
+func (s *System) guardHashMode() {
+	if _, ok := s.Mem.(*mem.Adversary); ok && s.HashMode == HashTiming {
+		panic("integrity: timing-only hash execution is illegal with an adversary attached (use hash mode full)")
 	}
 }
 

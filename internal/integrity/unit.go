@@ -174,11 +174,6 @@ const (
 	// every check as passing. Legal only while the adversary layer is
 	// inert — engine constructors and Machine.Adversary enforce this.
 	HashTiming
-	// HashMemo computes real digests but memoizes them per chunk under a
-	// dirty generation, so clean chunks are never rehashed on the verify
-	// and eviction paths. Detection-equivalent to HashFull against an
-	// inert memory; automatically bypassed when an adversary attaches.
-	HashMemo
 )
 
 // String returns the mode's configuration name.
@@ -188,8 +183,6 @@ func (m HashMode) String() string {
 		return "full"
 	case HashTiming:
 		return "timing"
-	case HashMemo:
-		return "memo"
 	}
 	return fmt.Sprintf("HashMode(%d)", int(m))
 }
@@ -202,170 +195,6 @@ func ParseHashMode(s string) (HashMode, error) {
 		return HashFull, nil
 	case "timing":
 		return HashTiming, nil
-	case "memo":
-		return HashMemo, nil
 	}
-	return HashFull, fmt.Errorf("integrity: unknown hash mode %q (want full, timing or memo)", s)
+	return HashFull, fmt.Errorf("integrity: unknown hash mode %q (want full or timing)", s)
 }
-
-// maxRecordBytes bounds a stored record's length for inline memo storage:
-// SHA-1's native 20-byte digest is the largest record any engine stores.
-const maxRecordBytes = 20
-
-// memoEntry is one memoized record: the digest of a chunk's memory image,
-// tagged with the chunk's dirty generation at the time that image was
-// current.
-type memoEntry struct {
-	gen    uint64
-	n      uint8
-	digest [maxRecordBytes]byte
-}
-
-// HashExec is the digest-execution layer under the engines: it carries the
-// selected HashMode and, in HashMemo mode, the generation-tagged memo
-// cache. Timing state lives in HashUnit; HashExec never affects modeled
-// cycles.
-//
-// Generations: every engine write to a protected chunk's external-memory
-// bytes bumps that chunk's generation (Bump). A memo entry is installed
-// with the generation at which its image was read or written (Install) and
-// is served only while the generations still match (Lookup), so any
-// intervening write — including one from a re-entrant nested write-back —
-// silently invalidates the entry instead of serving a stale digest.
-//
-// Chunk indexes are dense (0..TotalChunks-1), so both tables are flat
-// slices grown on demand — tree initialization installs every chunk once,
-// and a map here costs more than the hashing it saves.
-type HashExec struct {
-	mode    HashMode
-	memoOff bool
-
-	gen  []uint64
-	memo []memoEntry
-
-	hits, misses uint64
-}
-
-// NewHashExec returns an execution layer in the given mode.
-func NewHashExec(mode HashMode) *HashExec {
-	return &HashExec{mode: mode}
-}
-
-// ensure grows the tables to cover chunk c. Initialization walks chunks
-// top index first, so one growth typically sizes the whole run.
-func (x *HashExec) ensure(c uint64) {
-	if c < uint64(len(x.gen)) {
-		return
-	}
-	gen := make([]uint64, c+1)
-	copy(gen, x.gen)
-	x.gen = gen
-	memo := make([]memoEntry, c+1)
-	copy(memo, x.memo)
-	x.memo = memo
-}
-
-// Mode returns the configured execution mode. A nil receiver reads as
-// HashFull so a zero-valued System keeps today's behaviour.
-func (x *HashExec) Mode() HashMode {
-	if x == nil {
-		return HashFull
-	}
-	return x.mode
-}
-
-// MemoActive reports whether memo lookups are being served.
-func (x *HashExec) MemoActive() bool {
-	return x != nil && x.mode == HashMemo && !x.memoOff
-}
-
-// AdversaryAttached tells the execution layer that memory is no longer
-// inert. Timing-only execution cannot coexist with an adversary — its
-// checks are vacuous — so it panics; memo execution degrades to full
-// recomputation, because tampering bypasses the generation bookkeeping.
-func (x *HashExec) AdversaryAttached() {
-	if x == nil {
-		return
-	}
-	switch x.mode {
-	case HashTiming:
-		panic("integrity: timing-only hash execution is illegal with an adversary attached (use hash mode full or memo)")
-	case HashMemo:
-		x.memoOff = true
-	}
-}
-
-// Bump advances chunk c's dirty generation; call it for every engine write
-// to the chunk's external-memory bytes.
-func (x *HashExec) Bump(c uint64) {
-	if !x.MemoActive() {
-		return
-	}
-	x.ensure(c)
-	x.gen[c]++
-}
-
-// Gen returns chunk c's current dirty generation.
-func (x *HashExec) Gen(c uint64) uint64 {
-	if !x.MemoActive() || c >= uint64(len(x.gen)) {
-		return 0
-	}
-	return x.gen[c]
-}
-
-// Lookup returns the memoized record for chunk c when one is installed at
-// the chunk's current generation. The returned slice aliases the entry;
-// callers only compare against it.
-func (x *HashExec) Lookup(c uint64) ([]byte, bool) {
-	if !x.MemoActive() {
-		return nil, false
-	}
-	if c >= uint64(len(x.memo)) {
-		x.misses++
-		return nil, false
-	}
-	e := &x.memo[c]
-	if e.n == 0 || e.gen != x.gen[c] {
-		x.misses++
-		return nil, false
-	}
-	x.hits++
-	return e.digest[:e.n], true
-}
-
-// Install memoizes digest as chunk c's record at generation gen (capture
-// gen with Gen when the image is snapshotted; an interleaved Bump then
-// leaves the entry installed but never served). Empty and oversized
-// records are not memoizable.
-func (x *HashExec) Install(c uint64, gen uint64, digest []byte) {
-	if !x.MemoActive() || len(digest) == 0 || len(digest) > maxRecordBytes {
-		return
-	}
-	x.ensure(c)
-	e := &x.memo[c]
-	e.gen = gen
-	e.n = uint8(len(digest))
-	copy(e.digest[:], digest)
-}
-
-// InvalidateMemo forgets every memoized record while leaving generations
-// alone. Machine state restoration (core.Machine.RestoreState) rewrites
-// external memory underneath the generation bookkeeping, so entries
-// installed against the displaced image must never be served against the
-// restored one.
-func (x *HashExec) InvalidateMemo() {
-	if x == nil {
-		return
-	}
-	for i := range x.memo {
-		x.memo[i] = memoEntry{}
-	}
-}
-
-// MemoHits and MemoMisses report lookup traffic — simulator-side
-// instrumentation only, deliberately kept out of Stats so that every hash
-// mode produces byte-identical simulation statistics.
-func (x *HashExec) MemoHits() uint64 { return x.hits }
-
-// MemoMisses reports lookups that found no current entry.
-func (x *HashExec) MemoMisses() uint64 { return x.misses }

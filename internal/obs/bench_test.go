@@ -22,7 +22,6 @@ func benchStore(b *testing.B) *shard.Store {
 	cfg.ProtectedBytes = 1 << 20
 	cfg.L2Size = 32 << 10
 	cfg.Functional = true
-	cfg.HashMode = "memo"
 	s, err := shard.New(shard.Config{Machine: cfg, Shards: 2})
 	if err != nil {
 		b.Fatal(err)

@@ -44,20 +44,23 @@ func (r chainRig) on(t *testing.T, i int, f func(m *core.Machine) error) {
 // an interleaved SaveState, a checkpoint that ran out of retries — each
 // shard's chain, folded, is byte for byte the image SaveState returns,
 // under the same root, and recovery takes it for what it is. The oracle
-// is a twin that is given the same operations and never checkpoints.
+// is a twin that is given the same operations and never checkpoints. The
+// legacyMode legs also require every committed epoch's directory to be
+// refused, untouched, under a config naming the deleted mode.
 func TestChainIsTheImage(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.SchemeNaive, core.SchemeCached, core.SchemeMulti, core.SchemeIncr} {
-		for _, mode := range []string{"full", "memo"} {
+		for _, mode := range []string{"full", legacyMode} {
 			for _, shards := range []int{1, 2} {
 				t.Run(fmt.Sprintf("%s/%s/%d-shard", scheme, mode, shards), func(t *testing.T) {
-					chainProperty(t, testConfig(scheme, mode), shards, int64(len(scheme)*100+len(mode)*10+shards))
+					chainProperty(t, scheme, mode, shards, int64(len(scheme)*100+len(mode)*10+shards))
 				})
 			}
 		}
 	}
 }
 
-func chainProperty(t *testing.T, cfg core.Config, shards int, seed int64) {
+func chainProperty(t *testing.T, scheme core.Scheme, mode string, shards int, seed int64) {
+	cfg := testConfig(scheme, "full")
 	const epochs = 24
 	rng := rand.New(rand.NewSource(seed))
 	victim, twin := newChainRig(t, cfg, shards), newChainRig(t, cfg, shards)
@@ -160,17 +163,26 @@ func chainProperty(t *testing.T, cfg core.Config, shards int, seed int64) {
 			history[i] = append(history[i], snaps[i])
 		}
 
-		var rec *Recovery
-		if shards == 1 {
-			_, rec, err = RecoverMachine(Options{Dir: dir}, cfg)
-		} else {
+		recoverAs := func(cfg core.Config) (rec *Recovery, err error) {
+			if shards == 1 {
+				_, rec, err = RecoverMachine(Options{Dir: dir}, cfg)
+				return rec, err
+			}
 			var rs *shard.Store
 			scfg := shard.Config{Machine: cfg, Shards: shards}
 			scfg.Machine.ProtectedBytes *= uint64(shards)
 			if rs, rec, err = RecoverStore(Options{Dir: dir}, scfg); err == nil {
 				rs.Close()
 			}
+			return rec, err
 		}
+		if mode == legacyMode {
+			requireRefusedUntouched(t, dir, func() error {
+				_, err := recoverAs(testConfig(scheme, mode))
+				return err
+			})
+		}
+		rec, err := recoverAs(cfg)
 		if err != nil {
 			t.Fatalf("epoch %d: recovery: %v", epoch, err)
 		}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"memverify/internal/core"
@@ -461,11 +462,61 @@ func killScripts(stage string) []killScript {
 	return scripts
 }
 
+// legacyMode is the hash mode PR 25 deleted. It was a simulator-side digest
+// cache, so a directory it wrote is byte for byte one written under full
+// (the fingerprint never named the mode). A daemon restarted after the
+// upgrade with a config still naming it must be refused before recovery
+// normalizes anything on disk: the legacy legs below write under full and
+// check that refusal at every point of the same properties.
+const legacyMode = "memo"
+
+// requireRefusedUntouched runs a recovery of dir under a config naming
+// legacyMode and requires a hard error that names the mode and leaves every
+// file in dir as it was.
+func requireRefusedUntouched(t *testing.T, dir string, recover func() error) {
+	t.Helper()
+	before := dirFiles(t, dir)
+	if err := recover(); err == nil || !strings.Contains(err.Error(), legacyMode) {
+		t.Fatalf("recovery under hash mode %q: err = %v, want a refusal naming the mode", legacyMode, err)
+	}
+	after := dirFiles(t, dir)
+	for name, b := range before {
+		if a, ok := after[name]; !ok || !bytes.Equal(a, b) {
+			t.Fatalf("a refused recovery changed %s", name)
+		}
+	}
+	for name := range after {
+		if _, ok := before[name]; !ok {
+			t.Fatalf("a refused recovery created %s", name)
+		}
+	}
+}
+
+// dirFiles reads every file in dir.
+func dirFiles(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte, len(ents))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = b
+	}
+	return files
+}
+
 // TestKillPointProperty is the seeded property test: a checkpoint→kill→
 // recover cycle at ANY kill point yields a root byte-identical to some
 // committed epoch of an uninterrupted reference run — never a novel root,
-// never a silent violation — across all persistable schemes × hash modes,
-// whichever kind of segment the killed checkpoint was writing.
+// never a silent violation — across all persistable schemes, whichever
+// kind of segment the killed checkpoint was writing. The legacyMode legs
+// first require the killed directory to be refused, untouched, under a
+// config naming the deleted mode.
 func TestKillPointProperty(t *testing.T) {
 	stages := []string{
 		StageWALWrite, StageWALSync, StageBetween,
@@ -473,7 +524,7 @@ func TestKillPointProperty(t *testing.T) {
 		StageManifestWrite, StageManifestRename,
 	}
 	schemes := []core.Scheme{core.SchemeNaive, core.SchemeCached, core.SchemeMulti, core.SchemeIncr}
-	modes := []string{"full", "memo"}
+	modes := []string{"full", legacyMode}
 	for _, scheme := range schemes {
 		for _, mode := range modes {
 			for _, stage := range stages {
@@ -490,7 +541,7 @@ func TestKillPointProperty(t *testing.T) {
 }
 
 func killPointCycle(t *testing.T, scheme core.Scheme, mode, stage string, script killScript) {
-	cfg := testConfig(scheme, mode)
+	cfg := testConfig(scheme, "full")
 	dir := t.TempDir()
 	last := len(script.writes) // the killed epoch
 
@@ -548,6 +599,12 @@ func killPointCycle(t *testing.T, scheme core.Scheme, mode, stage string, script
 	}
 
 	// Restart: recover from the real directory with a clean FS.
+	if mode == legacyMode {
+		requireRefusedUntouched(t, dir, func() error {
+			_, _, err := RecoverMachine(Options{Dir: dir}, testConfig(scheme, mode))
+			return err
+		})
+	}
 	r, rec, err := RecoverMachine(Options{Dir: dir}, cfg)
 	if err != nil {
 		t.Fatalf("RecoverMachine: %v", err)

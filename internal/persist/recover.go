@@ -94,8 +94,12 @@ func IsFingerprintMismatch(err error) bool { return errors.Is(err, errFingerprin
 // is NOT the persisted state.
 //
 // A hard error (unreadable directory, fingerprint mismatch, invalid cfg)
-// is returned as err with a nil machine.
+// is returned as err with a nil machine; an invalid cfg is refused before
+// anything in opts.Dir is read or repaired.
 func RecoverMachine(opts Options, cfg core.Config) (*core.Machine, *Recovery, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
 	start := time.Now()
 	rec, imgs, roots, err := recoverState(opts, Fingerprint(cfg, 1), 1)
 	if err != nil {
@@ -132,6 +136,9 @@ func RecoverStore(opts Options, scfg shard.Config) (*shard.Store, *Recovery, err
 	start := time.Now()
 	per := scfg.Machine
 	per.ProtectedBytes = scfg.Machine.ProtectedBytes / uint64(scfg.Shards)
+	if err := per.Validate(); err != nil {
+		return nil, nil, err
+	}
 	rec, imgs, roots, err := recoverState(opts, Fingerprint(per, scfg.Shards), scfg.Shards)
 	if err != nil {
 		return nil, nil, err

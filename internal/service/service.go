@@ -21,8 +21,7 @@ import (
 )
 
 // TenantConfig describes one protected region the service hosts: its own
-// sharded store (scheme, hash mode, violation policy, geometry all
-// per-tenant) and, optionally, its own persistence directory and trusted
+// sharded store (scheme, violation policy, geometry all per-tenant) and, optionally, its own persistence directory and trusted
 // anchor.
 type TenantConfig struct {
 	// Name addresses the tenant on the wire (/v1/t/{name}/...). Names
@@ -111,10 +110,22 @@ type Service struct {
 	order   []string // sorted tenant names, for deterministic iteration
 }
 
+// HashModeError is New's refusal of a tenant whose machines would run
+// any hash mode but full: a timing-only tenant verifies nothing, cannot
+// persist, and would panic its shard worker on the first tamper request.
+type HashModeError struct {
+	Tenant, Mode string
+}
+
+func (e *HashModeError) Error() string {
+	return fmt.Sprintf("service: tenant %s: hash mode %q verifies nothing; tenants run hash mode full", e.Tenant, e.Mode)
+}
+
 // New builds the tenants — recovering any persisted ones — and returns
 // the service. A tenant whose recovery classifies as violation is kept
 // (listed, health-visible) but refuses requests; a hard error (bad
-// config, unreadable directory, fingerprint mismatch) fails New.
+// config, a hash mode other than full, unreadable directory, fingerprint
+// mismatch) fails New.
 func New(cfg Config) (*Service, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("service: no tenants configured")
@@ -131,6 +142,10 @@ func New(cfg Config) (*Service, error) {
 		if _, dup := s.tenants[tc.Name]; dup {
 			s.Close()
 			return nil, fmt.Errorf("service: duplicate tenant %q", tc.Name)
+		}
+		if hm := tc.Store.Machine.HashMode; hm != "" && hm != "full" {
+			s.Close()
+			return nil, &HashModeError{Tenant: tc.Name, Mode: hm}
 		}
 		t, err := s.buildTenant(tc)
 		if err != nil {
@@ -399,7 +414,6 @@ func (s *Service) tenantHandler(f func(*Service, http.ResponseWriter, *http.Requ
 type TenantInfo struct {
 	Name         string `json:"name"`
 	Scheme       string `json:"scheme"`
-	HashMode     string `json:"hash_mode"`
 	Policy       string `json:"policy"`
 	Shards       int    `json:"shards"`
 	Span         uint64 `json:"span"`
@@ -414,10 +428,6 @@ type TenantInfo struct {
 func (s *Service) info(t *tenant) TenantInfo {
 	n, halted, viol := t.store.Health()
 	m := t.cfg.Store.Machine
-	hm := m.HashMode
-	if hm == "" {
-		hm = "full"
-	}
 	pol := m.ViolationPolicy
 	if pol == "" {
 		pol = "record"
@@ -425,7 +435,6 @@ func (s *Service) info(t *tenant) TenantInfo {
 	info := TenantInfo{
 		Name:         t.name,
 		Scheme:       string(m.Scheme),
-		HashMode:     hm,
 		Policy:       pol,
 		Shards:       n,
 		Span:         t.store.Span(),

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -277,6 +278,21 @@ func TestServiceRejectsBadTenantNames(t *testing.T) {
 	}
 }
 
+// TestServiceRefusesTimingTenant pins the start-up guard: a timing-only
+// tenant verifies nothing, and its first armed tamper request would panic
+// the shard worker and with it every tenant, so New refuses it.
+func TestServiceRefusesTimingTenant(t *testing.T) {
+	tc := testTenant("t2", core.SchemeMulti, "record", 1)
+	tc.Store.Machine.HashMode = "timing"
+	_, err := New(Config{Tenants: []TenantConfig{
+		testTenant("t0", core.SchemeCached, "record", 1), tc,
+	}, AllowTamper: true})
+	var hm *HashModeError
+	if !errors.As(err, &hm) || hm.Tenant != "t2" || hm.Mode != "timing" {
+		t.Fatalf("New with a timing tenant: %v, want a HashModeError naming t2", err)
+	}
+}
+
 func TestParseTenants(t *testing.T) {
 	base := testTenant("", core.SchemeCached, "record", 2)
 	tcs, err := ParseTenants("alpha, bravo:scheme=i;policy=halt;shards=4, charlie:queue=8;spec=true", base)
@@ -302,7 +318,8 @@ func TestParseTenants(t *testing.T) {
 		t.Errorf("override leaked into alpha: %+v", a.Store.Machine)
 	}
 
-	for _, bad := range []string{"", "  ", "x:shards=zero", "x:nope=1", "x:shards", "Bad Name"} {
+	// Full is the only hash mode a tenant runs, so the spec has no key for it.
+	for _, bad := range []string{"", "  ", "x:shards=zero", "x:nope=1", "x:shards", "Bad Name", "t:hashmode=timing"} {
 		if _, err := ParseTenants(bad, base); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}

@@ -21,7 +21,6 @@ import (
 //	protected total protected bytes
 //	l2        per-shard L2 bytes
 //	policy    violation policy (record, halt, retry)
-//	hashmode  digest execution (full, timing, memo)
 //	alg       hash algorithm (md5, sha1, fnv128)
 //	chunk     L2 blocks per hash chunk
 //	queue     per-shard queue depth
@@ -100,8 +99,6 @@ func applyTenantOpts(tc *TenantConfig, opts string) error {
 			m.L2Size = n
 		case "policy":
 			m.ViolationPolicy = val
-		case "hashmode":
-			m.HashMode = val
 		case "alg":
 			m.HashAlg = val
 		case "chunk":

@@ -17,7 +17,7 @@ import (
 // never alias differently.
 func TestCrossShardEquivalence(t *testing.T) {
 	schemes := []core.Scheme{core.SchemeNaive, core.SchemeCached, core.SchemeMulti, core.SchemeIncr}
-	modes := []string{"full", "timing", "memo"}
+	modes := []string{"full", "timing"}
 	counts := []int{1, 2, 8}
 	for _, scheme := range schemes {
 		for _, mode := range modes {
