@@ -168,9 +168,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 // per scheme. The IPC metric is simulated throughput — the quantity the
 // pipeline improves by hiding check latency and coalescing in-flight
 // tree walks; base runs no verification and so defines the ceiling the
-// speculative naive and cached runs close toward. scripts/bench_async.sh
-// records the blocking/speculative IPC pairs and the naive-vs-base
-// overhead ratio in BENCH_async.json.
+// speculative naive and cached runs close toward. ci.sh gates the naive
+// speculative/blocking IPC ratio at 1.5x.
 func BenchmarkSpeculative(b *testing.B) {
 	for _, s := range []Scheme{SchemeBase, SchemeCached, SchemeNaive} {
 		for _, spec := range []bool{false, true} {

@@ -41,8 +41,7 @@ echo "chaos campaign gate OK"
 # Prefetch gate: tree-ancestor prefetching and the dedicated verification
 # cache must be semantically invisible — byte-identical delivered data and
 # roots against a prefetch-off shared-L2 machine for every scheme × hash
-# mode (race-clean, since the sharded store runs prefetching machines
-# concurrently) — and a chaos mini-campaign with both features enabled
+# mode (race-clean) — and a chaos mini-campaign with both features enabled
 # must keep 100% detection with zero clean-run false positives.
 go test -race -run 'TestPrefetchEquivalence|TestDeterministicEmissions' \
   ./internal/core/ ./internal/prefetch/
@@ -53,9 +52,7 @@ echo "prefetch equivalence gate OK"
 # byte-identical to a single machine under every scheme, and the loadgen
 # smoke must verify clean traffic (it exits nonzero on any violation or
 # mirror mismatch) for all four tree schemes. The tamper leg asserts the
-# opposite: a corrupted shard must be detected and fail the run. A tamper
-# leg under timing-only execution has nothing to detect with, so loadgen
-# must refuse the flag pair (exit 1) rather than panic a shard worker.
+# opposite: a corrupted shard must be detected and fail the run.
 go test -race -run 'TestCrossShardEquivalence|TestTamperIsolation|TestConcurrentSubmittersConverge' \
   ./internal/shard/
 for scheme in naive c m i; do
@@ -65,32 +62,22 @@ if go run ./cmd/loadgen -shards 2 -workers 2 -ops 500 -tamper 1 >/dev/null 2>&1;
   echo "FAIL: loadgen did not detect the tampered shard" >&2
   exit 1
 fi
-if lgout=$(go run ./cmd/loadgen -hashmode timing -tamper 0 -ops 10 2>&1) ||
-  ! grep -q -- '-tamper needs -hashmode full' <<<"$lgout"; then
-  echo "FAIL: loadgen -hashmode timing -tamper 0 did not exit with the flag error: $lgout" >&2
-  exit 1
-fi
 echo "sharded store gate OK"
 
 # Speculative pipeline gate: speculation must be semantically invisible at
 # barriers. The equivalence suite (metrics, delivered data, roots, the
 # seeded barrier-interleaving property, halt poisoning, window bounds) and
-# the speculative batch-commit test run race-clean; a chaos mini-campaign
-# with the pipeline armed and epoch barriers interleaved into the
-# post-injection traffic must keep 100% detection with zero clean-run
-# false positives (default record policy — halt stops checking at the
-# first hit by design); and the loadgen speculative leg must verify clean
-# while the tamper leg still fails.
-go test -race -run 'TestSpeculative|TestPending' ./internal/core/ ./internal/integrity/ ./internal/shard/
+# the machine-level commit tests run race-clean; and a chaos
+# mini-campaign with the pipeline armed and epoch barriers interleaved
+# into the post-injection traffic must keep 100% detection with zero
+# clean-run false positives (default record policy — halt stops checking
+# at the first hit by design). The pipeline is a simulator ablation: a
+# sharded store refuses it.
+go test -race -run 'TestSpeculative|TestPending' ./internal/core/ ./internal/integrity/
 go run ./cmd/chaos -n 25 -seed 13 -speculative -barrier-every 6 >/dev/null
-go run ./cmd/loadgen -scheme naive -shards 4 -workers 2 -ops 2000 -speculative >/dev/null
-if go run ./cmd/loadgen -shards 2 -workers 2 -ops 500 -speculative -tamper 1 >/dev/null 2>&1; then
-  echo "FAIL: speculative loadgen did not detect the tampered shard" >&2
-  exit 1
-fi
 # Gap-closure regression gate: simulated IPC is deterministic, so one
 # iteration suffices — speculative naive must stay >= 1.5x blocking
-# naive on the throughput workload (measured 3.76x; see BENCH_async.json).
+# naive on the throughput workload (measured 3.76x).
 go test -run '^$' -bench 'BenchmarkSpeculative/naive' -benchtime 1x . | awk '
   $1 ~ /^BenchmarkSpeculative\/naive\/blocking(-[0-9]+)?$/    { for (i = 2; i <= NF; i++) if ($i == "naive-IPC") blk = $(i - 1) }
   $1 ~ /^BenchmarkSpeculative\/naive\/speculative(-[0-9]+)?$/ { for (i = 2; i <= NF; i++) if ($i == "naive-IPC") spec = $(i - 1) }
@@ -247,8 +234,8 @@ wait "$lgpid" 2>/dev/null || true
 # Tamper leg: one corrupted shard of four must flip /healthz to degraded
 # (tamper containment — the surviving shards keep serving, so the status
 # stays HTTP 200 with a degraded body) and the flight dump must attribute
-# the violation to the tampered shard with a nonzero barrier epoch.
-"$otmp/loadgen" -shards 4 -workers 2 -ops 1500 -policy halt -speculative -tamper 1 \
+# the violation to the tampered shard and record its halt.
+"$otmp/loadgen" -shards 4 -workers 2 -ops 1500 -policy halt -tamper 1 \
   -ops-listen 127.0.0.1:0 -ops-linger 5s -flight "$otmp/flight.json" \
   >/dev/null 2>"$otmp/tamper.log" &
 tpid=$!
@@ -278,11 +265,6 @@ grep -q '"kind": "violation", "seq": [0-9]*, "shard": 1' "$otmp/flight.json" || 
   echo "FAIL: flight dump does not attribute the violation to shard 1" >&2; exit 1; }
 grep -q '"kind": "shard-halt"' "$otmp/flight.json" || {
   echo "FAIL: flight dump missing the shard-halt event" >&2; exit 1; }
-epoch=$(sed -n 's/.*"epoch": \([0-9][0-9]*\), "kind": "violation".*/\1/p' "$otmp/flight.json" | head -1)
-if [ -z "$epoch" ] || [ "$epoch" -eq 0 ]; then
-  echo "FAIL: flight-recorded violation has no barrier epoch (got '$epoch')" >&2
-  exit 1
-fi
 rm -rf "$otmp"
 echo "live ops gate OK"
 

@@ -42,12 +42,10 @@ import (
 	"sync"
 	"time"
 
-	"memverify/internal/cache"
 	"memverify/internal/core"
 	"memverify/internal/integrity"
 	"memverify/internal/obs"
 	"memverify/internal/persist"
-	"memverify/internal/prefetch"
 	"memverify/internal/runflags"
 	"memverify/internal/service/client"
 	"memverify/internal/shard"
@@ -92,11 +90,6 @@ var errKilled = errors.New("killed at the injected crash point")
 
 // errFailed signals a failure whose message was already printed.
 var errFailed = errors.New("failed")
-
-// errTamperTiming refuses -tamper under -hashmode timing: timing-only
-// execution checks nothing, so it refuses the adversary the tamper leg
-// needs (with a panic, on a shard worker).
-var errTamperTiming = errors.New("-tamper needs -hashmode full: timing-only digest execution checks nothing")
 
 func main() {
 	err := run()
@@ -209,17 +202,11 @@ func run() error {
 	l2 := flag.Int("l2", 256<<10, "per-shard L2 size in bytes")
 	block := flag.Int("block", cfg.L2Block, "L2 block size in bytes")
 	chunkBlocks := flag.Int("chunk-blocks", 0, "L2 blocks per hash chunk (default 1, or 2 for m/i)")
-	hashmode := flag.String("hashmode", "full", "digest execution: full, timing")
 	alg := flag.String("alg", cfg.HashAlg, "hash algorithm: md5, sha1, fnv128")
 	policy := flag.String("policy", "record", "violation policy: record, halt, retry")
 	seed := flag.Uint64("seed", 1, "traffic seed")
 	tamper := flag.Int("tamper", -1, "corrupt this shard's memory after the traffic phase (expect a nonzero exit)")
 	verify := flag.Bool("verify", true, "re-read and verify the whole region after the traffic phase")
-	pf := flag.Bool("prefetch", false, "enable the tree-ancestor prefetcher on every shard's machine")
-	vcLines := flag.Int("verify-cache", 0, "dedicated verification cache size in L2-block lines per shard (0 = share the L2)")
-	vcAssoc := flag.Int("verify-assoc", 0, "dedicated verification cache associativity (0 = the L2's)")
-	spec := flag.Bool("speculative", false, "run every shard's machine with the speculative verification pipeline; batch Waits become epoch barriers")
-	specWindow := flag.Int("spec-window", 0, "max in-flight speculative checks per shard (0 = default)")
 	workload := flag.String("workload", "mixed", "traffic shape: mixed, seq, zipf, appendlog")
 	remote := flag.String("remote", "", "drive a memverifyd instance at this URL instead of an in-process store")
 	tenantName := flag.String("tenant", "t0", "with -remote: the tenant to drive")
@@ -248,7 +235,6 @@ func run() error {
 	cfg.ProtectedBytes = *protected
 	cfg.L2Size = *l2
 	cfg.L2Block = *block
-	cfg.HashMode = *hashmode
 	cfg.HashAlg = *alg
 	cfg.ViolationPolicy = *policy
 	cfg.Functional = true
@@ -261,20 +247,9 @@ func run() error {
 	default:
 		cfg.ChunkBlocks = 1
 	}
-	if *pf {
-		cfg.Prefetch = prefetch.DefaultConfig()
-		cfg.Prefetch.Enabled = true
-	}
-	cfg.VerifyCacheLines = *vcLines
-	cfg.VerifyCacheAssoc = *vcAssoc
-	cfg.Speculative = *spec
-	cfg.SpecWindow = *specWindow
 
 	if *workers < 1 || *ops < 1 || *batch < 1 || *maxLen < 1 {
 		return fmt.Errorf("workers, ops, batch and max-len must be positive")
-	}
-	if *tamper >= 0 && cfg.HashMode == "timing" {
-		return errTamperTiming
 	}
 
 	recs := rf.NewRecorders(*shards)
@@ -441,32 +416,11 @@ func run() error {
 	}
 
 	sec := trafficElapsed.Seconds()
-	fmt.Printf("loadgen: scheme=%s hashmode=%s workload=%s shards=%d workers=%d ops=%d bytes=%d elapsed=%.3fs\n",
-		*scheme, *hashmode, *workload, *shards, *workers, agg.OpsSubmitted, agg.BytesSubmitted, sec)
+	fmt.Printf("loadgen: scheme=%s workload=%s shards=%d workers=%d ops=%d bytes=%d elapsed=%.3fs\n",
+		*scheme, *workload, *shards, *workers, agg.OpsSubmitted, agg.BytesSubmitted, sec)
 	fmt.Printf("loadgen: ops_per_sec=%.1f bytes_per_sec=%.1f checks=%d machine_cycles=%d\n",
 		float64(agg.OpsSubmitted)/sec, float64(agg.BytesSubmitted)/sec,
 		agg.Total.IntegrityStats.Checks, agg.Total.Result.Cycles)
-	t := &agg.Total
-	if t.VCAccesses > 0 {
-		vs := &t.VCStats
-		fmt.Printf("loadgen: vc accesses=%d hit_rate=%.4f evictions=%d writebacks=%d\n",
-			t.VCAccesses, t.VCHitRate, vs.Evictions[cache.Hash], vs.WriteBacks[cache.Hash])
-	}
-	if ps := &t.PrefetchStats; ps.Observed > 0 {
-		acc := 0.0
-		if ps.Issued > 0 {
-			acc = float64(ps.Useful) / float64(ps.Issued)
-		}
-		fmt.Printf("loadgen: prefetch observed=%d predicted=%d issued=%d useful=%d late=%d dropped=%d accuracy=%.4f\n",
-			ps.Observed, ps.Predicted, ps.Issued, ps.Useful, ps.Late,
-			ps.DroppedResident+ps.DroppedBudget+ps.DroppedBus, acc)
-	}
-	if *spec {
-		sp := &t.Spec
-		fmt.Printf("loadgen: spec checks=%d writebacks=%d overlap_cycles=%d window_stalls=%d barriers=%d barrier_wait_cycles=%d coalesced=%d saved_block_reads=%d\n",
-			sp.Checks, sp.Writebacks, sp.OverlapCycles, sp.WindowStalls, sp.Barriers, sp.BarrierWaitCycles,
-			sp.Coalesced, sp.SavedBlockReads)
-	}
 	if srv != nil && *opsLinger > 0 {
 		// Signal-aware wait: SIGINT/SIGTERM cuts the linger short so the
 		// deferred teardown (server close, flight dump) still runs —

@@ -34,7 +34,6 @@ import (
 
 	"memverify/internal/core"
 	"memverify/internal/obs"
-	"memverify/internal/prefetch"
 	"memverify/internal/runflags"
 	"memverify/internal/service"
 	"memverify/internal/telemetry"
@@ -51,7 +50,7 @@ func main() {
 func run() error {
 	cfg := core.DefaultConfig()
 	listen := flag.String("listen", "127.0.0.1:8380", "TCP address to serve on (127.0.0.1:0 for an ephemeral port)")
-	tenants := flag.String("tenants", "t0", "tenant specs: name[:key=val[;key=val]...],... (keys: scheme, shards, protected, l2, policy, alg, chunk, queue, spec)")
+	tenants := flag.String("tenants", "t0", "tenant specs: name[:key=val[;key=val]...],... (keys: scheme, shards, protected, l2, policy, alg, chunk, queue)")
 	scheme := flag.String("scheme", "c", "default verification scheme: naive, c, m, i")
 	shards := flag.Int("shards", 4, "default shards per tenant")
 	protected := flag.Uint64("protected", 8<<20, "default protected bytes per tenant")
@@ -59,7 +58,6 @@ func run() error {
 	policy := flag.String("policy", "record", "default violation policy: record, halt, retry")
 	alg := flag.String("alg", cfg.HashAlg, "default hash algorithm: md5, sha1, fnv128")
 	queueDepth := flag.Int("queue-depth", 64, "default per-shard request queue depth")
-	pf := flag.Bool("prefetch", false, "enable the tree-ancestor prefetcher on every tenant's machines")
 	persistRoot := flag.String("persist", "", "checkpoint every tenant into ROOT/<name>, anchored at ROOT/anchors/<name>.anchor; tenants recover at boot")
 	ckptEvery := flag.Duration("checkpoint-every", 0, "seal a checkpoint for every persisted tenant at this interval (0 = only at shutdown)")
 	admitTimeout := flag.Duration("admit-timeout", time.Second, "max wait for batch admission before shedding with 429")
@@ -83,10 +81,6 @@ func run() error {
 	cfg.ViolationPolicy = *policy
 	cfg.Functional = true
 	cfg.ChunkBlocks = 1
-	if *pf {
-		cfg.Prefetch = prefetch.DefaultConfig()
-		cfg.Prefetch.Enabled = true
-	}
 	base := service.TenantConfig{}
 	base.Store.Machine = cfg
 	base.Store.Shards = *shards

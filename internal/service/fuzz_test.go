@@ -117,7 +117,7 @@ func FuzzDecodeResponse(f *testing.F) {
 func FuzzParseTenants(f *testing.F) {
 	f.Add("t0")
 	f.Add("alpha,bravo:scheme=i;policy=halt,charlie:shards=8")
-	f.Add("t0:protected=1048576;l2=65536;chunk=4;queue=16;spec=true;alg=sha1")
+	f.Add("t0:protected=1048576;l2=65536;chunk=4;queue=16;alg=sha1")
 	f.Add("a:shards=99999999999999999999")
 	f.Add(",,:,;=")
 	f.Fuzz(func(t *testing.T, spec string) {

@@ -110,22 +110,11 @@ type Service struct {
 	order   []string // sorted tenant names, for deterministic iteration
 }
 
-// HashModeError is New's refusal of a tenant whose machines would run
-// any hash mode but full: a timing-only tenant verifies nothing, cannot
-// persist, and would panic its shard worker on the first tamper request.
-type HashModeError struct {
-	Tenant, Mode string
-}
-
-func (e *HashModeError) Error() string {
-	return fmt.Sprintf("service: tenant %s: hash mode %q verifies nothing; tenants run hash mode full", e.Tenant, e.Mode)
-}
-
 // New builds the tenants — recovering any persisted ones — and returns
 // the service. A tenant whose recovery classifies as violation is kept
 // (listed, health-visible) but refuses requests; a hard error (bad
-// config, a hash mode other than full, unreadable directory, fingerprint
-// mismatch) fails New.
+// config, a store setting shard refuses, unreadable directory,
+// fingerprint mismatch) fails New, wrapped with the tenant's name.
 func New(cfg Config) (*Service, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("service: no tenants configured")
@@ -142,10 +131,6 @@ func New(cfg Config) (*Service, error) {
 		if _, dup := s.tenants[tc.Name]; dup {
 			s.Close()
 			return nil, fmt.Errorf("service: duplicate tenant %q", tc.Name)
-		}
-		if hm := tc.Store.Machine.HashMode; hm != "" && hm != "full" {
-			s.Close()
-			return nil, &HashModeError{Tenant: tc.Name, Mode: hm}
 		}
 		t, err := s.buildTenant(tc)
 		if err != nil {
@@ -505,7 +490,6 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request, t *tenant)
 	}
 	defer t.sem.release(tokens)
 
-	_, _, vBefore := t.store.Health()
 	b := t.store.NewBatch()
 	var nbytes uint64
 	for i := range ops {
@@ -520,16 +504,11 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request, t *tenant)
 	t.batches.Add(1)
 	t.ops.Add(uint64(len(ops)))
 	t.bytes.Add(nbytes)
+	// Wait reports every violation this batch's own operations detected,
+	// under every policy: the bytes such a batch carried are not
+	// trustworthy, so it never reports success.
 	if werr != nil {
 		writeError(w, classify(t, werr))
-		return
-	}
-	// Under the record policy a violated read returns no error; the
-	// violation count is the evidence. A batch that observed one must not
-	// report success — the bytes it carried are not trustworthy.
-	if _, _, vAfter := t.store.Health(); vAfter > vBefore {
-		writeError(w, &APIError{Status: http.StatusServiceUnavailable, Kind: KindViolation,
-			Tenant: t.name, Msg: fmt.Sprintf("%d integrity violation(s) detected during the batch", vAfter-vBefore)})
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")

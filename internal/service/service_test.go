@@ -279,23 +279,95 @@ func TestServiceRejectsBadTenantNames(t *testing.T) {
 }
 
 // TestServiceRefusesTimingTenant pins the start-up guard: a timing-only
-// tenant verifies nothing, and its first armed tamper request would panic
-// the shard worker and with it every tenant, so New refuses it.
+// tenant verifies nothing, so shard refuses its store and New reports
+// that refusal under the tenant's name.
 func TestServiceRefusesTimingTenant(t *testing.T) {
 	tc := testTenant("t2", core.SchemeMulti, "record", 1)
 	tc.Store.Machine.HashMode = "timing"
 	_, err := New(Config{Tenants: []TenantConfig{
 		testTenant("t0", core.SchemeCached, "record", 1), tc,
 	}, AllowTamper: true})
-	var hm *HashModeError
-	if !errors.As(err, &hm) || hm.Tenant != "t2" || hm.Mode != "timing" {
-		t.Fatalf("New with a timing tenant: %v, want a HashModeError naming t2", err)
+	var se *shard.SettingError
+	if !errors.As(err, &se) || se.Field != "HashMode" || !strings.Contains(err.Error(), "tenant t2") {
+		t.Fatalf("New with a timing tenant: %v, want shard's SettingError naming tenant t2", err)
+	}
+}
+
+// TestServiceRecordPolicyNeighbourBatchesClean: under the record policy a
+// batch answers 503 for the violations its own operations detected and
+// for no one else's. Clean batches hammer shard 0 while another client
+// keeps loading freshly tampered blocks on shard 1.
+func TestServiceRecordPolicyNeighbourBatchesClean(t *testing.T) {
+	svc, ts := newTestService(t, Config{
+		Tenants:     []TenantConfig{testTenant("alpha", core.SchemeCached, "record", 2)},
+		AllowTamper: true,
+	})
+	shardSpan := svc.tenants["alpha"].store.ShardSpan()
+	const rounds = 150
+
+	stop := make(chan struct{})
+	cleanErr := make(chan error, 1)
+	go func() {
+		var clean, dirty int
+		payload := bytes.Repeat([]byte{0xA5}, 48)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				if dirty > 0 {
+					cleanErr <- fmt.Errorf("%d of %d clean batches were refused", dirty, clean+dirty)
+				} else if clean == 0 {
+					cleanErr <- fmt.Errorf("no clean batch ran")
+				} else {
+					cleanErr <- nil
+				}
+				return
+			default:
+			}
+			off := uint64(i%64) * 64
+			ops := []Op{{Write: true, Off: off, Data: payload}, {Off: off, Data: make([]byte, len(payload))}}
+			resp, err := http.Post(ts.URL+"/v1/t/alpha/batch", "application/octet-stream",
+				bytes.NewReader(EncodeRequest(ops)))
+			if err != nil {
+				cleanErr <- err
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				clean++
+			} else {
+				dirty++
+			}
+		}
+	}()
+
+	for k := 0; k < rounds; k++ {
+		off := uint64(k) * 64
+		tam, err := http.Post(fmt.Sprintf("%s/v1/t/alpha/tamper?shard=1&off=%d", ts.URL, off), "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tam.Body.Close()
+		if tam.StatusCode != http.StatusOK {
+			t.Fatalf("tamper %d: status %d", k, tam.StatusCode)
+		}
+		resp := postBatch(t, ts.URL, "alpha", []Op{{Off: shardSpan + off, Data: make([]byte, 16)}})
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("tampered load %d: status %d, want 503", k, resp.StatusCode)
+		} else if kind := errKind(t, resp); kind != KindViolation {
+			t.Errorf("tampered load %d: kind %q, want %q", k, kind, KindViolation)
+		}
+		resp.Body.Close()
+	}
+	close(stop)
+	if err := <-cleanErr; err != nil {
+		t.Error(err)
 	}
 }
 
 func TestParseTenants(t *testing.T) {
 	base := testTenant("", core.SchemeCached, "record", 2)
-	tcs, err := ParseTenants("alpha, bravo:scheme=i;policy=halt;shards=4, charlie:queue=8;spec=true", base)
+	tcs, err := ParseTenants("alpha, bravo:scheme=i;policy=halt;shards=4, charlie:queue=8;alg=sha1", base)
 	if err != nil {
 		t.Fatalf("ParseTenants: %v", err)
 	}
@@ -310,16 +382,17 @@ func TestParseTenants(t *testing.T) {
 		b.Store.Shards != 4 || b.Store.Machine.ChunkBlocks != 2 {
 		t.Errorf("bravo %+v", b.Store)
 	}
-	if c.Store.QueueDepth != 8 || !c.Store.Machine.Speculative {
+	if c.Store.QueueDepth != 8 || c.Store.Machine.HashAlg != "sha1" {
 		t.Errorf("charlie %+v", c.Store)
 	}
 	// Overrides must not leak between tenants.
-	if a.Store.Machine.ViolationPolicy != "record" || a.Store.Machine.Speculative {
+	if a.Store.Machine.ViolationPolicy != "record" || a.Store.Machine.HashAlg != base.Store.Machine.HashAlg {
 		t.Errorf("override leaked into alpha: %+v", a.Store.Machine)
 	}
 
-	// Full is the only hash mode a tenant runs, so the spec has no key for it.
-	for _, bad := range []string{"", "  ", "x:shards=zero", "x:nope=1", "x:shards", "Bad Name", "t:hashmode=timing"} {
+	// A tenant runs the serving configuration only, so the spec has no
+	// key for a hash mode or the speculative pipeline.
+	for _, bad := range []string{"", "  ", "x:shards=zero", "x:nope=1", "x:shards", "Bad Name", "t:hashmode=timing", "t:spec=true"} {
 		if _, err := ParseTenants(bad, base); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}

@@ -24,7 +24,6 @@ import (
 //	alg       hash algorithm (md5, sha1, fnv128)
 //	chunk     L2 blocks per hash chunk
 //	queue     per-shard queue depth
-//	spec      speculative pipeline (true/false)
 //
 // e.g. "alpha,bravo:scheme=i;policy=halt,charlie:shards=8".
 // Persistence placement (PersistDir/AnchorPath) is the daemon's concern —
@@ -113,12 +112,6 @@ func applyTenantOpts(tc *TenantConfig, opts string) error {
 				return fmt.Errorf("queue=%q: want a positive integer", val)
 			}
 			tc.Store.QueueDepth = n
-		case "spec":
-			b, err := strconv.ParseBool(val)
-			if err != nil {
-				return fmt.Errorf("spec=%q: want a boolean", val)
-			}
-			m.Speculative = b
 		default:
 			return fmt.Errorf("unknown option %q", key)
 		}

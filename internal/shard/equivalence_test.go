@@ -10,87 +10,83 @@ import (
 )
 
 // TestCrossShardEquivalence replays one operation log against a sharded
-// store and a single reference machine for every scheme, hash-execution
-// mode and shard count: per-operation results and the final region
-// contents must be byte-identical regardless of how the region is
-// partitioned. Offsets stay below both spans so the two address maps
-// never alias differently.
+// store and a single reference machine for every scheme and shard count
+// (hash mode full, the only one a store runs): per-operation results and
+// the final region contents must be byte-identical regardless of how the
+// region is partitioned. Offsets stay below both spans so the two address
+// maps never alias differently.
 func TestCrossShardEquivalence(t *testing.T) {
 	schemes := []core.Scheme{core.SchemeNaive, core.SchemeCached, core.SchemeMulti, core.SchemeIncr}
-	modes := []string{"full", "timing"}
 	counts := []int{1, 2, 8}
 	for _, scheme := range schemes {
-		for _, mode := range modes {
-			for _, n := range counts {
-				t.Run(fmt.Sprintf("%s/%s/n%d", scheme, mode, n), func(t *testing.T) {
-					cfg := storeCfg(scheme)
-					cfg.HashMode = mode
-					s, err := New(Config{Machine: cfg, Shards: n})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer s.Close()
-					ref, err := core.NewMachine(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
+		for _, n := range counts {
+			t.Run(fmt.Sprintf("%s/full/n%d", scheme, n), func(t *testing.T) {
+				cfg := storeCfg(scheme)
+				s, err := New(Config{Machine: cfg, Shards: n})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				ref, err := core.NewMachine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
 
-					span := s.Span()
-					if rs := ref.ProgSpan(); rs < span {
-						span = rs
-					}
-					rng := rand.New(rand.NewSource(7))
-					for op := 0; op < 150; op++ {
-						length := 1 + rng.Intn(300)
-						off := rng.Uint64() % (span - uint64(length))
-						if rng.Intn(2) == 0 {
-							p := make([]byte, length)
-							rng.Read(p)
-							if err := s.StoreBytes(off, p); err != nil {
-								t.Fatalf("op %d: store %v", op, err)
-							}
-							if err := ref.StoreBytes(off, p); err != nil {
-								t.Fatalf("op %d: ref store %v", op, err)
-							}
-							continue
+				span := s.Span()
+				if rs := ref.ProgSpan(); rs < span {
+					span = rs
+				}
+				rng := rand.New(rand.NewSource(7))
+				for op := 0; op < 150; op++ {
+					length := 1 + rng.Intn(300)
+					off := rng.Uint64() % (span - uint64(length))
+					if rng.Intn(2) == 0 {
+						p := make([]byte, length)
+						rng.Read(p)
+						if err := s.StoreBytes(off, p); err != nil {
+							t.Fatalf("op %d: store %v", op, err)
 						}
-						got := make([]byte, length)
-						want := make([]byte, length)
-						if err := s.LoadBytes(off, got); err != nil {
-							t.Fatalf("op %d: load %v", op, err)
+						if err := ref.StoreBytes(off, p); err != nil {
+							t.Fatalf("op %d: ref store %v", op, err)
 						}
-						if err := ref.LoadBytes(off, want); err != nil {
-							t.Fatalf("op %d: ref load %v", op, err)
-						}
-						if !bytes.Equal(got, want) {
-							t.Fatalf("op %d: read at %d diverged", op, off)
-						}
+						continue
 					}
-
-					if err := s.Flush(); err != nil {
-						t.Fatal(err)
+					got := make([]byte, length)
+					want := make([]byte, length)
+					if err := s.LoadBytes(off, got); err != nil {
+						t.Fatalf("op %d: load %v", op, err)
 					}
-					ref.Flush()
-					got := make([]byte, span)
-					want := make([]byte, span)
-					if err := s.LoadBytes(0, got); err != nil {
-						t.Fatal(err)
-					}
-					if err := ref.LoadBytes(0, want); err != nil {
-						t.Fatal(err)
+					if err := ref.LoadBytes(off, want); err != nil {
+						t.Fatalf("op %d: ref load %v", op, err)
 					}
 					if !bytes.Equal(got, want) {
-						for i := range got {
-							if got[i] != want[i] {
-								t.Fatalf("final contents diverge at %d (shard %d)", i, s.ShardFor(uint64(i)))
-							}
+						t.Fatalf("op %d: read at %d diverged", op, off)
+					}
+				}
+
+				if err := s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				ref.Flush()
+				got := make([]byte, span)
+				want := make([]byte, span)
+				if err := s.LoadBytes(0, got); err != nil {
+					t.Fatal(err)
+				}
+				if err := ref.LoadBytes(0, want); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("final contents diverge at %d (shard %d)", i, s.ShardFor(uint64(i)))
 						}
 					}
-					if vs := s.Violations(); len(vs) != 0 {
-						t.Fatalf("clean replay produced %d violations", len(vs))
-					}
-				})
-			}
+				}
+				if vs := s.Violations(); len(vs) != 0 {
+					t.Fatalf("clean replay produced %d violations", len(vs))
+				}
+			})
 		}
 	}
 }

@@ -31,7 +31,8 @@ import (
 // its ProtectedBytes is the TOTAL protected size, divided evenly across
 // Shards (so each machine protects ProtectedBytes/Shards and the benchmark
 // footprint must fit in one shard's region). The template must be
-// functional — the store serves real bytes.
+// functional — the store serves real bytes — and must run the paper's
+// serving configuration (see SettingError).
 type Config struct {
 	Machine core.Config
 
@@ -80,6 +81,11 @@ type worker struct {
 	m      *core.Machine
 	reqs   chan request
 	exited chan struct{}
+
+	// cur is the batch whose operation the worker is running; the
+	// machine's violation observer notes what it finds there. Only the
+	// worker goroutine touches it.
+	cur *Batch
 }
 
 // ErrClosed is reported (wrapped with the target shard) by operations
@@ -93,7 +99,7 @@ var ErrClosed = errors.New("store closed")
 var ErrBusy = errors.New("shard queue full")
 
 // Store routes byte operations across the shards and aggregates their
-// results. Submits, barriers and Close may run from many goroutines:
+// results. Submits, flushes and Close may run from many goroutines:
 // operations racing with Close either complete normally or fail with
 // ErrClosed — they never panic or write to a closed queue.
 type Store struct {
@@ -101,7 +107,6 @@ type Store struct {
 	shardSpan uint64 // bytes of program data per shard
 	span      uint64 // total program data bytes
 	halt      bool   // template policy is "halt"
-	spec      bool   // template runs the speculative pipeline
 
 	// closeMu orders queue sends against Close: senders hold it for read
 	// around the channel send, Close holds it for write while flipping
@@ -133,6 +138,39 @@ func NewFromState(cfg Config, imgs, roots [][]byte) (*Store, error) {
 	return newStore(cfg, imgs, roots)
 }
 
+// SettingError is the constructors' refusal of a machine template that
+// strays from the paper's serving configuration: a store verifies every
+// byte it returns, blocks on each check, and keeps tree nodes in the
+// shared L2 (§5.3–5.5). The speculative pipeline, the tree-ancestor
+// prefetcher, the dedicated verification cache and timing-only digests
+// are simulator ablations; core runs them, a store does not.
+type SettingError struct {
+	Field string // the core.Config field, e.g. "Speculative"
+	Value any
+}
+
+func (e *SettingError) Error() string {
+	return fmt.Sprintf("shard: Machine.%s = %v: a store verifies, blocks and keeps tree nodes in the shared L2; that setting is a simulator ablation",
+		e.Field, e.Value)
+}
+
+// checkServing returns the SettingError for the first ablation m enables.
+func checkServing(m *core.Config) error {
+	switch {
+	case m.Speculative:
+		return &SettingError{"Speculative", true}
+	case m.SpecWindow > 0:
+		return &SettingError{"SpecWindow", m.SpecWindow}
+	case m.Prefetch.Enabled:
+		return &SettingError{"Prefetch.Enabled", true}
+	case m.VerifyCacheLines > 0:
+		return &SettingError{"VerifyCacheLines", m.VerifyCacheLines}
+	case m.HashMode != "" && m.HashMode != "full":
+		return &SettingError{"HashMode", m.HashMode}
+	}
+	return nil
+}
+
 // newStore is the one constructor; imgs is nil for fresh machines.
 func newStore(cfg Config, imgs, roots [][]byte) (*Store, error) {
 	if cfg.Shards < 1 {
@@ -140,6 +178,9 @@ func newStore(cfg Config, imgs, roots [][]byte) (*Store, error) {
 	}
 	if !cfg.Machine.Functional {
 		return nil, fmt.Errorf("shard: the store serves real bytes; Machine.Functional is required")
+	}
+	if err := checkServing(&cfg.Machine); err != nil {
+		return nil, err
 	}
 	if cfg.Recorders != nil && len(cfg.Recorders) != cfg.Shards {
 		return nil, fmt.Errorf("shard: %d recorders for %d shards", len(cfg.Recorders), cfg.Shards)
@@ -158,7 +199,6 @@ func newStore(cfg Config, imgs, roots [][]byte) (*Store, error) {
 	s := &Store{
 		shards:      make([]*worker, cfg.Shards),
 		halt:        cfg.Machine.ViolationPolicy == "halt",
-		spec:        cfg.Machine.Speculative,
 		halted:      make([]bool, cfg.Shards),
 		onViolation: cfg.OnViolation,
 	}
@@ -179,9 +219,9 @@ func newStore(cfg Config, imgs, roots [][]byte) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		i := i
-		m.ObserveViolations(func(v *integrity.ViolationError) { s.noteViolation(i, v) })
-		s.shards[i] = &worker{s: s, idx: i, m: m, reqs: make(chan request, depth), exited: make(chan struct{})}
+		w := &worker{s: s, idx: i, m: m, reqs: make(chan request, depth), exited: make(chan struct{})}
+		m.ObserveViolations(w.noteViolation)
+		s.shards[i] = w
 	}
 	s.shardSpan = s.shards[0].m.ProgSpan()
 	s.span = s.shardSpan * uint64(cfg.Shards)
@@ -200,23 +240,39 @@ func (w *worker) run() {
 			req.done <- req.call(w.m)
 			continue
 		}
+		w.cur = req.batch
 		var err error
 		if req.write {
 			err = w.m.StoreBytes(req.off, req.data)
 		} else {
 			err = w.m.LoadBytes(req.off, req.data)
 		}
-		if err != nil {
+		w.cur = nil
+		// A violation the load returns already reached the batch through
+		// the observer; only the other errors (ErrHalted) are new.
+		if err != nil && !isViolation(err) {
 			req.batch.note(w.s.wrap(w.idx, err))
 		}
 		req.batch.wg.Done()
 	}
 }
 
-// noteViolation is every machine's violation observer; it runs on the
-// owning shard's worker goroutine. The OnViolation hook fires after the
-// store lock is released.
-func (s *Store) noteViolation(i int, v *integrity.ViolationError) {
+// isViolation is errors.As for a ViolationError, kept out of run so its
+// target escapes to the heap only on an error.
+func isViolation(err error) bool {
+	var ve *integrity.ViolationError
+	return errors.As(err, &ve)
+}
+
+// noteViolation is the shard machine's violation observer; it runs on the
+// worker goroutine, during the operation that detected v, so the batch
+// that operation belongs to (if any) reports v from Wait. The OnViolation
+// hook fires after the store lock is released.
+func (w *worker) noteViolation(v *integrity.ViolationError) {
+	s, i := w.s, w.idx
+	if w.cur != nil {
+		w.cur.note(s.wrap(i, v))
+	}
 	s.mu.Lock()
 	s.violations = append(s.violations, Violation{Shard: i, Err: v})
 	if s.halt {
@@ -251,15 +307,12 @@ type Batch struct {
 	s  *Store
 	wg sync.WaitGroup
 
-	mu      sync.Mutex
-	errs    []error
-	touched []bool // shards this batch has submitted to since the last Wait
+	mu   sync.Mutex
+	errs []error
 }
 
 // NewBatch starts an empty batch.
-func (s *Store) NewBatch() *Batch {
-	return &Batch{s: s, touched: make([]bool, len(s.shards))}
-}
+func (s *Store) NewBatch() *Batch { return &Batch{s: s} }
 
 func (b *Batch) note(err error) {
 	b.mu.Lock()
@@ -288,32 +341,15 @@ func (b *Batch) TryStore(off uint64, p []byte) error { return b.s.trySubmit(b, o
 
 // Wait blocks until every submitted operation completed and returns the
 // joined per-shard errors (each wrapped with the shard that produced it;
-// errors.Is(err, core.ErrHalted) still works through the wrapping). When
-// the store runs the speculative pipeline, Wait is also an epoch barrier:
-// it joins a Machine.Barrier on every shard this batch touched, so any
-// violation a speculatively delivered load deferred surfaces here rather
-// than silently escaping the batch.
+// errors.Is(err, core.ErrHalted) still works through the wrapping). Every
+// violation detected while running one of this batch's loads or stores
+// appears once, and no other batch's violation does.
 func (b *Batch) Wait() error {
 	b.wg.Wait()
 	b.mu.Lock()
 	errs := b.errs
 	b.errs = nil
-	var joins []int
-	if b.s.spec {
-		for i, t := range b.touched {
-			if t {
-				joins = append(joins, i)
-				b.touched[i] = false
-			}
-		}
-	}
 	b.mu.Unlock()
-	for _, i := range joins {
-		sh := i
-		if err := b.s.do(sh, func(m *core.Machine) error { return m.Barrier() }); err != nil {
-			errs = append(errs, b.s.wrap(sh, err))
-		}
-	}
 	return errors.Join(errs...)
 }
 
@@ -362,11 +398,6 @@ func (s *Store) submit(b *Batch, off uint64, p []byte, write bool) {
 			n = uint64(len(p))
 		}
 		b.wg.Add(1)
-		if s.spec {
-			b.mu.Lock()
-			b.touched[sh] = true
-			b.mu.Unlock()
-		}
 		if err := s.send(sh, request{off: local, data: p[:n:n], write: write, batch: b}); err != nil {
 			b.wg.Done()
 			b.note(s.wrap(sh, err))
@@ -392,11 +423,6 @@ func (s *Store) trySubmit(b *Batch, off uint64, p []byte, write bool) error {
 			n = uint64(len(p))
 		}
 		b.wg.Add(1)
-		if s.spec {
-			b.mu.Lock()
-			b.touched[sh] = true
-			b.mu.Unlock()
-		}
 		req := request{off: local, data: p[:n:n], write: write, batch: b}
 		var err error
 		if first {
@@ -477,15 +503,6 @@ func (s *Store) wrap(i int, err error) error {
 	}
 	lo, hi := s.ShardRange(i)
 	return fmt.Errorf("shard %d [%#x,%#x): %w", i, lo, hi, err)
-}
-
-// Barrier runs Machine.Barrier on every shard concurrently and joins the
-// results: it blocks until no shard has an outstanding speculative check,
-// ends each shard's epoch, and returns the first deferred violation of
-// each shard that had one (wrapped with its shard index). In blocking
-// mode it is a cheap no-op epoch advance.
-func (s *Store) Barrier() error {
-	return s.doAll(func(_ int, m *core.Machine) error { return m.Barrier() })
 }
 
 // Flush drains every shard's dirty cached state through its engine — the
@@ -586,34 +603,34 @@ type Aggregate struct {
 
 // Metrics snapshots every shard (on its own worker, so in-flight requests
 // drain first) and aggregates.
-func (s *Store) Metrics() Aggregate {
+func (s *Store) Metrics() Aggregate { return s.metrics(nil) }
+
+// metrics is the one aggregation path: it snapshots the shards in shard
+// order, each on its worker, and calls also (when set) right after each
+// snapshot with the machine and its metrics, still on that worker.
+func (s *Store) metrics(also func(m *core.Machine, mt *core.Metrics)) Aggregate {
 	n := len(s.shards)
-	per := make([]core.Metrics, n)
-	hists := make([]*stats.Histogram, n)
-	_ = s.doAll(func(i int, m *core.Machine) error {
-		per[i] = m.Snapshot()
-		if h := m.Sys.PathExtras; h != nil {
-			hists[i] = h.Clone()
-		}
-		return nil
-	})
-	agg := Aggregate{
-		Shards:         n,
-		PerShard:       per,
-		Total:          core.MergeMetrics(per...),
-		OpsSubmitted:   s.ops.Load(),
-		BytesSubmitted: s.bytes.Load(),
+	agg := Aggregate{Shards: n, PerShard: make([]core.Metrics, n)}
+	for i := range s.shards {
+		_ = s.do(i, func(m *core.Machine) error {
+			mt := &agg.PerShard[i]
+			*mt = m.Snapshot()
+			if h := m.Sys.PathExtras; h != nil {
+				if agg.PathExtras == nil {
+					agg.PathExtras = h.Clone()
+				} else {
+					agg.PathExtras.Merge(h)
+				}
+			}
+			if also != nil {
+				also(m, mt)
+			}
+			return nil
+		})
 	}
-	for _, h := range hists {
-		if h == nil {
-			continue
-		}
-		if agg.PathExtras == nil {
-			agg.PathExtras = h
-		} else {
-			agg.PathExtras.Merge(h)
-		}
-	}
+	agg.Total = core.MergeMetrics(agg.PerShard...)
+	agg.OpsSubmitted = s.ops.Load()
+	agg.BytesSubmitted = s.bytes.Load()
 	return agg
 }
 
@@ -623,47 +640,14 @@ func (s *Store) Metrics() Aggregate {
 // overwritten with store-wide values so they describe the whole store
 // rather than the last shard filled.
 func (s *Store) FillRegistry(reg *telemetry.Registry) Aggregate {
-	n := len(s.shards)
-	per := make([]core.Metrics, n)
-	hists := make([]*stats.Histogram, n)
 	var dataLines, hashLines, totalLines uint64
-	var vcLines, vcCapLines uint64
-	for i := 0; i < n; i++ {
-		_ = s.do(i, func(m *core.Machine) error {
-			mt := m.Snapshot()
-			per[i] = mt
-			if h := m.Sys.PathExtras; h != nil {
-				hists[i] = h.Clone()
-			}
-			m.FillRegistry(reg, &mt)
-			dataLines += uint64(m.L2.ResidentLinesClass(cache.Data))
-			hashLines += uint64(m.L2.ResidentLinesClass(cache.Hash))
-			totalLines += uint64(m.Cfg.L2Size / m.Cfg.L2Block)
-			if m.VC != nil {
-				vcLines += uint64(m.VC.ResidentLinesClass(cache.Hash))
-				vcCapLines += uint64(m.Cfg.VerifyCacheLines)
-			}
-			return nil
-		})
-	}
-	agg := Aggregate{
-		Shards:         n,
-		PerShard:       per,
-		Total:          core.MergeMetrics(per...),
-		OpsSubmitted:   s.ops.Load(),
-		BytesSubmitted: s.bytes.Load(),
-	}
-	for _, h := range hists {
-		if h == nil {
-			continue
-		}
-		if agg.PathExtras == nil {
-			agg.PathExtras = h
-		} else {
-			agg.PathExtras.Merge(h)
-		}
-	}
-	reg.Add("shard.count", uint64(n))
+	agg := s.metrics(func(m *core.Machine, mt *core.Metrics) {
+		m.FillRegistry(reg, mt)
+		dataLines += uint64(m.L2.ResidentLinesClass(cache.Data))
+		hashLines += uint64(m.L2.ResidentLinesClass(cache.Hash))
+		totalLines += uint64(m.Cfg.L2Size / m.Cfg.L2Block)
+	})
+	reg.Add("shard.count", uint64(agg.Shards))
 	reg.Add("shard.ops_submitted", agg.OpsSubmitted)
 	reg.Add("shard.bytes_submitted", agg.BytesSubmitted)
 
@@ -696,15 +680,6 @@ func (s *Store) FillRegistry(reg *telemetry.Registry) Aggregate {
 	reg.SetGauge("l2.resident_lines_hash", float64(hashLines))
 	if totalLines > 0 {
 		reg.SetGauge("l2.hash_residency", float64(hashLines)/float64(totalLines))
-	}
-	if vcCapLines > 0 {
-		reg.SetGauge("vc.hit_rate", t.VCHitRate)
-		reg.SetGauge("vc.resident_lines", float64(vcLines))
-		reg.SetGauge("vc.occupancy", float64(vcLines)/float64(vcCapLines))
-	}
-	if t.PrefetchStats.Issued > 0 {
-		reg.SetGauge("prefetch.accuracy",
-			float64(t.PrefetchStats.Useful)/float64(t.PrefetchStats.Issued))
 	}
 	return agg
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"memverify/internal/core"
+	"memverify/internal/integrity"
 	"memverify/internal/telemetry"
 	"memverify/internal/trace"
 )
@@ -356,75 +357,87 @@ func TestFillRegistryAggregates(t *testing.T) {
 	}
 }
 
-// TestSpeculativeBatchCommit pins the async-commit contract: with a
-// speculative template, Batch.Wait joins an epoch barrier on every shard
-// the batch touched, so a tamper under in-flight batch traffic surfaces
-// from Wait itself — never from a later unrelated operation — and the
-// aggregate carries the merged pipeline counters.
-func TestSpeculativeBatchCommit(t *testing.T) {
-	cfg := storeCfg(core.SchemeNaive)
-	cfg.Speculative = true
-	s, err := New(Config{Machine: cfg, Shards: 4})
+// TestBatchReportsOwnStoreViolation: under the record policy a
+// partial-block store over a tampered block fetches and checks that
+// block, and the violation it finds surfaces from the storing batch's
+// Wait, once. A load over a tampered block reports its violation once
+// too, though the machine's LoadBytes also returns it.
+func TestBatchReportsOwnStoreViolation(t *testing.T) {
+	s, err := New(Config{Machine: storeCfg(core.SchemeCached), Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-
-	p := bytes.Repeat([]byte{0x42}, 1024)
-	seed := s.NewBatch()
-	for i := 0; i < 4; i++ {
-		lo, _ := s.ShardRange(i)
-		seed.Store(lo, p)
+	if err := s.StoreBytes(0, bytes.Repeat([]byte{0x33}, 256)); err != nil {
+		t.Fatal(err)
 	}
-	if err := seed.Wait(); err != nil {
-		t.Fatalf("clean seeding batch: %v", err)
-	}
-
-	const victim = 1
-	s.WithShard(victim, func(m *core.Machine) {
+	s.WithShard(0, func(m *core.Machine) {
 		m.EvictProtected()
-		m.Adversary().Corrupt(m.ProgAddr(16), 0xEE)
+		m.Adversary().Corrupt(m.ProgAddr(0), 0xFF)
+		m.Adversary().Corrupt(m.ProgAddr(128), 0xFF)
 	})
 
-	b := s.NewBatch()
-	buf := make([][]byte, 4)
-	for i := 0; i < 4; i++ {
-		lo, _ := s.ShardRange(i)
-		buf[i] = make([]byte, 1024)
-		b.Load(lo, buf[i])
-	}
-	err = b.Wait()
-	if err == nil {
-		t.Fatal("batch over a tampered shard committed clean")
-	}
-	if !strings.Contains(err.Error(), fmt.Sprintf("shard %d", victim)) {
-		t.Errorf("violation not attributed to shard %d: %v", victim, err)
-	}
-	for i := 0; i < 4; i++ {
-		if i != victim && !bytes.Equal(buf[i], p) {
-			t.Errorf("healthy shard %d delivered wrong bytes", i)
+	for _, tc := range []struct {
+		name string
+		op   func(b *Batch)
+	}{
+		{"store", func(b *Batch) { b.Store(8, []byte{1, 2, 3}) }},
+		{"load", func(b *Batch) { b.Load(128, make([]byte, 16)) }},
+	} {
+		before := len(s.Violations())
+		b := s.NewBatch()
+		tc.op(b)
+		err := b.Wait()
+		found := len(s.Violations()) - before
+		if found == 0 {
+			t.Fatalf("%s: the tampered block was not detected", tc.name)
+		}
+		var ve *integrity.ViolationError
+		if !errors.As(err, &ve) || !strings.Contains(err.Error(), "shard 0") {
+			t.Fatalf("%s: Wait = %v, want the shard-0 violation", tc.name, err)
+		}
+		if got := len(err.(interface{ Unwrap() []error }).Unwrap()); got != found {
+			t.Errorf("%s: Wait joined %d errors for %d violations: %v", tc.name, got, found, err)
 		}
 	}
 
-	agg := s.Metrics()
-	if agg.Total.Spec.Checks == 0 {
-		t.Error("aggregate lost speculative check counters")
+	// A clean batch on the healthy shard reports nothing.
+	if err := s.StoreBytes(s.ShardSpan()+8, []byte{4, 5, 6}); err != nil {
+		t.Errorf("clean neighbour store: %v", err)
 	}
-	if agg.Total.Spec.Barriers == 0 {
-		t.Error("batch commits recorded no epoch barriers")
-	}
-	if agg.Total.Violations == 0 {
-		t.Error("aggregate lost the detected violation")
-	}
+}
 
-	// The healthy shards still verify clean afterwards.
-	for i := 0; i < 4; i++ {
-		if i == victim {
-			continue
-		}
-		lo, _ := s.ShardRange(i)
-		if err := s.LoadBytes(lo, make([]byte, 1024)); err != nil {
-			t.Errorf("neighbor shard %d false positive after commit: %v", i, err)
+// TestNewRefusesAblations: a store runs the serving configuration, so
+// both constructors refuse each simulator ablation with a SettingError
+// naming the field.
+func TestNewRefusesAblations(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(*core.Config)
+	}{
+		{"Speculative", func(c *core.Config) { c.Speculative = true }},
+		{"SpecWindow", func(c *core.Config) { c.SpecWindow = 4 }},
+		{"Prefetch.Enabled", func(c *core.Config) { c.Prefetch.Enabled = true }},
+		{"VerifyCacheLines", func(c *core.Config) { c.VerifyCacheLines = 64 }},
+		{"HashMode", func(c *core.Config) { c.HashMode = "timing" }},
+	} {
+		cfg := storeCfg(core.SchemeCached)
+		tc.set(&cfg)
+		scfg := Config{Machine: cfg, Shards: 2}
+		_, errNew := New(scfg)
+		_, errState := NewFromState(scfg, make([][]byte, 2), make([][]byte, 2))
+		for name, err := range map[string]error{"New": errNew, "NewFromState": errState} {
+			var se *SettingError
+			if !errors.As(err, &se) || se.Field != tc.field {
+				t.Errorf("%s with %s: %v, want a SettingError naming %s", name, tc.field, err, tc.field)
+			}
 		}
 	}
+	full := storeCfg(core.SchemeCached)
+	full.HashMode = "full"
+	s, err := New(Config{Machine: full, Shards: 2})
+	if err != nil {
+		t.Fatalf("hash mode full refused: %v", err)
+	}
+	s.Close()
 }
