@@ -162,45 +162,6 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkSpeculative measures what the speculative verification
-// pipeline buys on the throughput workload: the same cold Swim
-// configuration as BenchmarkSimulatorThroughput, blocking vs speculative
-// per scheme. The IPC metric is simulated throughput — the quantity the
-// pipeline improves by hiding check latency and coalescing in-flight
-// tree walks; base runs no verification and so defines the ceiling the
-// speculative naive and cached runs close toward. ci.sh gates the naive
-// speculative/blocking IPC ratio at 1.5x.
-func BenchmarkSpeculative(b *testing.B) {
-	for _, s := range []Scheme{SchemeBase, SchemeCached, SchemeNaive} {
-		for _, spec := range []bool{false, true} {
-			s, spec := s, spec
-			name := string(s) + "/blocking"
-			if spec {
-				name = string(s) + "/speculative"
-			}
-			b.Run(name, func(b *testing.B) {
-				cfg := DefaultConfig()
-				cfg.Scheme = s
-				cfg.Benchmark = trace.Swim
-				cfg.Instructions = 50_000
-				cfg.Warmup = 0
-				cfg.Speculative = spec
-				var lastIPC float64
-				b.SetBytes(int64(cfg.Instructions)) // bytes ~ instructions
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					mt, err := Run(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					lastIPC = mt.IPC
-				}
-				reportIPC(b, string(s), lastIPC)
-			})
-		}
-	}
-}
-
 // BenchmarkFunctionalThroughput measures functional-simulation speed —
 // real data movement plus verification — for each protected scheme under
 // both hash-execution modes. The full/timing ratio is the speedup

@@ -63,8 +63,6 @@ func run() error {
 		pf          = flag.Bool("prefetch", false, "enable the tree-ancestor prefetcher on every injection's machine")
 		vcLines     = flag.Int("verify-cache", 0, "dedicated verification cache size in L2-block lines (0 = share the L2)")
 		vcAssoc     = flag.Int("verify-assoc", 0, "dedicated verification cache associativity (0 = the L2's)")
-		spec        = flag.Bool("speculative", false, "run every injection's machine with the speculative verification pipeline")
-		barrier     = flag.Int("barrier-every", 0, "with -speculative, interleave an epoch barrier every N post-injection accesses")
 		crash       = flag.Bool("crash", false, "run the kill/restart + on-disk tamper campaign against the persistence layer")
 		crashShards = flag.Int("crash-shards", 1, "with -crash: shards in each leg's store (1 = single machine)")
 		crashDir    = flag.String("crash-dir", "", "with -crash: root directory for per-leg stores (default: a temp dir)")
@@ -137,8 +135,6 @@ func run() error {
 		cfg.Prefetch = *pf
 		cfg.VerifyCacheLines = *vcLines
 		cfg.VerifyCacheAssoc = *vcAssoc
-		cfg.Speculative = *spec
-		cfg.BarrierEvery = *barrier
 		cfg.Telemetry = rec
 
 		clean, err := chaos.CleanViolations(cfg)

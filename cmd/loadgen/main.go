@@ -267,9 +267,9 @@ func run() error {
 	pobs := &persistObs{}
 	scfg := shard.Config{Machine: cfg, Shards: *shards, QueueDepth: *queueDepth, Recorders: recs,
 		OnViolation: func(sh int, v *integrity.ViolationError, halted bool) {
-			fr.Record(obs.EvViolation, sh, v.Epoch, v.Error())
+			fr.Record(obs.EvViolation, sh, 0, v.Error())
 			if halted {
-				fr.Record(obs.EvShardHalt, sh, v.Epoch, "halt policy tripped")
+				fr.Record(obs.EvShardHalt, sh, 0, "halt policy tripped")
 			}
 		}}
 

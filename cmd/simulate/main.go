@@ -44,8 +44,6 @@ func main() {
 	pf := flag.Bool("prefetch", false, "enable the tree-ancestor prefetcher")
 	vcLines := flag.Int("verify-cache", 0, "dedicated verification cache size in L2-block lines (0 = share the L2)")
 	vcAssoc := flag.Int("verify-assoc", 0, "dedicated verification cache associativity (0 = the L2's)")
-	spec := flag.Bool("speculative", false, "deliver data before its hash check resolves; checks run in a bounded background window")
-	specWindow := flag.Int("spec-window", 0, "max in-flight speculative checks (0 = default)")
 	flag.Parse()
 
 	stopProf, perr := rf.StartProfiling()
@@ -80,8 +78,6 @@ func main() {
 	}
 	cfg.VerifyCacheLines = *vcLines
 	cfg.VerifyCacheAssoc = *vcAssoc
-	cfg.Speculative = *spec
-	cfg.SpecWindow = *specWindow
 
 	if *table1 {
 		fmt.Print(cfg.Table1())
@@ -161,7 +157,7 @@ func main() {
 	if fr != nil || srv != nil {
 		m.ObserveViolations(func(v *integrity.ViolationError) {
 			violations.Add(1)
-			fr.Record(obs.EvViolation, 0, v.Epoch, v.Error())
+			fr.Record(obs.EvViolation, 0, 0, v.Error())
 		})
 		fr.Record(obs.EvRunStart, -1, 0,
 			fmt.Sprintf("simulate scheme=%s bench=%s n=%d", *scheme, *bench, *n))
@@ -222,12 +218,5 @@ func main() {
 	if ps := mt.PrefetchStats; ps.Observed > 0 {
 		fmt.Printf("  prefetch            issued %d useful %d late %d dropped %d\n",
 			ps.Issued, ps.Useful, ps.Late, ps.DroppedResident+ps.DroppedBudget+ps.DroppedBus)
-	}
-	if cfg.Speculative {
-		sp := mt.Spec
-		fmt.Printf("  speculative         checks %d writebacks %d overlap %d cyc stalls %d peak %d\n",
-			sp.Checks, sp.Writebacks, sp.OverlapCycles, sp.WindowStalls, sp.PendingPeak)
-		fmt.Printf("  walk coalescing     coalesced %d saved block reads %d\n",
-			sp.Coalesced, sp.SavedBlockReads)
 	}
 }

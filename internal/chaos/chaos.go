@@ -104,16 +104,6 @@ type Config struct {
 	VerifyCacheLines int
 	VerifyCacheAssoc int
 
-	// Speculative runs every injection's machine with the speculative
-	// verification pipeline (data delivered before its check resolves),
-	// and BarrierEvery > 0 interleaves a Machine.Barrier every that many
-	// post-injection accesses — the campaign leg proving speculative
-	// delivery never weakens detection: every verdict is forced to
-	// resolve at the barrier, so a tamper can never outlive the epoch
-	// that consumed it.
-	Speculative  bool
-	BarrierEvery int
-
 	// Telemetry, when non-nil, attaches the recorder to every injection's
 	// machine (cmd/chaos -trace/-metrics). Each injection runs on a fresh
 	// machine, so each shows up as its own process in the exported trace.
@@ -157,7 +147,6 @@ func (c Config) machineConfig() core.Config {
 	}
 	cfg.VerifyCacheLines = c.VerifyCacheLines
 	cfg.VerifyCacheAssoc = c.VerifyCacheAssoc
-	cfg.Speculative = c.Speculative
 	cfg.Telemetry = c.Telemetry
 	return cfg
 }
@@ -195,11 +184,9 @@ func Run(cfg Config) (*Report, error) {
 	}
 	rng := trace.NewRNG(cfg.Seed)
 	rep := &Report{
-		Seed:         cfg.Seed,
-		Scheme:       string(cfg.Scheme),
-		Policy:       cfg.Policy,
-		Speculative:  cfg.Speculative,
-		BarrierEvery: cfg.BarrierEvery,
+		Seed:   cfg.Seed,
+		Scheme: string(cfg.Scheme),
+		Policy: cfg.Policy,
 	}
 	kinds := cfg.kinds()
 	for i := 0; i < cfg.Injections; i++ {
@@ -243,18 +230,10 @@ func CleanViolations(cfg Config) (uint64, error) {
 		if i == cfg.WarmAccesses {
 			m.EvictProtected()
 		}
-		if cfg.Speculative && cfg.BarrierEvery > 0 && (i+1)%cfg.BarrierEvery == 0 {
-			// A clean campaign's barriers must never surface a verdict;
-			// any they do bumps Stat.Violations and trips the gate below.
-			_ = m.Barrier()
-		}
 	}
 	m.EvictProtected()
 	if err := m.LoadBytes(0, make([]byte, blk)); err != nil && m.Sys.Stat.Violations == 0 {
 		return 0, err
-	}
-	if cfg.Speculative {
-		_ = m.Barrier()
 	}
 	return m.Sys.Stat.Violations, nil
 }
@@ -530,15 +509,6 @@ func (st *campaignState) observe(inj *Injection) {
 		if !detected() && st.tamperResident() {
 			inj.ResidentAccesses++
 		}
-		// Barrier-placement leg: force every outstanding speculative
-		// verdict to resolve every BarrierEvery accesses. Detection is
-		// still classified from the Stat counters (which bump at walk
-		// time), so the barrier must never change the outcome — only
-		// when the deferred policy (halt) engages.
-		if st.cfg.Speculative && st.cfg.BarrierEvery > 0 &&
-			inj.Accesses%st.cfg.BarrierEvery == 0 {
-			_ = m.Barrier()
-		}
 	}
 	if detected() {
 		inj.Outcome = OutcomeDetectedLive
@@ -551,11 +521,6 @@ func (st *campaignState) observe(inj *Injection) {
 		m.EvictProtected()
 		if !detected() {
 			_ = m.LoadBytes(st.sweepOff, make([]byte, st.blk))
-		}
-		// Final epoch barrier: nothing the sweep delivered speculatively
-		// may carry an unresolved verdict past classification.
-		if st.cfg.Speculative {
-			_ = m.Barrier()
 		}
 		if detected() {
 			inj.Outcome = OutcomeDetectedSweep

@@ -62,11 +62,6 @@ type Report struct {
 	Seed   uint64 `json:"seed"`
 	Scheme string `json:"scheme"`
 	Policy string `json:"policy"`
-	// Speculative campaigns record their pipeline mode and barrier
-	// cadence so a report is self-describing; both omit from blocking
-	// campaigns to keep historical report bytes stable.
-	Speculative  bool `json:"speculative,omitempty"`
-	BarrierEvery int  `json:"barrier_every,omitempty"`
 
 	Injections []Injection `json:"injections"`
 	Summary    Summary     `json:"summary"`

@@ -110,23 +110,6 @@ type Config struct {
 	// disables it.
 	Prefetch prefetch.Config
 
-	// Speculative arms the speculative verification pipeline: on an L2
-	// miss, data is delivered to the processor at the critical word while
-	// the hash check drains through the hash unit in the background, and
-	// dirty write-backs release the processor at write-buffer acceptance
-	// (async commit). Delivered data, roots and all non-timing Metrics are
-	// byte-identical to blocking mode; detection is deferred, never lost —
-	// every outstanding check resolves at Machine.Barrier (and the
-	// implicit barriers Flush, VerifyAll and Snapshot), where violation
-	// policy is applied and any ViolationError reported with the epoch
-	// that contained it. Off by default.
-	Speculative bool
-
-	// SpecWindow bounds the speculative pipeline's in-flight background
-	// checks: delivery stalls once this many are outstanding. 0 selects
-	// integrity.DefaultSpecWindow. Ignored unless Speculative is set.
-	SpecWindow int
-
 	// ViolationPolicy selects the containment behaviour after a detected
 	// integrity violation: "record" (or empty) counts and continues,
 	// "halt" makes every subsequent LoadBytes/StoreBytes return ErrHalted
@@ -280,12 +263,6 @@ func (c *Config) Validate() error {
 	}
 	if _, err := integrity.ParseViolationPolicy(c.ViolationPolicy); err != nil {
 		return fmt.Errorf("core: %w", err)
-	}
-	if c.SpecWindow < 0 {
-		return fmt.Errorf("core: SpecWindow must be >= 0, got %d", c.SpecWindow)
-	}
-	if c.SpecWindow > 0 && !c.Speculative {
-		return fmt.Errorf("core: SpecWindow set without Speculative")
 	}
 	mode, err := integrity.ParseHashMode(c.HashMode)
 	if err != nil {

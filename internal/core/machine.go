@@ -140,10 +140,6 @@ func newMachine(cfg Config, img, root []byte) (*Machine, error) {
 		Policy:      policy,
 		OnViolation: m.noteViolation,
 		VC:          m.VC,
-		Speculative: cfg.Speculative,
-	}
-	if cfg.Speculative {
-		m.Sys.Pending = integrity.NewPendingChecks(cfg.SpecWindow)
 	}
 	if treeCaching && cfg.Prefetch.Enabled {
 		m.Sys.Prefetch = prefetch.New(cfg.Prefetch)
@@ -160,10 +156,6 @@ func newMachine(cfg Config, img, root []byte) (*Machine, error) {
 		if p := rec.Probes; p != nil {
 			m.Sys.Unit.ReadBuf.Occ = p.ReadBufOcc
 			m.Sys.Unit.WriteBuf.Occ = p.WriteBufOcc
-			if m.Sys.Pending != nil {
-				m.Sys.Pending.Occ = p.SpecOcc
-				m.Sys.Pending.Overlap = p.SpecOverlap
-			}
 		}
 		if rec.BusWindowCycles > 0 {
 			m.Bus.SetWindow(rec.BusWindowCycles)
@@ -319,53 +311,9 @@ func (m *Machine) UnprotectedBase() uint64 {
 }
 
 // Flush drains all dirty cached state through the engine — the
-// cryptographic barrier of §5.8 and step 3 of initialization. It is an
-// implicit barrier: in speculative mode every outstanding background
-// check resolves (applying violation policy) before it returns. Unlike
-// Barrier, it does not end the epoch or report a ViolationError.
+// cryptographic barrier of §5.8 and step 3 of initialization.
 func (m *Machine) Flush() {
 	m.now = m.Engine.Flush(m.now)
-	m.syncChecks()
-}
-
-// Barrier is the epoch commit point of the speculative verification
-// pipeline — flush-before-commit in the §4.1 certified-execution sense:
-// it blocks (in simulated time) until every outstanding background check
-// and posted write-back has resolved, applies the violation policy to
-// anything that was deferred, and returns the first ViolationError
-// detected since the previous barrier (nil on a clean epoch). The
-// returned violation's Epoch field names the epoch that contained it.
-// Barrier is meaningful in blocking mode too, where it only advances the
-// clock past the §5.8 background checks and reports the epoch's first
-// violation.
-func (m *Machine) Barrier() error {
-	start := m.now
-	if t := m.Sys.ChecksDone(); t > m.now {
-		m.now = t
-	}
-	if p := m.Sys.Pending; p != nil {
-		p.Stat.Barriers++
-		p.Stat.BarrierWaitCycles += m.now - start
-	}
-	if v := m.Sys.EndEpoch(); v != nil {
-		return v
-	}
-	return nil
-}
-
-// syncChecks makes the current operation an implicit barrier in
-// speculative mode: the clock advances past every outstanding check and
-// all deferred violations resolve. Blocking mode is untouched — nothing
-// is ever deferred and the clock semantics stay bit-identical to the
-// pre-speculative simulator.
-func (m *Machine) syncChecks() {
-	if !m.Cfg.Speculative {
-		return
-	}
-	if t := m.Sys.ChecksDone(); t > m.now {
-		m.now = t
-	}
-	m.Sys.ResolvePending(m.now)
 }
 
 // StoreBytes performs a program store of p at data offset off with real
@@ -390,24 +338,17 @@ func (m *Machine) LoadBytes(off uint64, p []byte) error {
 	}
 	before := m.Sys.Stat.Violations
 	m.span(off, p, false)
-	// In speculative mode the load returns its data before the background
-	// check resolves; the violation surfaces at the next Barrier (or
-	// poisons later accesses under the halt policy) instead of here.
-	if !m.Cfg.Speculative && m.Sys.Stat.Violations > before {
+	if m.Sys.Stat.Violations > before {
 		return m.Sys.First
 	}
 	return nil
 }
 
 // beginAccess is the entry gate of every direct functional access: it
-// resolves speculative checks that have completed by now and refuses a
-// machine the halt policy has stopped.
+// refuses a machine the halt policy has stopped.
 func (m *Machine) beginAccess(op string) error {
 	if !m.Cfg.Functional {
 		return fmt.Errorf("core: %s requires a functional machine", op)
-	}
-	if m.Sys.Pending != nil {
-		m.Sys.ResolvePending(m.now)
 	}
 	if m.halted {
 		return fmt.Errorf("%w (%v)", ErrHalted, m.haltCause)
@@ -451,8 +392,7 @@ func (m *Machine) span(off uint64, p []byte, write bool) {
 // included — through the verification engine, so the whole external-memory
 // image, every stored record on the way up, is checked against the root
 // register. It stops at the first violation, which it returns (as it
-// returns ErrHalted from a machine the halt policy has stopped); in
-// speculative mode the closing Barrier forces every deferred verdict.
+// returns ErrHalted from a machine the halt policy has stopped).
 func (m *Machine) VerifyAll() error {
 	m.Flush()
 	h := (*hierarchy)(m)
@@ -463,12 +403,9 @@ func (m *Machine) VerifyAll() error {
 			return err
 		}
 		m.now = h.l2data(m.now, a, false, buf)
-		if !m.Cfg.Speculative && m.Sys.Stat.Violations > before {
+		if m.Sys.Stat.Violations > before {
 			return m.Sys.First
 		}
-	}
-	if m.Cfg.Speculative {
-		return m.Barrier()
 	}
 	return nil
 }
@@ -590,15 +527,10 @@ func (h *hierarchy) l2data(now uint64, addr uint64, write bool, p []byte) uint64
 }
 
 // Barrier implements cpu.BarrierPort: a cryptographic instruction may not
-// complete before every outstanding integrity check has (§5.8). In
-// speculative mode it also resolves deferred violations — the checks it
-// just waited for have, by then, completed.
+// complete before every outstanding integrity check has (§5.8).
 func (h *hierarchy) Barrier(now uint64) uint64 {
 	if t := h.Sys.ChecksDone(); t > now {
 		now = t
-	}
-	if h.Sys.Pending != nil {
-		h.Sys.ResolvePending(now)
 	}
 	return now
 }

@@ -49,11 +49,6 @@ type Metrics struct {
 
 	// Tree-ancestor prefetcher (zero when disabled).
 	PrefetchStats prefetch.Stats
-
-	// Speculative verification pipeline (zero in blocking mode). A timing
-	// artifact, not a functional counter: the cross-mode equivalence suite
-	// zeroes it along with Result/IPC/BusUtilization before comparing.
-	Spec integrity.SpecStats
 }
 
 func hashFor(name string) (hashalg.Algorithm, error) { return hashalg.New(name) }
@@ -99,9 +94,6 @@ func (m *Machine) metrics(res cpu.Result) Metrics {
 		out.VCAccesses, out.VCHitRate = vcRates(m.VC.Stat)
 	}
 	out.PrefetchStats = m.Sys.Prefetch.Stats()
-	if p := m.Sys.Pending; p != nil {
-		out.Spec = p.Stat
-	}
 	return out
 }
 
@@ -121,11 +113,7 @@ func vcRates(st cache.Stats) (accesses uint64, hitRate float64) {
 // LoadBytes/StoreBytes (the shard store's workers). The cycle denominator
 // for rate metrics is the machine's direct-access clock; instruction-side
 // fields (Result, IPC, TLB rates) stay zero because no core executed.
-// Snapshot is an implicit barrier in speculative mode: the clock advances
-// past every outstanding check before the cycle count is read, so
-// reported cycles always include the verification tail.
 func (m *Machine) Snapshot() Metrics {
-	m.syncChecks()
 	return m.metrics(cpu.Result{Cycles: m.now})
 }
 
@@ -189,7 +177,6 @@ func MergeMetrics(ms ...Metrics) Metrics {
 		pagg.DroppedResident += ps.DroppedResident
 		pagg.DroppedBudget += ps.DroppedBudget
 		pagg.DroppedBus += ps.DroppedBus
-		out.Spec.Merge(&mt.Spec)
 		out.BusBytes += mt.BusBytes
 		out.BusDataBytes += mt.BusDataBytes
 		out.BusHashBytes += mt.BusHashBytes

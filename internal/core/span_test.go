@@ -91,7 +91,7 @@ func refLoadBytes(m *Machine, off uint64, p []byte) error {
 	for i := range p {
 		m.now = refL2Byte(h, m.now, m.ProgAddr(off+uint64(i)), false, p[i:i+1])
 	}
-	if !m.Cfg.Speculative && m.Sys.Stat.Violations > before {
+	if m.Sys.Stat.Violations > before {
 		return m.Sys.First
 	}
 	return nil

@@ -43,8 +43,7 @@ type Snapshot struct {
 var snapshotSeq atomic.Uint64
 
 // SaveStateSince drains the machine to a commit point and captures its
-// protected state. It is an implicit barrier — Flush writes back every
-// dirty line and resolves every outstanding speculative check — so on
+// protected state. Flush writes back every dirty line first, so on
 // return external memory is authoritative: every clean cached line
 // matches it and the stored records cover exactly what is returned.
 //

@@ -92,26 +92,6 @@ func (m *Machine) FillRegistry(reg *telemetry.Registry, mt *Metrics) {
 		reg.SetGauge("prefetch.accuracy", float64(ps.Useful)/float64(ps.Issued))
 	}
 
-	// Speculative verification pipeline (all zero in blocking mode).
-	if m.Cfg.Speculative {
-		sp := &mt.Spec
-		reg.Add("spec.checks", sp.Checks)
-		reg.Add("spec.writebacks", sp.Writebacks)
-		reg.Add("spec.window_stalls", sp.WindowStalls)
-		reg.Add("spec.window_stall_cycles", sp.WindowStallCycles)
-		reg.Add("spec.pending_peak", sp.PendingPeak)
-		reg.Add("spec.overlap_cycles", sp.OverlapCycles)
-		reg.Add("spec.deferred_violations", sp.DeferredViolations)
-		reg.Add("spec.resolved_violations", sp.ResolvedViolations)
-		reg.Add("spec.coalesced", sp.Coalesced)
-		reg.Add("spec.saved_block_reads", sp.SavedBlockReads)
-		reg.Add("spec.barriers", sp.Barriers)
-		reg.Add("spec.barrier_wait_cycles", sp.BarrierWaitCycles)
-		if n := sp.Checks + sp.Writebacks; n > 0 {
-			reg.SetGauge("spec.avg_overlap_cycles", float64(sp.OverlapCycles)/float64(n))
-		}
-	}
-
 	if h := m.Sys.PathExtras; h != nil {
 		reg.MergeHistogram("integrity.path_extras", h)
 	}
@@ -147,7 +127,5 @@ func AccumulateMetrics(reg *telemetry.Registry, mt *Metrics) {
 	reg.Add("vc.accesses", mt.VCAccesses)
 	reg.Add("prefetch.issued", mt.PrefetchStats.Issued)
 	reg.Add("prefetch.useful", mt.PrefetchStats.Useful)
-	reg.Add("spec.checks", mt.Spec.Checks)
-	reg.Add("spec.overlap_cycles", mt.Spec.OverlapCycles)
 	reg.Add("sweep.points", 1)
 }

@@ -116,7 +116,7 @@ func TestDedicatedVerifyCacheConsistency(t *testing.T) {
 }
 
 // TestSuitesUnderPoison reruns the verify-cache consistency harness and
-// the speculative, nested-write-back and count-identity suites with every
+// the halt-policy, nested-write-back and count-identity suites with every
 // released line buffer overwritten with 0xA5 as its cache takes it back:
 // a use after release — a write-back still forwarding from a victim's
 // buffer, an image composed through a stale alias — then hashes the poison
@@ -134,10 +134,7 @@ func TestSuitesUnderPoison(t *testing.T) {
 		{"SpanCountIdentity", TestSpanCountIdentity},
 		{"CleanRunNoFalsePositives", TestCleanRunNoFalsePositives},
 		{"RetryPolicyDistinguishes", TestRetryPolicyDistinguishes},
-		{"SpeculativeMetricsEquivalence", TestSpeculativeMetricsEquivalence},
-		{"SpeculativeDataRootEquivalence", TestSpeculativeDataRootEquivalence},
-		{"SpeculativeBarrierInterleavingProperty", TestSpeculativeBarrierInterleavingProperty},
-		{"SpeculativeHaltPoisoning", TestSpeculativeHaltPoisoning},
+		{"HaltPolicy", TestHaltPolicy},
 	} {
 		t.Run(s.name, s.run)
 	}

@@ -300,12 +300,9 @@ func (e *Cached) readAndCheckChunk(now uint64, c uint64, demandBA uint64) (img [
 	// 3. The arriving chunk enters the read buffer (Figure 2a) and stays
 	// until its check completes. A full buffer back-pressures the
 	// transfer: delivery — including the speculative copy to the
-	// processor — waits for a free entry. The speculative pipeline
-	// decouples delivery from buffer admission: the check is still delayed
-	// by buffer pressure (bufStart), but the processor only stalls when
-	// the bounded pending window fills.
+	// processor — waits for a free entry.
 	idx, bufStart := s.Unit.ReadBuf.Acquire(dataDone)
-	if bufStart > dataDone && bufStart > ready && !s.Speculative {
+	if bufStart > dataDone && bufStart > ready {
 		ready = bufStart
 	}
 	hdone := s.Unit.Hash(bufStart, s.Layout.ChunkSize)
@@ -342,7 +339,7 @@ func (e *Cached) readAndCheckChunk(now uint64, c uint64, demandBA uint64) (img [
 					}
 				}
 				if failed {
-					s.violation(checkDone, c, e.scheme, detail)
+					s.violation(c, e.scheme, detail)
 				}
 			}
 		}
@@ -355,19 +352,6 @@ func (e *Cached) readAndCheckChunk(now uint64, c uint64, demandBA uint64) (img [
 	}
 	s.Unit.ReadBuf.Release(idx, checkDone)
 	s.noteCheck(checkDone)
-	if s.Speculative && s.Pending != nil && demandBA != noDemand {
-		if floor := s.Pending.Admit(ready, checkDone, false); floor > ready {
-			ready = floor
-		}
-		if s.Tel != nil {
-			end := checkDone
-			if end < ready {
-				end = ready
-			}
-			s.Tel.Emit(telemetry.TrackSpec, telemetry.KindSpecCheck,
-				ready, end, c, s.Pending.Outstanding(ready))
-		}
-	}
 	s.Tel.Emit(telemetry.TrackIntegrity, telemetry.KindTreeWalk,
 		now, checkDone, c, s.Stat.ExtraBlockReads-extrasBefore)
 	if demandBA != noDemand && s.CheckReads {
@@ -716,11 +700,6 @@ func (e *Cached) evictCached(now uint64, line cache.Line) uint64 {
 	s.Unit.WriteBuf.Release(idx, done)
 	s.noteCheck(done)
 	s.Tel.Emit(telemetry.TrackIntegrity, telemetry.KindWriteBack, now, done, c, 0)
-	if s.Speculative && s.Pending != nil {
-		// Async commit: release the processor at write-buffer acceptance;
-		// the record update drains behind it, bounded by the pending window.
-		return s.Pending.Admit(start, done, true)
-	}
 	return done
 }
 
@@ -748,19 +727,12 @@ func unprotectedRead(s *System, now uint64, addr uint64, evict func(uint64, cach
 	return critical
 }
 
-// unprotectedEvict writes back a block outside the protected region. In
-// speculative mode the write is posted: the processor continues at once
-// while the transfer drains, and barriers wait for it via noteCheck.
+// unprotectedEvict writes back a block outside the protected region.
 func unprotectedEvict(s *System, now uint64, line cache.Line) uint64 {
 	s.Stat.Evictions++
 	s.Stat.DataBlockWrites++
 	if s.Functional {
 		s.Mem.Write(line.Addr, line.Data)
 	}
-	d := s.DRAM.Write(now, s.BlockSize(), bus.Data)
-	if s.Speculative {
-		s.noteCheck(d)
-		return now
-	}
-	return d
+	return s.DRAM.Write(now, s.BlockSize(), bus.Data)
 }

@@ -111,13 +111,6 @@ func (e *Base) Flush(now uint64) uint64 {
 			done = d
 		}
 	}
-	// Speculative evictions return at write acceptance; a flush is a
-	// barrier, so it waits for the posted writes to drain.
-	if e.sys.Speculative {
-		if t := e.sys.ChecksDone(); t > done {
-			done = t
-		}
-	}
 	return done
 }
 
@@ -133,13 +126,6 @@ func flushVia(s *System, now uint64, ev func(uint64, cache.Line) uint64) uint64 
 			dirty = append(dirty, s.VC.DirtyLines()...)
 		}
 		if len(dirty) == 0 {
-			// A flush is a barrier: speculative write-backs returned at
-			// write-buffer acceptance, so wait for their chains to drain.
-			if s.Speculative {
-				if t := s.ChecksDone(); t > done {
-					done = t
-				}
-			}
 			return done
 		}
 		if pass > s.Layout.Levels()+2 {

@@ -258,16 +258,19 @@ func TestTimingDeterminism(t *testing.T) {
 	}
 }
 
-// TestSpeculativeReturnBeatsCheck verifies §5.8's performance property:
-// the processor gets its data before the background check completes.
+// TestSpeculativeReturnBeatsCheck verifies §5.8's performance property for
+// every protected scheme: on a cold miss, Engine.ReadBlock hands the
+// processor its data before the background check completes, and the
+// crypto barrier (ChecksDone) lies beyond the delivery.
 func TestSpeculativeReturnBeatsCheck(t *testing.T) {
-	r := newRig(t, defaultRig("c"))
-	ba := r.dataBlocks()[0]
-	e := r.engine.(*Cached)
-	c := r.sys.Layout.ChunkOf(ba)
-	_, ready, checkDone := e.readAndCheckChunk(1000, c, ba)
-	if ready >= checkDone {
-		t.Errorf("data ready at %d, check done at %d: no speculation window", ready, checkDone)
+	for _, scheme := range protectedSchemes {
+		t.Run(scheme, func(t *testing.T) {
+			r := newRig(t, defaultRig(scheme))
+			ready := r.engine.ReadBlock(1000, r.dataBlocks()[0])
+			if done := r.sys.ChecksDone(); ready >= done {
+				t.Errorf("data ready at %d, checks done at %d: no speculation window", ready, done)
+			}
+		})
 	}
 }
 

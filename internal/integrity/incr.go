@@ -224,11 +224,6 @@ func (e *Incr) evictIncr(now uint64, line cache.Line) uint64 {
 	s.Unit.WriteBuf.Release(idx, done)
 	s.noteCheck(done)
 	s.Tel.Emit(telemetry.TrackIntegrity, telemetry.KindWriteBack, now, done, c, 1)
-	if s.Speculative && s.Pending != nil {
-		// Async commit: release the processor at write-buffer acceptance;
-		// the MAC update drains behind it, bounded by the pending window.
-		return s.Pending.Admit(start, done, true)
-	}
 	return done
 }
 

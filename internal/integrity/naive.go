@@ -110,7 +110,7 @@ func (e *Naive) checkAgainst(at uint64, cur uint64, curImg, want []byte, detail 
 			}
 			detail += " (persistent after re-fetch)"
 		}
-		s.violation(at, cur, "naive", detail)
+		s.violation(cur, "naive", detail)
 	}
 	return at
 }
@@ -133,13 +133,6 @@ func (e *Naive) verifyPath(start uint64, c uint64, img []byte, checkFirst bool) 
 	cur := c
 	curImg := img
 	curReady := start // when this level's bytes are available to hash
-	// Read walks may stop at an ancestor another in-flight walk has
-	// already fetched: the pinned image is verified against (no memory
-	// read) and the rest of the path inherits the covering check's
-	// verdict — HMT-style multi-in-flight ancestor sharing. Update walks
-	// (checkFirst == false) never coalesce: Evict rewrites every ancestor
-	// image it read, so it must hold the full authenticated path.
-	coalesce := checkFirst && s.Speculative && s.Pending != nil
 	for {
 		hdone := s.Unit.Hash(curReady, s.Layout.ChunkSize)
 		if hdone > done {
@@ -155,37 +148,6 @@ func (e *Naive) verifyPath(start uint64, c uint64, img []byte, checkFirst bool) 
 			return done, ancestors
 		}
 		parent, _, _ := s.Layout.Parent(cur)
-		if coalesce {
-			if pimg, cdone, ok := s.Pending.Cover(parent, start); ok {
-				if s.CheckReads {
-					var want []byte
-					if s.verifyData() {
-						want = s.slotBytes(pimg, cur)
-					}
-					if d := e.checkAgainst(done, cur, curImg, want,
-						"stored hash does not match in-flight ancestor image"); d > done {
-						done = d
-					}
-				}
-				// The truncated path is only as good as the covering
-				// check: this walk completes when it does.
-				if cdone > done {
-					done = cdone
-				}
-				p := s.Pending
-				p.Stat.Coalesced++
-				blocks := uint64(s.Layout.ChunkSize / s.BlockSize())
-				for k := parent; ; {
-					p.Stat.SavedBlockReads += blocks
-					if k == 0 {
-						break
-					}
-					k, _, _ = s.Layout.Parent(k)
-				}
-				e.anc = ancestors
-				return done, ancestors
-			}
-		}
 		parentImg := e.readChunkMem(parent)
 		_, rdone := s.DRAM.Read(start, s.Layout.ChunkSize, bus.Hash)
 		s.countExtra(uint64(s.Layout.ChunkSize / s.BlockSize()))
@@ -221,41 +183,16 @@ func (e *Naive) ReadBlock(now uint64, addr uint64) uint64 {
 	s.Stat.DemandBlockReads++
 	critical, rdone := s.DRAM.Read(now, s.BlockSize(), bus.Data)
 	// The arrived block enters the read buffer until its path check
-	// completes; a full buffer delays delivery in blocking mode. The
-	// speculative pipeline delivers at the critical word — buffer pressure
-	// still delays the check itself (bufStart), but only the bounded
-	// pending window below can push back on the processor.
+	// completes; the processor uses it from there while the check drains
+	// in the background (§5.8), so a full buffer delays delivery.
 	idx, bufStart := s.Unit.ReadBuf.Acquire(rdone)
-	if bufStart > critical && !s.Speculative {
+	if bufStart > critical {
 		critical = bufStart
 	}
 	done, anc := e.verifyPath(bufStart, c, img, true)
-	if s.Speculative && s.Pending != nil {
-		// Pin every ancestor this walk fetched for the lifetime of its
-		// check, so overlapping walks can stop at a shared ancestor
-		// instead of re-reading the whole upper path.
-		k := c
-		for _, aimg := range anc {
-			k, _, _ = s.Layout.Parent(k)
-			s.Pending.AddCover(k, aimg, done)
-		}
-	}
 	e.releaseAncestors(anc)
 	s.Unit.ReadBuf.Release(idx, done)
 	s.noteCheck(done)
-	if s.Speculative && s.Pending != nil {
-		if floor := s.Pending.Admit(critical, done, false); floor > critical {
-			critical = floor
-		}
-		if s.Tel != nil {
-			end := done
-			if end < critical {
-				end = critical
-			}
-			s.Tel.Emit(telemetry.TrackSpec, telemetry.KindSpecCheck,
-				critical, end, c, s.Pending.Outstanding(critical))
-		}
-	}
 
 	s.observePath(s.Stat.ExtraBlockReads - before)
 	s.Tel.Emit(telemetry.TrackIntegrity, telemetry.KindTreeWalk,
@@ -345,11 +282,6 @@ func (e *Naive) Evict(now uint64, line cache.Line) uint64 {
 		}
 		slotAddr, _ := s.Layout.HashAddr(cur)
 		parent, _, _ := s.Layout.Parent(cur)
-		if s.Pending != nil {
-			// The rewrite makes any pinned pre-update image stale; a walk
-			// verifying against it would flag a clean run.
-			s.Pending.DropCover(parent)
-		}
 		parentImg := ancestors[level]
 		if s.Functional {
 			off := slotAddr - s.Layout.ChunkAddr(parent)
@@ -365,12 +297,6 @@ func (e *Naive) Evict(now uint64, line cache.Line) uint64 {
 	s.Unit.WriteBuf.Release(idx, t)
 	s.noteCheck(t)
 	s.Tel.Emit(telemetry.TrackIntegrity, telemetry.KindWriteBack, now, t, c, 0)
-	if s.Speculative && s.Pending != nil {
-		// Async commit: the processor is released once the line is accepted
-		// into the write buffer; the serial hash chain drains behind it,
-		// bounded by the pending window.
-		return s.Pending.Admit(start, t, true)
-	}
 	return t
 }
 

@@ -53,12 +53,6 @@ type ViolationError struct {
 	Scheme string
 	Chunk  uint64
 	Detail string
-	// Epoch is the barrier epoch the offending access ran in: 0 until the
-	// first Machine.Barrier call, incrementing at each one. Under the
-	// speculative pipeline a violation may resolve cycles after its access
-	// retired; Epoch attributes it to the work the barrier was about to
-	// commit.
-	Epoch uint64
 }
 
 // Error implements error.
@@ -103,25 +97,6 @@ type System struct {
 	// continue (default), halt the machine, or retry the fetch once to
 	// separate transient faults from tampering. See ViolationPolicy.
 	Policy ViolationPolicy
-
-	// Speculative arms the speculative verification pipeline: on a miss,
-	// data is delivered to the processor as soon as the critical word
-	// arrives while the hash check drains through the hash unit in the
-	// background, bounded by the Pending window. Violations are still
-	// detected at the same accesses (Stat is identical to blocking mode);
-	// only their policy consequences wait for the check's completion cycle
-	// or the next barrier. Off by default: blocking mode is bit-identical
-	// to the pre-speculative simulator.
-	Speculative bool
-
-	// Pending tracks the speculative mode's outstanding background checks
-	// and parked violations. Non-nil exactly when Speculative is set.
-	Pending *PendingChecks
-
-	// Epoch counts completed barriers; epochFirst is the first violation
-	// detected since the last barrier, reported by Machine.Barrier.
-	Epoch      uint64
-	epochFirst *ViolationError
 
 	// Functional selects whether the engines move and verify real bytes.
 	// Timing never depends on data values, so large parameter sweeps (the
@@ -353,50 +328,17 @@ func (s *System) leave() { s.depth-- }
 // BlockSize returns the L2 line size.
 func (s *System) BlockSize() int { return s.L2.Config().BlockSize }
 
-// violation records a detected tamper event. at is the cycle the check
-// that caught it completes: detection counters update immediately (the
-// walk has functionally run), but in speculative mode the policy
-// consequences — halt, observer callbacks — are deferred until simulated
-// time reaches at or a barrier drains the pipeline.
-func (s *System) violation(at uint64, chunk uint64, scheme, detail string) {
-	v := &ViolationError{Scheme: scheme, Chunk: chunk, Detail: detail, Epoch: s.Epoch}
+// violation records a detected tamper event and hands it to OnViolation
+// at once: the check that caught it ran functionally with the access.
+func (s *System) violation(chunk uint64, scheme, detail string) {
+	v := &ViolationError{Scheme: scheme, Chunk: chunk, Detail: detail}
 	s.Stat.Violations++
 	if s.First == nil {
 		s.First = v
 	}
-	if s.epochFirst == nil {
-		s.epochFirst = v
-	}
-	if s.Speculative && s.Pending != nil {
-		s.Pending.Defer(v, at)
-		return
-	}
 	if s.OnViolation != nil {
 		s.OnViolation(v)
 	}
-}
-
-// ResolvePending applies the policy consequences of every deferred
-// violation whose background check has completed by now. A no-op in
-// blocking mode, where nothing is ever deferred.
-func (s *System) ResolvePending(now uint64) {
-	if s.Pending != nil {
-		s.Pending.ResolveUpTo(now, s.OnViolation)
-	}
-}
-
-// EndEpoch is the barrier commit point: it resolves every deferred
-// violation (the caller has already waited for ChecksDone, which bounds
-// all of their completion cycles), returns the first violation detected
-// in the closing epoch, and opens the next one.
-func (s *System) EndEpoch() *ViolationError {
-	if s.Pending != nil {
-		s.Pending.ResolveAll(s.OnViolation)
-	}
-	first := s.epochFirst
-	s.epochFirst = nil
-	s.Epoch++
-	return first
 }
 
 // Protected reports whether addr falls inside the hash-protected region.
@@ -525,14 +467,8 @@ func (s *System) slotBytes(parentImg []byte, c uint64) []byte {
 }
 
 // ResetStats zeroes the integrity counters and forgets recorded
-// violations, for post-warm-up measurement. Speculative pipeline counters
-// reset too, but outstanding checks and parked violations survive —
-// warm-up work still has to drain, and detection must never be lost.
+// violations, for post-warm-up measurement.
 func (s *System) ResetStats() {
 	s.Stat = Stats{}
 	s.First = nil
-	s.epochFirst = nil
-	if s.Pending != nil {
-		s.Pending.Stat = SpecStats{}
-	}
 }

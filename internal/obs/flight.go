@@ -16,13 +16,10 @@ const FlightSchema = "memverify-flight-v1"
 // evidence) belong here — per-access events live in the telemetry trace.
 const (
 	// EvViolation: one detected integrity violation, attributed to its
-	// shard and barrier epoch. Detail carries the engine's message.
+	// shard. Detail carries the engine's message.
 	EvViolation = "violation"
 	// EvShardHalt: a shard tripped the halt policy and stopped serving.
 	EvShardHalt = "shard-halt"
-	// EvBarrier: an explicit cross-shard barrier (Flush/VerifyAll/Barrier)
-	// committed.
-	EvBarrier = "barrier"
 	// EvCheckpointIntent / EvCheckpointCommit / EvCheckpointSeal: the
 	// persistence commit protocol's three externally visible transitions —
 	// intent record fsynced, manifest renamed, commit record fsynced.

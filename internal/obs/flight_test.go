@@ -11,7 +11,7 @@ import (
 func TestFlightRecorderRingBounds(t *testing.T) {
 	fr := NewFlightRecorder(4)
 	for i := 0; i < 10; i++ {
-		fr.Record(EvBarrier, i, uint64(i), "e")
+		fr.Record(EvViolation, i, uint64(i), "e")
 	}
 	evs := fr.Events()
 	if len(evs) != 4 {

@@ -44,9 +44,6 @@ const (
 	SeriesViolationsPerSec = "violations_per_sec"
 	// SeriesBusUtilization: the bus.utilization gauge, sampled.
 	SeriesBusUtilization = "bus_utilization"
-	// SeriesSpecWindowPeak: the speculative pipeline's high-water mark of
-	// in-flight checks (spec.pending_peak, sampled as a level).
-	SeriesSpecWindowPeak = "spec_window_peak"
 	// SeriesCheckpointLatency / SeriesRecoveryLatency: mean nanoseconds
 	// per checkpoint / recovery completed inside the window (delta of
 	// persist.*_nanos over delta of completions).
@@ -252,9 +249,6 @@ func (s *Sampler) SampleNow() Sample {
 	if v, ok := sm.Gauges["bus.utilization"]; ok {
 		sm.Derived[SeriesBusUtilization] = v
 	}
-	if v, ok := sm.Counters["spec.pending_peak"]; ok {
-		sm.Derived[SeriesSpecWindowPeak] = float64(v)
-	}
 
 	for name, v := range sm.Rates {
 		s.push("rate."+name, Point{At: at, Value: v})
@@ -383,7 +377,7 @@ func (s *Sampler) DerivedGauges() map[string]float64 {
 	}
 	for _, name := range []string{
 		SeriesOpsPerSec, SeriesBytesPerSec, SeriesViolationsPerSec,
-		SeriesBusUtilization, SeriesSpecWindowPeak,
+		SeriesBusUtilization,
 		SeriesCheckpointLatency, SeriesRecoveryLatency,
 	} {
 		if v, ok := s.Latest(name); ok {

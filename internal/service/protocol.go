@@ -125,6 +125,14 @@ func DecodeRequest(r io.Reader, maxOps, maxBytes int) ([]Op, error) {
 		}
 		ops = append(ops, op)
 	}
+	// The declared count covers the whole body: a byte past the last op
+	// means the header under-counts, and the ops after it would be dropped.
+	if _, err := io.ReadFull(r, oh[:1]); err != io.EOF {
+		if err == nil {
+			return nil, fmt.Errorf("trailing bytes after the declared %d ops", nops)
+		}
+		return nil, fmt.Errorf("after op %d: %w", nops, err)
+	}
 	return ops, nil
 }
 

@@ -46,11 +46,14 @@ func TestProtocolRoundtrip(t *testing.T) {
 
 func TestProtocolRejectsMalformed(t *testing.T) {
 	good := EncodeRequest([]Op{{Write: true, Off: 1, Data: []byte{1}}})
+	// The header declares one op; a second write follows it.
+	undercount := append(append([]byte(nil), good...), EncodeRequest([]Op{{Write: true, Off: 9, Data: []byte{2}}})[8:]...)
 	cases := map[string][]byte{
 		"empty":           {},
 		"bad magic":       append([]byte("XXXX"), good[4:]...),
 		"truncated ops":   good[:len(good)-1],
 		"truncated count": good[:6],
+		"trailing bytes":  undercount,
 	}
 	for name, wire := range cases {
 		if _, err := DecodeRequest(bytes.NewReader(wire), 0, 0); err == nil {

@@ -165,9 +165,9 @@ func (s *Service) buildTenant(tc TenantConfig) (*tenant, error) {
 	prev := scfg.OnViolation
 	scfg.OnViolation = func(sh int, v *integrity.ViolationError, halted bool) {
 		if fr != nil {
-			fr.Record(obs.EvViolation, sh, v.Epoch, fmt.Sprintf("tenant %s: %s", name, v.Error()))
+			fr.Record(obs.EvViolation, sh, 0, fmt.Sprintf("tenant %s: %s", name, v.Error()))
 			if halted {
-				fr.Record(obs.EvShardHalt, sh, v.Epoch, fmt.Sprintf("tenant %s: halt policy tripped", name))
+				fr.Record(obs.EvShardHalt, sh, 0, fmt.Sprintf("tenant %s: halt policy tripped", name))
 			}
 		}
 		if prev != nil {

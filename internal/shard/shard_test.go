@@ -415,8 +415,6 @@ func TestNewRefusesAblations(t *testing.T) {
 		field string
 		set   func(*core.Config)
 	}{
-		{"Speculative", func(c *core.Config) { c.Speculative = true }},
-		{"SpecWindow", func(c *core.Config) { c.SpecWindow = 4 }},
 		{"Prefetch.Enabled", func(c *core.Config) { c.Prefetch.Enabled = true }},
 		{"VerifyCacheLines", func(c *core.Config) { c.VerifyCacheLines = 64 }},
 		{"HashMode", func(c *core.Config) { c.HashMode = "timing" }},

@@ -31,12 +31,11 @@ const (
 	TrackBus                    // bus grants
 	TrackDRAM                   // DRAM transactions
 	TrackPrefetch               // tree-ancestor prefetches
-	TrackSpec                   // speculative background checks
 	numTracks
 )
 
 // trackNames are the thread names the Chrome exporter writes.
-var trackNames = [numTracks]string{"L2", "integrity", "hash-unit", "bus", "dram", "prefetch", "speculative"}
+var trackNames = [numTracks]string{"L2", "integrity", "hash-unit", "bus", "dram", "prefetch"}
 
 // String returns the track's display name.
 func (t Track) String() string {
@@ -75,17 +74,13 @@ const (
 	// modeled transfer completion. A = predicted chunk, B = the ancestor
 	// chunk whose record block the prefetch pulled in.
 	KindPrefetch
-	// KindSpecCheck: one speculative background verification, spanning
-	// the data's speculative delivery to the check's completion. A = the
-	// checked chunk, B = outstanding checks at delivery time.
-	KindSpecCheck
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"l2-read", "l2-write", "tree-walk", "write-back",
 	"hash-job", "bus-grant", "dram-read", "dram-write",
-	"prefetch", "spec-check",
+	"prefetch",
 }
 
 // String returns the kind's display name.
@@ -269,12 +264,6 @@ type Probes struct {
 	// entries observed at each job's arrival (Figure 7's pressure).
 	ReadBufOcc  *stats.Histogram
 	WriteBufOcc *stats.Histogram
-	// SpecOcc distributes the speculative pipeline's outstanding checks
-	// observed at each admission; SpecOverlap the per-check cycles of
-	// verify latency hidden behind the processor (check completion minus
-	// speculative delivery). Both stay empty in blocking mode.
-	SpecOcc     *stats.Histogram
-	SpecOverlap *stats.Histogram
 }
 
 // NewProbes returns probes with bucket bounds sized for the simulator's
@@ -284,8 +273,6 @@ func NewProbes() *Probes {
 		VerifyOverhead: stats.NewHistogram(25, 50, 100, 200, 400, 800, 1600, 3200),
 		ReadBufOcc:     stats.NewHistogram(1, 2, 4, 8, 16, 32),
 		WriteBufOcc:    stats.NewHistogram(1, 2, 4, 8, 16, 32),
-		SpecOcc:        stats.NewHistogram(1, 2, 4, 8, 16, 32, 64),
-		SpecOverlap:    stats.NewHistogram(25, 50, 100, 200, 400, 800, 1600, 3200),
 	}
 }
 
@@ -326,7 +313,5 @@ func (r *Recorder) FillRegistry(reg *Registry) {
 		reg.MergeHistogram("integrity.verify_overhead_cycles", p.VerifyOverhead)
 		reg.MergeHistogram("hash.read_buffer_occupancy", p.ReadBufOcc)
 		reg.MergeHistogram("hash.write_buffer_occupancy", p.WriteBufOcc)
-		reg.MergeHistogram("spec.pending_occupancy", p.SpecOcc)
-		reg.MergeHistogram("spec.verify_overlap_cycles", p.SpecOverlap)
 	}
 }
