@@ -10,11 +10,9 @@ go test -race ./...
 # The benchmark is a module of its own over internal/...: vet and test it
 # where it lives (tier-1's TestBenchModule runs the same line).
 (cd bench && go vet ./... && go test ./...)
-
-# Cross-mode equivalence: full and timing-only digest execution must
-# produce identical metrics and figure output for every scheme.
-go test -run 'HashMode|TimingConstructors|FigureOutputIdentical' \
-  ./internal/integrity/ ./internal/core/ ./internal/figures/
+# The gates below add what the -race run cannot show: the thousand-
+# injection chaos campaign (skipped under -race), the command-line and
+# multi-process legs, fuzzing and the wall-clock ratios.
 
 # Timing-only smoke sweep: one figure functionally with digests switched
 # off — the fast path every functional sweep is expected to use. The 1 GiB
@@ -38,23 +36,19 @@ go run ./cmd/chaos -n 25 -seed 7 >/dev/null
 go test -run 'TestCampaignAcceptance|TestCampaignDeterministic' ./internal/chaos/
 echo "chaos campaign gate OK"
 
-# Prefetch gate: tree-ancestor prefetching and the dedicated verification
-# cache must be semantically invisible — byte-identical delivered data and
-# roots against a prefetch-off shared-L2 machine for every scheme × hash
-# mode (race-clean) — and a chaos mini-campaign with both features enabled
-# must keep 100% detection with zero clean-run false positives.
-go test -race -run 'TestPrefetchEquivalence|TestDeterministicEmissions' \
-  ./internal/core/ ./internal/prefetch/
+# Prefetch gate: with tree-ancestor prefetching and the dedicated
+# verification cache both enabled, a chaos mini-campaign must keep 100%
+# detection with zero clean-run false positives. (Their equivalence
+# against a prefetch-off shared-L2 machine, TestPrefetchEquivalence, runs
+# race-clean with the suite above.)
 go run ./cmd/chaos -n 25 -seed 11 -prefetch -verify-cache 32 -verify-assoc 4 >/dev/null
 echo "prefetch equivalence gate OK"
 
-# Sharded-store gate: the concurrent store must stay race-clean and
-# byte-identical to a single machine under every scheme, and the loadgen
-# smoke must verify clean traffic (it exits nonzero on any violation or
-# mirror mismatch) for all four tree schemes. The tamper leg asserts the
-# opposite: a corrupted shard must be detected and fail the run.
-go test -race -run 'TestCrossShardEquivalence|TestTamperIsolation|TestConcurrentSubmittersConverge' \
-  ./internal/shard/
+# Sharded-store gate: the loadgen smoke must verify clean traffic (it
+# exits nonzero on any violation or mirror mismatch) for all four tree
+# schemes. The tamper leg asserts the opposite: a corrupted shard must be
+# detected and fail the run. (The store's race-clean equivalence to a
+# single machine runs with the suite above.)
 for scheme in naive c m i; do
   go run ./cmd/loadgen -scheme "$scheme" -shards 4 -workers 2 -ops 2000 >/dev/null
 done
@@ -64,17 +58,13 @@ if go run ./cmd/loadgen -shards 2 -workers 2 -ops 500 -tamper 1 >/dev/null 2>&1;
 fi
 echo "sharded store gate OK"
 
-# Persistence gate: the crash-consistency machinery must hold up under the
-# race detector — the kill-point property on both kinds of segment, the
-# chain-is-the-image property, the short-write regression — and a seeded
-# 200-leg campaign (50 per tree scheme: kills at every commit-protocol
-# stage plus on-disk tampering with bases, deltas and the chains between
-# them, the campaign's delta legs included in the race run) must recover
-# every clean crash to the exact sealed root and detect every tamper —
-# cmd/chaos -crash exits nonzero on any false positive, root mismatch, or
-# miss.
-go test -race -run 'TestKillPointProperty|TestChainIsTheImage|TestShortWAL|TestRecover|TestDoubleCrash|TestStaleSnapshot|TestCrashCampaign' \
-  ./internal/persist/ ./internal/chaos/
+# Persistence gate: a seeded 200-leg campaign (50 per tree scheme: kills
+# at every commit-protocol stage plus on-disk tampering with bases, deltas
+# and the chains between them) must recover every clean crash to the
+# exact sealed root and detect every tamper — cmd/chaos -crash exits
+# nonzero on any false positive, root mismatch, or miss. (The kill-point,
+# chain-is-the-image and short-write properties run race-clean with the
+# suite above.)
 go run ./cmd/chaos -crash -n 50 -seed 17 >/dev/null
 # End-to-end kill/restart walkthrough: loadgen dies mid-checkpoint (exit 3
 # by contract), restart must classify the crash and keep serving; a replayed
@@ -352,15 +342,10 @@ done
 go test -run '^$' -fuzz '^FuzzValidateExposition$' -fuzztime 10s ./internal/obs/ >/dev/null
 echo "wire parser fuzz smoke OK"
 
-# Line-buffer ownership gate: one owner per buffer after every step of
-# seeded cache traffic, no pooled image lost on a write-allocate, and no
-# allocation on the steady-state miss path of any scheme — race-clean (the
-# poisoned reruns of the tamper, halt-policy and verify-cache suites ran
-# with `go test -race ./...` above). The two layer benchmarks run one
-# iteration as a compile-and-run smoke; their allocs/op column is the
-# number to read when the gate fails.
-go test -race -run 'TestLineBuffersHaveOneOwner|TestWriteAllocateReturnsItsImage|TestSteadyStateMissAllocs' \
-  ./internal/cache/ ./internal/integrity/ ./internal/core/
+# Line-buffer ownership gate: the ownership and zero-alloc tests ran with
+# `go test -race ./...` above; the two layer benchmarks run one iteration
+# here as a compile-and-run smoke. Their allocs/op column is the number to
+# read when the gate fails.
 go test -run '^$' -bench 'BenchmarkFillEvict|BenchmarkMissWalk' -benchtime 1x \
   ./internal/cache/ ./internal/integrity/ >/dev/null
 echo "line-buffer ownership gate OK"

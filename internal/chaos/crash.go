@@ -505,7 +505,7 @@ func runCrashLeg(cfg CrashConfig, id int, kind, stage, dir string) (*CrashInject
 
 	// Restart: recover with a clean filesystem, as a rebooted process
 	// would.
-	rec, roots, err := recoverLeg(cfg, mcfg, dir, anchorPath)
+	rec, err := recoverLeg(cfg, mcfg, dir, anchorPath)
 	if err != nil {
 		return nil, err
 	}
@@ -515,30 +515,24 @@ func runCrashLeg(cfg CrashConfig, id int, kind, stage, dir string) (*CrashInject
 	inj.Detected = rec.Outcome == persist.OutcomeViolation
 	if !inj.Detected {
 		want, ok := sealed[rec.Epoch]
-		inj.ExactRoot = ok && rootsEqual(roots, want)
+		inj.ExactRoot = ok && rootsEqual(rec.Roots, want)
 	}
 	return inj, nil
 }
 
-// recoverLeg dispatches recovery by source shape and returns the restored
-// per-shard roots.
-func recoverLeg(cfg CrashConfig, mcfg core.Config, dir, anchorPath string) (*persist.Recovery, [][]byte, error) {
+// recoverLeg dispatches recovery by source shape.
+func recoverLeg(cfg CrashConfig, mcfg core.Config, dir, anchorPath string) (*persist.Recovery, error) {
+	opts := persist.Options{Dir: dir, AnchorPath: anchorPath}
 	if cfg.Shards > 1 {
-		s, rec, err := persist.RecoverStore(persist.Options{Dir: dir, AnchorPath: anchorPath}, shard.Config{Machine: mcfg, Shards: cfg.Shards})
+		s, rec, err := persist.RecoverStore(opts, shard.Config{Machine: mcfg, Shards: cfg.Shards})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		defer s.Close()
-		return rec, rec.Roots, nil
+		s.Close()
+		return rec, nil
 	}
-	m, rec, err := persist.RecoverMachine(persist.Options{Dir: dir, AnchorPath: anchorPath}, mcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	if rec.Outcome == persist.OutcomeViolation {
-		return rec, nil, nil
-	}
-	return rec, [][]byte{m.Root()}, nil
+	_, rec, err := persist.RecoverMachine(opts, mcfg)
+	return rec, err
 }
 
 func rootsEqual(a, b [][]byte) bool {

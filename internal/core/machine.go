@@ -67,7 +67,7 @@ func NewMachine(cfg Config) (*Machine, error) { return newMachine(cfg, nil, nil)
 // is img and whose root register is root — a SaveState snapshot, typically
 // one read back from disk. Nothing is hashed and nothing is trusted yet:
 // the tree is whatever img holds, and reads verify it against root as they
-// go (VerifyAll checks all of it at once).
+// go (VerifyImage checks all of it at once).
 func NewMachineFromState(cfg Config, img, root []byte) (*Machine, error) {
 	if img == nil {
 		return nil, fmt.Errorf("core: NewMachineFromState needs a state image")
@@ -178,7 +178,7 @@ func newMachine(cfg Config, img, root []byte) (*Machine, error) {
 			return nil, err
 		}
 	case cfg.Functional && cfg.Scheme != SchemeBase:
-		m.Engine.(integrity.TreeInitializer).InitializeTree()
+		m.Engine.(integrity.TreeWalker).InitializeTree()
 	}
 
 	// Program layout inside the protected data region: code first, data
@@ -408,6 +408,34 @@ func (m *Machine) VerifyAll() error {
 		}
 	}
 	return nil
+}
+
+// VerifyImage drains the machine to a commit point and then checks the
+// whole external-memory image against the root register in one
+// bottom-up pass (the engine's TreeWalker.CheckTree): every chunk, the
+// code region and every interior record included, is checked with the
+// engine's own read check against the record its parent stores. It is
+// what VerifyAll establishes, at the cost of one read and one hash per
+// chunk: no block goes through the caches, the bus or the DRAM model, no
+// cycle is charged and no counter but the violation policy's moves. It
+// stops at the first violation, which it returns (as it returns
+// ErrHalted from a machine the halt policy has stopped).
+//
+// After the flush, external memory is the machine's whole state, so the
+// check decides what VerifyAll decides on a machine whose caches hold no
+// protected line — one built by NewMachineFromState. On a running machine
+// it is stricter: memory tampered under a clean cached copy, which the
+// engine trusts and never re-reads, fails it too.
+func (m *Machine) VerifyImage() error {
+	m.Flush()
+	if err := m.beginAccess("VerifyImage"); err != nil {
+		return err
+	}
+	t, ok := m.Engine.(integrity.TreeWalker)
+	if !ok {
+		return nil // base: no tree to check
+	}
+	return t.CheckTree()
 }
 
 // Port exposes the machine's memory hierarchy as a cpu.MemPort, letting

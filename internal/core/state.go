@@ -112,7 +112,7 @@ func (m *Machine) StateSize() uint64 { return m.Layout.Size() }
 // RestoreState does not verify anything itself: reads after it go through
 // the ordinary verification walk, so a restored image that disagrees with
 // root (tampering, or a rolled-back snapshot) is detected on consumption;
-// VerifyAll forces that detection eagerly. Recovery does not come through
+// VerifyImage (or VerifyAll) forces that detection eagerly. Recovery does not come through
 // here: internal/persist builds its machines from the saved state
 // (NewMachineFromState) rather than restoring over a fresh one.
 func (m *Machine) RestoreState(img []byte, root []byte) error {

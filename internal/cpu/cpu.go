@@ -88,11 +88,13 @@ type CPU struct {
 	cfg Config
 	mem MemPort
 
-	ring      uint64
+	// The rings' sizes are powers of two, so an index is masked with
+	// size−1 rather than reduced modulo the size.
+	ringMask  uint64
 	done      []uint64 // result-ready cycle per instruction (ring)
 	commit    []uint64 // commit cycle per instruction (ring)
 	fetch     []uint64 // fetch cycle per instruction (ring)
-	lsqRing   uint64
+	lsqMask   uint64
 	memCommit []uint64 // commit cycle per memory op (ring)
 
 	// Issue-bandwidth regulator: slots consumed per cycle over a sliding
@@ -121,11 +123,11 @@ func New(cfg Config, mem MemPort) *CPU {
 	return &CPU{
 		cfg:        cfg,
 		mem:        mem,
-		ring:       ring,
+		ringMask:   ring - 1,
 		done:       make([]uint64, ring),
 		commit:     make([]uint64, ring),
 		fetch:      make([]uint64, ring),
-		lsqRing:    lsqRing,
+		lsqMask:    lsqRing - 1,
 		memCommit:  make([]uint64, lsqRing),
 		issueCycle: make([]uint64, issueWindow),
 		issueUsed:  make([]uint16, issueWindow),
@@ -181,7 +183,7 @@ func (c *CPU) Run(gen trace.Generator, n uint64) Result {
 
 	var startCycle uint64
 	if c.count > 0 {
-		startCycle = c.commit[(c.count-1)%c.ring]
+		startCycle = c.commit[(c.count-1)&c.ringMask]
 	}
 	end := c.count + n
 	for ; c.count < end; c.count++ {
@@ -195,19 +197,19 @@ func (c *CPU) Run(gen trace.Generator, n uint64) Result {
 		// fetch; a pipelined hit does not).
 		ft := c.refetchAt
 		if i >= fw {
-			if t := c.fetch[(i-fw)%c.ring] + 1; t > ft {
+			if t := c.fetch[(i-fw)&c.ringMask] + 1; t > ft {
 				ft = t
 			}
 		}
 		if i >= ruu {
-			if t := c.commit[(i-ruu)%c.ring]; t > ft {
+			if t := c.commit[(i-ruu)&c.ringMask]; t > ft {
 				ft = t
 			}
 		}
 		if c.fetchDone > 0 && c.fetchDone-1 > ft {
 			ft = c.fetchDone - 1
 		}
-		c.fetch[i%c.ring] = ft
+		c.fetch[i&c.ringMask] = ft
 		fd := c.mem.Fetch(ft, ins.PC)
 		c.fetchDone = fd
 
@@ -215,12 +217,12 @@ func (c *CPU) Run(gen trace.Generator, n uint64) Result {
 		// memory ops — an LSQ entry is free.
 		ready := fd + cfg.DecodeDepth
 		if ins.Dep1 != 0 && uint64(ins.Dep1) <= i {
-			if t := c.done[(i-uint64(ins.Dep1))%c.ring]; t > ready {
+			if t := c.done[(i-uint64(ins.Dep1))&c.ringMask]; t > ready {
 				ready = t
 			}
 		}
 		if ins.Dep2 != 0 && uint64(ins.Dep2) <= i {
-			if t := c.done[(i-uint64(ins.Dep2))%c.ring]; t > ready {
+			if t := c.done[(i-uint64(ins.Dep2))&c.ringMask]; t > ready {
 				ready = t
 			}
 		}
@@ -228,7 +230,7 @@ func (c *CPU) Run(gen trace.Generator, n uint64) Result {
 		var dn uint64
 		isMem := ins.Op == trace.OpLoad || ins.Op == trace.OpStore
 		if isMem && c.nMem >= lsq {
-			if t := c.memCommit[(c.nMem-lsq)%c.lsqRing]; t > ready {
+			if t := c.memCommit[(c.nMem-lsq)&c.lsqMask]; t > ready {
 				ready = t
 			}
 		}
@@ -260,24 +262,24 @@ func (c *CPU) Run(gen trace.Generator, n uint64) Result {
 		default:
 			dn = ready + 1
 		}
-		c.done[i%c.ring] = dn
+		c.done[i&c.ringMask] = dn
 
 		// Commit: in order, bounded by commit bandwidth.
 		ct := dn
 		if i > 0 {
-			if t := c.commit[(i-1)%c.ring]; t > ct {
+			if t := c.commit[(i-1)&c.ringMask]; t > ct {
 				ct = t
 			}
 		}
 		if i >= cw {
-			if t := c.commit[(i-cw)%c.ring] + 1; t > ct {
+			if t := c.commit[(i-cw)&c.ringMask] + 1; t > ct {
 				ct = t
 			}
 		}
-		c.commit[i%c.ring] = ct
+		c.commit[i&c.ringMask] = ct
 
 		if isMem {
-			c.memCommit[c.nMem%c.lsqRing] = ct
+			c.memCommit[c.nMem&c.lsqMask] = ct
 			c.nMem++
 			if ins.Op == trace.OpStore {
 				c.mem.Store(ct, ins.Addr)
@@ -292,7 +294,7 @@ func (c *CPU) Run(gen trace.Generator, n uint64) Result {
 	}
 	res.Instructions = n
 	if n > 0 {
-		res.Cycles = c.commit[(end-1)%c.ring] - startCycle
+		res.Cycles = c.commit[(end-1)&c.ringMask] - startCycle
 	}
 	return res
 }

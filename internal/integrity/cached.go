@@ -1,7 +1,6 @@
 package integrity
 
 import (
-	"bytes"
 	"fmt"
 
 	"memverify/internal/bus"
@@ -67,10 +66,8 @@ func NewCached(sys *System) *Cached {
 	} else {
 		e.scheme = "m"
 	}
-	e.verify = func(_ uint64, img, stored []byte) bool {
-		return bytes.Equal(sys.hashChunkScratch(img), stored)
-	}
-	e.record = func(_ uint64, img []byte) []byte { return sys.hashChunkScratch(img) }
+	e.verify = sys.hashMatches
+	e.record = sys.hashRecord
 	if sys.skipDigests() {
 		e.applyTimingMode()
 	}
@@ -93,31 +90,14 @@ func (e *Cached) Name() string { return e.scheme }
 // System implements Engine.
 func (e *Cached) System() *System { return e.sys }
 
-// InitializeTree computes every stored record bottom-up from current
-// memory contents and installs the root, entering secure mode. Under the
-// timing-only unit nothing ever compares stored records, so the walk —
-// the dominant construction cost on large protected regions — is skipped
-// entirely.
-func (e *Cached) InitializeTree() {
-	s := e.sys
-	if s.skipDigests() {
-		s.Root = append(s.Root[:0], s.timingTag(0)...)
-		return
-	}
-	img := make([]byte, s.Layout.ChunkSize)
-	for c := s.Layout.TotalChunks - 1; ; c-- {
-		s.Mem.Read(s.Layout.ChunkAddr(c), img)
-		rec := e.record(c, img)
-		if addr, ok := s.Layout.HashAddr(c); ok {
-			s.Mem.Write(addr, rec)
-		} else {
-			s.Root = append(s.Root[:0], rec...)
-		}
-		if c == 0 {
-			return
-		}
-	}
-}
+// InitializeTree implements TreeWalker with the engine's record: a hash
+// for c and m, a fresh XOR-MAC for the embedding Incr (which cannot
+// initialize by touch, §5.7.2's footnote).
+func (e *Cached) InitializeTree() { e.sys.initializeTree(e.record) }
+
+// CheckTree implements TreeWalker with the engine's read check: the hash
+// compare for c and m, the XOR-MAC check, stamps included, for Incr.
+func (e *Cached) CheckTree() error { return e.sys.checkTree(e.scheme, e.verify) }
 
 // ReadBlock implements Engine: the ReadAndCheck algorithm of §5.3/§5.4 for
 // a processor-demanded block.

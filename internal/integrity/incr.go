@@ -226,29 +226,3 @@ func (e *Incr) evictIncr(now uint64, line cache.Line) uint64 {
 	s.Tel.Emit(telemetry.TrackIntegrity, telemetry.KindWriteBack, now, done, c, 1)
 	return done
 }
-
-// InitializeTree computes every MAC record from scratch, bottom-up — the
-// i-scheme initialization cannot use the touch-and-flush trick because
-// write-backs only ever update records incrementally (§5.7.2, footnote).
-func (e *Incr) InitializeTree() {
-	s := e.sys
-	if s.skipDigests() {
-		// Timing-only execution never compares records, so the whole
-		// bottom-up walk — the dominant construction cost — is skipped.
-		s.Root = append(s.Root[:0], s.timingTag(0)...)
-		return
-	}
-	img := make([]byte, s.Layout.ChunkSize)
-	for c := s.Layout.TotalChunks - 1; ; c-- {
-		s.Mem.Read(s.Layout.ChunkAddr(c), img)
-		rec := e.record(c, img)
-		if addr, ok := s.Layout.HashAddr(c); ok {
-			s.Mem.Write(addr, rec)
-		} else {
-			s.Root = append(s.Root[:0], rec...)
-		}
-		if c == 0 {
-			return
-		}
-	}
-}

@@ -1,7 +1,6 @@
 package integrity
 
 import (
-	"bytes"
 	"fmt"
 
 	"memverify/internal/bus"
@@ -45,28 +44,12 @@ func (e *Naive) Name() string { return "naive" }
 // System implements Engine.
 func (e *Naive) System() *System { return e.sys }
 
-// InitializeTree computes every stored hash bottom-up from memory. The
-// timing-only unit skips the walk (nothing ever compares the records).
-func (e *Naive) InitializeTree() {
-	s := e.sys
-	if s.skipDigests() {
-		s.Root = append(s.Root[:0], s.timingTag(0)...)
-		return
-	}
-	img := make([]byte, s.Layout.ChunkSize)
-	for c := s.Layout.TotalChunks - 1; ; c-- {
-		s.Mem.Read(s.Layout.ChunkAddr(c), img)
-		h := s.hashChunkScratch(img)
-		if addr, ok := s.Layout.HashAddr(c); ok {
-			s.Mem.Write(addr, h)
-		} else {
-			s.Root = append(s.Root[:0], h...)
-		}
-		if c == 0 {
-			return
-		}
-	}
-}
+// InitializeTree implements TreeWalker: every stored hash, bottom-up.
+func (e *Naive) InitializeTree() { e.sys.initializeTree(e.sys.hashRecord) }
+
+// CheckTree implements TreeWalker with the hash compare every path
+// verification makes.
+func (e *Naive) CheckTree() error { return e.sys.checkTree("naive", e.sys.hashMatches) }
 
 // readChunkMem reads chunk c's bytes from external memory into a pooled
 // image buffer the caller releases with putImg (functional mode only;
@@ -91,10 +74,10 @@ func (e *Naive) checkAgainst(at uint64, cur uint64, curImg, want []byte, detail 
 	if !s.verifyData() {
 		return at
 	}
-	if !bytes.Equal(s.hashChunkScratch(curImg), want) {
+	if !s.hashMatches(cur, curImg, want) {
 		if s.Policy == PolicyRetry {
 			passed, rdone := s.retryVerify(at, cur, false, func(probe []byte) bool {
-				ok := bytes.Equal(s.hashChunkScratch(probe), want)
+				ok := s.hashMatches(cur, probe, want)
 				if ok && curImg != nil {
 					// Transient fault on the first transfer: replace the
 					// delivered image with the clean re-read.

@@ -72,7 +72,6 @@ func ParseViolationPolicy(s string) (ViolationPolicy, error) {
 // exception a real fault deserves anyway, whereas the reverse would
 // swallow an attack.
 func (s *System) retryVerify(now uint64, c uint64, compose bool, check func(img []byte) bool) (passed bool, done uint64) {
-	s.Stat.Retries++
 	var img []byte
 	if compose {
 		img, _ = s.composeImage(c)
@@ -85,12 +84,20 @@ func (s *System) retryVerify(now uint64, c uint64, compose bool, check func(img 
 	if hd := s.Unit.Hash(done, s.Layout.ChunkSize); hd > done {
 		done = hd
 	}
-	passed = check(img)
+	passed = s.retried(check(img))
 	s.putImg(img)
+	return passed, done
+}
+
+// retried counts one PolicyRetry probe whose re-read verified clean
+// (passed: a transient fault) or failed again (persistent tampering), and
+// returns passed.
+func (s *System) retried(passed bool) bool {
+	s.Stat.Retries++
 	if passed {
 		s.Stat.RetriesTransient++
 	} else {
 		s.Stat.RetriesPersistent++
 	}
-	return passed, done
+	return passed
 }

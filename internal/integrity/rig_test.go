@@ -90,7 +90,7 @@ func newRig(t testing.TB, cfg rigConfig) *rig {
 		buf[i] = byte(i*131 + 7)
 	}
 	backing.Write(layout.DataStart(), buf)
-	if init, ok := r.engine.(TreeInitializer); ok && cfg.scheme != "base" {
+	if init, ok := r.engine.(TreeWalker); ok && cfg.scheme != "base" {
 		init.InitializeTree()
 	}
 	// Seed the shadow with initial contents.

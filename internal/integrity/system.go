@@ -1,6 +1,7 @@
 package integrity
 
 import (
+	"bytes"
 	"fmt"
 
 	"memverify/internal/bus"
@@ -329,8 +330,9 @@ func (s *System) leave() { s.depth-- }
 func (s *System) BlockSize() int { return s.L2.Config().BlockSize }
 
 // violation records a detected tamper event and hands it to OnViolation
-// at once: the check that caught it ran functionally with the access.
-func (s *System) violation(chunk uint64, scheme, detail string) {
+// at once: the check that caught it ran functionally with the access. It
+// returns the recorded event.
+func (s *System) violation(chunk uint64, scheme, detail string) *ViolationError {
 	v := &ViolationError{Scheme: scheme, Chunk: chunk, Detail: detail}
 	s.Stat.Violations++
 	if s.First == nil {
@@ -339,6 +341,7 @@ func (s *System) violation(chunk uint64, scheme, detail string) {
 	if s.OnViolation != nil {
 		s.OnViolation(v)
 	}
+	return v
 }
 
 // Protected reports whether addr falls inside the hash-protected region.
@@ -416,6 +419,16 @@ func (s *System) composeImage(c uint64) (img []byte, memBlocks []int) {
 // slice the caller owns.
 func (s *System) hashChunk(img []byte) []byte {
 	return hashalg.Truncate(s.Alg.Sum(img), s.Layout.HashSize)
+}
+
+// hashRecord is the c, m and naive stored record: the chunk image's
+// hash, in the digest scratch (see hashChunkScratch).
+func (s *System) hashRecord(_ uint64, img []byte) []byte { return s.hashChunkScratch(img) }
+
+// hashMatches is the c, m and naive read check: does the chunk image hash
+// to the stored record?
+func (s *System) hashMatches(_ uint64, img, stored []byte) bool {
+	return bytes.Equal(s.hashChunkScratch(img), stored)
 }
 
 // hashChunkScratch computes the stored-form hash of a chunk image into the

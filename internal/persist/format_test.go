@@ -122,6 +122,50 @@ func TestRecoverStoreVerifiesCodeRegion(t *testing.T) {
 	}
 }
 
+// TestDetectedRecoveryRestoresNoRoots pins Recovery.Roots to its contract
+// on a forged image: the engine check refuses it, nothing is restored, and
+// neither constructor reports roots for it.
+func TestDetectedRecoveryRestoresNoRoots(t *testing.T) {
+	cfg := testConfig(core.SchemeCached, "full")
+	t.Run("machine", func(t *testing.T) {
+		dir := t.TempDir()
+		_, m := checkpointEpochs(t, dir, cfg, 2)
+		forgeImageByte(t, dir, 2, 0, m.ProgAddr(100))
+		_, rec, err := RecoverMachine(Options{Dir: dir}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Outcome != OutcomeViolation || rec.Roots != nil {
+			t.Fatalf("outcome %s with roots %x, want a violation and no roots", rec.Outcome, rec.Roots)
+		}
+	})
+	t.Run("store", func(t *testing.T) {
+		scfg := shard.Config{Machine: cfg, Shards: 2}
+		scfg.Machine.ProtectedBytes = 32 << 10
+		dir := t.TempDir()
+		s, err := shard.New(scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		st := openStore(t, Options{Dir: dir, Retry: fastRetry})
+		if _, err := st.Checkpoint(StoreSource{s}); err != nil {
+			t.Fatal(err)
+		}
+		var at uint64
+		s.WithShard(0, func(m *core.Machine) { at = m.ProgAddr(100) })
+		forgeImageByte(t, dir, 1, 0, at)
+		r, rec, err := RecoverStore(Options{Dir: dir}, scfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if rec.Outcome != OutcomeViolation || rec.Roots != nil {
+			t.Fatalf("outcome %s with roots %x, want a violation and no roots", rec.Outcome, rec.Roots)
+		}
+	})
+}
+
 // TestSegmentTearAtEveryWrite kills the second checkpoint inside each of
 // its segment's writes — a base's header, image and trailer, a delta's
 // header, run table, line bytes and trailer — and at its sync: every torn
@@ -355,9 +399,10 @@ func BenchmarkCheckpointDelta(b *testing.B) {
 }
 
 // BenchmarkRecoverMachine recovers that machine: segments read and
-// checksummed, machine built from the image, every block re-verified —
-// from a lone base, and from a chain whose deltas have all but used up
-// what a chain may hold, the most recovery ever reads.
+// checksummed, machine built from the image, the whole image checked
+// against the sealed root in one bottom-up pass — from a lone base, and
+// from a chain whose deltas have all but used up what a chain may hold,
+// the most recovery ever reads.
 func BenchmarkRecoverMachine(b *testing.B) {
 	cfg := benchConfig()
 	for _, leg := range []string{"base", "longest-chain"} {

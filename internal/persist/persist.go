@@ -5,15 +5,15 @@
 // bytes), and the secure root register — into per-shard segment files,
 // committed atomically by a manifest rename and sealed by a write-ahead
 // log of root transitions. Recovery replays the WAL, restores the last
-// committed snapshot, re-verifies it against the sealed root with the
-// engine itself, and classifies the outcome: recovered-clean,
+// committed snapshot, checks it against the sealed root with the
+// engine's own read check, and classifies the outcome: recovered-clean,
 // recovered-torn (a crash mid-checkpoint, resolved deterministically by
 // rolling forward or back), or violation (on-disk tampering or a
 // rollback/replay of committed state — detected, never silently accepted).
 //
 // Two trust layers stack: checksums on every structure give crash
-// consistency (they catch torn writes and bit rot), and the engine's own
-// verification walk over the restored image against the WAL-sealed root
+// consistency (they catch torn writes and bit rot), and the engine's
+// bottom-up check of the restored image against the WAL-sealed root
 // gives adversarial integrity — a forged image that passes every checksum
 // still cannot produce the sealed root.
 package persist

@@ -55,11 +55,12 @@ type Recovery struct {
 	// Roots holds the restored per-shard root records (nil unless the
 	// outcome restored state).
 	Roots [][]byte
-	// Violations counts engine violations raised while re-verifying the
+	// Violations counts engine violations raised while checking the
 	// restored image against the sealed root.
 	Violations int
-	// Elapsed is the wall time the recovery took, including the engine
-	// re-verification for RecoverMachine/RecoverStore.
+	// Elapsed is the wall time the recovery took, including, for
+	// RecoverMachine/RecoverStore, the one-pass check of the restored
+	// image against the sealed root.
 	Elapsed time.Duration
 }
 
@@ -86,8 +87,9 @@ var errFingerprint = errors.New("persist: config fingerprint mismatch")
 func IsFingerprintMismatch(err error) bool { return errors.Is(err, errFingerprint) }
 
 // RecoverMachine builds a machine from the last committed state in
-// opts.Dir — its segment's image and the WAL-sealed root — and re-verifies
-// the whole image against that root through the engine itself. The
+// opts.Dir — its segment's image and the WAL-sealed root — and checks the
+// whole image against that root with the engine's own read check
+// (Machine.VerifyImage), before the first operation. The
 // returned Recovery classifies what happened; when there is no state to
 // restore (fresh, rolled back to nothing, or an on-disk violation) the
 // machine is returned fresh so the caller can inspect it, but its state
@@ -116,17 +118,19 @@ func RecoverMachine(opts Options, cfg core.Config) (*core.Machine, *Recovery, er
 	}
 	if imgs != nil {
 		before := m.Sys.Stat.Violations
-		verr := m.VerifyAll()
+		verr := m.VerifyImage()
 		rec.engineVerdict(int(m.Sys.Stat.Violations-before), verr)
-		rec.Roots = [][]byte{m.Root()}
+		if rec.Outcome != OutcomeViolation {
+			rec.Roots = [][]byte{m.Root()}
+		}
 	}
 	finishRecovery(opts, rec, start)
 	return m, rec, nil
 }
 
 // RecoverStore is RecoverMachine for a sharded store: each shard's machine
-// is built from its segment, and re-verification runs through
-// Store.VerifyAll, so one tampered shard is contained — healthy shards
+// is built from its segment, and the check runs through
+// Store.VerifyImage, so one tampered shard is contained — healthy shards
 // restore and verify clean, and under the halt policy only the violated
 // shard halts.
 func RecoverStore(opts Options, scfg shard.Config) (*shard.Store, *Recovery, error) {
@@ -153,7 +157,7 @@ func RecoverStore(opts Options, scfg shard.Config) (*shard.Store, *Recovery, err
 		return nil, nil, err
 	}
 	if imgs != nil {
-		verr := s.VerifyAll()
+		verr := s.VerifyImage()
 		rec.engineVerdict(len(s.Violations()), verr)
 		if rec.Outcome != OutcomeViolation {
 			rec.Roots = make([][]byte, scfg.Shards)
@@ -168,7 +172,7 @@ func RecoverStore(opts Options, scfg shard.Config) (*shard.Store, *Recovery, err
 }
 
 // engineVerdict records the adversarial half of recovery: what the
-// engine's sweep of the restored image (Machine.VerifyAll) found. The root
+// engine's check of the restored image (Machine.VerifyImage) found. The root
 // register came from the WAL; any image that cannot reproduce it (stale
 // snapshot, flipped tree node, spliced segment) fails here even though
 // every file checksum passed.
@@ -497,7 +501,7 @@ func loadSegments(fsys FS, dir string, e uint64, fp uint64, shards int) ([]*segm
 // walk is bounded by the link cap and by the bytes a chain may hold (the
 // limits chain.next writes under), every link must carry the labels its
 // file name promises, and what the folded image is worth is for the
-// engine's sweep against the sealed root to say — a link that was
+// engine's check against the sealed root to say — a link that was
 // flipped, forged, dropped, reordered or replayed yields an image that
 // cannot reproduce that root.
 func loadChain(fsys FS, dir string, e uint64, shard int, fp uint64) (*segment, error) {

@@ -130,7 +130,7 @@ func New(cfg Config) (*Store, error) { return newStore(cfg, nil, nil) }
 
 // NewFromState assembles a store whose shard i is built from the saved
 // image imgs[i] and root register roots[i] (core.NewMachineFromState):
-// the recovery constructor. Nothing is verified yet; VerifyAll does that.
+// the recovery constructor. Nothing is verified yet; VerifyImage does that.
 func NewFromState(cfg Config, imgs, roots [][]byte) (*Store, error) {
 	if len(imgs) != cfg.Shards || len(roots) != cfg.Shards {
 		return nil, fmt.Errorf("shard: %d images and %d roots for %d shards", len(imgs), len(roots), cfg.Shards)
@@ -518,6 +518,14 @@ func (s *Store) Flush() error {
 // its neighbors.
 func (s *Store) VerifyAll() error {
 	return s.doAll(func(_ int, m *core.Machine) error { return m.VerifyAll() })
+}
+
+// VerifyImage runs Machine.VerifyImage on every shard concurrently: the
+// one-pass check of each shard's external-memory image against its root,
+// the recovery check for a store built by NewFromState. Violations are
+// contained per shard exactly as in VerifyAll.
+func (s *Store) VerifyImage() error {
+	return s.doAll(func(_ int, m *core.Machine) error { return m.VerifyImage() })
 }
 
 // WithShard runs f against shard i's machine on that shard's worker

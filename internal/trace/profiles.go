@@ -9,9 +9,11 @@ package trace
 //   - mcf: enormous pointer-chasing working set, very high L2 miss
 //     traffic, low ILP — the worst case for hash-cache contention at
 //     256 KB.
-//   - twolf, vpr: ~1–2 MB working sets that fit a 4 MB L2 but thrash a
-//     256 KB one — the benchmarks whose Figure 4 miss rate inflates under
-//     hash caching.
+//   - twolf, vpr: 160 KiB and 192 KiB data working sets, 72–75 % of
+//     accesses in a 32 KiB hot set, plus 96 KiB of code: together about
+//     the size of a 256 KB L2, so at that size the tree nodes hash
+//     caching adds are what make them miss — the benchmarks whose Figure
+//     4 miss rate inflates under hash caching.
 //   - vortex: database-ish mix, many stores, moderate miss traffic.
 //   - applu, swim: streaming FP over ~190 MB arrays — bandwidth-bound,
 //     the ~10× victims of the naive scheme.
