@@ -349,3 +349,9 @@ echo "wire parser fuzz smoke OK"
 go test -run '^$' -bench 'BenchmarkFillEvict|BenchmarkMissWalk' -benchtime 1x \
   ./internal/cache/ ./internal/integrity/ >/dev/null
 echo "line-buffer ownership gate OK"
+
+# Recovery at realistic size under the race detector: the image check
+# runs on every core, straight from the memory that adopted the segment
+# image, for a machine and for a two-shard store.
+go test -race -run '^$' -bench 'BenchmarkRecover' -benchtime 1x ./internal/persist/ >/dev/null
+echo "parallel recovery check race gate OK"

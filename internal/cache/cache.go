@@ -20,7 +20,7 @@ package cache
 import "fmt"
 
 // Class labels the contents of a line.
-type Class int
+type Class uint8
 
 const (
 	// Data is ordinary program data (or instructions).

@@ -65,9 +65,13 @@ func NewMachine(cfg Config) (*Machine, error) { return newMachine(cfg, nil, nil)
 
 // NewMachineFromState assembles a machine from cfg whose protected region
 // is img and whose root register is root — a SaveState snapshot, typically
-// one read back from disk. Nothing is hashed and nothing is trusted yet:
-// the tree is whatever img holds, and reads verify it against root as they
-// go (VerifyImage checks all of it at once).
+// one read back from disk. img becomes the machine's external memory
+// without a copy: the machine owns it from then on, its write-backs land
+// in it, and the caller must neither write nor keep it (a caller that
+// keeps its buffer passes a clone, or restores with RestoreState, which
+// copies). Nothing is hashed and nothing is trusted yet: the tree is
+// whatever img holds, and reads verify it against root as they go
+// (VerifyImage checks all of it at once).
 func NewMachineFromState(cfg Config, img, root []byte) (*Machine, error) {
 	if img == nil {
 		return nil, fmt.Errorf("core: NewMachineFromState needs a state image")
@@ -174,7 +178,7 @@ func newMachine(cfg Config, img, root []byte) (*Machine, error) {
 	}
 	switch {
 	case img != nil:
-		if err := m.installState(img, root); err != nil {
+		if err := m.installState(img, root, true); err != nil {
 			return nil, err
 		}
 	case cfg.Functional && cfg.Scheme != SchemeBase:

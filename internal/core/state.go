@@ -103,11 +103,11 @@ func (m *Machine) StateSize() uint64 { return m.Layout.Size() }
 
 // RestoreState installs a previously saved protected-state image and root
 // register, replacing whatever state the machine holds. The image bytes
-// are written straight into external memory, every protected line is
-// dropped from the caches without write-back (a stale dirty line must not
-// resurface over the restored bytes), and the root register is loaded
-// from root — the trusted anchor the restored tree is subsequently
-// verified against.
+// are copied straight into external memory (img stays the caller's),
+// every protected line is dropped from the caches without write-back (a
+// stale dirty line must not resurface over the restored bytes), and the
+// root register is loaded from root — the trusted anchor the restored
+// tree is subsequently verified against.
 //
 // RestoreState does not verify anything itself: reads after it go through
 // the ordinary verification walk, so a restored image that disagrees with
@@ -116,7 +116,7 @@ func (m *Machine) StateSize() uint64 { return m.Layout.Size() }
 // here: internal/persist builds its machines from the saved state
 // (NewMachineFromState) rather than restoring over a fresh one.
 func (m *Machine) RestoreState(img []byte, root []byte) error {
-	if err := m.installState(img, root); err != nil {
+	if err := m.installState(img, root, false); err != nil {
 		return err
 	}
 	for ba := uint64(0); ba < m.Layout.Size(); ba += uint64(m.Cfg.L2Block) {
@@ -135,10 +135,11 @@ func (m *Machine) RestoreState(img []byte, root []byte) error {
 	return nil
 }
 
-// installState writes a saved image into external memory and loads the
-// root register: all of RestoreState that a machine with empty caches
-// (one under construction) needs.
-func (m *Machine) installState(img, root []byte) error {
+// installState puts a saved image into external memory — copied, or
+// adopted as that memory when adopt is set — and loads the root register:
+// all of RestoreState that a machine with empty caches (one under
+// construction) needs.
+func (m *Machine) installState(img, root []byte, adopt bool) error {
 	if err := m.persistable(); err != nil {
 		return err
 	}
@@ -150,7 +151,11 @@ func (m *Machine) installState(img, root []byte) error {
 		return fmt.Errorf("core: root is %d bytes, layout stores %d-byte records",
 			len(root), m.Layout.HashSize)
 	}
-	m.backing.Write(0, img)
+	if adopt {
+		m.backing.Adopt(img)
+	} else {
+		m.backing.Write(0, img)
+	}
 	m.Sys.Root = append(m.Sys.Root[:0], root...)
 	return nil
 }

@@ -130,3 +130,69 @@ func TestSaveStateSince(t *testing.T) {
 		})
 	}
 }
+
+// TestStateOwnership pins who owns an image handed to a machine:
+// RestoreState copies it, so the caller's buffer is untouched by what the
+// machine does after; NewMachineFromState adopts it as the machine's
+// external memory, so the machine's flushed state lands in that buffer.
+func TestStateOwnership(t *testing.T) {
+	cfg := smallCfg(SchemeCached)
+	m, err := NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.StoreBytes(0, bytes.Repeat([]byte{7}, 300)); err != nil {
+		t.Fatal(err)
+	}
+	img, root, err := m.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := bytes.Clone(img)
+	storeAll := func(m *Machine) {
+		for off := uint64(0); off < m.ProgSpan(); off += 4099 {
+			if err := m.StoreBytes(off, []byte{1, 2, 3}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.Flush()
+	}
+
+	if err := m.RestoreState(img, root); err != nil {
+		t.Fatal(err)
+	}
+	storeAll(m)
+	if !bytes.Equal(img, kept) {
+		t.Fatal("stores after RestoreState changed the caller's image")
+	}
+
+	adopter, err := NewMachineFromState(cfg, img, root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	storeAll(adopter)
+	now := make([]byte, len(img))
+	adopter.backing.Read(0, now)
+	if bytes.Equal(img, kept) || !bytes.Equal(img, now) {
+		t.Fatal("NewMachineFromState's image is not the machine's memory")
+	}
+}
+
+// TestTimingRunWritesNoMemory runs a timing-only machine over a 4 GiB
+// protected region: nothing ever writes its external memory, so not one
+// page — and no page table — is allocated.
+func TestTimingRunWritesNoMemory(t *testing.T) {
+	for _, scheme := range []Scheme{SchemeBase, SchemeNaive, SchemeCached, SchemeIncr} {
+		cfg := smallCfg(scheme)
+		cfg.Functional = false
+		cfg.ProtectedBytes = 4 << 30
+		m, err := NewMachine(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Run()
+		if n := m.backing.PageCount(); n != 0 {
+			t.Fatalf("%s: a timing-only run materialized %d pages", scheme, n)
+		}
+	}
+}

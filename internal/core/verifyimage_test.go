@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 
 	"memverify/internal/cache"
@@ -64,7 +65,19 @@ func imageCases(t *testing.T, cfg Config) []imageCase {
 		{"unused-tail-slot", flipped(img, tail), root, false},
 		{"stale-image", oldImg, root, false},
 		{"wrong-root", img, flipped(root, 0), false},
+		// Two forgeries far apart, in the last data chunk and in the
+		// first data chunk's record, so that the check's workers meet
+		// them in different runs of chunks: the data byte's chunk is the
+		// higher-numbered, so it is the one reported.
+		{"two-forgeries", flipped(flipped(img, l.Size()-1), record), root, false},
 	}
+}
+
+// atLeastTwoProcs runs the rest of the test with GOMAXPROCS at least 2,
+// so that the image check's workers run concurrently under -race.
+func atLeastTwoProcs(t *testing.T) {
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // counters is everything a check could charge: engine statistics, cache,
@@ -84,8 +97,11 @@ func countersOf(m *Machine) counters {
 // two — each on its own machine built from that state — agree on
 // detected versus clean, for every tree scheme and violation policy. A
 // detection halts a halt-policy machine, a retry-policy detection is a
-// persistent retry, and a clean check charges nothing anywhere.
+// persistent retry, and a clean check charges nothing anywhere. The check
+// runs on every core; the one violation it records is at the chunk the
+// serial walk, forced by an interposed adversary, reports.
 func TestVerifyImageAgreesWithVerifyAll(t *testing.T) {
+	atLeastTwoProcs(t)
 	for _, scheme := range []Scheme{SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
 		t.Run(string(scheme), func(t *testing.T) {
 			cfg := smallCfg(scheme)
@@ -96,7 +112,8 @@ func TestVerifyImageAgreesWithVerifyAll(t *testing.T) {
 						pcfg := cfg
 						pcfg.ViolationPolicy = policy
 						build := func() *Machine {
-							m, err := NewMachineFromState(pcfg, tc.img, tc.root)
+							// The machine adopts its image: each gets its own.
+							m, err := NewMachineFromState(pcfg, bytes.Clone(tc.img), tc.root)
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -121,6 +138,17 @@ func TestVerifyImageAgreesWithVerifyAll(t *testing.T) {
 						if image.Sys.Stat.Violations != 1 {
 							t.Fatalf("%d violations recorded, want the first only", image.Sys.Stat.Violations)
 						}
+						serial := build()
+						serial.Adversary()
+						if err := serial.VerifyImage(); err == nil {
+							t.Fatal("the serial walk passed a forged image")
+						}
+						if got, want := image.Sys.First.Chunk, serial.Sys.First.Chunk; got != want {
+							t.Fatalf("violation at chunk %d, the serial walk reports %d", got, want)
+						}
+						if want := image.Layout.TotalChunks - 1; tc.name == "two-forgeries" && image.Sys.First.Chunk != want {
+							t.Fatalf("violation at chunk %d, want the forged data chunk %d", image.Sys.First.Chunk, want)
+						}
 						switch policy {
 						case "halt":
 							if !image.Halted() || !sweep.Halted() {
@@ -138,5 +166,57 @@ func TestVerifyImageAgreesWithVerifyAll(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestVerifyImageThroughAdversary pins the check of an image read through
+// an interposed adversary: its reads run in walk order, so an active
+// Replay serves the check what it serves a demand read. Here it replays a
+// forged data chunk over memory that holds the genuine one: the check
+// sees the forgery and reports it at that chunk — once, halting a
+// halt-policy machine, persistent under retry — though memory itself is
+// clean.
+func TestVerifyImageThroughAdversary(t *testing.T) {
+	atLeastTwoProcs(t)
+	for _, scheme := range []Scheme{SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
+		cfg := smallCfg(scheme)
+		cfg.ProtectedBytes = 1<<20 - 4096
+		clean := imageCases(t, cfg)[0]
+		for _, policy := range []string{"record", "halt", "retry"} {
+			t.Run(string(scheme)+"/"+policy, func(t *testing.T) {
+				pcfg := cfg
+				pcfg.ViolationPolicy = policy
+				m, err := NewMachineFromState(pcfg, bytes.Clone(clean.img), clean.root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				adv := m.Adversary()
+				addr := m.ProgAddr(4099*3 + 7)
+				chunk := m.Layout.ChunkOf(addr)
+				adv.Corrupt(addr, 0x40)
+				h := adv.Snapshot(m.Layout.ChunkAddr(chunk), uint64(m.Layout.ChunkSize))
+				adv.Corrupt(addr, 0x40) // memory holds the genuine chunk again
+				adv.Replay(h)
+				var v *integrity.ViolationError
+				if err := m.VerifyImage(); !errors.As(err, &v) || v.Chunk != chunk {
+					t.Fatalf("VerifyImage: %v, want a violation at chunk %d", err, chunk)
+				}
+				if n := m.Sys.Stat.Violations; n != 1 {
+					t.Fatalf("%d violations recorded, want 1", n)
+				}
+				if m.Halted() != (policy == "halt") {
+					t.Fatalf("halted %v under policy %s", m.Halted(), policy)
+				}
+				if s := m.Sys.Stat; policy == "retry" && (s.Retries != 1 || s.RetriesPersistent != 1) {
+					t.Fatalf("retries %d (persistent %d), want one persistent", s.Retries, s.RetriesPersistent)
+				}
+				adv.StopReplay(h)
+				if policy != "halt" {
+					if err := m.VerifyImage(); err != nil {
+						t.Fatalf("with the replay stopped: %v", err)
+					}
+				}
+			})
+		}
 	}
 }

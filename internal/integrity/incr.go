@@ -20,9 +20,9 @@ type Incr struct {
 	Cached
 	mac *hashalg.XorMAC
 
-	// blocks and recScratch are per-engine scratch reused by splitBlocks
-	// and the record closure. Single buffers are enough: both are consumed
-	// by the caller before any re-entrant engine work runs.
+	// blocks and recScratch are the record closure's scratch. Single
+	// buffers are enough: both are consumed by the caller before any
+	// re-entrant engine work runs.
 	blocks     [][]byte
 	recScratch [hashalg.MACSize]byte
 }
@@ -45,17 +45,14 @@ func NewIncr(sys *System, key []byte) *Incr {
 	e := &Incr{mac: hashalg.NewXorMAC(sys.Alg, key)}
 	e.sys = sys
 	e.scheme = "i"
-	e.verify = func(_ uint64, img, stored []byte) bool {
-		var tag [hashalg.MACSize]byte
-		copy(tag[:], stored)
-		return e.mac.Verify(tag, e.splitBlocks(img))
-	}
+	e.verify = e.macCheck(e.mac)
 	e.record = func(_ uint64, img []byte) []byte {
 		// Fresh record over a full image. Preserving individual stamps is
 		// unnecessary here: a full-chunk write-back re-stamps every block
 		// at zero, and the stored record and memory change together. The
 		// result lives in engine scratch, per the record contract.
-		e.recScratch = e.mac.Compute(e.splitBlocks(img), 0)
+		e.blocks = splitBlocks(e.blocks, img, sys.BlockSize())
+		e.recScratch = e.mac.Compute(e.blocks, 0)
 		return e.recScratch[:]
 	}
 	e.evictFn = e.evictIncr
@@ -66,20 +63,36 @@ func NewIncr(sys *System, key []byte) *Incr {
 	return e
 }
 
+// CheckTree implements TreeWalker with the engine's read check, the
+// XOR-MAC check, stamps included: each goroutine of the check verifies
+// with a clone of the engine's MAC.
+func (e *Incr) CheckTree() error {
+	return e.sys.checkTree(e.scheme, func() checkFunc { return e.macCheck(e.mac.Clone()) })
+}
+
+// macCheck returns the read check against mac, with block views of its
+// own.
+func (e *Incr) macCheck(mac *hashalg.XorMAC) checkFunc {
+	var blocks [][]byte
+	return func(_ uint64, img, stored []byte) bool {
+		var tag [hashalg.MACSize]byte
+		copy(tag[:], stored)
+		blocks = splitBlocks(blocks, img, e.sys.BlockSize())
+		return mac.Verify(tag, blocks)
+	}
+}
+
 // MAC exposes the underlying XOR-MAC, used by attack-demonstration tests
 // to disable timestamps.
 func (e *Incr) MAC() *hashalg.XorMAC { return e.mac }
 
-// splitBlocks slices img into block-sized views in the engine's reusable
-// scratch slice; the result is only valid until the next splitBlocks call.
-func (e *Incr) splitBlocks(img []byte) [][]byte {
-	bs := e.sys.BlockSize()
-	blocks := e.blocks[:0]
+// splitBlocks slices img into views of bs bytes, reusing dst's array.
+func splitBlocks(dst [][]byte, img []byte, bs int) [][]byte {
+	dst = dst[:0]
 	for i := 0; i < len(img); i += bs {
-		blocks = append(blocks, img[i:i+bs])
+		dst = append(dst, img[i:i+bs])
 	}
-	e.blocks = blocks
-	return blocks
+	return dst
 }
 
 // evictIncr is the optimized Write-Back of §5.5.

@@ -186,7 +186,7 @@ func (r *rig) verifyMemoryTree() error {
 			}
 			var tag [16]byte
 			copy(tag[:], rec)
-			if !inc.MAC().Verify(tag, inc.splitBlocks(img)) {
+			if !inc.MAC().Verify(tag, splitBlocks(nil, img, r.sys.BlockSize())) {
 				return fmt.Errorf("chunk %d MAC does not cover memory", c)
 			}
 		}

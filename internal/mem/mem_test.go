@@ -2,6 +2,10 @@ package mem
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -234,5 +238,131 @@ func TestSparseDirtyLines(t *testing.T) {
 	s.Write(0, make([]byte, 2*4096)) // whole pages: one run across the boundary
 	if runs, _ := s.AppendDirty(1<<20, nil, nil); len(runs) != 1 || runs[0] != (LineRun{Line: 0, Count: 128}) {
 		t.Fatalf("two whole pages: runs %v", runs)
+	}
+}
+
+// TestSparseSeededOps pins the observable state of a seeded op sequence —
+// writes of random spans, near and far, dirty-set queries at random
+// limits and snapshot boundaries — to the values the memory gave when
+// its pages were a map keyed by page number: the page count, and every
+// DirtyLines answer and every AppendDirty's runs and bytes, summed and
+// digested.
+func TestSparseSeededOps(t *testing.T) {
+	x := uint64(0x9E3779B97F4A7C15)
+	next := func() uint64 { // splitmix64
+		x += 0x9E3779B97F4A7C15
+		z := x
+		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		return z ^ z>>31
+	}
+	s := NewSparse()
+	h := sha256.New()
+	lines := 0
+	var runs []LineRun
+	var data []byte
+	for op := 0; op < 4000; op++ {
+		r := next()
+		switch r % 16 {
+		case 0: // a snapshot boundary
+			s.ClearDirty()
+		case 1, 2: // a query below a random limit
+			limit := next() % (3 << 20)
+			n := s.DirtyLines(limit)
+			lines += n
+			h.Write(binary.LittleEndian.AppendUint64(nil, uint64(n)))
+			runs, data = s.AppendDirty(limit, runs[:0], data[:0])
+			for _, run := range runs {
+				h.Write(binary.LittleEndian.AppendUint64(nil, uint64(run.Line)<<32|uint64(run.Count)))
+			}
+			h.Write(data)
+		default: // a write, one in 32 of them far above the rest
+			addr := next() % (2 << 20)
+			if r>>8%32 == 0 {
+				addr += 1 << 30
+			}
+			buf := make([]byte, next()%9000+1)
+			for i := range buf {
+				buf[i] = byte(r >> (i % 7 * 8))
+			}
+			s.Write(addr, buf)
+		}
+	}
+	if got, want := s.PageCount(), 689; got != want {
+		t.Errorf("PageCount = %d, want %d", got, want)
+	}
+	if want := 272254; lines != want {
+		t.Errorf("DirtyLines answers sum to %d, want %d", lines, want)
+	}
+	if got, want := hex.EncodeToString(h.Sum(nil)), "63e1c6a934b936b64157f728b973a99ad40236a4d8854a8c9365c601da910455"; got != want {
+		t.Errorf("digest of every DirtyLines and AppendDirty answer = %s, want %s", got, want)
+	}
+}
+
+// TestSparseAdopt holds Adopt to Write(0, img): the same pages, the same
+// dirty lines and runs, the same bytes — with img's whole pages taken as
+// the memory's own, so writes land in img, and a short last page copied,
+// so writes past img's end never reach the buffer beyond it.
+func TestSparseAdopt(t *testing.T) {
+	const size = 5*4096 + 200
+	buf := make([]byte, size+64)
+	for i := range buf {
+		buf[i] = byte(i*7 + 1)
+	}
+	img := buf[:size]
+	written := NewSparse()
+	written.Write(0, img)
+	adopted := NewSparse()
+	adopted.Adopt(img)
+	if got, want := adopted.PageCount(), written.PageCount(); got != want {
+		t.Fatalf("PageCount = %d after Adopt, %d after Write", got, want)
+	}
+	for _, limit := range []uint64{size, 4096, 1 << 20} {
+		if got, want := adopted.DirtyLines(limit), written.DirtyLines(limit); got != want {
+			t.Fatalf("DirtyLines(%d) = %d after Adopt, %d after Write", limit, got, want)
+		}
+		runsA, dataA := adopted.AppendDirty(limit, nil, nil)
+		runsW, dataW := written.AppendDirty(limit, nil, nil)
+		if fmt.Sprint(runsA) != fmt.Sprint(runsW) || !bytes.Equal(dataA, dataW) {
+			t.Fatalf("AppendDirty(%d): runs %v after Adopt, %v after Write", limit, runsA, runsW)
+		}
+	}
+	got := make([]byte, size+100)
+	adopted.Read(0, got)
+	if !bytes.Equal(got[:size], img) || !bytes.Equal(got[size:], make([]byte, 100)) {
+		t.Fatal("adopted memory does not read back as img followed by zeros")
+	}
+
+	adopted.Write(100, []byte{0xEE})
+	if img[100] != 0xEE {
+		t.Fatal("a write to a whole adopted page did not land in img")
+	}
+	tail := append([]byte(nil), buf[size:]...)
+	adopted.Write(size-1, bytes.Repeat([]byte{0xDD}, 65))
+	if !bytes.Equal(buf[size:], tail) {
+		t.Fatal("a write at the end of the short last page reached the caller's bytes beyond img")
+	}
+}
+
+// TestSparseView lends bytes in place: a written page's own bytes, and
+// nothing where no page was written or across a page boundary.
+func TestSparseView(t *testing.T) {
+	s := NewSparse()
+	s.Write(4096+128, []byte{1, 2, 3})
+	b, ok := s.View(4096+128, 64)
+	if !ok || !bytes.Equal(b[:4], []byte{1, 2, 3, 0}) {
+		t.Fatalf("View of written bytes = %v, %v", b, ok)
+	}
+	s.Write(4096+128, []byte{9})
+	if b[0] != 9 {
+		t.Fatal("a View is a copy, not the page's bytes")
+	}
+	for _, addr := range []uint64{0, 3 * 4096, 1 << 40, 2*4096 - 64} {
+		if b, ok := s.View(addr, 128); ok || b != nil {
+			t.Fatalf("View(%#x, 128) lent %d bytes of no page, or of two", addr, len(b))
+		}
+	}
+	if s.PageCount() != 1 {
+		t.Fatalf("PageCount = %d, want 1: View must not materialize", s.PageCount())
 	}
 }

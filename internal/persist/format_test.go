@@ -469,3 +469,39 @@ func BenchmarkRecoverMachine(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRecoverStore is the service's recovery path over the same
+// 8 MiB, split across two shards: both segments read and checksummed, a
+// machine built from each, and every shard's image checked against its
+// sealed root (Store.VerifyImage) before the store is handed back.
+func BenchmarkRecoverStore(b *testing.B) {
+	scfg := shard.Config{Machine: benchConfig(), Shards: 2}
+	s, err := shard.New(scfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Dir: b.TempDir()}
+	st, err := Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.Checkpoint(StoreSource{s}); err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	s.Close()
+	b.SetBytes(int64(scfg.Machine.ProtectedBytes))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, rec, err := RecoverStore(opts, scfg)
+		if err != nil || rec.Outcome != OutcomeClean {
+			b.Fatalf("recovery: %v / %+v", err, rec)
+		}
+		b.StopTimer()
+		r.Close()
+		b.StartTimer()
+	}
+}

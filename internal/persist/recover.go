@@ -89,7 +89,9 @@ func IsFingerprintMismatch(err error) bool { return errors.Is(err, errFingerprin
 // RecoverMachine builds a machine from the last committed state in
 // opts.Dir — its segment's image and the WAL-sealed root — and checks the
 // whole image against that root with the engine's own read check
-// (Machine.VerifyImage), before the first operation. The
+// (Machine.VerifyImage), before the first operation. The image, decoded
+// and delta-folded in the buffer its segment was read into, becomes the
+// machine's memory without a copy (core.NewMachineFromState). The
 // returned Recovery classifies what happened; when there is no state to
 // restore (fresh, rolled back to nothing, or an on-disk violation) the
 // machine is returned fresh so the caller can inspect it, but its state
@@ -129,10 +131,10 @@ func RecoverMachine(opts Options, cfg core.Config) (*core.Machine, *Recovery, er
 }
 
 // RecoverStore is RecoverMachine for a sharded store: each shard's machine
-// is built from its segment, and the check runs through
-// Store.VerifyImage, so one tampered shard is contained — healthy shards
-// restore and verify clean, and under the halt policy only the violated
-// shard halts.
+// is built from its segment, adopting its image the same way, and the
+// check runs through Store.VerifyImage, so one tampered shard is
+// contained — healthy shards restore and verify clean, and under the halt
+// policy only the violated shard halts.
 func RecoverStore(opts Options, scfg shard.Config) (*shard.Store, *Recovery, error) {
 	if scfg.Shards < 1 {
 		return nil, nil, fmt.Errorf("persist: need at least one shard, got %d", scfg.Shards)

@@ -129,8 +129,10 @@ type Store struct {
 func New(cfg Config) (*Store, error) { return newStore(cfg, nil, nil) }
 
 // NewFromState assembles a store whose shard i is built from the saved
-// image imgs[i] and root register roots[i] (core.NewMachineFromState):
-// the recovery constructor. Nothing is verified yet; VerifyImage does that.
+// image imgs[i] and root register roots[i] (core.NewMachineFromState,
+// which adopts the image as the shard's memory: the caller gives the
+// images up): the recovery constructor. Nothing is verified yet;
+// VerifyImage does that.
 func NewFromState(cfg Config, imgs, roots [][]byte) (*Store, error) {
 	if len(imgs) != cfg.Shards || len(roots) != cfg.Shards {
 		return nil, fmt.Errorf("shard: %d images and %d roots for %d shards", len(imgs), len(roots), cfg.Shards)
