@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"memverify/internal/figures"
-	"memverify/internal/prefetch"
 	"memverify/internal/stats"
 	"memverify/internal/telemetry"
 	"memverify/internal/trace"
@@ -238,72 +237,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkPrefetch measures what tree-ancestor prefetching and a
-// dedicated verification cache buy on a tree-walk-bound configuration: a
-// tiny direct-mapped L2 streaming through a working set far larger than
-// the cache, so nearly every access misses and pays an ancestor walk.
-// The IPC metric is simulated throughput — the quantity prefetching
-// improves (prefetch fills overlap demand work in simulated time);
-// wall-clock ns/op necessarily grows slightly because the simulator
-// executes the extra prefetch machinery. scripts/bench_prefetch.sh
-// records the off/on IPC ratios in BENCH_prefetch.json.
-func BenchmarkPrefetch(b *testing.B) {
-	base := func() Config {
-		cfg := DefaultConfig()
-		cfg.Scheme = SchemeCached
-		// Strided sweeps jumping a whole record block per touch (so every
-		// miss climbs fresh ancestors), spaced by hot-set compute that
-		// leaves the bus idle between misses — latency-bound, which is the
-		// regime ancestor prefetching targets. The high hot fraction is
-		// what creates the bus slack: at lower values the walk traffic
-		// saturates the FIFO bus and prefetches merely reorder the queue.
-		cfg.Benchmark = trace.Profile{
-			Name: "treewalk",
-			Load: 0.30, Store: 0.02,
-			WorkingSet: 32 << 20, HotSet: 4 << 10, HotFrac: 0.99,
-			SeqFrac: 1.0, SeqStride: 4096, Streams: 1,
-			DepNear: 0.6,
-		}
-		cfg.Instructions = 50_000
-		cfg.Warmup = 0
-		cfg.ProtectedBytes = 64 << 20
-		cfg.L2Size = 16 << 10
-		cfg.L2Ways = 2
-		return cfg
-	}
-	on := prefetch.DefaultConfig()
-	on.Enabled = true
-	for _, v := range []struct {
-		name string
-		pf   prefetch.Config
-		vc   int
-	}{
-		{"off/shared", prefetch.Config{}, 0},
-		{"on/shared", on, 0},
-		{"off/dedicated", prefetch.Config{}, 64},
-		{"on/dedicated", on, 64},
-	} {
-		v := v
-		b.Run(v.name, func(b *testing.B) {
-			cfg := base()
-			cfg.Prefetch = v.pf
-			cfg.VerifyCacheLines = v.vc
-			cfg.VerifyCacheAssoc = 4
-			var lastIPC float64
-			b.SetBytes(int64(cfg.Instructions)) // bytes ~ instructions
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				mt, err := Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				lastIPC = mt.IPC
-			}
-			reportIPC(b, "stream", lastIPC)
-		})
-	}
 }
 
 // BenchmarkGeoMeanOverheads reports the geometric-mean c/base IPC ratio

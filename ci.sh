@@ -36,13 +36,13 @@ go run ./cmd/chaos -n 25 -seed 7 >/dev/null
 go test -run 'TestCampaignAcceptance|TestCampaignDeterministic' ./internal/chaos/
 echo "chaos campaign gate OK"
 
-# Prefetch gate: with tree-ancestor prefetching and the dedicated
-# verification cache both enabled, a chaos mini-campaign must keep 100%
-# detection with zero clean-run false positives. (Their equivalence
-# against a prefetch-off shared-L2 machine, TestPrefetchEquivalence, runs
-# race-clean with the suite above.)
-go run ./cmd/chaos -n 25 -seed 11 -prefetch -verify-cache 32 -verify-assoc 4 >/dev/null
-echo "prefetch equivalence gate OK"
+# Verification-cache gate: with tree nodes in a dedicated verification
+# cache, a chaos mini-campaign must keep 100% detection with zero
+# clean-run false positives. (Its equivalence against a shared-L2
+# machine, TestVerifyCacheEquivalence, runs race-clean with the suite
+# above.)
+go run ./cmd/chaos -n 25 -seed 11 -verify-cache 32 -verify-assoc 4 >/dev/null
+echo "verification cache gate OK"
 
 # Sharded-store gate: the loadgen smoke must verify clean traffic (it
 # exits nonzero on any violation or mirror mismatch) for all four tree
@@ -129,14 +129,6 @@ go run ./cmd/figures -fig5 -n 10000 -warmup 5000 \
   -trace "$tmp/fig5.trace.json" -metrics "$tmp/fig5.metrics.json" >/dev/null
 go run ./cmd/tracecheck -min-spans 1000 \
   -trace "$tmp/fig5.trace.json" -metrics "$tmp/fig5.metrics.json" >/dev/null
-# A prefetch-enabled run must populate the prefetch lane, and that lane
-# must hold strictly disjoint, monotonic spans (tracecheck enforces the
-# stricter overlap-free rule for it).
-go run ./cmd/simulate -scheme c -bench gzip -n 50000 -l2 16384 \
-  -prefetch -verify-cache 64 -verify-assoc 4 \
-  -trace "$tmp/pf.trace.json" -metrics "$tmp/pf.metrics.json" >/dev/null
-go run ./cmd/tracecheck -require-lane prefetch \
-  -trace "$tmp/pf.trace.json" -metrics "$tmp/pf.metrics.json" >/dev/null
 echo "telemetry trace/metrics gate OK"
 
 # Telemetry overhead gate: with no recorder attached the emission sites

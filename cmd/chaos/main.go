@@ -60,7 +60,6 @@ func run() error {
 		transient   = flag.Bool("transient", false, "include transient glitch injections")
 		csvPath     = flag.String("csv", "", "write per-injection rows to this CSV file")
 		jsonPath    = flag.String("json", "", "write full reports to this JSON file")
-		pf          = flag.Bool("prefetch", false, "enable the tree-ancestor prefetcher on every injection's machine")
 		vcLines     = flag.Int("verify-cache", 0, "dedicated verification cache size in L2-block lines (0 = share the L2)")
 		vcAssoc     = flag.Int("verify-assoc", 0, "dedicated verification cache associativity (0 = the L2's)")
 		crash       = flag.Bool("crash", false, "run the kill/restart + on-disk tamper campaign against the persistence layer")
@@ -132,7 +131,6 @@ func run() error {
 		cfg.WarmAccesses = *warm
 		cfg.PostAccesses = *post
 		cfg.IncludeTransient = *transient
-		cfg.Prefetch = *pf
 		cfg.VerifyCacheLines = *vcLines
 		cfg.VerifyCacheAssoc = *vcAssoc
 		cfg.Telemetry = rec

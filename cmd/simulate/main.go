@@ -16,7 +16,6 @@ import (
 	"memverify/internal/core"
 	"memverify/internal/integrity"
 	"memverify/internal/obs"
-	"memverify/internal/prefetch"
 	"memverify/internal/runflags"
 	"memverify/internal/telemetry"
 	"memverify/internal/trace"
@@ -41,7 +40,6 @@ func main() {
 	table1 := flag.Bool("table1", false, "print Table 1 (architectural parameters) and exit")
 	record := flag.String("record", "", "record the workload's first -n instructions to a trace file and exit")
 	replay := flag.String("replay", "", "drive the simulation from a recorded trace file instead of the synthetic generator")
-	pf := flag.Bool("prefetch", false, "enable the tree-ancestor prefetcher")
 	vcLines := flag.Int("verify-cache", 0, "dedicated verification cache size in L2-block lines (0 = share the L2)")
 	vcAssoc := flag.Int("verify-assoc", 0, "dedicated verification cache associativity (0 = the L2's)")
 	flag.Parse()
@@ -71,10 +69,6 @@ func main() {
 		cfg.ChunkBlocks = 2
 	default:
 		cfg.ChunkBlocks = 1
-	}
-	if *pf {
-		cfg.Prefetch = prefetch.DefaultConfig()
-		cfg.Prefetch.Enabled = true
 	}
 	cfg.VerifyCacheLines = *vcLines
 	cfg.VerifyCacheAssoc = *vcAssoc
@@ -214,9 +208,5 @@ func main() {
 	fmt.Printf("  violations          %d\n", mt.Violations)
 	if mt.VCAccesses > 0 {
 		fmt.Printf("  verify cache        %d accesses (hit rate %.4f%%)\n", mt.VCAccesses, 100*mt.VCHitRate)
-	}
-	if ps := mt.PrefetchStats; ps.Observed > 0 {
-		fmt.Printf("  prefetch            issued %d useful %d late %d dropped %d\n",
-			ps.Issued, ps.Useful, ps.Late, ps.DroppedResident+ps.DroppedBudget+ps.DroppedBus)
 	}
 }

@@ -8,20 +8,15 @@
 // Usage:
 //
 //	tracecheck -trace run.trace.json -metrics run.metrics.json
-//	tracecheck -trace run.trace.json -require-lane prefetch,bus
 //
-// Either file flag may be given alone. -require-lane demands at least one
-// span on each named lane (as written in the exporter's thread_name
-// metadata; "prefetch" matches "prefetch/0" too). Lane spans are always
-// checked for monotonicity and nesting; the prefetch lane must in
-// addition be overlap-free. Exits nonzero on the first violation.
+// Either file flag may be given alone. Exits nonzero on the first
+// violation.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"memverify/internal/telemetry"
 )
@@ -30,15 +25,10 @@ func main() {
 	tracePath := flag.String("trace", "", "Chrome trace-event JSON file to validate")
 	metricsPath := flag.String("metrics", "", "metrics snapshot JSON file to validate")
 	minSpans := flag.Int("min-spans", 1, "minimum number of spans the trace must contain")
-	requireLanes := flag.String("require-lane", "", "comma-separated lane names that must carry at least one span")
 	flag.Parse()
 
 	if *tracePath == "" && *metricsPath == "" {
 		fmt.Fprintln(os.Stderr, "tracecheck: nothing to do; pass -trace and/or -metrics")
-		os.Exit(2)
-	}
-	if *requireLanes != "" && *tracePath == "" {
-		fmt.Fprintln(os.Stderr, "tracecheck: -require-lane needs -trace")
 		os.Exit(2)
 	}
 
@@ -47,25 +37,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		spans, lanes, err := telemetry.ValidateChromeTraceLanes(f)
+		spans, err := telemetry.ValidateChromeTrace(f)
 		f.Close()
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", *tracePath, err))
 		}
 		if spans < *minSpans {
 			fatal(fmt.Errorf("%s: %d spans, want at least %d", *tracePath, spans, *minSpans))
-		}
-		if *requireLanes != "" {
-			for _, lane := range strings.Split(*requireLanes, ",") {
-				lane = strings.TrimSpace(lane)
-				if lane == "" {
-					continue
-				}
-				if lanes[lane] == 0 {
-					fatal(fmt.Errorf("%s: no spans on required lane %q", *tracePath, lane))
-				}
-				fmt.Printf("lane OK: %s (%d spans)\n", lane, lanes[lane])
-			}
 		}
 		fmt.Printf("trace OK: %s (%d spans)\n", *tracePath, spans)
 	}

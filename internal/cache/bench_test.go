@@ -64,7 +64,9 @@ func BenchmarkVerifyCacheWriteHit(b *testing.B) {
 }
 
 // BenchmarkVerifyCacheLookup measures Peek on a resident line — the
-// residency probe the ancestor prefetcher runs on every prediction.
+// residency probe the integrity engines run through cacheFor(c).Peek when
+// they compose a chunk image from its cached blocks, and chaos runs in
+// tamperResident.
 func BenchmarkVerifyCacheLookup(b *testing.B) {
 	c := vcCache()
 	c.Fill(0x1000, Hash, make([]byte, 64))
@@ -76,8 +78,8 @@ func BenchmarkVerifyCacheLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyCacheLookupMiss is the same probe when the prediction's
-// ancestor is absent (the case that leads to an issued prefetch).
+// BenchmarkVerifyCacheLookupMiss is the same probe when the line is
+// absent (the case where the engine must read the block from memory).
 func BenchmarkVerifyCacheLookupMiss(b *testing.B) {
 	c := vcCache()
 	c.Fill(0x1000, Hash, make([]byte, 64))

@@ -37,7 +37,6 @@ import (
 	"fmt"
 
 	"memverify/internal/core"
-	"memverify/internal/prefetch"
 	"memverify/internal/telemetry"
 	"memverify/internal/trace"
 )
@@ -96,11 +95,9 @@ type Config struct {
 	// plain violation.
 	IncludeTransient bool
 
-	// Prefetch enables the tree-ancestor prefetcher on every injection's
-	// machine, and VerifyCacheLines/VerifyCacheAssoc give tree nodes a
-	// dedicated cache — the campaign legs proving the performance features
-	// never weaken detection.
-	Prefetch         bool
+	// VerifyCacheLines/VerifyCacheAssoc give tree nodes a dedicated cache
+	// on every injection's machine — the campaign legs proving the
+	// dedicated verification cache never weakens detection.
 	VerifyCacheLines int
 	VerifyCacheAssoc int
 
@@ -140,10 +137,6 @@ func (c Config) machineConfig() core.Config {
 	cfg.Benchmark.CodeSet = 4 << 10
 	if c.Scheme == core.SchemeMulti || c.Scheme == core.SchemeIncr {
 		cfg.ChunkBlocks = 2
-	}
-	if c.Prefetch {
-		cfg.Prefetch = prefetch.DefaultConfig()
-		cfg.Prefetch.Enabled = true
 	}
 	cfg.VerifyCacheLines = c.VerifyCacheLines
 	cfg.VerifyCacheAssoc = c.VerifyCacheAssoc

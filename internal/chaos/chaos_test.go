@@ -132,17 +132,15 @@ func TestCampaignTransient(t *testing.T) {
 	}
 }
 
-// TestCampaignPrefetchAndVerifyCache is the security side of the
-// prefetch/dedicated-cache feature: with the ancestor prefetcher and a
-// dedicated verification cache both enabled, every tree scheme must still
-// detect every persistent injection, and the clean-run side must stay
-// free of false positives.
-func TestCampaignPrefetchAndVerifyCache(t *testing.T) {
+// TestCampaignVerifyCache is the security side of the dedicated
+// verification cache: with tree nodes in their own cache, every tree
+// scheme must still detect every persistent injection, and the clean-run
+// side must stay free of false positives.
+func TestCampaignVerifyCache(t *testing.T) {
 	for _, scheme := range treeSchemes {
 		t.Run(string(scheme), func(t *testing.T) {
 			cfg := DefaultConfig(scheme)
 			cfg.Injections = 15
-			cfg.Prefetch = true
 			cfg.VerifyCacheLines = 32
 			cfg.VerifyCacheAssoc = 4
 			rep, err := Run(cfg)
@@ -153,7 +151,7 @@ func TestCampaignPrefetchAndVerifyCache(t *testing.T) {
 			if n, err := CleanViolations(cfg); err != nil {
 				t.Fatal(err)
 			} else if n != 0 {
-				t.Fatalf("clean run flagged %d violations with prefetch+VC", n)
+				t.Fatalf("clean run flagged %d violations with a dedicated VC", n)
 			}
 		})
 	}

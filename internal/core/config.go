@@ -11,7 +11,6 @@ import (
 	"memverify/internal/cpu"
 	"memverify/internal/hashalg"
 	"memverify/internal/integrity"
-	"memverify/internal/prefetch"
 	"memverify/internal/stats"
 	"memverify/internal/telemetry"
 	"memverify/internal/tlb"
@@ -100,15 +99,6 @@ type Config struct {
 	// VerifyCacheAssoc is the dedicated verification cache's
 	// associativity. 0 defaults to L2Ways.
 	VerifyCacheAssoc int
-
-	// Prefetch configures the tree-ancestor prefetcher: a delta-pattern
-	// engine observing the integrity layer's chunk-access stream that
-	// pulls predicted chunks' uncached tree ancestors into the cache ahead
-	// of the demand miss. Prefetch fills are lowest-priority bus traffic
-	// and are dropped under contention, so timing stays honest; data and
-	// roots are byte-identical with the engine on or off. The zero value
-	// disables it.
-	Prefetch prefetch.Config
 
 	// ViolationPolicy selects the containment behaviour after a detected
 	// integrity violation: "record" (or empty) counts and continues,
@@ -216,9 +206,6 @@ func (c *Config) Validate() error {
 			c.VerifyCacheLines*c.L2Block, c.verifyCacheWays(), c.L2Block); err != nil {
 			return err
 		}
-	}
-	if err := c.Prefetch.Validate(); err != nil {
-		return fmt.Errorf("core: %w", err)
 	}
 	if c.HashSize <= 0 {
 		return fmt.Errorf("core: HashSize must be positive, got %d", c.HashSize)

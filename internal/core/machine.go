@@ -12,7 +12,6 @@ import (
 	"memverify/internal/htree"
 	"memverify/internal/integrity"
 	"memverify/internal/mem"
-	"memverify/internal/prefetch"
 	"memverify/internal/telemetry"
 	"memverify/internal/tlb"
 	"memverify/internal/trace"
@@ -98,9 +97,9 @@ func newMachine(cfg Config, img, root []byte) (*Machine, error) {
 		Name: "L2", Size: cfg.L2Size, Ways: cfg.L2Ways, BlockSize: cfg.L2Block,
 		DataBearing: cfg.Functional,
 	})
-	// The dedicated verification cache and the ancestor prefetcher only
-	// make sense for the tree-caching schemes: base has no tree, and the
-	// naive scheme never caches tree nodes by definition.
+	// The dedicated verification cache only makes sense for the
+	// tree-caching schemes: base has no tree, and the naive scheme never
+	// caches tree nodes by definition.
 	treeCaching := cfg.Scheme == SchemeCached || cfg.Scheme == SchemeMulti || cfg.Scheme == SchemeIncr
 	if treeCaching && cfg.VerifyCacheLines > 0 {
 		m.VC = cache.New(cache.Config{
@@ -144,9 +143,6 @@ func newMachine(cfg Config, img, root []byte) (*Machine, error) {
 		Policy:      policy,
 		OnViolation: m.noteViolation,
 		VC:          m.VC,
-	}
-	if treeCaching && cfg.Prefetch.Enabled {
-		m.Sys.Prefetch = prefetch.New(cfg.Prefetch)
 	}
 
 	if rec := cfg.Telemetry; rec != nil {
@@ -226,7 +222,6 @@ func (m *Machine) ResetStats() {
 	if m.VC != nil {
 		m.VC.ResetStats()
 	}
-	m.Sys.Prefetch.ResetStats()
 	m.ITLB.ResetStats()
 	m.DTLB.ResetStats()
 	m.Bus.ResetCounters()

@@ -8,7 +8,6 @@ import (
 	"memverify/internal/cpu"
 	"memverify/internal/hashalg"
 	"memverify/internal/integrity"
-	"memverify/internal/prefetch"
 	"memverify/internal/trace"
 )
 
@@ -46,9 +45,6 @@ type Metrics struct {
 	VCStats    cache.Stats
 	VCAccesses uint64
 	VCHitRate  float64
-
-	// Tree-ancestor prefetcher (zero when disabled).
-	PrefetchStats prefetch.Stats
 }
 
 func hashFor(name string) (hashalg.Algorithm, error) { return hashalg.New(name) }
@@ -93,7 +89,6 @@ func (m *Machine) metrics(res cpu.Result) Metrics {
 		out.VCStats = m.VC.Stat
 		out.VCAccesses, out.VCHitRate = vcRates(m.VC.Stat)
 	}
-	out.PrefetchStats = m.Sys.Prefetch.Stats()
 	return out
 }
 
@@ -168,15 +163,6 @@ func MergeMetrics(ms ...Metrics) Metrics {
 			out.VCStats.Evictions[c] += mt.VCStats.Evictions[c]
 			out.VCStats.WriteBacks[c] += mt.VCStats.WriteBacks[c]
 		}
-		ps, pagg := &mt.PrefetchStats, &out.PrefetchStats
-		pagg.Observed += ps.Observed
-		pagg.Predicted += ps.Predicted
-		pagg.Issued += ps.Issued
-		pagg.Useful += ps.Useful
-		pagg.Late += ps.Late
-		pagg.DroppedResident += ps.DroppedResident
-		pagg.DroppedBudget += ps.DroppedBudget
-		pagg.DroppedBus += ps.DroppedBus
 		out.BusBytes += mt.BusBytes
 		out.BusDataBytes += mt.BusDataBytes
 		out.BusHashBytes += mt.BusHashBytes

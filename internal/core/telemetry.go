@@ -78,20 +78,6 @@ func (m *Machine) FillRegistry(reg *telemetry.Registry, mt *Metrics) {
 		}
 	}
 
-	// Tree-ancestor prefetcher decisions (all zero when disabled).
-	ps := &mt.PrefetchStats
-	reg.Add("prefetch.observed", ps.Observed)
-	reg.Add("prefetch.predicted", ps.Predicted)
-	reg.Add("prefetch.issued", ps.Issued)
-	reg.Add("prefetch.useful", ps.Useful)
-	reg.Add("prefetch.late", ps.Late)
-	reg.Add("prefetch.dropped_resident", ps.DroppedResident)
-	reg.Add("prefetch.dropped_budget", ps.DroppedBudget)
-	reg.Add("prefetch.dropped_bus", ps.DroppedBus)
-	if ps.Issued > 0 {
-		reg.SetGauge("prefetch.accuracy", float64(ps.Useful)/float64(ps.Issued))
-	}
-
 	if h := m.Sys.PathExtras; h != nil {
 		reg.MergeHistogram("integrity.path_extras", h)
 	}
@@ -125,7 +111,5 @@ func AccumulateMetrics(reg *telemetry.Registry, mt *Metrics) {
 	reg.Add("dram.reads", mt.DRAMReads)
 	reg.Add("dram.writes", mt.DRAMWrites)
 	reg.Add("vc.accesses", mt.VCAccesses)
-	reg.Add("prefetch.issued", mt.PrefetchStats.Issued)
-	reg.Add("prefetch.useful", mt.PrefetchStats.Useful)
 	reg.Add("sweep.points", 1)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"memverify/internal/core"
-	"memverify/internal/prefetch"
 	"memverify/internal/stats"
 )
 
@@ -19,55 +18,34 @@ import (
 // dedicated-vs-shared sweep, in L2-block lines (128 × 64 B = 8 KB).
 const AblationVCLines = 128
 
-// ablationVCVariants are the four cache arrangements of the
-// dedicated-vs-shared sweep: tree nodes sharing the L2 or living in a
-// dedicated cache, each with the ancestor prefetcher off and on.
-var ablationVCVariants = []struct {
-	name     string
-	vc       bool
-	prefetch bool
-}{
-	{"shared", false, false},
-	{"shared+pf", false, true},
-	{"dedicated", true, false},
-	{"dedicated+pf", true, true},
-}
-
 // AblationVerifyCache sweeps where the tree nodes live — sharing the L2
 // with program data (the paper's arrangement, where hash lines pollute
-// the working set) against a small dedicated verification cache — with
-// and without tree-ancestor prefetching. A deliberately small L2
-// (256 KB) makes the contention visible: that is where evicting data
-// for hashes hurts and where a dedicated cache or a prefetcher buys the
-// most back.
+// the working set) against a small dedicated verification cache. A
+// deliberately small L2 (256 KB) makes the contention visible: that is
+// where evicting data for hashes hurts and where a dedicated cache buys
+// the most back.
 func (p Params) AblationVerifyCache() *stats.Table {
 	t := stats.NewTable(
-		fmt.Sprintf("Ablation: dedicated verification cache (%d lines) and ancestor prefetch (scheme c, 256KB L2, 64B)", AblationVCLines),
-		"bench", "shared", "shared+pf", "dedicated", "dedicated+pf", "dedicated/shared")
-	pf := prefetch.DefaultConfig()
-	pf.Enabled = true
+		fmt.Sprintf("Ablation: dedicated verification cache (%d lines) vs shared L2 (scheme c, 256KB L2, 64B)", AblationVCLines),
+		"bench", "shared", "dedicated", "dedicated/shared")
 	var pts []point
 	for _, b := range p.benches() {
-		for _, v := range ablationVCVariants {
-			v := v
+		for _, vc := range []bool{false, true} {
+			vc := vc
 			pts = append(pts, point{b, func(c *core.Config) {
 				schemeCfg(core.SchemeCached)(c)
 				c.L2Size = 256 << 10
-				if v.vc {
+				if vc {
 					c.VerifyCacheLines = AblationVCLines
 					c.VerifyCacheAssoc = 4
-				}
-				if v.prefetch {
-					c.Prefetch = pf
 				}
 			}})
 		}
 	}
 	mts := p.runAll(pts)
 	for bi, b := range p.benches() {
-		row := mts[bi*len(ablationVCVariants):]
-		t.AddRow(b.Name, row[0].IPC, row[1].IPC, row[2].IPC, row[3].IPC,
-			row[2].IPC/row[0].IPC)
+		shared, dedicated := mts[2*bi].IPC, mts[2*bi+1].IPC
+		t.AddRow(b.Name, shared, dedicated, dedicated/shared)
 	}
 	return t
 }

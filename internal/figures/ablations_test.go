@@ -19,7 +19,7 @@ func abParams() Params {
 
 func TestAblationVerifyCache(t *testing.T) {
 	out := abParams().AblationVerifyCache().String()
-	mustContain(t, out, "dedicated verification cache", "shared+pf", "dedicated+pf", "gzip")
+	mustContain(t, out, "dedicated verification cache", "shared", "dedicated/shared", "gzip")
 }
 
 func TestAblationArity(t *testing.T) {

@@ -112,64 +112,7 @@ func (e *Cached) ReadBlock(now uint64, addr uint64) uint64 {
 	e.fillChunk(ready, c, img, s.L2.BlockAddr(addr))
 	s.putImg(img)
 	s.observePath(s.Stat.ExtraBlockReads - before)
-	e.maybePrefetch(ready, c)
 	return ready
-}
-
-// maybePrefetch feeds one demand chunk access to the prefetch engine and,
-// when the pattern table predicts the next chunk, pulls that chunk's
-// uncached tree ancestors into the cache through the ordinary verified
-// fetch path (which terminates at the first resident ancestor, preserving
-// the cached-implies-verified invariant). The prediction is dropped — never
-// queued — when the target's record block is already resident, the
-// in-flight budget is full, or the bus is busy: prefetches are the lowest
-// priority traffic and must not delay demand work. The demand read's
-// completion time is returned unchanged by the caller; prefetch transfers
-// occupy the bus like any other traffic, which is what makes the model
-// honest, but they never alter delivered data or the tree.
-func (e *Cached) maybePrefetch(now uint64, c uint64) {
-	s := e.sys
-	if s.Prefetch == nil || s.prefetching {
-		return
-	}
-	pred, ok := s.Prefetch.Observe(now, c)
-	if !ok || pred >= s.Layout.TotalChunks || s.Layout.IsInterior(pred) {
-		return
-	}
-	slotAddr, ok := s.Layout.HashAddr(pred)
-	if !ok {
-		return // single-chunk tree: the root register is the only ancestor
-	}
-	parent := s.Layout.ChunkOf(slotAddr)
-	if s.cacheFor(parent).Peek(s.L2.BlockAddr(slotAddr)) != nil {
-		s.Prefetch.DropResident()
-		return
-	}
-	if s.Prefetch.BudgetFull(now) {
-		s.Prefetch.DropBudget()
-		return
-	}
-	if s.DRAM.Bus.FreeAt() > now+s.Prefetch.MaxBusWait() {
-		s.Prefetch.DropBus()
-		return
-	}
-	s.prefetching = true
-	val, done := e.readValue(now, slotAddr, s.Layout.HashSize)
-	s.putRec(val)
-	s.prefetching = false
-	s.Prefetch.Launched(pred, done)
-	// Clamp the telemetry span into a monotonic, non-overlapping sequence:
-	// the out-of-order core hands the engine non-monotonic `now` values,
-	// and one prefetch lane should render as one clean Perfetto row.
-	begin, end := now, done
-	if begin < s.prefLastEnd {
-		begin = s.prefLastEnd
-	}
-	if end < begin {
-		end = begin
-	}
-	s.prefLastEnd = end
-	s.Tel.Emit(telemetry.TrackPrefetch, telemetry.KindPrefetch, begin, end, pred, parent)
 }
 
 // Evict implements Engine.

@@ -10,7 +10,6 @@ import (
 	"memverify/internal/hashalg"
 	"memverify/internal/htree"
 	"memverify/internal/mem"
-	"memverify/internal/prefetch"
 	"memverify/internal/stats"
 	"memverify/internal/telemetry"
 )
@@ -80,15 +79,6 @@ type System struct {
 	// always stay in the L2 either way.
 	VC *cache.Cache
 
-	// Prefetch, when non-nil, is the tree-ancestor prefetch engine: it
-	// observes the demand chunk-access stream and, when its pattern table
-	// predicts the next chunk, the engine pulls that chunk's uncached tree
-	// ancestors into the cache as lowest-priority bus traffic (dropped,
-	// never queued, when the bus is busy or the in-flight budget is full).
-	// Prefetching is semantically invisible: delivered data and roots are
-	// byte-identical with it on or off.
-	Prefetch *prefetch.Prefetcher
-
 	// CheckReads arms read verification. The initialization procedure of
 	// §5.7.2 runs with it off ("turn on the hashing algorithm for writes
 	// but not for reads") and arms it as its final step.
@@ -144,15 +134,6 @@ type System struct {
 	depth         int
 	wbDepth       int
 	lastCheckDone uint64
-
-	// prefetching guards against the prefetch path re-triggering itself:
-	// ancestor fetches issued for a prediction are not demand accesses.
-	prefetching bool
-	// prefLastEnd clamps prefetch telemetry spans into a monotonic,
-	// non-overlapping sequence: the out-of-order core hands the engine
-	// non-monotonic `now` values, and overlapping spans on one trace lane
-	// render as garbage in Perfetto.
-	prefLastEnd uint64
 
 	// inflight tracks lines sitting in the write buffer mid-eviction.
 	// Hardware forwards accesses to write-buffer entries; without

@@ -2,6 +2,8 @@ package service
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"testing"
 )
 
@@ -90,5 +92,48 @@ func TestProtocolResponseMismatch(t *testing.T) {
 	two := []Op{{Off: 0, Data: make([]byte, 4)}, {Off: 4, Data: make([]byte, 4)}}
 	if err := DecodeResponse(&resp, two); err == nil {
 		t.Error("op-count mismatch: decoded without error")
+	}
+}
+
+// countingReader counts the bytes its reader hands out.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestDecodeRequestReadsBoundedBytes pins that DecodeRequest never reads
+// more than 8 + 13·maxOps + maxBytes + 1 bytes of a body, however long the
+// body is: read payloads are not on the wire, write payloads count against
+// maxBytes before they are read, and the trailing-byte probe reads one
+// byte. The handler can hand it r.Body without a MaxBytesReader.
+func TestDecodeRequestReadsBoundedBytes(t *testing.T) {
+	const maxOps, maxBytes = 4, 64
+	const bound = 8 + opHeaderSize*maxOps + maxBytes + 1
+	flood := make([]byte, 1<<20)
+
+	tooMany := binary.LittleEndian.AppendUint32(append([]byte(nil), reqMagic[:]...), maxOps+1)
+	tooLong := EncodeRequest([]Op{{Write: true, Off: 0, Data: make([]byte, maxBytes+1)}})
+	valid := EncodeRequest([]Op{
+		{Write: true, Off: 0, Data: make([]byte, maxBytes)},
+		{Off: 0, Data: make([]byte, maxBytes)},
+	})
+	for name, prefix := range map[string][]byte{
+		"op count over maxOps":    tooMany,
+		"write length over bytes": tooLong[:8+opHeaderSize],
+		"valid batch then flood":  valid,
+	} {
+		body := &countingReader{r: io.MultiReader(bytes.NewReader(prefix), bytes.NewReader(flood))}
+		if _, err := DecodeRequest(body, maxOps, maxBytes); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+		if body.n > bound {
+			t.Errorf("%s: read %d bytes, bound %d", name, body.n, bound)
+		}
 	}
 }

@@ -10,12 +10,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"memverify/internal/core"
 	"memverify/internal/obs"
+	"memverify/internal/persist"
 	"memverify/internal/shard"
 	"memverify/internal/trace"
 )
@@ -122,6 +124,110 @@ func TestServiceUnknownTenantAndBadRequest(t *testing.T) {
 	}
 	if k := errKind(t, bad); k != KindBadRequest {
 		t.Errorf("garbage body kind %q", k)
+	}
+}
+
+// TestServiceRefusesTrailingFlood: a valid batch followed by 1 MiB of
+// trailing bytes is a bad request, and none of its ops is applied. The
+// decoder stops one byte past the declared ops (see
+// TestDecodeRequestReadsBoundedBytes), so the flood is never buffered.
+func TestServiceRefusesTrailingFlood(t *testing.T) {
+	_, ts := newTestService(t, Config{Tenants: []TenantConfig{
+		testTenant("alpha", core.SchemeCached, "record", 1),
+	}})
+	payload := []byte("must not land")
+	body := append(EncodeRequest([]Op{{Write: true, Off: 200, Data: payload}}), make([]byte, 1<<20)...)
+	resp, err := http.Post(ts.URL+"/v1/t/alpha/batch", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("flooded batch: status %d, want 400", resp.StatusCode)
+	}
+	if k := errKind(t, resp); k != KindBadRequest {
+		t.Errorf("flooded batch kind %q", k)
+	}
+
+	ops := []Op{{Off: 200, Data: make([]byte, len(payload))}}
+	read := postBatch(t, ts.URL, "alpha", ops)
+	defer read.Body.Close()
+	if read.StatusCode != http.StatusOK {
+		t.Fatalf("read-back status %d", read.StatusCode)
+	}
+	if err := DecodeResponse(read.Body, ops); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ops[0].Data, make([]byte, len(payload))) {
+		t.Fatalf("refused batch's write was applied: read %q", ops[0].Data)
+	}
+}
+
+// TestCloseLeavesNoGoroutines: a persisted 2-shard tenant checkpoints,
+// then a second service recovers it (persist.RecoverStore, whose image
+// check runs on GOMAXPROCS workers inside VerifyImage), serves a few
+// batches and closes. Afterwards no goroutine the two services, their
+// stores, the recovery check or their HTTP servers started is left.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	prev := runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0)))
+	defer runtime.GOMAXPROCS(prev)
+	tc := testTenant("alpha", core.SchemeCached, "record", 2)
+	tc.PersistDir = t.TempDir()
+	payload := []byte("survives the restart")
+	start := runtime.NumGoroutine()
+
+	for round := 0; round < 2; round++ {
+		svc, err := New(Config{Tenants: []TenantConfig{tc}})
+		if err != nil {
+			t.Fatalf("round %d: New: %v", round, err)
+		}
+		if rec := svc.tenants["alpha"].recovery; round == 1 && (rec.Outcome != persist.OutcomeClean || rec.Epoch == 0) {
+			t.Fatalf("restart recovered %s at epoch %d, want a clean checkpointed epoch", rec.Outcome, rec.Epoch)
+		}
+		ts := httptest.NewServer(svc.Handler())
+		client := &http.Client{Transport: &http.Transport{}}
+		half := svc.tenants["alpha"].store.ShardSpan() / 2
+		for i := 0; i < 4; i++ {
+			off := uint64(i) * half // two batches per shard
+			ops := []Op{{Off: off, Data: make([]byte, len(payload))}}
+			if round == 0 {
+				ops = append([]Op{{Write: true, Off: off, Data: payload}}, ops...)
+			}
+			resp, err := client.Post(ts.URL+"/v1/t/alpha/batch", "application/octet-stream",
+				bytes.NewReader(EncodeRequest(ops)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("round %d batch %d: status %d", round, i, resp.StatusCode)
+			}
+			err = DecodeResponse(resp.Body, ops)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ops[len(ops)-1].Data; !bytes.Equal(got, payload) {
+				t.Fatalf("round %d batch %d: read %q", round, i, got)
+			}
+		}
+		if round == 0 {
+			if err := svc.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		client.CloseIdleConnections()
+		ts.Close()
+		svc.Close()
+	}
+
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > start {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before:\n%s",
+				runtime.NumGoroutine(), start, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -143,9 +143,9 @@ func NewFromState(cfg Config, imgs, roots [][]byte) (*Store, error) {
 // SettingError is the constructors' refusal of a machine template that
 // strays from the paper's serving configuration: a store verifies every
 // byte it returns, blocks on each check, and keeps tree nodes in the
-// shared L2 (§5.3–5.5). The tree-ancestor prefetcher, the dedicated
-// verification cache and timing-only digests are simulator ablations;
-// core runs them, a store does not.
+// shared L2 (§5.3–5.5). The dedicated verification cache and
+// timing-only digests are simulator ablations; core runs them, a store
+// does not.
 type SettingError struct {
 	Field string // the core.Config field, e.g. "VerifyCacheLines"
 	Value any
@@ -159,8 +159,6 @@ func (e *SettingError) Error() string {
 // checkServing returns the SettingError for the first ablation m enables.
 func checkServing(m *core.Config) error {
 	switch {
-	case m.Prefetch.Enabled:
-		return &SettingError{"Prefetch.Enabled", true}
 	case m.VerifyCacheLines > 0:
 		return &SettingError{"VerifyCacheLines", m.VerifyCacheLines}
 	case m.HashMode != "" && m.HashMode != "full":

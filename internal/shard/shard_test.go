@@ -415,7 +415,6 @@ func TestNewRefusesAblations(t *testing.T) {
 		field string
 		set   func(*core.Config)
 	}{
-		{"Prefetch.Enabled", func(c *core.Config) { c.Prefetch.Enabled = true }},
 		{"VerifyCacheLines", func(c *core.Config) { c.VerifyCacheLines = 64 }},
 		{"HashMode", func(c *core.Config) { c.HashMode = "timing" }},
 	} {

@@ -217,8 +217,6 @@ func eventArgs(ev *Event) string {
 		return fmt.Sprintf(`"bytes":%d,"class":%q`, ev.A, cls)
 	case KindDRAMRead, KindDRAMWrite:
 		return fmt.Sprintf(`"bytes":%d`, ev.A)
-	case KindPrefetch:
-		return fmt.Sprintf(`"chunk":%d,"ancestor":%d`, ev.A, ev.B)
 	}
 	return fmt.Sprintf(`"a":%d,"b":%d`, ev.A, ev.B)
 }

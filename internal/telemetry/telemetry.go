@@ -30,12 +30,11 @@ const (
 	TrackHash                   // hash-unit jobs
 	TrackBus                    // bus grants
 	TrackDRAM                   // DRAM transactions
-	TrackPrefetch               // tree-ancestor prefetches
 	numTracks
 )
 
 // trackNames are the thread names the Chrome exporter writes.
-var trackNames = [numTracks]string{"L2", "integrity", "hash-unit", "bus", "dram", "prefetch"}
+var trackNames = [numTracks]string{"L2", "integrity", "hash-unit", "bus", "dram"}
 
 // String returns the track's display name.
 func (t Track) String() string {
@@ -70,17 +69,12 @@ const (
 	// KindDRAMRead / KindDRAMWrite: one DRAM transaction. A = bytes.
 	KindDRAMRead
 	KindDRAMWrite
-	// KindPrefetch: one issued tree-ancestor prefetch, spanning issue to
-	// modeled transfer completion. A = predicted chunk, B = the ancestor
-	// chunk whose record block the prefetch pulled in.
-	KindPrefetch
 	numKinds
 )
 
 var kindNames = [numKinds]string{
 	"l2-read", "l2-write", "tree-walk", "write-back",
 	"hash-job", "bus-grant", "dram-read", "dram-write",
-	"prefetch",
 }
 
 // String returns the kind's display name.

@@ -244,60 +244,3 @@ func TestRecorderFillRegistry(t *testing.T) {
 	var nilRec *Recorder
 	nilRec.FillRegistry(reg)
 }
-
-func TestValidatorLaneAccounting(t *testing.T) {
-	doc := `{"traceEvents":[
-		{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"prefetch/0"}},
-		{"ph":"M","pid":0,"tid":1,"name":"thread_name","args":{"name":"bus"}},
-		{"ph":"X","pid":0,"tid":0,"ts":0,"dur":5,"name":"prefetch"},
-		{"ph":"X","pid":0,"tid":0,"ts":5,"dur":5,"name":"prefetch"},
-		{"ph":"X","pid":0,"tid":1,"ts":0,"dur":10,"name":"grant"},
-		{"ph":"X","pid":0,"tid":2,"ts":0,"dur":1,"name":"anon"}]}`
-	spans, lanes, err := ValidateChromeTraceLanes(strings.NewReader(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spans != 4 {
-		t.Fatalf("got %d spans, want 4", spans)
-	}
-	// The "/0" lane suffix aggregates under its track name; the unnamed
-	// thread's span validates but belongs to no lane.
-	if lanes["prefetch"] != 2 || lanes["bus"] != 1 || len(lanes) != 2 {
-		t.Fatalf("lane accounting wrong: %v", lanes)
-	}
-}
-
-func TestValidatorRejectsOverlappingPrefetchSpans(t *testing.T) {
-	// Containment is legal nesting on every other lane, but the prefetch
-	// lane is one engine's sequential launches: overlap means the
-	// exporter's monotonic clamp broke.
-	doc := `{"traceEvents":[
-		{"ph":"M","pid":0,"tid":0,"name":"thread_name","args":{"name":"prefetch"}},
-		{"ph":"X","pid":0,"tid":0,"ts":0,"dur":10,"name":"prefetch"},
-		{"ph":"X","pid":0,"tid":0,"ts":2,"dur":3,"name":"prefetch"}]}`
-	if _, _, err := ValidateChromeTraceLanes(strings.NewReader(doc)); err == nil {
-		t.Fatal("validator accepted overlapping prefetch spans")
-	}
-	onBus := strings.ReplaceAll(doc, "prefetch", "bus")
-	if _, _, err := ValidateChromeTraceLanes(strings.NewReader(onBus)); err != nil {
-		t.Fatalf("validator rejected contained bus spans: %v", err)
-	}
-}
-
-func TestValidatorExportedPrefetchLane(t *testing.T) {
-	tr := NewTrace(64)
-	tr.Emit(TrackPrefetch, KindPrefetch, 10, 20, 1, 2)
-	tr.Emit(TrackPrefetch, KindPrefetch, 20, 35, 3, 4)
-	tr.Emit(TrackBus, KindBusGrant, 0, 50, 64, 0)
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	_, lanes, err := ValidateChromeTraceLanes(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lanes["prefetch"] != 2 {
-		t.Fatalf("exported prefetch lane has %d spans, want 2: %v", lanes["prefetch"], lanes)
-	}
-}

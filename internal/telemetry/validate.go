@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // chromeEvent mirrors the subset of the Chrome trace-event schema the
@@ -27,29 +26,15 @@ type chromeEvent struct {
 // fine, partial overlap is not — Perfetto renders partial overlaps as
 // garbage). It returns the number of span events on success.
 func ValidateChromeTrace(r io.Reader) (spans int, err error) {
-	spans, _, err = ValidateChromeTraceLanes(r)
-	return spans, err
-}
-
-// ValidateChromeTraceLanes is ValidateChromeTrace plus lane accounting: it
-// resolves each thread's name from its "thread_name" metadata event and
-// returns span counts keyed by lane name ("L2", "integrity", "prefetch",
-// ...; a multi-lane track's "bus/3" counts under "bus"). Spans on threads
-// with no thread_name metadata validate but count toward no lane. The
-// prefetch lane carries one engine's strictly sequential launches, so its
-// spans must additionally be disjoint — the nesting the other lanes allow
-// would mean two prefetches in flight on one row, which the exporter's
-// clamp is supposed to prevent.
-func ValidateChromeTraceLanes(r io.Reader) (spans int, lanes map[string]int, err error) {
 	var doc struct {
 		TraceEvents []chromeEvent `json:"traceEvents"`
 	}
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&doc); err != nil {
-		return 0, nil, fmt.Errorf("trace does not parse: %w", err)
+		return 0, fmt.Errorf("trace does not parse: %w", err)
 	}
 	if len(doc.TraceEvents) == 0 {
-		return 0, nil, fmt.Errorf("trace has no events")
+		return 0, fmt.Errorf("trace has no events")
 	}
 
 	type key struct{ pid, tid int64 }
@@ -66,25 +51,25 @@ func ValidateChromeTraceLanes(r io.Reader) (spans int, lanes map[string]int, err
 				Name string `json:"name"`
 			}
 			if err := json.Unmarshal(ev.Args, &args); err != nil || args.Name == "" {
-				return 0, nil, fmt.Errorf("event %d: thread_name metadata without a name", i)
+				return 0, fmt.Errorf("event %d: thread_name metadata without a name", i)
 			}
 			names[key{ev.Pid, ev.Tid}] = args.Name
 		case "X":
 			if ev.Ts == nil || ev.Dur == nil {
-				return 0, nil, fmt.Errorf("event %d (%q): X event missing ts or dur", i, ev.Name)
+				return 0, fmt.Errorf("event %d (%q): X event missing ts or dur", i, ev.Name)
 			}
 			if *ev.Dur < 0 {
-				return 0, nil, fmt.Errorf("event %d (%q): negative dur", i, ev.Name)
+				return 0, fmt.Errorf("event %d (%q): negative dur", i, ev.Name)
 			}
 			k := key{ev.Pid, ev.Tid}
 			threads[k] = append(threads[k], span{*ev.Ts, *ev.Ts + *ev.Dur})
 			spans++
 		default:
-			return 0, nil, fmt.Errorf("event %d (%q): unexpected phase %q", i, ev.Name, ev.Ph)
+			return 0, fmt.Errorf("event %d (%q): unexpected phase %q", i, ev.Name, ev.Ph)
 		}
 	}
 	if spans == 0 {
-		return 0, nil, fmt.Errorf("trace has no span events")
+		return 0, fmt.Errorf("trace has no span events")
 	}
 
 	keys := make([]key, 0, len(threads))
@@ -97,32 +82,15 @@ func ValidateChromeTraceLanes(r io.Reader) (spans int, lanes map[string]int, err
 		}
 		return keys[i].tid < keys[j].tid
 	})
-	lanes = map[string]int{}
 	for _, k := range keys {
 		name := names[k]
-		lane := name
-		if i := strings.IndexByte(lane, '/'); i >= 0 {
-			lane = lane[:i]
-		}
 		sps := threads[k]
-		if lane != "" {
-			lanes[lane] += len(sps)
-		}
 		// File order per thread must already be monotonic in ts.
 		for i := 1; i < len(sps); i++ {
 			if sps[i].begin < sps[i-1].begin {
-				return 0, nil, fmt.Errorf("pid %d tid %d (%s): timestamps not monotonic (%v after %v)",
+				return 0, fmt.Errorf("pid %d tid %d (%s): timestamps not monotonic (%v after %v)",
 					k.pid, k.tid, name, sps[i].begin, sps[i-1].begin)
 			}
-		}
-		if lane == "prefetch" {
-			for i := 1; i < len(sps); i++ {
-				if sps[i].begin < sps[i-1].end {
-					return 0, nil, fmt.Errorf("pid %d tid %d (%s): prefetch spans overlap ([%v,%v) after [%v,%v))",
-						k.pid, k.tid, name, sps[i].begin, sps[i].end, sps[i-1].begin, sps[i-1].end)
-				}
-			}
-			continue
 		}
 		// Well-nesting: walk a stack of open spans; each new span must
 		// either start after the top ends, or end within it.
@@ -132,14 +100,14 @@ func ValidateChromeTraceLanes(r io.Reader) (spans int, lanes map[string]int, err
 				stack = stack[:len(stack)-1]
 			}
 			if len(stack) > 0 && s.end > stack[len(stack)-1].end {
-				return 0, nil, fmt.Errorf("pid %d tid %d (%s): span [%v,%v) partially overlaps [%v,%v)",
+				return 0, fmt.Errorf("pid %d tid %d (%s): span [%v,%v) partially overlaps [%v,%v)",
 					k.pid, k.tid, name, s.begin, s.end,
 					stack[len(stack)-1].begin, stack[len(stack)-1].end)
 			}
 			stack = append(stack, s)
 		}
 	}
-	return spans, lanes, nil
+	return spans, nil
 }
 
 // ValidateMetrics checks a metrics snapshot against the
