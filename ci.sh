@@ -252,10 +252,13 @@ echo "ops overhead gate OK"
 # that tenant (503s for it, clean service and a degraded-not-unhealthy
 # /healthz for the rest), survive two metricscheck-clean live scrapes with
 # monotonic counters, and dump a flight record with the signal event on
-# SIGTERM.
+# SIGTERM. The daemon and loadgen are race-built: the batch path reuses
+# per-request state on both ends (a client Batch its request, the service
+# pooled decode state), so every leg below is also a race check of it, and
+# a race in the daemon makes its SIGTERM exit nonzero.
 stmp=$(mktemp -d -t memverify-service.XXXXXX)
-go build -o "$stmp/memverifyd" ./cmd/memverifyd
-go build -o "$stmp/loadgen" ./cmd/loadgen
+go build -race -o "$stmp/memverifyd" ./cmd/memverifyd
+go build -race -o "$stmp/loadgen" ./cmd/loadgen
 go build -o "$stmp/metricscheck" ./cmd/metricscheck
 "$stmp/memverifyd" -listen 127.0.0.1:0 \
   -tenants 't0,t1:scheme=naive,t2:scheme=m,t3:scheme=i;policy=halt' \
@@ -277,6 +280,24 @@ fi
 for tenant in t0 t1 t2 t3; do
   "$stmp/loadgen" -remote "$saddr" -tenant "$tenant" -workers 4 -ops 2000 >/dev/null
 done
+# Two loadgen processes at once on one tenant: concurrent connections
+# through the same pooled state. Both run read-only with mirror checks on
+# — each zeroes the tenant first and owns the stripes from offset 0, so
+# two writing runs would fail each other's mirrors; the write path ran
+# race-built in the legs above.
+"$stmp/loadgen" -remote "$saddr" -tenant t0 -workers 4 -ops 2000 -write-frac 0 >"$stmp/race1.log" 2>&1 &
+r1=$!
+"$stmp/loadgen" -remote "$saddr" -tenant t0 -workers 4 -ops 2000 -write-frac 0 -seed 2 >"$stmp/race2.log" 2>&1 &
+r2=$!
+set +e
+wait "$r1"; s1=$?
+wait "$r2"; s2=$?
+set -e
+if [ "$s1" -ne 0 ] || [ "$s2" -ne 0 ] || grep -q 'DATA RACE' "$stmp/race1.log" "$stmp/race2.log"; then
+  cat "$stmp/race1.log" "$stmp/race2.log" >&2
+  echo "FAIL: concurrent race-built loadgen legs on t0 exited $s1/$s2 or raced" >&2
+  exit 1
+fi
 curl -fsS "http://$saddr/metrics" >"$stmp/scrape1.prom"
 "$stmp/metricscheck" "$stmp/scrape1.prom" >/dev/null
 sleep 0.3
@@ -308,6 +329,9 @@ grep -q '"kind": "signal"' "$stmp/flight.json" || {
   echo "FAIL: flight dump missing the SIGTERM signal event" >&2; exit 1; }
 grep -q 'shutdown complete' "$stmp/mvd.log" || {
   echo "FAIL: memverifyd did not log a graceful shutdown" >&2; exit 1; }
+if grep -q 'DATA RACE' "$stmp/mvd.log"; then
+  echo "FAIL: race-built memverifyd reported a data race" >&2; exit 1
+fi
 rm -rf "$stmp"
 echo "service gate OK"
 

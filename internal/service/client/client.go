@@ -9,6 +9,11 @@
 // in-flight batches hold ~N connections. 429 (admission backpressure) is
 // retried internally with capped exponential backoff; every other error
 // surfaces as a *service.APIError the caller can inspect.
+//
+// The batch path allocates per batch, not per op or per request: a Batch
+// encodes each op into its own MVB1 buffer as it is added and sends that
+// buffer with one *http.Request it keeps for its whole life, straight
+// through the client's Transport.
 package client
 
 import (
@@ -17,18 +22,26 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
 	"memverify/internal/service"
 )
 
+// hungDaemon bounds how long any request waits for a response header
+// (the batch path's only deadline) and how long a control request may
+// take in all.
+const hungDaemon = 5 * time.Minute
+
 // Client addresses one tenant of one memverifyd instance.
 type Client struct {
-	hc     *http.Client
-	base   string // e.g. "http://127.0.0.1:8380", no trailing slash
-	tenant string
-	info   service.TenantInfo
+	tr       *http.Transport
+	hc       *http.Client // control endpoints, on tr
+	base     string       // e.g. "http://127.0.0.1:8380", no trailing slash
+	batchURL *url.URL
+	tenant   string
+	info     service.TenantInfo
 
 	// RetryBudget bounds how long Wait keeps retrying 429 responses
 	// before surfacing the busy error. Defaults to 30s.
@@ -43,20 +56,28 @@ func Dial(base, tenant string) (*Client, error) {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
+	batchURL, err := url.Parse(base + "/v1/t/" + tenant + "/batch")
+	if err != nil {
+		return nil, fmt.Errorf("client: %w", err)
+	}
+	tr := &http.Transport{
+		// The default MaxIdleConnsPerHost (2) would serialize a
+		// hundred workers onto two keep-alive connections; size
+		// the pool for concurrent-load use.
+		MaxIdleConns:        512,
+		MaxIdleConnsPerHost: 256,
+		IdleConnTimeout:     90 * time.Second,
+		// MVB1 is binary and uncompressed; asking for gzip would only
+		// add a header to every batch.
+		DisableCompression:    true,
+		ResponseHeaderTimeout: hungDaemon,
+	}
 	c := &Client{
-		base:   base,
-		tenant: tenant,
-		hc: &http.Client{
-			Transport: &http.Transport{
-				// The default MaxIdleConnsPerHost (2) would serialize a
-				// hundred workers onto two keep-alive connections; size
-				// the pool for concurrent-load use.
-				MaxIdleConns:        512,
-				MaxIdleConnsPerHost: 256,
-				IdleConnTimeout:     90 * time.Second,
-			},
-			Timeout: 5 * time.Minute,
-		},
+		tr:          tr,
+		hc:          &http.Client{Transport: tr, Timeout: hungDaemon},
+		base:        base,
+		batchURL:    batchURL,
+		tenant:      tenant,
 		RetryBudget: 30 * time.Second,
 	}
 	infos, err := c.Tenants()
@@ -106,59 +127,107 @@ func (c *Client) ShardFor(off uint64) int {
 }
 
 // Close releases pooled connections.
-func (c *Client) Close() { c.hc.CloseIdleConnections() }
+func (c *Client) Close() { c.tr.CloseIdleConnections() }
 
 // Batch buffers operations locally; Wait ships them as one request. Like
 // shard.Batch, same-address operations within a batch apply in
 // submission order (the server submits them to the owning shard's FIFO
 // queue in op order) and a batch is reusable after Wait.
+//
+// A Batch owns its request for its whole life: the MVB1 buffer each op is
+// encoded into as it is added, the *http.Request that carries it and the
+// body reader over it. They are reused from one Wait to the next after a
+// 200, which the server sends only once it has read the whole body; after
+// anything else the transport may still be reading them, so the batch
+// builds fresh ones.
 type Batch struct {
-	c   *Client
-	ops []service.Op
+	c    *Client
+	buf  []byte       // MVB1 request: header, then every op added so far
+	ops  []service.Op // one per op: Write, and a read's destination
+	req  *http.Request
+	body *bytes.Reader
 }
 
+// A new batch's buffer holds batchBuf bytes; a batch keeps no buffer
+// larger than maxKeptBuf across a Wait, so one bulk batch does not pin its
+// payload for the rest of the batch's life.
+const (
+	batchBuf   = 512
+	maxKeptBuf = 32 << 10
+)
+
 // NewBatch starts an empty batch.
-func (c *Client) NewBatch() *Batch { return &Batch{c: c} }
+func (c *Client) NewBatch() *Batch {
+	b := &Batch{c: c, buf: make([]byte, service.RequestHeaderSize, batchBuf)}
+	b.renew()
+	return b
+}
+
+// renew gives the batch a request and body reader of its own, neither of
+// which the transport has seen.
+func (b *Batch) renew() {
+	b.body = bytes.NewReader(nil)
+	b.req = &http.Request{
+		Method: http.MethodPost,
+		URL:    b.c.batchURL,
+		Header: http.Header{"Content-Type": {"application/octet-stream"}},
+		Body:   io.NopCloser(b.body),
+		// A keep-alive connection the server closed while idle is
+		// retried by the transport with a fresh body from here.
+		GetBody: func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(b.buf)), nil
+		},
+		Host: b.c.batchURL.Host,
+	}
+}
 
 // Load buffers a verified read of len(p) bytes at global offset off; p is
 // filled when Wait succeeds and must stay untouched until then.
 func (b *Batch) Load(off uint64, p []byte) {
-	b.ops = append(b.ops, service.Op{Off: off, Data: p})
+	op := service.Op{Off: off, Data: p}
+	b.buf = service.AppendOp(b.buf, op)
+	b.ops = append(b.ops, op)
 }
 
-// Store buffers a write of p at global offset off. p is copied — the
-// caller may reuse the buffer immediately.
+// Store buffers a write of p at global offset off. p is copied into the
+// request at once — the caller may reuse the buffer immediately.
 func (b *Batch) Store(off uint64, p []byte) {
-	b.ops = append(b.ops, service.Op{Write: true, Off: off, Data: append([]byte(nil), p...)})
+	b.buf = service.AppendOp(b.buf, service.Op{Write: true, Off: off, Data: p})
+	b.ops = append(b.ops, service.Op{Write: true})
 }
 
 // Wait ships the buffered batch, fills every Load destination and resets
-// the batch for reuse. 429 responses are retried with capped backoff
-// within the client's RetryBudget; other failures return the decoded
-// *service.APIError (or the transport error).
+// the batch for reuse, keeping no reference to any destination. 429
+// responses are retried with capped backoff within the client's
+// RetryBudget; other failures return the decoded *service.APIError (or
+// the transport error).
 func (b *Batch) Wait() error {
 	if len(b.ops) == 0 {
 		return nil
 	}
-	ops := b.ops
-	b.ops = b.ops[:0]
-	body := service.EncodeRequest(ops)
-	url := b.c.base + "/v1/t/" + b.c.tenant + "/batch"
+	defer b.reset()
+	service.PutRequestHeader(b.buf, len(b.ops))
 
 	deadline := time.Now().Add(b.c.RetryBudget)
 	backoff := 5 * time.Millisecond
 	for {
-		resp, err := b.c.hc.Post(url, "application/octet-stream", bytes.NewReader(body))
+		b.body.Reset(b.buf)
+		b.req.ContentLength = int64(len(b.buf))
+		resp, err := b.c.tr.RoundTrip(b.req)
 		if err != nil {
+			b.retire()
 			return fmt.Errorf("client: %w", err)
 		}
 		if resp.StatusCode == http.StatusOK {
-			err := service.DecodeResponse(resp.Body, ops)
+			err := service.DecodeResponse(resp.Body, b.ops)
 			drain(resp)
 			return err
 		}
 		apiErr := decodeError(resp)
 		drain(resp)
+		// The server may answer before it has read the whole body (a
+		// batch over its limits is refused on its header).
+		b.retire()
 		if resp.StatusCode != http.StatusTooManyRequests || time.Now().After(deadline) {
 			return apiErr
 		}
@@ -167,6 +236,23 @@ func (b *Batch) Wait() error {
 			backoff = 250 * time.Millisecond
 		}
 	}
+}
+
+// retire hands the current buffer, request and body reader to whatever
+// in the transport may still read them and continues on copies.
+func (b *Batch) retire() {
+	b.buf = append(make([]byte, 0, cap(b.buf)), b.buf...)
+	b.renew()
+}
+
+// reset empties the batch for its next ops.
+func (b *Batch) reset() {
+	clear(b.ops) // drop the Load destinations
+	b.ops = b.ops[:0]
+	if cap(b.buf) > maxKeptBuf {
+		b.buf = make([]byte, service.RequestHeaderSize, batchBuf)
+	}
+	b.buf = b.buf[:service.RequestHeaderSize]
 }
 
 // LoadBytes is the synchronous form of Batch.Load.

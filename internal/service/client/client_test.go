@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"testing"
@@ -34,11 +35,18 @@ func testMachine(scheme core.Scheme, policy string) core.Config {
 
 func startService(t *testing.T, cfg service.Config) (*service.Service, *httptest.Server) {
 	t.Helper()
+	return startWrapped(t, cfg, func(h http.Handler) http.Handler { return h })
+}
+
+// startWrapped is startService with wrap between the listener and the
+// service's handler.
+func startWrapped(t *testing.T, cfg service.Config, wrap func(http.Handler) http.Handler) (*service.Service, *httptest.Server) {
+	t.Helper()
 	svc, err := service.New(cfg)
 	if err != nil {
 		t.Fatalf("service.New: %v", err)
 	}
-	ts := httptest.NewServer(svc.Handler())
+	ts := httptest.NewServer(wrap(svc.Handler()))
 	t.Cleanup(func() { ts.Close(); svc.Close() })
 	return svc, ts
 }

@@ -35,8 +35,8 @@ var (
 
 // Op is one operation of a batch. For writes Data is the payload; for
 // reads Data is the destination buffer whose length is the read size
-// (DecodeRequest allocates it server-side, the client passes the caller's
-// buffer so DecodeResponse fills it in place).
+// (the decoder carves it from the request's arena server-side, the client
+// passes the caller's buffer so DecodeResponse fills it in place).
 type Op struct {
 	Write bool
 	Off   uint64
@@ -49,91 +49,158 @@ const (
 	DefaultMaxBatchBytes = 8 << 20
 )
 
+// RequestHeaderSize is the length of an MVB1 request's header: the magic
+// and the op count.
+const RequestHeaderSize = 8
+
 const opHeaderSize = 1 + 8 + 4
+
+// PutRequestHeader writes the MVB1 header for nops ops into
+// buf[:RequestHeaderSize].
+func PutRequestHeader(buf []byte, nops int) {
+	copy(buf, reqMagic[:])
+	binary.LittleEndian.PutUint32(buf[4:RequestHeaderSize], uint32(nops))
+}
+
+// AppendOp appends op's MVB1 encoding to buf: its header and, for a
+// write, its payload.
+func AppendOp(buf []byte, op Op) []byte {
+	kind := byte(0)
+	if op.Write {
+		kind = 1
+	}
+	buf = append(buf, kind)
+	buf = binary.LittleEndian.AppendUint64(buf, op.Off)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(op.Data)))
+	if op.Write {
+		buf = append(buf, op.Data...)
+	}
+	return buf
+}
 
 // EncodeRequest renders ops into the MVB1 wire form.
 func EncodeRequest(ops []Op) []byte {
-	n := 8
+	n := RequestHeaderSize
 	for _, op := range ops {
 		n += opHeaderSize
 		if op.Write {
 			n += len(op.Data)
 		}
 	}
-	buf := make([]byte, 0, n)
-	buf = append(buf, reqMagic[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ops)))
+	buf := make([]byte, RequestHeaderSize, n)
+	PutRequestHeader(buf, len(ops))
 	for _, op := range ops {
-		kind := byte(0)
-		if op.Write {
-			kind = 1
-		}
-		buf = append(buf, kind)
-		buf = binary.LittleEndian.AppendUint64(buf, op.Off)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(op.Data)))
-		if op.Write {
-			buf = append(buf, op.Data...)
-		}
+		buf = AppendOp(buf, op)
 	}
 	return buf
 }
 
 // DecodeRequest parses an MVB1 request, allocating destination buffers
 // for reads, and enforces the op-count and total-payload bounds (<= 0
-// selects the defaults).
+// selects the defaults). It is the one-shot form of the decoder the
+// service runs on pooled per-request state.
 func DecodeRequest(r io.Reader, maxOps, maxBytes int) ([]Op, error) {
+	var d decoded
+	if err := d.decode(r, maxOps, maxBytes); err != nil {
+		return nil, err
+	}
+	return d.ops, nil
+}
+
+// minArena is the first arena a decoder allocates (or the whole batch
+// limit, if that is smaller).
+const minArena = 1 << 10
+
+// decoded is one request's ops and the arena behind their Data: write
+// payloads and read destinations back to back, in op order. The service
+// pools it, so a steady stream of batches decodes without allocating.
+type decoded struct {
+	ops   []Op
+	arena []byte
+	hdr   [opHeaderSize]byte // read buffer for the headers; a local would escape
+}
+
+// decode parses an MVB1 request into d, reusing d's op slice and arena.
+// The arena grows by doubling but never past maxBytes, and only once the
+// op that needs the room has been counted against that limit, so a
+// request costs at most its limits whatever its header claims.
+func (d *decoded) decode(r io.Reader, maxOps, maxBytes int) error {
 	if maxOps <= 0 {
 		maxOps = DefaultMaxBatchOps
 	}
 	if maxBytes <= 0 {
 		maxBytes = DefaultMaxBatchBytes
 	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, fmt.Errorf("request header: %w", err)
+	d.ops, d.arena = d.ops[:0], d.arena[:0]
+	hdr := d.hdr[:RequestHeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		return fmt.Errorf("request header: %w", err)
 	}
 	if [4]byte(hdr[:4]) != reqMagic {
-		return nil, fmt.Errorf("bad request magic %q (want %q)", hdr[:4], reqMagic[:])
+		return fmt.Errorf("bad request magic %q (want %q)", hdr[:4], reqMagic[:])
 	}
 	nops := int(binary.LittleEndian.Uint32(hdr[4:]))
 	if nops > maxOps {
-		return nil, fmt.Errorf("%d ops exceeds the per-batch limit %d", nops, maxOps)
+		return fmt.Errorf("%d ops exceeds the per-batch limit %d", nops, maxOps)
 	}
-	ops := make([]Op, 0, nops)
-	total := 0
-	var oh [opHeaderSize]byte
+	if cap(d.ops) < nops {
+		d.ops = make([]Op, 0, nops)
+	}
+	oh := d.hdr[:]
 	for i := 0; i < nops; i++ {
-		if _, err := io.ReadFull(r, oh[:]); err != nil {
-			return nil, fmt.Errorf("op %d header: %w", i, err)
+		if _, err := io.ReadFull(r, oh); err != nil {
+			return fmt.Errorf("op %d header: %w", i, err)
 		}
 		op := Op{
 			Write: oh[0] != 0,
 			Off:   binary.LittleEndian.Uint64(oh[1:9]),
 		}
 		if oh[0] > 1 {
-			return nil, fmt.Errorf("op %d: unknown kind %d", i, oh[0])
+			return fmt.Errorf("op %d: unknown kind %d", i, oh[0])
 		}
 		length := int(binary.LittleEndian.Uint32(oh[9:13]))
-		if total += length; total > maxBytes {
-			return nil, fmt.Errorf("batch payload exceeds the %d-byte limit", maxBytes)
+		start := len(d.arena)
+		if length > maxBytes-start {
+			return fmt.Errorf("batch payload exceeds the %d-byte limit", maxBytes)
 		}
-		op.Data = make([]byte, length)
+		d.grow(length, maxBytes)
+		d.arena = d.arena[:start+length]
+		op.Data = d.arena[start:]
 		if op.Write {
 			if _, err := io.ReadFull(r, op.Data); err != nil {
-				return nil, fmt.Errorf("op %d payload: %w", i, err)
+				return fmt.Errorf("op %d payload: %w", i, err)
 			}
 		}
-		ops = append(ops, op)
+		d.ops = append(d.ops, op)
 	}
 	// The declared count covers the whole body: a byte past the last op
 	// means the header under-counts, and the ops after it would be dropped.
 	if _, err := io.ReadFull(r, oh[:1]); err != io.EOF {
 		if err == nil {
-			return nil, fmt.Errorf("trailing bytes after the declared %d ops", nops)
+			return fmt.Errorf("trailing bytes after the declared %d ops", nops)
 		}
-		return nil, fmt.Errorf("after op %d: %w", nops, err)
+		return fmt.Errorf("after op %d: %w", nops, err)
 	}
-	return ops, nil
+	// Growth copied the arena; rebind every op to the final one, each
+	// capped at its own length.
+	pos := 0
+	for i := range d.ops {
+		n := len(d.ops[i].Data)
+		d.ops[i].Data = d.arena[pos : pos+n : pos+n]
+		pos += n
+	}
+	return nil
+}
+
+// grow makes room for n more arena bytes, doubling up to limit.
+func (d *decoded) grow(n, limit int) {
+	need := len(d.arena) + n
+	if need <= cap(d.arena) {
+		return
+	}
+	arena := make([]byte, len(d.arena), min(max(2*cap(d.arena), need, minArena), limit))
+	copy(arena, d.arena)
+	d.arena = arena
 }
 
 // EncodeResponse writes the MVR1 success response for ops: the header and

@@ -97,6 +97,9 @@ type tenant struct {
 	// containment.
 	failed atomic.Bool
 
+	// states pools the batch endpoint's per-request state (*batchState).
+	states sync.Pool
+
 	batches  atomic.Uint64
 	ops      atomic.Uint64
 	bytes    atomic.Uint64
@@ -218,6 +221,7 @@ func (s *Service) buildTenant(tc TenantConfig) (*tenant, error) {
 		depth = 64
 	}
 	t.sem = newSem(t.store.Shards() * depth)
+	t.states.New = func() any { return &batchState{sb: t.store.NewBatch()} }
 	return t, nil
 }
 
@@ -463,13 +467,46 @@ func classify(t *tenant, err error) *APIError {
 		Tenant: t.name, Msg: err.Error()}
 }
 
+// batchState is what one batch request needs beyond its bytes on the
+// wire: the decoded ops, the arena behind their payloads and read
+// destinations, and the shard batch they are submitted through. A tenant
+// pools them, so a batch served at steady state allocates none of it.
+type batchState struct {
+	decoded
+	sb *shard.Batch
+}
+
+// Pooling caps: a state that served a batch larger than this keeps its
+// shard batch but gives its arena or op slice back to the collector, so
+// one huge request does not pin its memory in the pool.
+const (
+	maxPooledArena = 64 << 10
+	maxPooledOps   = 1024
+)
+
+// putBatchState returns st to the pool. The caller must have written its
+// response: until then the encoder still reads the arena.
+func (t *tenant) putBatchState(st *batchState) {
+	clear(st.ops) // an arena dropped below must not stay reachable through them
+	st.ops = st.ops[:0]
+	if cap(st.ops) > maxPooledOps {
+		st.ops = nil
+	}
+	if cap(st.arena) > maxPooledArena {
+		st.arena = nil
+	}
+	t.states.Put(st)
+}
+
 func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request, t *tenant) {
-	ops, err := DecodeRequest(r.Body, s.cfg.MaxBatchOps, s.cfg.MaxBatchBytes)
-	if err != nil {
+	st := t.states.Get().(*batchState)
+	defer t.putBatchState(st)
+	if err := st.decode(r.Body, s.cfg.MaxBatchOps, s.cfg.MaxBatchBytes); err != nil {
 		writeError(w, &APIError{Status: http.StatusBadRequest, Kind: KindBadRequest,
 			Tenant: t.name, Msg: err.Error()})
 		return
 	}
+	ops := st.ops
 	if len(ops) == 0 {
 		w.Header().Set("Content-Type", "application/octet-stream")
 		EncodeResponse(w, ops) //nolint:errcheck // empty batch
@@ -490,7 +527,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request, t *tenant)
 	}
 	defer t.sem.release(tokens)
 
-	b := t.store.NewBatch()
+	b := st.sb
 	var nbytes uint64
 	for i := range ops {
 		nbytes += uint64(len(ops[i].Data))
