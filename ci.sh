@@ -332,6 +332,64 @@ grep -q 'shutdown complete' "$stmp/mvd.log" || {
 if grep -q 'DATA RACE' "$stmp/mvd.log"; then
   echo "FAIL: race-built memverifyd reported a data race" >&2; exit 1
 fi
+# Persisted leg: checkpoints every 20 ms freeze each shard's pages and
+# stream them to disk while writing, mirror-checked loadgen traffic keeps
+# storing to those shards; SIGTERM seals a final epoch, and a restart on
+# the same root must recover every tenant clean and serve healthy.
+serving_url() { # $1: daemon log; prints host:port once it announced it
+  for _ in $(seq 1 200); do
+    u=$(sed -n 's#^memverifyd: serving on http://\([^ ]*\).*#\1#p' "$1" | head -1)
+    [ -n "$u" ] && { echo "$u"; return 0; }
+    sleep 0.05
+  done
+  return 1
+}
+"$stmp/memverifyd" -listen 127.0.0.1:0 -tenants 't0,t1:scheme=m' \
+  -protected $((1 << 21)) -persist "$stmp/p" -checkpoint-every 20ms >"$stmp/pd1.log" 2>&1 &
+pdpid=$!
+paddr=$(serving_url "$stmp/pd1.log") || {
+  echo "FAIL: persisted memverifyd never logged its serving URL" >&2; exit 1; }
+for tenant in t0 t1; do
+  if ! "$stmp/loadgen" -remote "$paddr" -tenant "$tenant" -workers 4 -ops 4000 >"$stmp/pl-$tenant.log" 2>&1 ||
+    grep -q 'DATA RACE' "$stmp/pl-$tenant.log"; then
+    cat "$stmp/pl-$tenant.log" >&2
+    echo "FAIL: writing loadgen against the checkpointing daemon (tenant $tenant) failed or raced" >&2
+    exit 1
+  fi
+done
+kill -TERM "$pdpid"
+set +e
+wait "$pdpid"
+pstatus=$?
+set -e
+if [ "$pstatus" -ne 0 ] || grep -q 'DATA RACE\|periodic checkpoint:' "$stmp/pd1.log" ||
+  ! grep -q 'final checkpoint sealed' "$stmp/pd1.log"; then
+  cat "$stmp/pd1.log" >&2
+  echo "FAIL: checkpointing memverifyd exited $pstatus, raced, or failed a checkpoint" >&2
+  exit 1
+fi
+"$stmp/memverifyd" -listen 127.0.0.1:0 -tenants 't0,t1:scheme=m' \
+  -protected $((1 << 21)) -persist "$stmp/p" >"$stmp/pd2.log" 2>&1 &
+pdpid=$!
+paddr=$(serving_url "$stmp/pd2.log") || {
+  echo "FAIL: restarted memverifyd never logged its serving URL" >&2; exit 1; }
+"$stmp/metricscheck" -get "http://$paddr/healthz" | grep -q '"status": "healthy"' || {
+  echo "FAIL: restarted memverifyd /healthz not healthy" >&2; exit 1; }
+for tenant in t0 t1; do
+  grep -q "tenant $tenant: recovery outcome=recovered-clean" "$stmp/pd2.log" || {
+    cat "$stmp/pd2.log" >&2
+    echo "FAIL: tenant $tenant did not recover clean after the checkpointing run" >&2; exit 1; }
+done
+kill -TERM "$pdpid"
+set +e
+wait "$pdpid"
+pstatus=$?
+set -e
+if [ "$pstatus" -ne 0 ] || grep -q 'DATA RACE' "$stmp/pd2.log"; then
+  cat "$stmp/pd2.log" >&2
+  echo "FAIL: restarted memverifyd exited $pstatus or raced" >&2
+  exit 1
+fi
 rm -rf "$stmp"
 echo "service gate OK"
 

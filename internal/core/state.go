@@ -17,24 +17,25 @@ import (
 // reconstructible or must be empty at a commit point anyway.
 
 // Snapshot is one commit-point capture of a machine's protected state:
-// the whole external-memory image of the hash-tree region
-// ([0, Layout.Size())), or only the lines of it written since an earlier
-// snapshot, and in both cases a copy of the secure root register.
+// a frozen view of the whole external-memory image of the hash-tree
+// region ([0, Layout.Size())), or of only the lines of it written since
+// an earlier snapshot, and in both cases a copy of the secure root
+// register.
 type Snapshot struct {
 	// Seq names this snapshot to the machine that took it. Passed back as
 	// since, it asks for the changes made after this snapshot — and is
 	// honoured only while this is still the machine's latest snapshot.
 	Seq  uint64
 	Root []byte
-	// Image is the full image, nil when the snapshot is a delta.
-	Image []byte
-	// Runs and Lines are the delta: the maximal runs of 64-byte lines
-	// written since snapshot since, ascending, and the bytes those lines
-	// hold, run after run (the image's last line may be short). Applied in
-	// place over the image of snapshot since, they give the image of this
-	// one.
-	Runs  []mem.LineRun
-	Lines []byte
+	// View holds the captured bytes in place until it is released. A full
+	// view's Image is the image; a delta view's runs (AppendRuns) are the
+	// maximal runs of 64-byte lines written since snapshot since,
+	// ascending, and its Lines the bytes those lines hold, run after run
+	// (the image's last line may be short). Applied in place over the
+	// image of snapshot since, they give the image of this one. Whoever
+	// takes the snapshot releases the view; until then, the machine's
+	// first write to each page the view holds copies that page.
+	View *mem.Frozen
 }
 
 // snapshotSeq hands out snapshot sequence numbers. They are unique across
@@ -45,14 +46,14 @@ var snapshotSeq atomic.Uint64
 // SaveStateSince drains the machine to a commit point and captures its
 // protected state. Flush writes back every dirty line first, so on
 // return external memory is authoritative: every clean cached line
-// matches it and the stored records cover exactly what is returned.
+// matches it and the stored records cover exactly what is captured.
 //
 // The capture is a delta when since names the machine's latest snapshot
 // and no more than maxLines lines were written after it, and the full
 // image otherwise: since 0, a since some later SaveState, SaveStateSince
 // or RestoreState has made stale, another machine's since, or a write set
 // the caller has no use for as a delta. The choice is made from the count
-// of dirty lines, before anything is copied. Every write to external
+// of dirty lines, before anything is captured. Every write to external
 // memory counts, whoever made it — the engine, a restore, an adversary on
 // the bus — so that a delta over its predecessor is always byte for byte
 // what the full image would have been.
@@ -70,24 +71,22 @@ func (m *Machine) SaveStateSince(since uint64, maxLines int) (Snapshot, error) {
 		return Snapshot{}, fmt.Errorf("%w (%v)", ErrHalted, m.haltCause)
 	}
 	size := m.Layout.Size()
-	snap := Snapshot{Root: append([]byte(nil), m.Sys.Root...)}
-	if n := m.backing.DirtyLines(size); since != 0 && since == m.snapSeq && n <= maxLines {
-		snap.Runs, snap.Lines = m.backing.AppendDirty(size, nil, make([]byte, 0, n*mem.LineSize))
-	} else {
-		snap.Image = make([]byte, size)
-		m.backing.Read(0, snap.Image)
-	}
-	m.backing.ClearDirty()
+	delta := since != 0 && since == m.snapSeq && m.backing.DirtyLines(size) <= maxLines
 	m.snapSeq = snapshotSeq.Add(1)
-	snap.Seq = m.snapSeq
-	return snap, nil
+	return Snapshot{Seq: m.snapSeq, Root: append([]byte(nil), m.Sys.Root...), View: m.backing.Freeze(size, delta)}, nil
 }
 
-// SaveState is SaveStateSince since nothing: it returns the full image
-// and the root.
+// SaveState is SaveStateSince since nothing, materialized: it returns a
+// copy of the full image and the root.
 func (m *Machine) SaveState() (img []byte, root []byte, err error) {
 	snap, err := m.SaveStateSince(0, 0)
-	return snap.Image, snap.Root, err
+	if err != nil {
+		return nil, nil, err
+	}
+	defer snap.View.Release()
+	img = make([]byte, 0, m.Layout.Size())
+	snap.View.Image(func(p []byte) error { img = append(img, p...); return nil })
+	return img, snap.Root, nil
 }
 
 // Root returns a copy of the secure root register: the root hash, or the

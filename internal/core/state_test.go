@@ -8,13 +8,32 @@ import (
 	"memverify/internal/mem"
 )
 
-// applyRuns folds a delta snapshot into img.
+// applyRuns folds a delta snapshot into img and releases its view.
 func applyRuns(img []byte, s Snapshot) {
-	lines := s.Lines
-	for _, r := range s.Runs {
+	defer s.View.Release()
+	lines := viewBytes(s.View.Lines)
+	for _, r := range s.View.AppendRuns(nil) {
 		n := copy(img[uint64(r.Line)*mem.LineSize:], lines[:min(int(r.Count)*mem.LineSize, len(lines))])
 		lines = lines[n:]
 	}
+}
+
+// viewBytes returns what one of a view's byte streams (Image, Lines)
+// yields, concatenated.
+func viewBytes(stream func(func([]byte) error) error) []byte {
+	var b []byte
+	stream(func(p []byte) error { b = append(b, p...); return nil })
+	return b
+}
+
+// fullImage returns the image of a full snapshot and releases its view,
+// nil when the snapshot is a delta.
+func fullImage(s Snapshot) []byte {
+	defer s.View.Release()
+	if s.View.Delta() {
+		return nil
+	}
+	return viewBytes(s.View.Image)
 }
 
 // TestSaveStateSince holds the snapshot routine to its contract: a delta
@@ -57,10 +76,11 @@ func TestSaveStateSince(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if first.Image == nil || first.Seq == 0 || !bytes.Equal(first.Image, truth()) {
+			firstImage := fullImage(first)
+			if firstImage == nil || first.Seq == 0 || !bytes.Equal(firstImage, truth()) {
 				t.Fatalf("since nothing: want the full image and a sequence number")
 			}
-			shadow := bytes.Clone(first.Image)
+			shadow := bytes.Clone(firstImage)
 
 			// Deltas chain: each folds into the last image to give this one,
 			// an adversary's write between them included.
@@ -75,8 +95,8 @@ func TestSaveStateSince(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d.Image != nil || len(d.Runs) == 0 || d.Seq == last {
-					t.Fatalf("round %d: want a delta under a new sequence number, got image=%v runs=%d", round, d.Image != nil, len(d.Runs))
+				if runs := d.View.AppendRuns(nil); !d.View.Delta() || len(runs) == 0 || d.Seq == last {
+					t.Fatalf("round %d: want a delta under a new sequence number, got delta=%v runs=%d", round, d.View.Delta(), len(runs))
 				}
 				applyRuns(shadow, d)
 				if !bytes.Equal(shadow, truth()) || !bytes.Equal(d.Root, m.Root()) {
@@ -90,14 +110,15 @@ func TestSaveStateSince(t *testing.T) {
 
 			// An idle epoch is an empty delta, not a full image.
 			idle, err := m.SaveStateSince(last, 0)
-			if err != nil || idle.Image != nil || len(idle.Runs) != 0 || len(idle.Lines) != 0 {
-				t.Fatalf("idle epoch: %v, image=%v runs=%d", err, idle.Image != nil, len(idle.Runs))
+			if err != nil || !idle.View.Delta() || len(idle.View.AppendRuns(nil)) != 0 || idle.View.LineBytes() != 0 {
+				t.Fatalf("idle epoch: %v, want an empty delta", err)
 			}
+			idle.View.Release()
 			last = idle.Seq
 
 			// More dirty lines than the caller wants as a delta: full image.
 			store(20)
-			if s, _ := m.SaveStateSince(last, 3); s.Image == nil {
+			if s, _ := m.SaveStateSince(last, 3); fullImage(s) == nil {
 				t.Fatal("a write set over maxLines came back as a delta")
 			} else {
 				last = s.Seq
@@ -109,22 +130,23 @@ func TestSaveStateSince(t *testing.T) {
 				t.Fatal(err)
 			}
 			store(5)
-			if s, _ := m.SaveStateSince(last, size); s.Image == nil || !bytes.Equal(s.Image, truth()) {
+			if s, _ := m.SaveStateSince(last, size); !bytes.Equal(fullImage(s), truth()) {
 				t.Fatal("a since made stale by SaveState came back as a delta")
 			}
 			foreign, err := other.SaveStateSince(0, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if s, _ := m.SaveStateSince(foreign.Seq, size); s.Image == nil {
+			foreign.View.Release()
+			if s, _ := m.SaveStateSince(foreign.Seq, size); fullImage(s) == nil {
 				t.Fatal("another machine's since came back as a delta")
 			} else {
 				last = s.Seq
 			}
-			if err := m.RestoreState(first.Image, first.Root); err != nil {
+			if err := m.RestoreState(firstImage, first.Root); err != nil {
 				t.Fatal(err)
 			}
-			if s, _ := m.SaveStateSince(last, size); s.Image == nil || !bytes.Equal(s.Image, first.Image) {
+			if s, _ := m.SaveStateSince(last, size); !bytes.Equal(fullImage(s), firstImage) {
 				t.Fatal("a since from before RestoreState came back as a delta")
 			}
 		})

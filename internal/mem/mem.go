@@ -9,6 +9,7 @@ package mem
 import (
 	"math/bits"
 	"slices"
+	"sync/atomic"
 )
 
 // Memory is byte-addressable storage. Read and Write transfer len(p) bytes
@@ -31,13 +32,21 @@ const (
 )
 
 // page is one entry of the page table: the page's bytes, nil while
-// nothing in it was written, and its dirty mask, bit i set when bytes
-// [64i, 64i+64) were written since ClearDirty. The mask sits beside the
-// pointer, so marking a line costs no cache miss the lookup did not.
+// nothing in it was written, its dirty mask, bit i set when bytes
+// [64i, 64i+64) were written since the last Freeze, and the hold of the last
+// frozen view that took the bytes, nil when none did since the page was
+// last written. The mask and hold sit beside the pointer, so marking a
+// line or checking the hold costs no cache miss the lookup did not.
 type page struct {
 	data *[pageSize]byte
 	mask uint64
+	hold *hold
 }
+
+// hold is what a page entry keeps of the frozen view that took its bytes:
+// only the view's release flag, so that a page never keeps a released
+// view's entries, or the old pages they point at, alive.
+type hold struct{ released atomic.Bool }
 
 // LineRun is a run of consecutive lines: lines [Line, Line+Count) of the
 // address space, bytes [Line*LineSize, (Line+Count)*LineSize).
@@ -53,14 +62,14 @@ type LineRun struct {
 // the lines it touches dirty — whoever the writer is: an engine
 // write-back, a restored image or an adversary — so that "what changed
 // since the last snapshot" is a question the memory answers (DirtyLines,
-// AppendDirty, ClearDirty) and not one its writers must remember to. The
-// zero value is an empty memory.
+// Freeze) and not one its writers must remember to. The zero
+// value is an empty memory.
 type Sparse struct {
 	pages []page
 	// count is the number of materialized pages.
 	count int
 	// dirty lists the pages whose mask is non-zero, in no particular
-	// order (AppendDirty sorts it in place).
+	// order (Freeze sorts it in place).
 	dirty []uint64
 }
 
@@ -93,12 +102,28 @@ func (s *Sparse) Write(addr uint64, p []byte) {
 		if pg.data == nil {
 			pg.data = new([pageSize]byte)
 			s.count++
+		} else if pg.hold != nil {
+			unhold(pg)
 		}
 		copy(pg.data[off:off+n], p[:n])
 		s.mark(pageNum, pg, off, n)
 		p = p[n:]
 		addr += n
 	}
+}
+
+// unhold makes pg's bytes the memory's own again before a write lands in
+// them: while the frozen view that took them is open it keeps them, and
+// the memory goes on in a fresh copy; once the view is released — and its
+// release happens before the load that sees it — they are written in
+// place.
+func unhold(pg *page) {
+	if !pg.hold.released.Load() {
+		cp := new([pageSize]byte)
+		*cp = *pg.data
+		pg.data = cp
+	}
+	pg.hold = nil
 }
 
 // page returns page pageNum's table entry, growing the table to hold it.
@@ -131,15 +156,20 @@ func (s *Sparse) Adopt(img []byte) {
 		if pg.data == nil {
 			s.count++
 		}
-		pg.data = (*[pageSize]byte)(img[pageNum<<pageShift:])
+		// A frozen view holding the old bytes keeps them: nothing is
+		// written over them.
+		pg.data, pg.hold = (*[pageSize]byte)(img[pageNum<<pageShift:]), nil
 		s.mark(pageNum, pg, 0, pageSize)
 	}
 	s.Write(whole<<pageShift, img[whole<<pageShift:])
 }
 
 // View returns the n bytes at addr in place, without copying: a slice of
-// the page that holds them, valid until the next Adopt and seeing every
-// Write, read-only for the caller. Views taken while nothing writes are
+// the page that holds them, valid until the next Adopt, read-only for the
+// caller. It sees every later Write except those made while a frozen view
+// (Freeze) holds the page: the first of those moves the memory to a fresh
+// copy of the page, and the slice stays on the old one. So a caller must
+// not keep a View across a Write. Views taken while nothing writes are
 // safe from any number of goroutines. ok is false, and the slice nil,
 // when the bytes span two pages or lie in a page nothing was written to;
 // Read gives them then. An aligned chunk of a power-of-two size up to a
@@ -172,7 +202,7 @@ func (s *Sparse) dirtyBelow(pageNum, limit uint64) uint64 {
 }
 
 // DirtyLines returns how many lines starting below limit were written
-// since the last ClearDirty.
+// since the last Freeze.
 func (s *Sparse) DirtyLines(limit uint64) int {
 	n := 0
 	for _, pageNum := range s.dirty {
@@ -181,40 +211,190 @@ func (s *Sparse) DirtyLines(limit uint64) int {
 	return n
 }
 
-// AppendDirty appends to runs the maximal runs of dirty lines below limit
-// in ascending address order, and to data the bytes those lines hold now,
-// run after run; a last line that straddles limit contributes only its
-// bytes below it. It does not clear anything. Lines are numbered in 32
-// bits: limit must not exceed 1<<38.
-func (s *Sparse) AppendDirty(limit uint64, runs []LineRun, data []byte) ([]LineRun, []byte) {
-	slices.Sort(s.dirty)
-	for _, pageNum := range s.dirty {
-		mask := s.dirtyBelow(pageNum, limit)
-		pg := &s.pages[pageNum]
-		for mask != 0 {
-			first := uint64(bits.TrailingZeros64(mask))
-			count := uint64(bits.TrailingZeros64(^(mask >> first)))
-			mask &^= ^uint64(0) >> (64 - count) << first
-			line := pageNum<<(pageShift-lineShift) + first
-			if k := len(runs) - 1; k >= 0 && uint64(runs[k].Line)+uint64(runs[k].Count) == line {
-				runs[k].Count += uint32(count)
-			} else {
-				runs = append(runs, LineRun{Line: uint32(line), Count: uint32(count)})
-			}
-			lo, hi := first<<lineShift, (first+count)<<lineShift
-			if end := limit - pageNum<<pageShift; hi > end {
-				hi = end
-			}
-			data = append(data, pg.data[lo:hi]...)
-		}
-	}
-	return runs, data
-}
-
-// ClearDirty forgets what was written: every line is clean again.
-func (s *Sparse) ClearDirty() {
+// clearDirty forgets what was written: every line is clean again.
+func (s *Sparse) clearDirty() {
 	for _, pageNum := range s.dirty {
 		s.pages[pageNum].mask = 0
 	}
 	s.dirty = s.dirty[:0]
+}
+
+// Frozen is a frozen view of a Sparse below a limit: the bytes the memory
+// held, and the lines written since the last Freeze, at the moment the
+// view was taken. It copies page entries, not bytes. While the view is
+// open, the first Write to a page it holds moves the memory to a fresh
+// copy of that page and leaves the view the old one; every other write
+// lands in place. Release ends that: the view must not be used after it.
+//
+// Only the memory's owner takes views and writes; an open view may be
+// read from another goroutine while the owner writes, and released from
+// it. Views may overlap, and be released in any order.
+type Frozen struct {
+	limit uint64
+	delta bool
+	pages []frozenPage
+	// lineBytes is the length of the dirty lines' bytes below limit.
+	lineBytes uint64
+	hold      *hold
+}
+
+// frozenPage is one page a view holds: its number, its bytes and its
+// dirty mask restricted to lines that start below the view's limit.
+type frozenPage struct {
+	num  uint64
+	data *[pageSize]byte
+	mask uint64
+}
+
+// zeroPage is every unwritten page of a view's image.
+var zeroPage [pageSize]byte
+
+// Freeze takes a frozen view of the memory below limit and clears every
+// dirty mask. A delta view holds only the pages with lines dirty below
+// limit; a full one holds every written page below it. Lines are numbered
+// in 32 bits: limit must not exceed 1<<38.
+func (s *Sparse) Freeze(limit uint64, delta bool) *Frozen {
+	f := s.frozen(limit, delta)
+	s.clearDirty()
+	return f
+}
+
+// frozen is Freeze without the clearDirty.
+func (s *Sparse) frozen(limit uint64, delta bool) *Frozen {
+	f := &Frozen{limit: limit, delta: delta, hold: new(hold)}
+	take := func(pageNum uint64) {
+		mask := s.dirtyBelow(pageNum, limit)
+		if delta && mask == 0 {
+			return
+		}
+		pg := &s.pages[pageNum]
+		f.pages = append(f.pages, frozenPage{num: pageNum, data: pg.data, mask: mask})
+		if pg.hold != nil && !pg.hold.released.Load() {
+			// An open view holds these bytes already: this one shares
+			// them, and the memory goes on in a copy that neither holds.
+			cp := new([pageSize]byte)
+			*cp = *pg.data
+			pg.data, pg.hold = cp, nil
+		} else {
+			pg.hold = f.hold
+		}
+		f.lineBytes += uint64(bits.OnesCount64(mask)) << lineShift
+		if rel := limit - pageNum<<pageShift; rel < pageSize && rel%LineSize != 0 && mask>>(rel>>lineShift)&1 != 0 {
+			f.lineBytes -= LineSize - rel%LineSize // the last line is cut at limit
+		}
+	}
+	if delta {
+		slices.Sort(s.dirty)
+		f.pages = make([]frozenPage, 0, len(s.dirty))
+		for _, pageNum := range s.dirty {
+			take(pageNum)
+		}
+		return f
+	}
+	n := min(uint64(len(s.pages)), (limit+pageMask)>>pageShift)
+	f.pages = make([]frozenPage, 0, min(uint64(s.count), n))
+	for pageNum := uint64(0); pageNum < n; pageNum++ {
+		if s.pages[pageNum].data != nil {
+			take(pageNum)
+		}
+	}
+	return f
+}
+
+// Delta reports whether the view holds only the dirty lines' pages.
+func (f *Frozen) Delta() bool { return f.delta }
+
+// Limit returns the limit the view was taken below: its image's length.
+func (f *Frozen) Limit() uint64 { return f.limit }
+
+// LineBytes returns the length of the bytes Lines yields.
+func (f *Frozen) LineBytes() uint64 { return f.lineBytes }
+
+// Image calls fn with the image below the limit page by page, in address
+// order — an unwritten page as a shared page of zeros, the last page cut
+// at the limit — and stops at fn's first error. It is the whole image only
+// of a full view; of a delta view, only the dirty pages hold their bytes.
+// fn must not keep or write the slices.
+func (f *Frozen) Image(fn func([]byte) error) error {
+	held := f.pages
+	for base := uint64(0); base < f.limit; base += pageSize {
+		p := zeroPage[:]
+		if len(held) > 0 && held[0].num == base>>pageShift {
+			p, held = held[0].data[:], held[1:]
+		}
+		if err := fn(p[:min(pageSize, f.limit-base)]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// AppendRuns appends to runs the maximal runs of the view's dirty lines in
+// ascending address order, growing runs at most once.
+func (f *Frozen) AppendRuns(runs []LineRun) []LineRun {
+	if n := f.runCount(); cap(runs)-len(runs) < n {
+		runs = append(make([]LineRun, 0, len(runs)+n), runs...)
+	}
+	f.eachRun(func(pg *frozenPage, first, count uint64) {
+		line := pg.num<<(pageShift-lineShift) + first
+		if k := len(runs) - 1; k >= 0 && uint64(runs[k].Line)+uint64(runs[k].Count) == line {
+			runs[k].Count += uint32(count)
+		} else {
+			runs = append(runs, LineRun{Line: uint32(line), Count: uint32(count)})
+		}
+	})
+	return runs
+}
+
+// Lines calls fn with the bytes of the view's dirty lines, run after run
+// in the order of AppendRuns's — a last line that straddles the limit
+// contributes only its bytes below it — and stops at fn's first error.
+// fn must not keep or write the slices.
+func (f *Frozen) Lines(fn func([]byte) error) error {
+	var err error
+	f.eachRun(func(pg *frozenPage, first, count uint64) {
+		if err != nil {
+			return
+		}
+		lo, hi := first<<lineShift, (first+count)<<lineShift
+		if end := f.limit - pg.num<<pageShift; hi > end {
+			hi = end
+		}
+		err = fn(pg.data[lo:hi])
+	})
+	return err
+}
+
+// runCount returns the number of runs AppendRuns appends: each page's
+// runs, less one wherever a run goes on from one held page into the next.
+func (f *Frozen) runCount() int {
+	n := 0
+	for i, pg := range f.pages {
+		n += bits.OnesCount64(pg.mask &^ (pg.mask << 1))
+		if prev := i - 1; prev >= 0 && pg.mask&1 != 0 && f.pages[prev].num+1 == pg.num && f.pages[prev].mask>>63 != 0 {
+			n--
+		}
+	}
+	return n
+}
+
+// eachRun calls fn with each run of dirty lines within each held page:
+// lines [first, first+count) of page pg.
+func (f *Frozen) eachRun(fn func(pg *frozenPage, first, count uint64)) {
+	for i := range f.pages {
+		pg := &f.pages[i]
+		for mask := pg.mask; mask != 0; {
+			first := uint64(bits.TrailingZeros64(mask))
+			count := uint64(bits.TrailingZeros64(^(mask >> first)))
+			mask &^= ^uint64(0) >> (64 - count) << first
+			fn(pg, first, count)
+		}
+	}
+}
+
+// Release ends the view: from here on writes to the pages it held land in
+// place. It may be called from any goroutine, more than once; the view
+// must not be used after it.
+func (f *Frozen) Release() {
+	f.hold.released.Store(true)
 }

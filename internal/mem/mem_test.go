@@ -190,11 +190,33 @@ func BenchmarkSparseWrite(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i&(1<<16-1) == 0 {
-			s.ClearDirty()
+			s.clearDirty()
 		}
 		addr = (addr*6364136223846793005 + 1442695040888963407) % span &^ 63
 		s.Write(addr, block)
 	}
+}
+
+// dirtyNow returns the runs and bytes of s's dirty lines below limit, as
+// a delta view taken now holds them, without clearing them.
+func dirtyNow(s *Sparse, limit uint64) ([]LineRun, []byte) {
+	f := s.frozen(limit, true)
+	defer f.Release()
+	return f.AppendRuns(nil), viewLines(f)
+}
+
+// viewLines returns the bytes f.Lines yields, concatenated.
+func viewLines(f *Frozen) []byte {
+	var data []byte
+	f.Lines(func(p []byte) error { data = append(data, p...); return nil })
+	return data
+}
+
+// viewImage returns the bytes f.Image yields, concatenated.
+func viewImage(f *Frozen) []byte {
+	var img []byte
+	f.Image(func(p []byte) error { img = append(img, p...); return nil })
+	return img
 }
 
 func TestSparseDirtyLines(t *testing.T) {
@@ -206,7 +228,7 @@ func TestSparseDirtyLines(t *testing.T) {
 	s.Write(100, []byte{2})                        // one byte dirties its line
 	s.Write(3*4096+63, []byte{3, 4})               // two lines, one byte each
 	s.Write(1<<30, []byte{5})                      // beyond every limit below
-	runs, data := s.AppendDirty(1<<20, nil, nil)
+	runs, data := dirtyNow(s, 1<<20)
 	want := []LineRun{{Line: 1, Count: 1}, {Line: 63, Count: 2}, {Line: 192, Count: 2}}
 	if len(runs) != len(want) {
 		t.Fatalf("runs = %v, want %v", runs, want)
@@ -224,19 +246,19 @@ func TestSparseDirtyLines(t *testing.T) {
 	}
 	// A limit inside a line clips that line's bytes; a line starting at or
 	// beyond the limit is not reported at all.
-	runs, data = s.AppendDirty(4096+10, nil, nil)
+	runs, data = dirtyNow(s, 4096+10)
 	if len(runs) != 2 || runs[1] != (LineRun{Line: 63, Count: 2}) || len(data) != 2*LineSize+10 {
 		t.Fatalf("clipped: runs %v, %d bytes", runs, len(data))
 	}
 	if n := s.DirtyLines(4096); n != 2 {
 		t.Fatalf("DirtyLines(4096) = %d, want 2", n)
 	}
-	s.ClearDirty()
+	s.clearDirty()
 	if n := s.DirtyLines(1 << 40); n != 0 {
-		t.Fatalf("%d lines dirty after ClearDirty", n)
+		t.Fatalf("%d lines dirty after clearDirty", n)
 	}
 	s.Write(0, make([]byte, 2*4096)) // whole pages: one run across the boundary
-	if runs, _ := s.AppendDirty(1<<20, nil, nil); len(runs) != 1 || runs[0] != (LineRun{Line: 0, Count: 128}) {
+	if runs, _ := dirtyNow(s, 1<<20); len(runs) != 1 || runs[0] != (LineRun{Line: 0, Count: 128}) {
 		t.Fatalf("two whole pages: runs %v", runs)
 	}
 }
@@ -245,8 +267,8 @@ func TestSparseDirtyLines(t *testing.T) {
 // writes of random spans, near and far, dirty-set queries at random
 // limits and snapshot boundaries — to the values the memory gave when
 // its pages were a map keyed by page number: the page count, and every
-// DirtyLines answer and every AppendDirty's runs and bytes, summed and
-// digested.
+// DirtyLines answer and every dirty-line query's runs and bytes (what
+// AppendDirty returned then, a delta view now), summed and digested.
 func TestSparseSeededOps(t *testing.T) {
 	x := uint64(0x9E3779B97F4A7C15)
 	next := func() uint64 { // splitmix64
@@ -259,19 +281,17 @@ func TestSparseSeededOps(t *testing.T) {
 	s := NewSparse()
 	h := sha256.New()
 	lines := 0
-	var runs []LineRun
-	var data []byte
 	for op := 0; op < 4000; op++ {
 		r := next()
 		switch r % 16 {
 		case 0: // a snapshot boundary
-			s.ClearDirty()
+			s.clearDirty()
 		case 1, 2: // a query below a random limit
 			limit := next() % (3 << 20)
 			n := s.DirtyLines(limit)
 			lines += n
 			h.Write(binary.LittleEndian.AppendUint64(nil, uint64(n)))
-			runs, data = s.AppendDirty(limit, runs[:0], data[:0])
+			runs, data := dirtyNow(s, limit)
 			for _, run := range runs {
 				h.Write(binary.LittleEndian.AppendUint64(nil, uint64(run.Line)<<32|uint64(run.Count)))
 			}
@@ -295,7 +315,7 @@ func TestSparseSeededOps(t *testing.T) {
 		t.Errorf("DirtyLines answers sum to %d, want %d", lines, want)
 	}
 	if got, want := hex.EncodeToString(h.Sum(nil)), "63e1c6a934b936b64157f728b973a99ad40236a4d8854a8c9365c601da910455"; got != want {
-		t.Errorf("digest of every DirtyLines and AppendDirty answer = %s, want %s", got, want)
+		t.Errorf("digest of every DirtyLines and dirty-line answer = %s, want %s", got, want)
 	}
 }
 
@@ -321,10 +341,10 @@ func TestSparseAdopt(t *testing.T) {
 		if got, want := adopted.DirtyLines(limit), written.DirtyLines(limit); got != want {
 			t.Fatalf("DirtyLines(%d) = %d after Adopt, %d after Write", limit, got, want)
 		}
-		runsA, dataA := adopted.AppendDirty(limit, nil, nil)
-		runsW, dataW := written.AppendDirty(limit, nil, nil)
+		runsA, dataA := dirtyNow(adopted, limit)
+		runsW, dataW := dirtyNow(written, limit)
 		if fmt.Sprint(runsA) != fmt.Sprint(runsW) || !bytes.Equal(dataA, dataW) {
-			t.Fatalf("AppendDirty(%d): runs %v after Adopt, %v after Write", limit, runsA, runsW)
+			t.Fatalf("dirty lines below %d: runs %v after Adopt, %v after Write", limit, runsA, runsW)
 		}
 	}
 	got := make([]byte, size+100)
@@ -357,6 +377,17 @@ func TestSparseView(t *testing.T) {
 	if b[0] != 9 {
 		t.Fatal("a View is a copy, not the page's bytes")
 	}
+	// While a frozen view holds the page, a write moves the memory to a
+	// copy: the slice stays on the bytes the view froze.
+	f := s.Freeze(1<<20, false)
+	s.Write(4096+128, []byte{8})
+	if b[0] != 9 {
+		t.Fatal("a write under an open frozen view reached an earlier View's page")
+	}
+	if b2, _ := s.View(4096+128, 64); b2[0] != 8 {
+		t.Fatal("a View after the copy does not see the write")
+	}
+	f.Release()
 	for _, addr := range []uint64{0, 3 * 4096, 1 << 40, 2*4096 - 64} {
 		if b, ok := s.View(addr, 128); ok || b != nil {
 			t.Fatalf("View(%#x, 128) lent %d bytes of no page, or of two", addr, len(b))
@@ -364,5 +395,124 @@ func TestSparseView(t *testing.T) {
 	}
 	if s.PageCount() != 1 {
 		t.Fatalf("PageCount = %d, want 1: View must not materialize", s.PageCount())
+	}
+}
+
+// TestFrozenView holds a view to the moment it was taken: its image, runs
+// and line bytes stay what the memory held then, whatever is written
+// after, and a first write to a held page copies it without making a new
+// page.
+func TestFrozenView(t *testing.T) {
+	const limit = 3*4096 + 100 // a short last page, and a short last line
+	s := NewSparse()
+	s.Write(0, bytes.Repeat([]byte{1}, 4096)) // page 0
+	s.Write(3*4096+90, []byte{2, 2, 2, 2})    // the short last line
+	s.Write(1<<20, []byte{3})                 // beyond the limit
+	want := make([]byte, limit)
+	s.Read(0, want)
+	full := s.Freeze(limit, false)
+	if n := s.DirtyLines(1 << 30); n != 0 {
+		t.Fatalf("%d lines dirty after Freeze", n)
+	}
+	pages := s.PageCount()
+	s.Write(64, bytes.Repeat([]byte{9}, 200))
+	s.Write(3*4096+91, []byte{9})
+	s.Write(2*4096, []byte{9}) // an unwritten page: no view holds it
+	if got := viewImage(full); !bytes.Equal(got, want) {
+		t.Fatal("a full view's image changed with writes made after it was taken")
+	}
+	if runs := full.AppendRuns(nil); fmt.Sprint(runs) != "[{0 64} {193 1}]" {
+		t.Fatalf("full view runs = %v", runs)
+	}
+	wantLines := append(want[:4096:4096], want[3*4096+64:]...)
+	if got := viewLines(full); !bytes.Equal(got, wantLines) || full.LineBytes() != uint64(len(wantLines)) {
+		t.Fatalf("full view lines: %d bytes, LineBytes %d, want %d", len(got), full.LineBytes(), len(wantLines))
+	}
+	if s.PageCount() != pages+1 {
+		t.Fatalf("PageCount = %d, want %d: copies are not new pages", s.PageCount(), pages+1)
+	}
+
+	delta := s.Freeze(limit, true)
+	runs := delta.AppendRuns(nil)
+	if fmt.Sprint(runs) != "[{1 4} {128 1} {193 1}]" {
+		t.Fatalf("delta view runs = %v", runs)
+	}
+	var dwant []byte
+	for _, r := range runs {
+		lo := uint64(r.Line) * LineSize
+		b := make([]byte, min(uint64(r.Count)*LineSize, limit-lo))
+		s.Read(lo, b)
+		dwant = append(dwant, b...)
+	}
+	s.Write(0, bytes.Repeat([]byte{5}, limit))
+	if got := viewLines(delta); !bytes.Equal(got, dwant) || delta.LineBytes() != uint64(len(dwant)) {
+		t.Fatalf("delta view lines: %d bytes, LineBytes %d, want %d", len(got), delta.LineBytes(), len(dwant))
+	}
+	full.Release()
+	delta.Release()
+}
+
+// TestWriteAllocs pins the write path's allocations: none for a write to
+// a written page with no view open, and none for the first write to a
+// page after the view that held it was released.
+func TestWriteAllocs(t *testing.T) {
+	const pages = 128
+	s := NewSparse()
+	buf := bytes.Repeat([]byte{7}, 100)
+	for p := uint64(0); p < pages; p++ {
+		s.Write(p*4096, buf)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.Write(4096+300, buf) }); n != 0 {
+		t.Errorf("a write with no view open made %v allocations", n)
+	}
+	s.Freeze(pages*4096, false).Release()
+	next := uint64(0)
+	if n := testing.AllocsPerRun(pages-1, func() { s.Write(next*4096+500, buf); next++ }); n != 0 {
+		t.Errorf("a first write to a page of a released view made %v allocations", n)
+	}
+	if next != pages {
+		t.Fatalf("wrote %d held pages, want %d", next, pages)
+	}
+}
+
+// TestOverlappingViews takes two full views that hold the same pages and
+// releases them in both orders: the one still open keeps its moment
+// through writes to every page, and the memory reads back what was
+// written last.
+func TestOverlappingViews(t *testing.T) {
+	for _, firstOut := range []string{"older", "newer"} {
+		t.Run(firstOut, func(t *testing.T) {
+			const limit = 4 * 4096
+			s := NewSparse()
+			image := func() []byte {
+				img := make([]byte, limit)
+				s.Read(0, img)
+				return img
+			}
+			s.Write(0, bytes.Repeat([]byte{1}, limit))
+			imgA := image()
+			a := s.Freeze(limit, false)
+			s.Write(4096, []byte{2}) // page 1 moves to a copy a does not hold
+			imgB := image()
+			b := s.Freeze(limit, false) // shares pages 0, 2 and 3 with a
+			out, open, openImg := a, b, imgB
+			if firstOut == "newer" {
+				out, open, openImg = b, a, imgA
+			}
+			out.Release()
+			for round := byte(3); round < 5; round++ {
+				s.Write(0, bytes.Repeat([]byte{round}, limit))
+				if !bytes.Equal(viewImage(open), openImg) {
+					t.Fatalf("round %d: the open view changed after the other was released", round)
+				}
+			}
+			open.Release()
+			s.Write(100, []byte{5})
+			want := bytes.Repeat([]byte{4}, limit)
+			want[100] = 5
+			if !bytes.Equal(image(), want) {
+				t.Fatal("memory does not read back what was written last")
+			}
+		})
 	}
 }

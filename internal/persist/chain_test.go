@@ -327,7 +327,7 @@ func TestHostileRunTables(t *testing.T) {
 		s := deltaSegment()
 		forge(s)
 		var buf bytes.Buffer
-		if err := s.writeTo(&buf); err != nil {
+		if err := s.writeTo(&buf, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got, err := decodeSegment(buf.Bytes()); err == nil {

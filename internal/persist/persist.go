@@ -187,6 +187,8 @@ type Store struct {
 	shards     int    // fixed at the first checkpoint
 	fp         uint64
 	failed     bool
+	// wbuf is the write buffer every segment is streamed through.
+	wbuf []byte
 	// chains is each shard's committed chain as of the last checkpoint,
 	// nil whenever that checkpoint did not complete: the next one then
 	// writes bases only.
@@ -211,7 +213,7 @@ func Open(opts Options) (*Store, error) {
 	if err := fsys.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: opts.Dir, fsys: fsys, policy: opts.Policy, onEvent: opts.OnEvent}
+	s := &Store{dir: opts.Dir, fsys: fsys, policy: opts.Policy, onEvent: opts.OnEvent, wbuf: make([]byte, 0, segBufSize)}
 	s.retry = newRetrier(opts.Retry, &s.stats)
 	if s.onEvent != nil {
 		s.retry.onExhausted = func(err error) {
@@ -297,12 +299,17 @@ func (s *Store) Epoch() uint64 { return s.epoch }
 
 // Checkpoint drains src to a commit point and persists epoch s.Epoch()+1:
 //
-//  1. Snapshot every shard (an implicit Flush barrier per machine): the
-//     lines written since the shard's last segment when chain.next allows
-//     a delta, the whole image otherwise.
+//  1. Snapshot every shard (an implicit Flush barrier per machine): a
+//     frozen view of the lines written since the shard's last segment
+//     when chain.next allows a delta, of the whole image otherwise. The
+//     view copies the shard's page table, not its bytes; until it is
+//     released, the shard's first write to a page it holds copies that
+//     page.
 //  2. Seal the INTENT record in the WAL (fsync).
-//  3. Write one segment file per shard, base or delta (fsync each). Names
-//     encode the epoch, so earlier epochs' segments are never touched.
+//  3. Write one segment file per shard, base or delta (fsync each),
+//     streamed from its view through the store's write buffer, and
+//     release the view. Names encode the epoch, so earlier epochs'
+//     segments are never touched.
 //  4. Commit: write MANIFEST.tmp, fsync, rename over MANIFEST, fsync
 //     the directory.
 //  5. Seal the COMMIT record in the WAL (fsync).
@@ -359,6 +366,15 @@ func (s *Store) checkpoint(src Source) (uint64, error) {
 	segs := make([]*segment, n)
 	seqs := make([]uint64, n)
 	roots := make([][]byte, n)
+	// Each snapshot holds its shard's pages until its segment is written;
+	// whatever happens below, no view outlives the checkpoint.
+	defer func() {
+		for _, seg := range segs {
+			if seg != nil {
+				seg.view.Release()
+			}
+		}
+	}()
 	epoch := s.epoch + 1
 	for i := 0; i < n; i++ {
 		i := i
@@ -368,10 +384,10 @@ func (s *Store) checkpoint(src Source) (uint64, error) {
 			if err != nil {
 				return err
 			}
-			seg := &segment{Epoch: epoch, Shard: uint32(i), Fingerprint: fp, Root: snap.Root, Image: snap.Image}
-			if snap.Image == nil {
+			seg := &segment{Epoch: epoch, Shard: uint32(i), Fingerprint: fp, Root: snap.Root, view: snap.View}
+			if snap.View.Delta() {
 				seg.Delta, seg.Prev, seg.ImageSize = true, chains[i].head(), size
-				seg.Runs, seg.Lines = snap.Runs, snap.Lines
+				seg.Runs = snap.View.AppendRuns(nil)
 			}
 			segs[i], seqs[i], roots[i] = seg, snap.Seq, snap.Root
 			return nil
@@ -400,9 +416,11 @@ func (s *Store) checkpoint(src Source) (uint64, error) {
 	}
 
 	for i, seg := range segs {
-		if err := s.writeFileSync(filepath.Join(s.dir, segName(epoch, i)), seg.writeTo); err != nil {
+		write := func(w io.Writer) error { return seg.writeTo(w, s.wbuf) }
+		if err := s.writeFileSync(filepath.Join(s.dir, segName(epoch, i)), write); err != nil {
 			return 0, fmt.Errorf("persist: segment %d: %w", i, err)
 		}
+		seg.view.Release() // written and synced: the shard's pages are its own again
 		s.stats.BytesWritten += uint64(seg.size())
 		if seg.Delta {
 			s.stats.DeltaSegments++
@@ -463,7 +481,8 @@ func (s *Store) checkpoint(src Source) (uint64, error) {
 
 // writeFileSync creates (truncating) name, has write fill it, and fsyncs
 // it, under the retry policy. The whole file is rewritten from scratch on
-// a transient failure — segments are rewritten idempotently.
+// a transient failure — segments are rewritten idempotently, streamed
+// again from the same view.
 func (s *Store) writeFileSync(name string, write func(io.Writer) error) error {
 	return s.retry.do(func() error {
 		f, err := s.fsys.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)

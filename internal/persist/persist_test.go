@@ -781,7 +781,7 @@ func TestWALRecordRoundtrip(t *testing.T) {
 func encodeSegment(t testing.TB, s *segment) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := s.writeTo(&buf); err != nil {
+	if err := s.writeTo(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != s.size() {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"strconv"
 	"strings"
@@ -84,6 +85,11 @@ type segment struct {
 	ImageSize uint64
 	Runs      []mem.LineRun
 	Lines     []byte
+
+	// view, when set, holds what Image or Lines would: a checkpoint's
+	// frozen view of the shard's memory, streamed into the file from
+	// where it lies.
+	view *mem.Frozen
 }
 
 func segName(epoch uint64, shard int) string {
@@ -102,9 +108,38 @@ func parseSegName(name string) (epoch uint64, shard int, ok bool) {
 // size returns the encoded length of the segment in bytes.
 func (s *segment) size() int {
 	if s.Delta {
-		return segFixed + len(s.Root) + deltaFixed + runSize*len(s.Runs) + len(s.Lines) + 8
+		return segFixed + len(s.Root) + deltaFixed + runSize*len(s.Runs) + s.bodyLen() + 8
 	}
-	return segFixed + len(s.Root) + 8 + len(s.Image) + 8
+	return segFixed + len(s.Root) + 8 + s.bodyLen() + 8
+}
+
+// bodyLen returns the length of the segment's body: a base's image, a
+// delta's line bytes.
+func (s *segment) bodyLen() int {
+	switch {
+	case s.view != nil && s.Delta:
+		return int(s.view.LineBytes())
+	case s.view != nil:
+		return int(s.view.Limit())
+	case s.Delta:
+		return len(s.Lines)
+	}
+	return len(s.Image)
+}
+
+// body calls fn with the segment's body piece by piece — a view's pages or
+// line runs, or the one buffer that holds it — and stops at fn's first
+// error.
+func (s *segment) body(fn func([]byte) error) error {
+	switch {
+	case s.view != nil && s.Delta:
+		return s.view.Lines(fn)
+	case s.view != nil:
+		return s.view.Image(fn)
+	case s.Delta:
+		return fn(s.Lines)
+	}
+	return fn(s.Image)
 }
 
 // kind names the segment's kind in events and errors.
@@ -115,48 +150,99 @@ func (s *segment) kind() string {
 	return "base"
 }
 
-// writeTo writes the segment to w part by part — a base as header, image,
-// trailer; a delta as header, run table, line bytes, trailer — so the
-// bytes go from the snapshot straight to the file: no encoded copy of them
-// is ever built, and the checksum is folded over the parts where they lie.
-func (s *segment) writeTo(w io.Writer) error {
+// segBufSize is the size of the write buffer a Store streams its
+// segments through.
+const segBufSize = 64 << 10
+
+// writeTo writes the segment to w through buf, a bounded write buffer
+// (one of segBufSize when nil): a base as header, image, trailer; a delta
+// as header, run table, line bytes, trailer — each part flushed on its
+// own, a part larger than buf in buf-sized writes. The body goes from
+// where it lies — the checkpoint's view, or the segment's buffer — to the
+// file through buf alone: no encoded copy of the segment is ever built,
+// and the checksum is folded over the bytes as they pass.
+func (s *segment) writeTo(w io.Writer, buf []byte) error {
+	if cap(buf) == 0 {
+		buf = make([]byte, 0, segBufSize)
+	}
+	sw := segWriter{dst: w, buf: buf[:0]}
 	magic := segMagic
 	if s.Delta {
 		magic = deltaMagic
 	}
-	hdr := make([]byte, 0, segFixed+len(s.Root)+deltaFixed)
-	hdr = append(hdr, magic[:]...)
-	hdr = binary.LittleEndian.AppendUint64(hdr, s.Epoch)
-	hdr = binary.LittleEndian.AppendUint32(hdr, s.Shard)
-	hdr = binary.LittleEndian.AppendUint64(hdr, s.Fingerprint)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(s.Root)))
-	hdr = append(hdr, s.Root...)
-	var parts [][]byte
+	sw.write(magic[:])
+	sw.uint64(s.Epoch)
+	sw.uint32(s.Shard)
+	sw.uint64(s.Fingerprint)
+	sw.uint32(uint32(len(s.Root)))
+	sw.write(s.Root)
 	if s.Delta {
-		hdr = binary.LittleEndian.AppendUint64(hdr, s.Prev)
-		hdr = binary.LittleEndian.AppendUint64(hdr, s.ImageSize)
-		hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(s.Runs)))
-		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(s.Lines)))
-		table := make([]byte, 0, runSize*len(s.Runs))
+		sw.uint64(s.Prev)
+		sw.uint64(s.ImageSize)
+		sw.uint32(uint32(len(s.Runs)))
+		sw.uint64(uint64(s.bodyLen()))
+		sw.flush()
 		for _, r := range s.Runs {
-			table = binary.LittleEndian.AppendUint32(table, r.Line)
-			table = binary.LittleEndian.AppendUint32(table, r.Count)
+			sw.uint32(r.Line)
+			sw.uint32(r.Count)
 		}
-		parts = [][]byte{hdr, table, s.Lines}
 	} else {
-		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(len(s.Image)))
-		parts = [][]byte{hdr, s.Image}
+		sw.uint64(uint64(s.bodyLen()))
 	}
-	parts = append(parts, binary.LittleEndian.AppendUint64(nil, Checksum64(parts...)))
-	for _, part := range parts {
-		if len(part) == 0 {
-			continue // a delta of an idle epoch has no table and no lines
-		}
-		if _, err := w.Write(part); err != nil {
-			return err
+	sw.flush()
+	if err := s.body(sw.write); err != nil {
+		return err
+	}
+	sw.flush()
+	sw.uint64(uint64(sw.crc)) // Checksum64 of everything above
+	sw.flush()
+	return sw.err
+}
+
+// segWriter is a bounded write buffer in front of a segment file that
+// folds the Checksum64 of every byte it flushes. After the first failed
+// write it drops everything and keeps that error.
+type segWriter struct {
+	dst io.Writer
+	buf []byte
+	crc uint32
+	err error
+}
+
+// write buffers p, flushing whenever the buffer fills. It returns the
+// writer's error, so it can stand as a body's fn.
+func (w *segWriter) write(p []byte) error {
+	for len(p) > 0 && w.err == nil {
+		n := copy(w.buf[len(w.buf):cap(w.buf)], p)
+		w.buf, p = w.buf[:len(w.buf)+n], p[n:]
+		if len(w.buf) == cap(w.buf) {
+			w.flush()
 		}
 	}
-	return nil
+	return w.err
+}
+
+func (w *segWriter) uint32(v uint32) {
+	if cap(w.buf)-len(w.buf) < 4 {
+		w.flush()
+	}
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
+}
+
+func (w *segWriter) uint64(v uint64) {
+	if cap(w.buf)-len(w.buf) < 8 {
+		w.flush()
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, v)
+}
+
+// flush folds the buffered bytes into the checksum and writes them out.
+func (w *segWriter) flush() {
+	if len(w.buf) > 0 && w.err == nil {
+		w.crc = crc32.Update(w.crc, castagnoli, w.buf)
+		_, w.err = w.dst.Write(w.buf)
+	}
+	w.buf = w.buf[:0]
 }
 
 // decodeSegment parses and checksums a segment file of either kind. Any

@@ -84,11 +84,14 @@ type tenant struct {
 	pstore    *persist.Store
 	recovery  *persist.Recovery
 
-	// statsMu guards pstats, a snapshot of the persistence counters the
-	// sampler reads: taken at build time and after every checkpoint, so
-	// Fill never races the checkpoint path's live counters.
+	// statsMu guards pstats and epoch, a snapshot of the persistence
+	// counters the sampler reads and of the last sealed-intent epoch the
+	// tenant listing reports: taken at build time and after every
+	// checkpoint, so neither reader races the checkpoint path's live
+	// state.
 	statsMu sync.Mutex
 	pstats  persist.Stats
+	epoch   uint64
 
 	// failed marks a tenant whose recovery classified as violation: the
 	// persisted state must not be trusted, so every request is refused
@@ -212,7 +215,7 @@ func (s *Service) buildTenant(tc TenantConfig) (*tenant, error) {
 				st.Close()
 				return nil, err
 			}
-			t.pstore = ps
+			t.pstore, t.epoch = ps, ps.Epoch()
 			t.pstats.NoteRecovery(rec)
 		}
 	}
@@ -254,9 +257,9 @@ func (t *tenant) checkpoint() (uint64, error) {
 	t.persistMu.Lock()
 	defer t.persistMu.Unlock()
 	epoch, err := t.pstore.Checkpoint(persist.StoreSource{S: t.store})
-	st := t.pstore.Stats()
+	st, sealed := t.pstore.Stats(), t.pstore.Epoch()
 	t.statsMu.Lock()
-	t.pstats = st
+	t.pstats, t.epoch = st, sealed
 	t.statsMu.Unlock()
 	return epoch, err
 }
@@ -434,7 +437,9 @@ func (s *Service) info(t *tenant) TenantInfo {
 		Persisted:    t.pstore != nil || t.cfg.PersistDir != "",
 	}
 	if t.pstore != nil {
-		info.Epoch = t.pstore.Epoch()
+		t.statsMu.Lock()
+		info.Epoch = t.epoch
+		t.statsMu.Unlock()
 	}
 	return info
 }

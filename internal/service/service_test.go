@@ -581,3 +581,53 @@ func TestSlowHeaderIsShedBatchInFlightIsNot(t *testing.T) {
 		t.Fatalf("read %q, wrote %q", ops[1].Data, payload)
 	}
 }
+
+// TestTenantListingDuringCheckpoints lists the tenants while checkpoints
+// run: the listing's epoch is the snapshot the last checkpoint left, so
+// under -race the two never touch the store's live epoch together, and
+// the listed epoch never runs ahead of the checkpoints sealed.
+func TestTenantListingDuringCheckpoints(t *testing.T) {
+	tc := testTenant("alpha", core.SchemeCached, "record", 2)
+	tc.PersistDir = t.TempDir()
+	svc, ts := newTestService(t, Config{Tenants: []TenantConfig{tc}})
+	const rounds = 20
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < rounds; i++ {
+			if err := svc.Checkpoint(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	list := func() uint64 {
+		resp, err := http.Get(ts.URL + "/v1/tenants")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var infos []TenantInfo
+		if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
+			t.Fatal(err)
+		}
+		if len(infos) != 1 || infos[0].Epoch > rounds {
+			t.Fatalf("listing %+v during %d checkpoints", infos, rounds)
+		}
+		return infos[0].Epoch
+	}
+	for finished := false; !finished; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			finished = true
+		default:
+			list()
+		}
+	}
+	if got := list(); got != rounds {
+		t.Fatalf("listed epoch %d after %d checkpoints", got, rounds)
+	}
+}
