@@ -247,6 +247,13 @@ go test -run '^$' -bench 'BenchmarkStoreOps(Baseline|EnabledUnscraped)' \
   }'
 echo "ops overhead gate OK"
 
+# Client connection pool gate: the client's keep-alive pool is state every
+# worker shares, so its batch, close, retry and remote tests run twenty
+# times over under the race detector (replays, idle closes, early
+# refusals, broken responses, Close).
+go test -race -count 20 -run 'Batch|Close|Retries|Remote' ./internal/service/client
+echo "client pool gate OK"
+
 # Service gate: memverifyd on an ephemeral port must serve mirror-checked
 # remote loadgen traffic for every tenant, contain a tampered tenant to
 # that tenant (503s for it, clean service and a degraded-not-unhealthy

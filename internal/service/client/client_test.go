@@ -42,11 +42,20 @@ func startService(t *testing.T, cfg service.Config) (*service.Service, *httptest
 // service's handler.
 func startWrapped(t *testing.T, cfg service.Config, wrap func(http.Handler) http.Handler) (*service.Service, *httptest.Server) {
 	t.Helper()
+	return startServer(t, cfg, wrap, func(*http.Server) {})
+}
+
+// startServer is startWrapped with tune applied to the HTTP server before
+// it starts.
+func startServer(t *testing.T, cfg service.Config, wrap func(http.Handler) http.Handler, tune func(*http.Server)) (*service.Service, *httptest.Server) {
+	t.Helper()
 	svc, err := service.New(cfg)
 	if err != nil {
 		t.Fatalf("service.New: %v", err)
 	}
-	ts := httptest.NewServer(wrap(svc.Handler()))
+	ts := httptest.NewUnstartedServer(wrap(svc.Handler()))
+	tune(ts.Config)
+	ts.Start()
 	t.Cleanup(func() { ts.Close(); svc.Close() })
 	return svc, ts
 }
