@@ -162,40 +162,35 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkFunctionalThroughput measures functional-simulation speed —
-// real data movement plus verification — for each protected scheme under
-// both hash-execution modes. The full/timing ratio is the speedup
-// EXPERIMENTS.md quotes for timing-only execution.
+// real data movement plus verification — for each protected scheme.
 func BenchmarkFunctionalThroughput(b *testing.B) {
 	for _, s := range []Scheme{SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
-		for _, mode := range []string{"full", "timing"} {
-			s, mode := s, mode
-			b.Run(string(s)+"/"+mode, func(b *testing.B) {
-				cfg := DefaultConfig()
-				cfg.Scheme = s
-				cfg.Benchmark = trace.Art
-				// Construction (tree initialization) plus a steady-state
-				// stretch — the same mix every functional sweep point pays.
-				cfg.Instructions = 100_000
-				cfg.Warmup = 0
-				cfg.Functional = true
-				cfg.HashMode = mode
-				cfg.HashAlg = "md5"
-				cfg.ProtectedBytes = 8 << 20
-				if s == SchemeMulti || s == SchemeIncr {
-					cfg.ChunkBlocks = 2
+		s := s
+		b.Run(string(s), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Scheme = s
+			cfg.Benchmark = trace.Art
+			// Construction (tree initialization) plus a steady-state
+			// stretch — the same mix every functional run pays.
+			cfg.Instructions = 100_000
+			cfg.Warmup = 0
+			cfg.Functional = true
+			cfg.HashAlg = "md5"
+			cfg.ProtectedBytes = 8 << 20
+			if s == SchemeMulti || s == SchemeIncr {
+				cfg.ChunkBlocks = 2
+			}
+			var lastIPC float64
+			b.SetBytes(int64(cfg.Instructions)) // bytes ~ instructions
+			for i := 0; i < b.N; i++ {
+				mt, err := Run(cfg)
+				if err != nil {
+					b.Fatal(err)
 				}
-				var lastIPC float64
-				b.SetBytes(int64(cfg.Instructions)) // bytes ~ instructions
-				for i := 0; i < b.N; i++ {
-					mt, err := Run(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					lastIPC = mt.IPC
-				}
-				reportIPC(b, string(s), lastIPC)
-			})
-		}
+				lastIPC = mt.IPC
+			}
+			reportIPC(b, string(s), lastIPC)
+		})
 	}
 }
 
@@ -204,8 +199,7 @@ func BenchmarkFunctionalThroughput(b *testing.B) {
 // with no recorder attached (this must stay within 2% of an
 // uninstrumented build — ci.sh compares it against SimulatorThroughput),
 // while "enabled" attaches a full recorder so the cost of tracing is
-// visible; scripts/bench_telemetry.sh records the ratio in
-// BENCH_telemetry.json.
+// visible (end to end, the benchmark reports it as trace.overhead_pct).
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	base := func() Config {
 		cfg := DefaultConfig()

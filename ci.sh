@@ -14,13 +14,6 @@ go test -race ./...
 # injection chaos campaign (skipped under -race), the command-line and
 # multi-process legs, fuzzing and the wall-clock ratios.
 
-# Timing-only smoke sweep: one figure functionally with digests switched
-# off — the fast path every functional sweep is expected to use. The 1 GiB
-# protected region only validates because timing mode skips the tree.
-go run ./cmd/figures -fig5 -n 20000 -warmup 10000 \
-  -functional -hashmode timing -protected $((1 << 30)) >/dev/null
-echo "timing-only functional sweep OK"
-
 # Adversary gate: every tree scheme must detect every attack class in the
 # end-to-end tamper demo (the command exits nonzero on a miss).
 go run ./cmd/tamper >/dev/null

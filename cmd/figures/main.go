@@ -35,9 +35,6 @@ func main() {
 	fig7 := flag.Bool("fig7", false, "print Figure 7 (buffer size)")
 	fig8 := flag.Bool("fig8", false, "print Figure 8 (m and i schemes)")
 	ablations := flag.Bool("ablations", false, "print the ablation studies (verify cache, arity, hash latency, associativity, tree depth)")
-	functional := flag.Bool("functional", false, "run every point functionally (real data movement; small protected region)")
-	hashmode := flag.String("hashmode", "", "digest execution for functional points: full, timing")
-	protected := flag.Uint64("protected", 0, "override the protected-region size in bytes (0 = per-figure default)")
 	csvPath := flag.String("csv", "", "also write every run's configuration and metrics to a CSV file")
 	progress := flag.Bool("progress", false, "show live sweep progress on stderr: points done, throughput, ETA")
 	flag.Parse()
@@ -58,9 +55,6 @@ func main() {
 	}
 	p.Seed = *seed
 	p.Workers = *workers
-	p.Functional = *functional
-	p.HashMode = *hashmode
-	p.ProtectedBytes = *protected
 	if *verbose {
 		p.Progress = os.Stderr
 	}

@@ -34,7 +34,6 @@ func main() {
 	buffers := flag.Int("hash-buffers", cfg.HashBuffers, "hash read/write buffer entries")
 	protected := flag.Uint64("protected", cfg.ProtectedBytes, "protected memory bytes")
 	functional := flag.Bool("functional", false, "move and verify real bytes (small protected regions only)")
-	hashmode := flag.String("hashmode", "full", "digest execution for functional runs: full, timing")
 	alg := flag.String("alg", cfg.HashAlg, "hash algorithm: md5, sha1, fnv128")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	table1 := flag.Bool("table1", false, "print Table 1 (architectural parameters) and exit")
@@ -59,7 +58,6 @@ func main() {
 	cfg.HashBuffers = *buffers
 	cfg.ProtectedBytes = *protected
 	cfg.Functional = *functional
-	cfg.HashMode = *hashmode
 	cfg.HashAlg = *alg
 	cfg.Seed = *seed
 	switch {

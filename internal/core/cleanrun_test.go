@@ -10,12 +10,11 @@ import (
 )
 
 // cleanConfig is a small functional machine for falsification-free runs.
-func cleanConfig(scheme Scheme, mode string) Config {
+func cleanConfig(scheme Scheme) Config {
 	cfg := DefaultConfig()
 	cfg.Scheme = scheme
 	cfg.Functional = true
 	cfg.HashAlg = "fnv128"
-	cfg.HashMode = mode
 	cfg.ProtectedBytes = 256 << 10
 	cfg.L2Size = 32 << 10
 	cfg.Benchmark = trace.Uniform("cleanrun", 64<<10)
@@ -34,7 +33,7 @@ func cleanConfig(scheme Scheme, mode string) Config {
 func TestCleanRunNoFalsePositives(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
 		t.Run(fmt.Sprintf("%s-full", scheme), func(t *testing.T) {
-			m, err := NewMachine(cleanConfig(scheme, "full"))
+			m, err := NewMachine(cleanConfig(scheme))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,7 +55,7 @@ func TestCleanRunNoFalsePositives(t *testing.T) {
 // violation is detected under ViolationPolicy "halt", every subsequent
 // load and store returns ErrHalted.
 func TestHaltPolicy(t *testing.T) {
-	cfg := cleanConfig(SchemeCached, "full")
+	cfg := cleanConfig(SchemeCached)
 	cfg.ViolationPolicy = "halt"
 	m, err := NewMachine(cfg)
 	if err != nil {
@@ -87,7 +86,7 @@ func TestHaltPolicy(t *testing.T) {
 // TestRecordPolicyContinues pins the default containment behaviour: under
 // "record" the violation is counted and execution continues.
 func TestRecordPolicyContinues(t *testing.T) {
-	m, err := NewMachine(cleanConfig(SchemeCached, "full"))
+	m, err := NewMachine(cleanConfig(SchemeCached))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +113,7 @@ func TestRecordPolicyContinues(t *testing.T) {
 // machine level: a transient glitch is suppressed (a transient retry, no
 // violation), persistent tampering is flagged (a persistent retry).
 func TestRetryPolicyDistinguishes(t *testing.T) {
-	cfg := cleanConfig(SchemeCached, "full")
+	cfg := cleanConfig(SchemeCached)
 	cfg.ViolationPolicy = "retry"
 	m, err := NewMachine(cfg)
 	if err != nil {

@@ -82,11 +82,9 @@ type Config struct {
 	// identical either way; see integrity.System.Functional.
 	Functional bool
 
-	// HashMode selects how much real digest arithmetic functional runs
-	// perform: "full" (or empty) computes every digest, "timing" charges
-	// the modeled hash latency but skips the arithmetic (illegal once an
-	// adversary attaches). Both produce identical Metrics; see
-	// integrity.HashMode.
+	// HashMode must be "" or "full": a functional run computes every
+	// digest. It has no other value; it remains a field only because the
+	// benchmark module sets it.
 	HashMode string
 
 	// VerifyCacheLines, when > 0, gives the integrity layer a dedicated
@@ -251,14 +249,10 @@ func (c *Config) Validate() error {
 	if _, err := integrity.ParseViolationPolicy(c.ViolationPolicy); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	mode, err := integrity.ParseHashMode(c.HashMode)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
+	if c.HashMode != "" && c.HashMode != "full" {
+		return fmt.Errorf("core: unknown hash mode %q (want full)", c.HashMode)
 	}
-	// Timing-only execution never materializes the tree (initialization is
-	// skipped and records are never compared), so the functional size cap
-	// only binds when digests are real.
-	if c.Functional && mode != integrity.HashTiming && c.ProtectedBytes > 256<<20 {
+	if c.Functional && c.ProtectedBytes > 256<<20 {
 		return fmt.Errorf("core: functional mode materializes the tree; protect at most 256 MiB (asked for %d)", c.ProtectedBytes)
 	}
 	if c.Benchmark.WorkingSet+c.Benchmark.CodeSet > c.ProtectedBytes {

@@ -120,10 +120,6 @@ func newMachine(cfg Config, img, root []byte) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	mode, err := integrity.ParseHashMode(cfg.HashMode)
-	if err != nil {
-		return nil, err
-	}
 	policy, err := integrity.ParseViolationPolicy(cfg.ViolationPolicy)
 	if err != nil {
 		return nil, err
@@ -139,7 +135,6 @@ func newMachine(cfg Config, img, root []byte) (*Machine, error) {
 		L2Latency:   cfg.L2Latency,
 		CheckReads:  true,
 		Functional:  cfg.Functional,
-		HashMode:    mode,
 		Policy:      policy,
 		OnViolation: m.noteViolation,
 		VC:          m.VC,
@@ -283,14 +278,9 @@ func (m *Machine) EvictProtected() {
 }
 
 // Adversary interposes (once) a physical attacker on the memory bus and
-// returns it. Subsequent calls return the same adversary. Timing-only hash
-// execution panics — its checks are vacuous, so it cannot coexist with
-// tampering.
+// returns it. Subsequent calls return the same adversary.
 func (m *Machine) Adversary() *mem.Adversary {
 	if m.adv == nil {
-		if m.Sys.HashMode == integrity.HashTiming {
-			panic("core: timing-only hash execution is illegal with an adversary attached (use hash mode full)")
-		}
 		m.adv = mem.NewAdversary(m.backing)
 		m.Sys.Mem = m.adv
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"memverify/internal/integrity"
 	"memverify/internal/mem"
 )
 
@@ -59,9 +58,8 @@ var snapshotSeq atomic.Uint64
 // what the full image would have been.
 //
 // It fails on a non-functional machine (there are no bytes to save), on
-// the base scheme (no root to seal), under the timing-only hash unit (its
-// records are vacuous stand-ins), and on a halted machine (tampered state
-// must not be checkpointed as if it were committed).
+// the base scheme (no root to seal) and on a halted machine (tampered
+// state must not be checkpointed as if it were committed).
 func (m *Machine) SaveStateSince(since uint64, maxLines int) (Snapshot, error) {
 	if err := m.persistable(); err != nil {
 		return Snapshot{}, err
@@ -167,9 +165,6 @@ func (m *Machine) persistable() error {
 	}
 	if m.Cfg.Scheme == SchemeBase {
 		return fmt.Errorf("core: the base scheme has no authenticated state to persist")
-	}
-	if m.Sys.HashMode == integrity.HashTiming {
-		return fmt.Errorf("core: timing-only hash execution stores vacuous records; persistence requires hash mode full")
 	}
 	return nil
 }

@@ -69,8 +69,7 @@ func driveWorkload(t *testing.T, m *Machine, seed int64) (loaded, root []byte) {
 }
 
 // TestVerifyCacheEquivalence is the semantic-invisibility gate of the
-// dedicated verification cache: over every tree scheme and hash execution
-// mode, a machine whose tree nodes live in a dedicated cache must deliver
+// dedicated verification cache: over every tree scheme, a machine whose tree nodes live in a dedicated cache must deliver
 // byte-identical data (including a verified cold reload against the final
 // root) and converge to the same root as the shared-L2 baseline (metrics
 // may differ; bytes may not), with zero violations anywhere.
@@ -84,39 +83,36 @@ func driveWorkload(t *testing.T, m *Machine, seed int64) (loaded, root []byte) {
 // final memory image.
 func TestVerifyCacheEquivalence(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
-		for _, mode := range []string{"full", "timing"} {
-			t.Run(fmt.Sprintf("%s-%s", scheme, mode), func(t *testing.T) {
-				base, err := NewMachine(cleanConfig(scheme, mode))
+		t.Run(fmt.Sprintf("%s-full", scheme), func(t *testing.T) {
+			base, err := NewMachine(cleanConfig(scheme))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantData, wantRoot := driveWorkload(t, base, 42)
+			if base.Sys.Stat.Violations != 0 {
+				t.Fatalf("baseline flagged %d violations", base.Sys.Stat.Violations)
+			}
+			t.Run("vc", func(t *testing.T) {
+				cfg := cleanConfig(scheme)
+				cfg.VerifyCacheLines = 64
+				cfg.VerifyCacheAssoc = 4
+				m, err := NewMachine(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantData, wantRoot := driveWorkload(t, base, 42)
-				if base.Sys.Stat.Violations != 0 {
-					t.Fatalf("baseline flagged %d violations", base.Sys.Stat.Violations)
+				gotData, gotRoot := driveWorkload(t, m, 42)
+				if !bytes.Equal(gotData, wantData) {
+					t.Fatalf("delivered data diverged from the shared-L2 baseline")
 				}
-				rootIsContentPure := scheme != SchemeIncr || mode == "timing"
-				t.Run("vc", func(t *testing.T) {
-					cfg := cleanConfig(scheme, mode)
-					cfg.VerifyCacheLines = 64
-					cfg.VerifyCacheAssoc = 4
-					m, err := NewMachine(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					gotData, gotRoot := driveWorkload(t, m, 42)
-					if !bytes.Equal(gotData, wantData) {
-						t.Fatalf("delivered data diverged from the shared-L2 baseline")
-					}
-					if rootIsContentPure && !bytes.Equal(gotRoot, wantRoot) {
-						t.Fatalf("final root diverged: got %x, want %x", gotRoot, wantRoot)
-					}
-					if m.Sys.Stat.Violations != 0 {
-						t.Fatalf("dedicated-VC machine flagged %d violations (first: %v)",
-							m.Sys.Stat.Violations, m.Sys.First)
-					}
-				})
+				if scheme != SchemeIncr && !bytes.Equal(gotRoot, wantRoot) {
+					t.Fatalf("final root diverged: got %x, want %x", gotRoot, wantRoot)
+				}
+				if m.Sys.Stat.Violations != 0 {
+					t.Fatalf("dedicated-VC machine flagged %d violations (first: %v)",
+						m.Sys.Stat.Violations, m.Sys.First)
+				}
 			})
-		}
+		})
 	}
 }
 
@@ -125,7 +121,7 @@ func TestVerifyCacheEquivalence(t *testing.T) {
 // the VC — the shared L2 sees no hash-class traffic at all — and the
 // metrics report the VC's activity.
 func TestDedicatedVerifyCacheRouting(t *testing.T) {
-	cfg := cleanConfig(SchemeCached, "full")
+	cfg := cleanConfig(SchemeCached)
 	cfg.VerifyCacheLines = 64
 	cfg.VerifyCacheAssoc = 4
 	m, err := NewMachine(cfg)

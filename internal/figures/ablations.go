@@ -71,7 +71,7 @@ func (p Params) AblationArity() *stats.Table {
 	mts := p.runAll(pts)
 	for bi, b := range p.benches() {
 		row := mts[bi*len(AblationArities):]
-		t.AddRow(b.Name, row[0].IPC, row[1].IPC, row[0].ExtraPerMiss, row[1].ExtraPerMiss)
+		t.AddRow(b.Name, row[0].IPC, row[1].IPC, extraPerMiss(row[0]), extraPerMiss(row[1]))
 	}
 	return t
 }
@@ -168,7 +168,7 @@ func (p Params) AblationTreeDepth() *stats.Table {
 	for bi, b := range p.benches() {
 		row := []interface{}{b.Name}
 		for i := 0; i < perBench; i++ {
-			row = append(row, mts[bi*perBench+i].ExtraPerMiss)
+			row = append(row, extraPerMiss(mts[bi*perBench+i]))
 		}
 		t.AddRow(row...)
 	}

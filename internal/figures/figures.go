@@ -11,6 +11,7 @@ package figures
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"memverify/internal/core"
 	"memverify/internal/stats"
@@ -39,16 +40,6 @@ type Params struct {
 	// alongside the tables. Calls arrive in submission order, serialized
 	// on one goroutine.
 	Observer func(cfg core.Config, mt core.Metrics)
-	// Functional switches every point to functional simulation (real data
-	// movement and verification). Figures are identical either way; the
-	// point of the switch is exercising the hash-execution modes below.
-	Functional bool
-	// HashMode selects the digest-execution mode for functional points:
-	// "" / "full" or "timing" (see core.Config.HashMode).
-	HashMode string
-	// ProtectedBytes overrides the protected-region size when non-zero.
-	// Functional full runs must stay within the 256 MiB tree cap.
-	ProtectedBytes uint64
 	// Telemetry, when non-nil, attaches the recorder to every point's
 	// machine. A recorder is single-goroutine, so runAll forces the sweep
 	// serial while one is attached (Workers is ignored).
@@ -86,14 +77,6 @@ func (p *Params) config(pt point) core.Config {
 	cfg.Warmup = p.Warmup
 	cfg.Seed = p.Seed
 	pt.mutate(&cfg)
-	// Applied after mutate so figure-level overrides always win.
-	if p.Functional {
-		cfg.Functional = true
-	}
-	cfg.HashMode = p.HashMode
-	if p.ProtectedBytes != 0 {
-		cfg.ProtectedBytes = p.ProtectedBytes
-	}
 	cfg.Telemetry = p.Telemetry
 	return cfg
 }
@@ -141,14 +124,37 @@ func (p *Params) runOne(bench trace.Profile, mutate func(*core.Config)) core.Met
 // CSVHeader is the column list WriteCSVRow emits values for.
 const CSVHeader = "bench,scheme,l2_bytes,block_bytes,chunk_blocks,hash_gbps,hash_buffers,protected_bytes,ipc,l2_data_missrate,extra_per_miss,extra_per_miss_all,bus_bytes,bus_hash_bytes,bus_utilization,dram_reads,dram_writes,violations"
 
-// WriteCSVRow renders one run in CSVHeader's column order.
+// WriteCSVRow renders one run in CSVHeader's column order. A run with no
+// L2 data miss has no extra reads per miss: both columns read n/a.
 func WriteCSVRow(w io.Writer, cfg core.Config, mt core.Metrics) {
-	fmt.Fprintf(w, "%s,%s,%d,%d,%d,%.2f,%d,%d,%.5f,%.6f,%.4f,%.4f,%d,%d,%.5f,%d,%d,%d\n",
+	epm, epmAll := "n/a", "n/a"
+	if mt.L2DataMisses > 0 {
+		epm, epmAll = fmt.Sprintf("%.4f", mt.ExtraPerMiss), fmt.Sprintf("%.4f", mt.ExtraPerMissAll)
+	}
+	fmt.Fprintf(w, "%s,%s,%d,%d,%d,%.2f,%d,%d,%.5f,%.6f,%s,%s,%d,%d,%.5f,%d,%d,%d\n",
 		cfg.Benchmark.Name, cfg.Scheme, cfg.L2Size, cfg.L2Block, cfg.ChunkBlocks,
 		cfg.HashBytesPerCycle, cfg.HashBuffers, cfg.ProtectedBytes,
-		mt.IPC, mt.DataMissRate, mt.ExtraPerMiss, mt.ExtraPerMissAll,
+		mt.IPC, mt.DataMissRate, epm, epmAll,
 		mt.BusBytes, mt.BusHashBytes, mt.BusUtilization,
 		mt.DRAMReads, mt.DRAMWrites, mt.Violations)
+}
+
+// extraPerMiss is mt's read-path extra blocks per L2 data miss, or NaN
+// (a table prints "-") when the run never missed: no misses is no
+// evidence, not zero extra reads.
+func extraPerMiss(mt core.Metrics) float64 {
+	if mt.L2DataMisses == 0 {
+		return math.NaN()
+	}
+	return mt.ExtraPerMiss
+}
+
+// ratio is a/b, or NaN (a table prints "-") when b is zero.
+func ratio(a, b uint64) float64 {
+	if b == 0 {
+		return math.NaN()
+	}
+	return float64(a) / float64(b)
 }
 
 func schemeCfg(s core.Scheme) func(*core.Config) {
@@ -243,9 +249,8 @@ func (p Params) Fig5() *stats.Table {
 	for bi, b := range p.benches() {
 		row := mts[bi*len(schemes):]
 		base, c, naive := row[0], row[1], row[2]
-		t.AddRow(b.Name, c.ExtraPerMiss, naive.ExtraPerMiss,
-			stats.Ratio(c.BusBytes, base.BusBytes),
-			stats.Ratio(naive.BusBytes, base.BusBytes))
+		t.AddRow(b.Name, extraPerMiss(c), extraPerMiss(naive),
+			ratio(c.BusBytes, base.BusBytes), ratio(naive.BusBytes, base.BusBytes))
 	}
 	return t
 }

@@ -100,3 +100,38 @@ func TestCSVObserver(t *testing.T) {
 		t.Errorf("first row: %q", rows[0])
 	}
 }
+
+// TestZeroDenominatorsPrintDash runs a profile that fits in the L1s, so
+// after warm-up no run misses the L2 and base moves no bus bytes: every
+// extra/miss and bandwidth cell must print "-" (no evidence), not 0.000,
+// and both CSV extra-per-miss columns must read n/a.
+func TestZeroDenominatorsPrintDash(t *testing.T) {
+	resident := trace.Uniform("resident", 8<<10)
+	resident.CodeSet = 4 << 10
+	p := Params{Instructions: 10_000, Warmup: 50_000, Seed: 1, Benchmarks: []trace.Profile{resident}}
+	var rows []string
+	p.Observer = func(cfg core.Config, mt core.Metrics) {
+		if mt.L2DataMisses != 0 || (cfg.Scheme == core.SchemeBase && mt.BusBytes != 0) {
+			t.Fatalf("%s: %d L2 data misses, %d bus bytes; the profile must stay resident",
+				cfg.Scheme, mt.L2DataMisses, mt.BusBytes)
+		}
+		var b strings.Builder
+		WriteCSVRow(&b, cfg, mt)
+		rows = append(rows, b.String())
+	}
+	lastRow := func(out string) string {
+		lines := strings.Split(strings.TrimSpace(out), "\n")
+		return strings.Join(strings.Fields(lines[len(lines)-1]), " ")
+	}
+	if got := lastRow(p.Fig5().String()); got != "resident - - - -" {
+		t.Errorf("Figure 5 row = %q, want every ratio as -", got)
+	}
+	for _, r := range rows {
+		if f := strings.Split(r, ","); f[10] != "n/a" || f[11] != "n/a" {
+			t.Errorf("CSV extra_per_miss columns = %q, %q, want n/a: %q", f[10], f[11], r)
+		}
+	}
+	if got := lastRow(p.AblationArity().String()); !strings.HasSuffix(got, " - -") {
+		t.Errorf("arity ablation row = %q, want extra/miss as -", got)
+	}
+}

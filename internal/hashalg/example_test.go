@@ -7,7 +7,7 @@ import (
 	"memverify/internal/hashalg"
 )
 
-// Example computes a one-shot digest with each from-scratch algorithm.
+// Example computes a one-shot digest with MD5 and SHA-1.
 func Example() {
 	fmt.Println("md5 ", hex.EncodeToString(hashalg.MD5{}.Sum([]byte("abc"))))
 	fmt.Println("sha1", hex.EncodeToString(hashalg.SHA1{}.Sum([]byte("abc"))))
@@ -37,14 +37,4 @@ func ExampleXorMAC() {
 	// verifies new contents: true
 	// rejects stale contents: true
 	// stamps: 01
-}
-
-// ExampleNewDigest streams data through the SHA-1 implementation.
-func ExampleNewDigest() {
-	d, _ := hashalg.NewDigest("sha1")
-	d.Write([]byte("a"))
-	d.Write([]byte("bc"))
-	fmt.Println(hex.EncodeToString(d.Sum(nil)))
-	// Output:
-	// a9993e364706816aba3e25717850c26c9cd0d89d
 }

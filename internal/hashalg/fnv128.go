@@ -2,11 +2,12 @@ package hashalg
 
 import "encoding/binary"
 
-// FNV128 is a fast non-cryptographic 128-bit hash used to keep long timing
-// sweeps cheap. It runs two independent 64-bit FNV-1a streams with distinct
-// offset bases and concatenates them. It is collision resistant enough for
-// a simulator's integrity bookkeeping (tamper tests still fail loudly on
-// any real corruption) but must never be presented as cryptographic.
+// FNV128 is a fast non-cryptographic 128-bit hash, the default algorithm,
+// which keeps the digests of functional runs cheap. It runs two
+// independent 64-bit FNV-1a streams with distinct offset bases and
+// concatenates them. It is collision resistant enough for a simulator's
+// integrity bookkeeping (tamper tests still fail loudly on any real
+// corruption) but must never be presented as cryptographic.
 type FNV128 struct{}
 
 // Name implements Algorithm.

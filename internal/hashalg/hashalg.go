@@ -1,8 +1,8 @@
 // Package hashalg implements the cryptographic primitives the secure
-// processor's hash unit models: MD5 (RFC 1321) and SHA-1 (RFC 3174) built
-// from scratch, a fast non-cryptographic 128-bit hash for long timing
-// sweeps, and the incremental XOR-MAC of Bellare, Guérin and Rogaway used
-// by the paper's `i` scheme (§5.5).
+// processor's hash unit models: MD5 (RFC 1321) and SHA-1 (RFC 3174) from
+// the standard library, a fast non-cryptographic 128-bit hash, and the
+// incremental XOR-MAC of Bellare, Guérin and Rogaway used by the paper's
+// `i` scheme (§5.5).
 //
 // The paper's hash unit truncates every digest to a fixed "hash length"
 // (128 bits in Table 1); Algorithm implementations here expose their native

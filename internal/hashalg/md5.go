@@ -1,135 +1,24 @@
 package hashalg
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "crypto/md5"
 
-// MD5 implements the MD5 message-digest algorithm of RFC 1321 from scratch.
-// The zero value is ready to use; MD5 values are stateless.
+// MD5 is the MD5 message-digest algorithm of RFC 1321, computed by the
+// standard library. The zero value is ready to use; MD5 values are
+// stateless.
 type MD5 struct{}
 
 // Name implements Algorithm.
 func (MD5) Name() string { return "md5" }
 
 // Size implements Algorithm. MD5 digests are 16 bytes.
-func (MD5) Size() int { return 16 }
+func (MD5) Size() int { return md5.Size }
 
 // Sum implements Algorithm.
 func (m MD5) Sum(data []byte) []byte { return m.AppendSum(nil, data) }
 
-// AppendSum implements Algorithm. The digest state lives on the stack, so
+// AppendSum implements Algorithm. The digest is an array on the stack, so
 // the call allocates only when dst lacks spare capacity.
 func (MD5) AppendSum(dst, data []byte) []byte {
-	d := md5State{s: md5Init}
-	d.write(data)
-	s := d.checkSum()
+	s := md5.Sum(data)
 	return append(dst, s[:]...)
-}
-
-// md5K is the table K[i] = floor(2^32 * |sin(i+1)|) from RFC 1321 §3.4.
-var md5K = func() [64]uint32 {
-	var k [64]uint32
-	for i := range k {
-		k[i] = uint32(math.Floor(math.Abs(math.Sin(float64(i+1))) * (1 << 32)))
-	}
-	return k
-}()
-
-// md5S holds the per-round left-rotate amounts.
-var md5S = [64]uint{
-	7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
-	5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20, 5, 9, 14, 20,
-	4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
-	6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21,
-}
-
-const md5BlockSize = 64
-
-type md5State struct {
-	s   [4]uint32
-	x   [md5BlockSize]byte
-	nx  int
-	len uint64
-}
-
-var md5Init = [4]uint32{0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476}
-
-func newMD5State() *md5State {
-	return &md5State{s: md5Init}
-}
-
-func (d *md5State) write(p []byte) {
-	d.len += uint64(len(p))
-	if d.nx > 0 {
-		n := copy(d.x[d.nx:], p)
-		d.nx += n
-		if d.nx == md5BlockSize {
-			d.block(d.x[:])
-			d.nx = 0
-		}
-		p = p[n:]
-	}
-	for len(p) >= md5BlockSize {
-		d.block(p[:md5BlockSize])
-		p = p[md5BlockSize:]
-	}
-	if len(p) > 0 {
-		d.nx = copy(d.x[:], p)
-	}
-}
-
-func (d *md5State) checkSum() [16]byte {
-	// Padding: a 1 bit, zeros, then the 64-bit little-endian bit length.
-	bitLen := d.len << 3
-	var pad [md5BlockSize + 8]byte
-	pad[0] = 0x80
-	padLen := 56 - int(d.len%64)
-	if padLen <= 0 {
-		padLen += 64
-	}
-	binary.LittleEndian.PutUint64(pad[padLen:], bitLen)
-	d.write(pad[:padLen+8])
-	var out [16]byte
-	for i, v := range d.s {
-		binary.LittleEndian.PutUint32(out[i*4:], v)
-	}
-	return out
-}
-
-func rotl32(x uint32, n uint) uint32 { return x<<n | x>>(32-n) }
-
-func (d *md5State) block(p []byte) {
-	var m [16]uint32
-	for i := range m {
-		m[i] = binary.LittleEndian.Uint32(p[i*4:])
-	}
-	a, b, c, dd := d.s[0], d.s[1], d.s[2], d.s[3]
-	for i := 0; i < 64; i++ {
-		var f uint32
-		var g int
-		switch {
-		case i < 16:
-			f = (b & c) | (^b & dd)
-			g = i
-		case i < 32:
-			f = (dd & b) | (^dd & c)
-			g = (5*i + 1) % 16
-		case i < 48:
-			f = b ^ c ^ dd
-			g = (3*i + 5) % 16
-		default:
-			f = c ^ (b | ^dd)
-			g = (7 * i) % 16
-		}
-		tmp := dd
-		dd = c
-		c = b
-		b = b + rotl32(a+f+md5K[i]+m[g], md5S[i])
-		a = tmp
-	}
-	d.s[0] += a
-	d.s[1] += b
-	d.s[2] += c
-	d.s[3] += dd
 }

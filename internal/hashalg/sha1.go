@@ -1,116 +1,24 @@
 package hashalg
 
-import "encoding/binary"
+import "crypto/sha1"
 
-// SHA1 implements the SHA-1 secure hash algorithm of RFC 3174 from scratch.
-// The zero value is ready to use; SHA1 values are stateless.
+// SHA1 is the SHA-1 secure hash algorithm of RFC 3174, computed by the
+// standard library. The zero value is ready to use; SHA1 values are
+// stateless.
 type SHA1 struct{}
 
 // Name implements Algorithm.
 func (SHA1) Name() string { return "sha1" }
 
 // Size implements Algorithm. SHA-1 digests are 20 bytes.
-func (SHA1) Size() int { return 20 }
+func (SHA1) Size() int { return sha1.Size }
 
 // Sum implements Algorithm.
 func (s SHA1) Sum(data []byte) []byte { return s.AppendSum(nil, data) }
 
-// AppendSum implements Algorithm. The digest state lives on the stack, so
+// AppendSum implements Algorithm. The digest is an array on the stack, so
 // the call allocates only when dst lacks spare capacity.
 func (SHA1) AppendSum(dst, data []byte) []byte {
-	d := sha1State{h: sha1Init}
-	d.write(data)
-	s := d.checkSum()
+	s := sha1.Sum(data)
 	return append(dst, s[:]...)
-}
-
-const sha1BlockSize = 64
-
-type sha1State struct {
-	h   [5]uint32
-	x   [sha1BlockSize]byte
-	nx  int
-	len uint64
-}
-
-var sha1Init = [5]uint32{0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0}
-
-func newSHA1State() *sha1State {
-	return &sha1State{h: sha1Init}
-}
-
-func (d *sha1State) write(p []byte) {
-	d.len += uint64(len(p))
-	if d.nx > 0 {
-		n := copy(d.x[d.nx:], p)
-		d.nx += n
-		if d.nx == sha1BlockSize {
-			d.block(d.x[:])
-			d.nx = 0
-		}
-		p = p[n:]
-	}
-	for len(p) >= sha1BlockSize {
-		d.block(p[:sha1BlockSize])
-		p = p[sha1BlockSize:]
-	}
-	if len(p) > 0 {
-		d.nx = copy(d.x[:], p)
-	}
-}
-
-func (d *sha1State) checkSum() [20]byte {
-	bitLen := d.len << 3
-	var pad [sha1BlockSize + 8]byte
-	pad[0] = 0x80
-	padLen := 56 - int(d.len%64)
-	if padLen <= 0 {
-		padLen += 64
-	}
-	binary.BigEndian.PutUint64(pad[padLen:], bitLen)
-	d.write(pad[:padLen+8])
-	var out [20]byte
-	for i, v := range d.h {
-		binary.BigEndian.PutUint32(out[i*4:], v)
-	}
-	return out
-}
-
-func (d *sha1State) block(p []byte) {
-	var w [80]uint32
-	for i := 0; i < 16; i++ {
-		w[i] = binary.BigEndian.Uint32(p[i*4:])
-	}
-	for i := 16; i < 80; i++ {
-		w[i] = rotl32(w[i-3]^w[i-8]^w[i-14]^w[i-16], 1)
-	}
-	a, b, c, dd, e := d.h[0], d.h[1], d.h[2], d.h[3], d.h[4]
-	for i := 0; i < 80; i++ {
-		var f, k uint32
-		switch {
-		case i < 20:
-			f = (b & c) | (^b & dd)
-			k = 0x5a827999
-		case i < 40:
-			f = b ^ c ^ dd
-			k = 0x6ed9eba1
-		case i < 60:
-			f = (b & c) | (b & dd) | (c & dd)
-			k = 0x8f1bbcdc
-		default:
-			f = b ^ c ^ dd
-			k = 0xca62c1d6
-		}
-		tmp := rotl32(a, 5) + f + e + k + w[i]
-		e = dd
-		dd = c
-		c = rotl32(b, 30)
-		b = a
-		a = tmp
-	}
-	d.h[0] += a
-	d.h[1] += b
-	d.h[2] += c
-	d.h[3] += dd
-	d.h[4] += e
 }

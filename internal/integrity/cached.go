@@ -59,7 +59,6 @@ func NewCached(sys *System) *Cached {
 		panic(fmt.Sprintf("integrity: chunk size %d not a multiple of block size %d",
 			sys.Layout.ChunkSize, sys.BlockSize()))
 	}
-	sys.guardHashMode()
 	e := &Cached{sys: sys}
 	if sys.chunkBlocks() == 1 {
 		e.scheme = "c"
@@ -68,20 +67,8 @@ func NewCached(sys *System) *Cached {
 	}
 	e.verify = sys.hashMatches
 	e.record = sys.hashRecord
-	if sys.skipDigests() {
-		e.applyTimingMode()
-	}
 	e.evictFn = e.evictCached
 	return e
-}
-
-// applyTimingMode swaps the digest closures for their timing-only forms:
-// checks pass without touching the image and records are the deterministic
-// hashalg.Tag stand-in. Shared with the embedded Incr engine.
-func (e *Cached) applyTimingMode() {
-	s := e.sys
-	e.verify = func(uint64, []byte, []byte) bool { return true }
-	e.record = func(c uint64, _ []byte) []byte { return s.timingTag(c) }
 }
 
 // Name implements Engine.

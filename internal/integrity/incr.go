@@ -56,10 +56,6 @@ func NewIncr(sys *System, key []byte) *Incr {
 		return e.recScratch[:]
 	}
 	e.evictFn = e.evictIncr
-	sys.guardHashMode()
-	if sys.skipDigests() {
-		e.applyTimingMode()
-	}
 	return e
 }
 
@@ -172,19 +168,12 @@ func (e *Incr) evictIncr(now uint64, line cache.Line) uint64 {
 	// is what the update consumes).
 	var newTag [hashalg.MACSize]byte
 	if s.Functional {
-		if s.skipDigests() {
-			// Timing-only execution: the stored record is the chunk's
-			// deterministic tag, so no old value is consumed and no MAC
-			// arithmetic runs (the timing charges above are unchanged).
-			hashalg.Tag(c, newTag[:])
-		} else {
-			var tag [hashalg.MACSize]byte
-			copy(tag[:], tagBytes)
-			old := s.getImg()
-			s.Mem.Read(line.Addr, old[:bs])
-			newTag = e.mac.Update(tag, blockIdx, old[:bs], line.Data)
-			s.putImg(old)
-		}
+		var tag [hashalg.MACSize]byte
+		copy(tag[:], tagBytes)
+		old := s.getImg()
+		s.Mem.Read(line.Addr, old[:bs])
+		newTag = e.mac.Update(tag, blockIdx, old[:bs], line.Data)
+		s.putImg(old)
 	}
 	if c != 0 {
 		// tagBytes is consumed; the Root alias (c == 0) is never pooled.

@@ -48,14 +48,8 @@ func (s *System) walkTree(from uint64, visit func(c uint64, img []byte) bool) {
 }
 
 // initializeTree stores record's output for every chunk in its parent's
-// slot, and chunk 0's in the root register. Under the timing-only unit
-// nothing ever compares stored records, so the walk — the dominant
-// construction cost on large protected regions — is skipped.
+// slot, and chunk 0's in the root register.
 func (s *System) initializeTree(record func(c uint64, img []byte) []byte) {
-	if s.skipDigests() {
-		s.Root = append(s.Root[:0], s.timingTag(0)...)
-		return
-	}
 	s.walkTree(s.Layout.TotalChunks, func(c uint64, img []byte) bool {
 		rec := record(c, img)
 		if addr, ok := s.Layout.HashAddr(c); ok {
@@ -87,10 +81,10 @@ func (s *System) initializeTree(record func(c uint64, img []byte) []byte) {
 // The check reads no cached line, so external memory must hold the
 // machine's whole state — dirty lines flushed — or a clean image fails
 // against the root that covers them. It charges nothing to any timing
-// model or engine counter. Timing-only and non-functional systems have no
-// records to compare, so it returns nil at once.
+// model or engine counter. A non-functional system has no records to
+// compare, so it returns nil at once.
 func (s *System) checkTree(scheme string, newCheck func() checkFunc) error {
-	if !s.verifyData() {
+	if !s.Functional {
 		return nil
 	}
 	from := s.Layout.TotalChunks

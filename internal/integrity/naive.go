@@ -34,7 +34,6 @@ func NewNaive(sys *System) *Naive {
 		panic(fmt.Sprintf("integrity: naive engine requires chunk size == block size (%d != %d)",
 			sys.Layout.ChunkSize, sys.BlockSize()))
 	}
-	sys.guardHashMode()
 	return &Naive{sys: sys}
 }
 
@@ -64,14 +63,14 @@ func (e *Naive) readChunkMem(c uint64) []byte {
 }
 
 // checkAgainst verifies chunk cur's memory image curImg against the
-// stored record want, skipped entirely — always passing — under the
-// timing-only unit. The Checks counter advances identically in both
-// modes. at is the cycle the compared bytes are in hand; the return value
-// is when the check — including any PolicyRetry re-fetch probe — completes.
+// stored record want, skipped entirely — always passing — in a timing
+// (non-functional) run. The Checks counter advances identically in both.
+// at is the cycle the compared bytes are in hand; the return value is when
+// the check — including any PolicyRetry re-fetch probe — completes.
 func (e *Naive) checkAgainst(at uint64, cur uint64, curImg, want []byte, detail string) uint64 {
 	s := e.sys
 	s.Stat.Checks++
-	if !s.verifyData() {
+	if !s.Functional {
 		return at
 	}
 	if !s.hashMatches(cur, curImg, want) {
@@ -137,7 +136,7 @@ func (e *Naive) verifyPath(start uint64, c uint64, img []byte, checkFirst bool) 
 		ancestors = append(ancestors, parentImg)
 		if s.CheckReads && (checkFirst || cur != c) {
 			var want []byte
-			if s.verifyData() {
+			if s.Functional {
 				want = s.slotBytes(parentImg, cur)
 			}
 			if d := e.checkAgainst(rdone, cur, curImg, want, "stored hash does not match memory image"); d > done {
@@ -247,11 +246,7 @@ func (e *Naive) Evict(now uint64, line cache.Line) uint64 {
 		if s.Functional {
 			// The digest scratch is consumed (copied into the parent image
 			// or the root) before the next iteration recomputes it.
-			if s.skipDigests() {
-				h = s.timingTag(cur)
-			} else {
-				h = s.hashChunkScratch(curImg)
-			}
+			h = s.hashChunkScratch(curImg)
 		}
 		hd := s.Unit.Hash(t, s.Layout.ChunkSize)
 		if hd > t {

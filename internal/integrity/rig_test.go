@@ -33,7 +33,6 @@ type rigConfig struct {
 	l2Size      int
 	blockSize   int
 	chunkBlocks int
-	mode        HashMode
 }
 
 func defaultRig(scheme string) rigConfig {
@@ -68,7 +67,6 @@ func newRig(t testing.TB, cfg rigConfig) *rig {
 		L2Latency:  10,
 		CheckReads: true,
 		Functional: true,
-		HashMode:   cfg.mode,
 	}
 	r := &rig{t: t, sys: sys, adv: adv, rng: trace.NewRNG(42), shadow: make(map[uint64][]byte)}
 	switch cfg.scheme {

@@ -97,11 +97,6 @@ type System struct {
 	// attack tests run with it on over smaller protected regions.
 	Functional bool
 
-	// HashMode selects how digests are executed in functional mode:
-	// computed in full (the zero value) or skipped under the timing-only
-	// unit. See HashMode.
-	HashMode HashMode
-
 	// Root is the secure on-chip register holding the root hash (or the
 	// root chunk's MAC record in the i scheme).
 	Root []byte
@@ -430,38 +425,6 @@ func (s *System) hashCheck() checkFunc {
 func (s *System) hashChunkScratch(img []byte) []byte {
 	s.digestScratch = s.Alg.AppendSum(s.digestScratch[:0], img)
 	return s.digestScratch[:s.Layout.HashSize]
-}
-
-// skipDigests reports whether the timing-only hash unit is selected:
-// record slots receive hashalg.Tag stand-ins and every check passes
-// without digest arithmetic.
-func (s *System) skipDigests() bool { return s.HashMode == HashTiming }
-
-// verifyData reports whether functional checks actually compare digests.
-// Stats (Checks, Violations against an inert memory) are identical whether
-// or not they do.
-func (s *System) verifyData() bool { return s.Functional && !s.skipDigests() }
-
-// timingTag renders chunk c's deterministic stand-in record into the
-// digest scratch; like hashChunkScratch, the result is only valid until
-// the scratch's next use.
-func (s *System) timingTag(c uint64) []byte {
-	n := s.Layout.HashSize
-	if cap(s.digestScratch) < n {
-		s.digestScratch = make([]byte, n)
-	}
-	d := s.digestScratch[:n]
-	hashalg.Tag(c, d)
-	return d
-}
-
-// guardHashMode is called by every verifying engine's constructor: the
-// timing-only unit refuses to coexist with an adversarial memory, whose
-// tampering its vacuous checks could never detect.
-func (s *System) guardHashMode() {
-	if _, ok := s.Mem.(*mem.Adversary); ok && s.HashMode == HashTiming {
-		panic("integrity: timing-only hash execution is illegal with an adversary attached (use hash mode full)")
-	}
 }
 
 // slotBytes extracts chunk c's hash slot from its parent's image.

@@ -6,8 +6,6 @@
 package integrity
 
 import (
-	"fmt"
-
 	"memverify/internal/stats"
 	"memverify/internal/telemetry"
 )
@@ -155,46 +153,4 @@ func (u *HashUnit) ResetCounters() {
 	u.ops, u.bytes = 0, 0
 	u.ReadBuf.waits, u.ReadBuf.acquired = 0, 0
 	u.WriteBuf.waits, u.WriteBuf.acquired = 0, 0
-}
-
-// HashMode selects how the hash unit *executes* digests, independently of
-// the timing it models. Timing (latency, occupancy, buffer pressure) is
-// charged identically in every mode — the modes only decide how much real
-// digest arithmetic the simulator performs, the way SimpleScalar separates
-// functional from detailed timing simulation.
-type HashMode int
-
-const (
-	// HashFull computes every digest for real. Required whenever an
-	// adversary may tamper with memory; the only mode in which violations
-	// can be detected.
-	HashFull HashMode = iota
-	// HashTiming skips digest computation entirely, substituting the cheap
-	// deterministic tag of hashalg.Tag for stored records and treating
-	// every check as passing. Legal only while the adversary layer is
-	// inert — engine constructors and Machine.Adversary enforce this.
-	HashTiming
-)
-
-// String returns the mode's configuration name.
-func (m HashMode) String() string {
-	switch m {
-	case HashFull:
-		return "full"
-	case HashTiming:
-		return "timing"
-	}
-	return fmt.Sprintf("HashMode(%d)", int(m))
-}
-
-// ParseHashMode maps a configuration string to its mode. The empty string
-// is HashFull, so zero-valued configs keep today's behaviour.
-func ParseHashMode(s string) (HashMode, error) {
-	switch s {
-	case "", "full":
-		return HashFull, nil
-	case "timing":
-		return HashTiming, nil
-	}
-	return HashFull, fmt.Errorf("integrity: unknown hash mode %q (want full or timing)", s)
 }

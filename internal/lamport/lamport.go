@@ -1,7 +1,6 @@
-// Package lamport implements Lamport one-time signatures over the
-// repository's own SHA-1, providing the "processor secret that signs
-// results" primitive of the paper's certified-execution application
-// (§4.1) without any external cryptography.
+// Package lamport implements Lamport one-time signatures over hashalg's
+// SHA-1, providing the "processor secret that signs results" primitive of
+// the paper's certified-execution application (§4.1).
 //
 // A key signs exactly one message. The secure processor of the paper
 // derives a fresh program-bound key per execution (a collision-resistant

@@ -77,7 +77,7 @@ func anchoredEpochs(t *testing.T, dir, anchorPath string, cfg core.Config, seed 
 }
 
 func TestAnchorCleanRoundtrip(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	dir, anchorPath := anchorPaths(t)
 	m := anchoredEpochs(t, dir, anchorPath, cfg, 7, 2)
 
@@ -104,7 +104,7 @@ func TestAnchorCleanRoundtrip(t *testing.T) {
 // consistent and recovers CLEAN without the anchor — with the anchor it
 // must classify as violation.
 func TestAnchorDetectsWholeDirectoryReplay(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	dir, anchorPath := anchorPaths(t)
 
 	m := newMachine(t, cfg)
@@ -153,7 +153,7 @@ func TestAnchorDetectsWholeDirectoryReplay(t *testing.T) {
 // from scratch) while the anchor says committed epochs exist is a replay
 // to epoch 0.
 func TestAnchorDetectsWipedDirectory(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	dir, anchorPath := anchorPaths(t)
 	anchoredEpochs(t, dir, anchorPath, cfg, 13, 1)
 	restoreDir(t, dir, map[string][]byte{})
@@ -171,7 +171,7 @@ func TestAnchorDetectsWipedDirectory(t *testing.T) {
 // trusted side cannot vouch for the history — violation, not silent
 // enrollment, on the recovery path.
 func TestAnchorAbsentWithState(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	dir, anchorPath := anchorPaths(t)
 	anchoredEpochs(t, dir, anchorPath, cfg, 17, 1)
 	if err := os.Remove(anchorPath); err != nil {
@@ -189,7 +189,7 @@ func TestAnchorAbsentWithState(t *testing.T) {
 // TestAnchorCorrupt: an unreadable anchor is a violation — trusted
 // storage disagreeing with itself is never ignored.
 func TestAnchorCorrupt(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	dir, anchorPath := anchorPaths(t)
 	anchoredEpochs(t, dir, anchorPath, cfg, 19, 1)
 	if err := os.WriteFile(anchorPath, []byte("garbage"), 0o644); err != nil {
@@ -209,7 +209,7 @@ func TestAnchorCorrupt(t *testing.T) {
 // anchor. That window is honest and must recover clean (and heal the
 // anchor).
 func TestAnchorLagWindowAccepted(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	dir, anchorPath := anchorPaths(t)
 
 	m := newMachine(t, cfg)
@@ -254,7 +254,7 @@ func TestAnchorLagWindowAccepted(t *testing.T) {
 // numbers but different contents (a parallel universe built from a
 // different write history) disagrees with the anchored root digest.
 func TestAnchorDetectsForkedHistory(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	dir, anchorPath := anchorPaths(t)
 	anchoredEpochs(t, dir, anchorPath, cfg, 29, 1)
 
@@ -283,7 +283,7 @@ func TestAnchorDetectsForkedHistory(t *testing.T) {
 // repair so the NEXT recovery still agrees — and the post-repair
 // directory must not read as a replay.
 func TestAnchorSurvivesRollbackRepair(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	dir, anchorPath := anchorPaths(t)
 
 	m := newMachine(t, cfg)

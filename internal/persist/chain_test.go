@@ -60,7 +60,7 @@ func TestChainIsTheImage(t *testing.T) {
 }
 
 func chainProperty(t *testing.T, scheme core.Scheme, mode string, shards int, seed int64) {
-	cfg := testConfig(scheme, "full")
+	cfg := testConfig(scheme)
 	const epochs = 24
 	rng := rand.New(rand.NewSource(seed))
 	victim, twin := newChainRig(t, cfg, shards), newChainRig(t, cfg, shards)
@@ -178,7 +178,9 @@ func chainProperty(t *testing.T, scheme core.Scheme, mode string, shards int, se
 		}
 		if mode == legacyMode {
 			requireRefusedUntouched(t, dir, func() error {
-				_, err := recoverAs(testConfig(scheme, mode))
+				legacy := cfg
+				legacy.HashMode = legacyMode
+				_, err := recoverAs(legacy)
 				return err
 			})
 		}
@@ -215,7 +217,7 @@ func chainProperty(t *testing.T, scheme core.Scheme, mode string, shards int, se
 // fragment used to misframe every later record: checkpoints kept
 // succeeding and the next recovery refused the directory.
 func TestShortWALWriteDoesNotMisframe(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	dir := t.TempDir()
 	ffs := NewFaultFS(nil)
 	m := newMachine(t, cfg)

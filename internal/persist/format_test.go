@@ -63,7 +63,7 @@ func forgeImageByte(t *testing.T, dir string, epoch uint64, shard int, off uint6
 // chunk must fail recovery's engine pass, whether the byte is in the
 // chain's base or in a delta over it.
 func TestRecoveryVerifiesWholeDataRegion(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	probe := newMachine(t, cfg)
 	spots := map[string]uint64{
 		"code-region":   probe.Layout.DataStart() + 10,
@@ -91,7 +91,7 @@ func TestRecoveryVerifiesWholeDataRegion(t *testing.T) {
 // TestRecoverStoreVerifiesCodeRegion is the same forgery on the sharded
 // path: one shard's code region is forged, that shard alone is refused.
 func TestRecoverStoreVerifiesCodeRegion(t *testing.T) {
-	scfg := shard.Config{Machine: testConfig(core.SchemeCached, "full"), Shards: 2}
+	scfg := shard.Config{Machine: testConfig(core.SchemeCached), Shards: 2}
 	scfg.Machine.ProtectedBytes = 32 << 10
 	dir := t.TempDir()
 	s, err := shard.New(scfg)
@@ -126,7 +126,7 @@ func TestRecoverStoreVerifiesCodeRegion(t *testing.T) {
 // on a forged image: the engine check refuses it, nothing is restored, and
 // neither constructor reports roots for it.
 func TestDetectedRecoveryRestoresNoRoots(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	t.Run("machine", func(t *testing.T) {
 		dir := t.TempDir()
 		_, m := checkpointEpochs(t, dir, cfg, 2)
@@ -171,7 +171,7 @@ func TestDetectedRecoveryRestoresNoRoots(t *testing.T) {
 // header, run table, line bytes and trailer — and at its sync: every torn
 // prefix must classify as a crash and roll back to epoch 1.
 func TestSegmentTearAtEveryWrite(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	for _, kind := range []struct {
 		name   string
 		stores int // in the second epoch: few make a delta, many a base
@@ -241,7 +241,7 @@ func TestBaseSegmentBytesUnchanged(t *testing.T) {
 		{core.SchemeIncr, 18876, 0xd47d8bfdd1c26209},
 	} {
 		dir := t.TempDir()
-		m := newMachine(t, testConfig(g.scheme, "full"))
+		m := newMachine(t, testConfig(g.scheme))
 		writeN(t, m, rand.New(rand.NewSource(7)), 48)
 		st := openStore(t, Options{Dir: dir, Retry: fastRetry})
 		if _, err := st.Checkpoint(MachineSource{m}); err != nil {
@@ -264,7 +264,7 @@ func TestBaseSegmentBytesUnchanged(t *testing.T) {
 // checksums of the previous on-disk format: recovery must refuse it, not
 // read it as a crash.
 func TestOldFormatRefused(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	dir := t.TempDir()
 	checkpointEpochs(t, dir, cfg, 2)
 	fnv64 := func(p []byte) uint64 {
@@ -302,7 +302,7 @@ func TestOldFormatRefused(t *testing.T) {
 
 // benchConfig is the benchmark's tenant machine: scheme c over 8 MiB.
 func benchConfig() core.Config {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	cfg.ProtectedBytes = 8 << 20
 	cfg.L2Size = 256 << 10
 	cfg.Benchmark = trace.Uniform("bench", 32<<10)

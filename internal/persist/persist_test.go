@@ -15,12 +15,11 @@ import (
 )
 
 // testConfig builds a small functional machine configuration.
-func testConfig(scheme core.Scheme, hashMode string) core.Config {
+func testConfig(scheme core.Scheme) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Scheme = scheme
 	cfg.Functional = true
 	cfg.HashAlg = "fnv128"
-	cfg.HashMode = hashMode
 	cfg.ViolationPolicy = "record"
 	cfg.ProtectedBytes = 16 << 10
 	cfg.L2Size = 8 << 10
@@ -87,7 +86,7 @@ func openStore(t *testing.T, opts Options) *Store {
 func TestCheckpointRecoverRoundtrip(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.SchemeNaive, core.SchemeCached, core.SchemeMulti, core.SchemeIncr} {
 		t.Run(string(scheme), func(t *testing.T) {
-			cfg := testConfig(scheme, "full")
+			cfg := testConfig(scheme)
 			dir := t.TempDir()
 			m := newMachine(t, cfg)
 			rng := rand.New(rand.NewSource(7))
@@ -134,7 +133,7 @@ func TestCheckpointRecoverRoundtrip(t *testing.T) {
 }
 
 func TestCheckpointRecoverStore(t *testing.T) {
-	scfg := shard.Config{Machine: testConfig(core.SchemeCached, "full"), Shards: 4}
+	scfg := shard.Config{Machine: testConfig(core.SchemeCached), Shards: 4}
 	scfg.Machine.ProtectedBytes = 64 << 10
 	dir := t.TempDir()
 
@@ -207,7 +206,7 @@ func checkpointEpochs(t *testing.T, dir string, cfg core.Config, rounds int) ([]
 }
 
 func TestRecoveryEdgeCases(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 
 	type tc struct {
 		name    string
@@ -341,7 +340,7 @@ func TestRecoveryEdgeCases(t *testing.T) {
 }
 
 func TestRecoverFresh(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	for _, sub := range []struct {
 		name string
 		prep func(t *testing.T, dir string)
@@ -366,11 +365,11 @@ func TestRecoverFresh(t *testing.T) {
 }
 
 func TestFingerprintMismatchFailsLoudly(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	dir := t.TempDir()
 	checkpointEpochs(t, dir, cfg, 1)
 
-	other := testConfig(core.SchemeMulti, "full")
+	other := testConfig(core.SchemeMulti)
 	_, _, err := RecoverMachine(Options{Dir: dir}, other)
 	if err == nil || !IsFingerprintMismatch(err) {
 		t.Fatalf("recovering under a different scheme: err = %v, want fingerprint mismatch", err)
@@ -388,7 +387,7 @@ func TestFingerprintMismatchFailsLoudly(t *testing.T) {
 }
 
 func TestStaleSnapshotReplayDetected(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	dir := t.TempDir()
 
 	m := newMachine(t, cfg)
@@ -541,7 +540,7 @@ func TestKillPointProperty(t *testing.T) {
 }
 
 func killPointCycle(t *testing.T, scheme core.Scheme, mode, stage string, script killScript) {
-	cfg := testConfig(scheme, "full")
+	cfg := testConfig(scheme)
 	dir := t.TempDir()
 	last := len(script.writes) // the killed epoch
 
@@ -601,7 +600,9 @@ func killPointCycle(t *testing.T, scheme core.Scheme, mode, stage string, script
 	// Restart: recover from the real directory with a clean FS.
 	if mode == legacyMode {
 		requireRefusedUntouched(t, dir, func() error {
-			_, _, err := RecoverMachine(Options{Dir: dir}, testConfig(scheme, mode))
+			legacy := cfg
+			legacy.HashMode = legacyMode
+			_, _, err := RecoverMachine(Options{Dir: dir}, legacy)
 			return err
 		})
 	}
@@ -647,7 +648,7 @@ func killPointCycle(t *testing.T, scheme core.Scheme, mode, stage string, script
 // normalize the WAL after the first so the second still reads as a crash,
 // not as tampering.
 func TestDoubleCrashRollback(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 	dir := t.TempDir()
 
 	m := newMachine(t, cfg)
@@ -688,7 +689,7 @@ func TestDoubleCrashRollback(t *testing.T) {
 }
 
 func TestRetryBackoff(t *testing.T) {
-	cfg := testConfig(core.SchemeCached, "full")
+	cfg := testConfig(core.SchemeCached)
 
 	t.Run("transient-recovers", func(t *testing.T) {
 		dir := t.TempDir()
@@ -747,16 +748,11 @@ func TestRetryBackoff(t *testing.T) {
 }
 
 func TestPersistRejectsUnsupportedConfigs(t *testing.T) {
-	base := testConfig(core.SchemeBase, "full")
+	base := testConfig(core.SchemeBase)
 	base.Scheme = core.SchemeBase
 	m := newMachine(t, base)
 	if _, _, err := m.SaveState(); err == nil {
 		t.Fatal("base scheme must not persist")
-	}
-	timing := testConfig(core.SchemeCached, "timing")
-	mt := newMachine(t, timing)
-	if _, _, err := mt.SaveState(); err == nil {
-		t.Fatal("timing hash mode must not persist")
 	}
 }
 

@@ -86,7 +86,7 @@ func checkStreamed(t *testing.T, name string, seg *segment, want []byte) {
 func TestStreamedSegmentsMatchReference(t *testing.T) {
 	hdr := segment{Epoch: 7, Shard: 2, Fingerprint: 0xfeed, Root: []byte{9, 8, 7, 6, 5}}
 	t.Run("machine", func(t *testing.T) {
-		cfg := testConfig(core.SchemeCached, "full")
+		cfg := testConfig(core.SchemeCached)
 		cfg.ProtectedBytes = 64 << 10
 		m := newMachine(t, cfg)
 		writeN(t, m, rand.New(rand.NewSource(5)), 32)
@@ -198,7 +198,7 @@ func TestStreamedSegmentsMatchReference(t *testing.T) {
 // back when a segment reached the disk — and the next checkpoint must
 // succeed and recover clean.
 func TestCheckpointUnderConcurrentWrites(t *testing.T) {
-	scfg := shard.Config{Machine: testConfig(core.SchemeCached, "full"), Shards: 4}
+	scfg := shard.Config{Machine: testConfig(core.SchemeCached), Shards: 4}
 	scfg.Machine.ProtectedBytes = 4 * 32 << 10
 	s, err := shard.New(scfg)
 	if err != nil {

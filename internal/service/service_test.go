@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -384,18 +383,17 @@ func TestServiceRejectsBadTenantNames(t *testing.T) {
 	}
 }
 
-// TestServiceRefusesTimingTenant pins the start-up guard: a timing-only
-// tenant verifies nothing, so shard refuses its store and New reports
-// that refusal under the tenant's name.
+// TestServiceRefusesTimingTenant pins the start-up guard: "timing" is no
+// hash mode (a functional run computes every digest), so core refuses the
+// tenant's machines and New reports that refusal under the tenant's name.
 func TestServiceRefusesTimingTenant(t *testing.T) {
 	tc := testTenant("t2", core.SchemeMulti, "record", 1)
 	tc.Store.Machine.HashMode = "timing"
 	_, err := New(Config{Tenants: []TenantConfig{
 		testTenant("t0", core.SchemeCached, "record", 1), tc,
 	}, AllowTamper: true})
-	var se *shard.SettingError
-	if !errors.As(err, &se) || se.Field != "HashMode" || !strings.Contains(err.Error(), "tenant t2") {
-		t.Fatalf("New with a timing tenant: %v, want shard's SettingError naming tenant t2", err)
+	if err == nil || !strings.Contains(err.Error(), "tenant t2") || !strings.Contains(err.Error(), `"timing"`) {
+		t.Fatalf("New with a timing tenant: %v, want a refusal of the mode naming tenant t2", err)
 	}
 }
 

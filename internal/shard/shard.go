@@ -143,9 +143,8 @@ func NewFromState(cfg Config, imgs, roots [][]byte) (*Store, error) {
 // SettingError is the constructors' refusal of a machine template that
 // strays from the paper's serving configuration: a store verifies every
 // byte it returns, blocks on each check, and keeps tree nodes in the
-// shared L2 (§5.3–5.5). The dedicated verification cache and
-// timing-only digests are simulator ablations; core runs them, a store
-// does not.
+// shared L2 (§5.3–5.5). The dedicated verification cache is a simulator
+// ablation; core runs it, a store does not.
 type SettingError struct {
 	Field string // the core.Config field, e.g. "VerifyCacheLines"
 	Value any
@@ -156,17 +155,6 @@ func (e *SettingError) Error() string {
 		e.Field, e.Value)
 }
 
-// checkServing returns the SettingError for the first ablation m enables.
-func checkServing(m *core.Config) error {
-	switch {
-	case m.VerifyCacheLines > 0:
-		return &SettingError{"VerifyCacheLines", m.VerifyCacheLines}
-	case m.HashMode != "" && m.HashMode != "full":
-		return &SettingError{"HashMode", m.HashMode}
-	}
-	return nil
-}
-
 // newStore is the one constructor; imgs is nil for fresh machines.
 func newStore(cfg Config, imgs, roots [][]byte) (*Store, error) {
 	if cfg.Shards < 1 {
@@ -175,8 +163,8 @@ func newStore(cfg Config, imgs, roots [][]byte) (*Store, error) {
 	if !cfg.Machine.Functional {
 		return nil, fmt.Errorf("shard: the store serves real bytes; Machine.Functional is required")
 	}
-	if err := checkServing(&cfg.Machine); err != nil {
-		return nil, err
+	if cfg.Machine.VerifyCacheLines > 0 {
+		return nil, &SettingError{"VerifyCacheLines", cfg.Machine.VerifyCacheLines}
 	}
 	if cfg.Recorders != nil && len(cfg.Recorders) != cfg.Shards {
 		return nil, fmt.Errorf("shard: %d recorders for %d shards", len(cfg.Recorders), cfg.Shards)

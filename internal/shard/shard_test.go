@@ -408,8 +408,9 @@ func TestBatchReportsOwnStoreViolation(t *testing.T) {
 }
 
 // TestNewRefusesAblations: a store runs the serving configuration, so
-// both constructors refuse each simulator ablation with a SettingError
-// naming the field.
+// both constructors refuse the dedicated verification cache with a
+// SettingError naming the field, and a hash mode other than full (which
+// core.Config.Validate rejects) with an error naming the mode.
 func TestNewRefusesAblations(t *testing.T) {
 	for _, tc := range []struct {
 		field string
@@ -422,10 +423,17 @@ func TestNewRefusesAblations(t *testing.T) {
 		tc.set(&cfg)
 		scfg := Config{Machine: cfg, Shards: 2}
 		_, errNew := New(scfg)
-		_, errState := NewFromState(scfg, make([][]byte, 2), make([][]byte, 2))
+		// Empty, non-nil images: core validates the template before it
+		// looks at an image.
+		_, errState := NewFromState(scfg, [][]byte{{}, {}}, make([][]byte, 2))
 		for name, err := range map[string]error{"New": errNew, "NewFromState": errState} {
 			var se *SettingError
-			if !errors.As(err, &se) || se.Field != tc.field {
+			switch {
+			case err == nil:
+				t.Errorf("%s with %s accepted", name, tc.field)
+			case tc.field == "HashMode" && !strings.Contains(err.Error(), `"timing"`):
+				t.Errorf("%s with %s: %v, want an error naming the mode", name, tc.field, err)
+			case tc.field != "HashMode" && (!errors.As(err, &se) || se.Field != tc.field):
 				t.Errorf("%s with %s: %v, want a SettingError naming %s", name, tc.field, err, tc.field)
 			}
 		}

@@ -10,7 +10,9 @@
 // no-op, so a simulation with telemetry disabled allocates nothing and
 // runs within 2% of an uninstrumented build. The alloc half of the
 // contract is pinned by TestDisabledEmissionZeroAllocs; the throughput
-// half is tracked by scripts/bench_telemetry.sh → BENCH_telemetry.json.
+// half is ci.sh's telemetry overhead gate (BenchmarkTelemetryOverhead's
+// disabled leg against BenchmarkSimulatorThroughput/c). The cost of
+// tracing when enabled is the benchmark's trace.overhead_pct.
 //
 // A Trace is deliberately single-goroutine (like the machines it
 // observes): enabling tracing on a figure sweep forces the sweep serial,
