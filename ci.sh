@@ -19,6 +19,14 @@ go test -race ./...
 go run ./cmd/tamper >/dev/null
 echo "tamper gate OK"
 
+# Examples gate: the library demos (quickstart, the replay attack, certified
+# execution — internal/lamport's only importer — and DMA initialization)
+# each exit nonzero when the outcome they demonstrate fails to happen.
+for ex in examples/*/; do
+  go run "./$ex" >/dev/null
+done
+echo "examples gate OK"
+
 # Seeded chaos mini-campaign: 100 fault injections (25 per tree scheme)
 # must all be detected with zero false positives on the paired clean runs.
 # Identical seeds produce byte-identical reports, so this doubles as a

@@ -2,7 +2,7 @@
 // functional simulator and reports detection rates and latencies per
 // verification scheme. Identical seeds produce byte-identical reports, so
 // a pinned invocation doubles as a CI regression gate: the command exits
-// nonzero if any persistent injection goes undetected or if a clean
+// nonzero if any injection goes undetected or if a clean
 // (no-adversary) run flags a violation.
 //
 // With -crash the campaign targets the persistence layer instead of live
@@ -16,7 +16,7 @@
 //
 //	chaos                          # 100 injections per tree scheme
 //	chaos -n 1000 -schemes c,i     # bigger campaign, two schemes
-//	chaos -policy retry -transient # include transient glitches
+//	chaos -policy halt             # halt on the first violation
 //	chaos -crash -n 50 -schemes c  # kill/restart + disk-tamper campaign
 //	chaos -csv out.csv -json out.json
 package main
@@ -54,10 +54,9 @@ func run() error {
 		seed        = flag.Uint64("seed", 1, "campaign RNG seed")
 		n           = flag.Int("n", 100, "injections per scheme")
 		schemes     = flag.String("schemes", "naive,c,m,i", "comma-separated verification schemes")
-		policy      = flag.String("policy", "record", "violation policy: record, halt or retry")
+		policy      = flag.String("policy", "record", "violation policy: record or halt")
 		warm        = flag.Int("warm", 24, "warm accesses before each injection")
 		post        = flag.Int("post", 24, "random accesses after each injection")
-		transient   = flag.Bool("transient", false, "include transient glitch injections")
 		csvPath     = flag.String("csv", "", "write per-injection rows to this CSV file")
 		jsonPath    = flag.String("json", "", "write full reports to this JSON file")
 		vcLines     = flag.Int("verify-cache", 0, "dedicated verification cache size in L2-block lines (0 = share the L2)")
@@ -117,7 +116,7 @@ func run() error {
 	reg := rf.NewRegistry()
 
 	tbl := stats.NewTable("chaos campaign (seed "+fmt.Sprint(*seed)+")",
-		"scheme", "injections", "live", "sweep", "transient", "missed",
+		"scheme", "injections", "live", "sweep", "missed",
 		"det rate", "lat (acc)", "lat (cyc)", "clean viol")
 	tbl.SetPrecision(2)
 
@@ -130,7 +129,6 @@ func run() error {
 		cfg.Policy = *policy
 		cfg.WarmAccesses = *warm
 		cfg.PostAccesses = *post
-		cfg.IncludeTransient = *transient
 		cfg.VerifyCacheLines = *vcLines
 		cfg.VerifyCacheAssoc = *vcAssoc
 		cfg.Telemetry = rec
@@ -150,7 +148,6 @@ func run() error {
 			point.Add(pfx+"injections", uint64(s.Total))
 			point.Add(pfx+"detected_live", uint64(s.DetectedLive))
 			point.Add(pfx+"detected_sweep", uint64(s.DetectedSweep))
-			point.Add(pfx+"transient", uint64(s.Transient))
 			point.Add(pfx+"missed", uint64(s.Missed))
 			point.Add(pfx+"clean_violations", uint64(clean))
 			point.SetGauge(pfx+"detection_rate", s.DetectionRate)
@@ -164,7 +161,7 @@ func run() error {
 			"scheme=%s injections=%d missed=%d clean_violations=%d",
 			scheme, s.Total, s.Missed, clean))
 		tbl.AddRow(string(scheme), s.Total, s.DetectedLive, s.DetectedSweep,
-			s.Transient, s.Missed, s.DetectionRate,
+			s.Missed, s.DetectionRate,
 			s.MeanLatencyAccesses, s.MeanLatencyCycles, clean)
 		if s.Missed > 0 {
 			fmt.Fprintf(os.Stderr, "FAIL: scheme %s missed %d/%d injections\n", scheme, s.Missed, s.Total)

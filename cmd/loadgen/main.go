@@ -203,7 +203,7 @@ func run() error {
 	block := flag.Int("block", cfg.L2Block, "L2 block size in bytes")
 	chunkBlocks := flag.Int("chunk-blocks", 0, "L2 blocks per hash chunk (default 1, or 2 for m/i)")
 	alg := flag.String("alg", cfg.HashAlg, "hash algorithm: md5, sha1, fnv128")
-	policy := flag.String("policy", "record", "violation policy: record, halt, retry")
+	policy := flag.String("policy", "record", "violation policy: record or halt")
 	seed := flag.Uint64("seed", 1, "traffic seed")
 	tamper := flag.Int("tamper", -1, "corrupt this shard's memory after the traffic phase (expect a nonzero exit)")
 	verify := flag.Bool("verify", true, "re-read and verify the whole region after the traffic phase")

@@ -55,7 +55,7 @@ func run() error {
 	shards := flag.Int("shards", 4, "default shards per tenant")
 	protected := flag.Uint64("protected", 8<<20, "default protected bytes per tenant")
 	l2 := flag.Int("l2", 256<<10, "default per-shard L2 size in bytes")
-	policy := flag.String("policy", "record", "default violation policy: record, halt, retry")
+	policy := flag.String("policy", "record", "default violation policy: record or halt")
 	alg := flag.String("alg", cfg.HashAlg, "default hash algorithm: md5, sha1, fnv128")
 	queueDepth := flag.Int("queue-depth", 64, "default per-shard request queue depth")
 	persistRoot := flag.String("persist", "", "checkpoint every tenant into ROOT/<name>, anchored at ROOT/anchors/<name>.anchor; tenants recover at boot")

@@ -1,10 +1,9 @@
 // Package chaos is a deterministic, seeded fault-injection campaign engine
 // for the memory-integrity simulator. A campaign mounts randomized physical
-// attacks — bit flips, burst corruption, snapshot replay, address splicing,
-// dropped write-backs, and (optionally) transient bus glitches — against
-// data blocks, tree-node chunks, and stored hash/MAC records of a live
-// functional machine, and measures whether and how fast the verification
-// scheme detects each one.
+// attacks — bit flips, burst corruption, snapshot replay, address splicing
+// and dropped write-backs — against data blocks, tree-node chunks, and
+// stored hash/MAC records of a live functional machine, and measures
+// whether and how fast the verification scheme detects each one.
 //
 // Determinism is a hard requirement: every random choice flows from one
 // trace.RNG seeded by Config.Seed, each injection runs on a fresh machine,
@@ -12,8 +11,8 @@
 // seeds produce byte-identical CSV and JSON reports. That makes a campaign
 // usable as a CI regression gate.
 //
-// The paper's detection claim (§3, §5.8) is about *persistent* tampering of
-// external memory that the processor subsequently consumes. A campaign is
+// The paper's detection claim (§3, §5.8) is about tampering of external
+// memory that the processor subsequently consumes. A campaign is
 // engineered so every injection is consumable and detection is decidable:
 //
 //   - The machine's protected state is flushed and invalidated before the
@@ -27,9 +26,9 @@
 //     loads straight through them, forcing the verification path over the
 //     corruption.
 //
-// Under those rules every tree scheme must detect every persistent
-// injection: Outcome "missed" is a real bug in the verification machinery,
-// and the campaign's summary is asserted on in CI.
+// Under those rules every tree scheme must detect every injection: Outcome
+// "missed" is a real bug in the verification machinery, and the campaign's
+// summary is asserted on in CI.
 package chaos
 
 import (
@@ -48,7 +47,6 @@ const (
 	KindReplay    = "replay"
 	KindSplice    = "splice"
 	KindDropWrite = "drop-write"
-	KindGlitch    = "glitch" // transient; only with Config.IncludeTransient
 )
 
 // Attack targets.
@@ -62,7 +60,6 @@ const (
 const (
 	OutcomeDetectedLive  = "detected-live"  // flagged by random post-injection traffic
 	OutcomeDetectedSweep = "detected-sweep" // flagged by the deadline sweep
-	OutcomeTransient     = "transient"      // glitch suppressed by PolicyRetry re-fetch
 	OutcomeMissed        = "missed"         // never flagged — a verification bug
 )
 
@@ -71,7 +68,7 @@ const (
 type Config struct {
 	Seed   uint64
 	Scheme core.Scheme
-	Policy string // "record", "halt" or "retry"
+	Policy string // "record" or "halt"
 
 	// Injections is the number of fault injections to run. Each runs on a
 	// fresh machine so earlier corruption cannot mask later detection.
@@ -87,13 +84,6 @@ type Config struct {
 	// while still exercising multi-level trees.
 	ProtectedBytes uint64
 	L2Size         int
-
-	// IncludeTransient adds glitch injections — transient bus faults that
-	// corrupt a bounded number of reads while stored memory stays clean.
-	// Only meaningful with Policy "retry", which can tell them apart from
-	// persistent tampering; under other policies a glitch is recorded as a
-	// plain violation.
-	IncludeTransient bool
 
 	// VerifyCacheLines/VerifyCacheAssoc give tree nodes a dedicated cache
 	// on every injection's machine — the campaign legs proving the
@@ -144,25 +134,16 @@ func (c Config) machineConfig() core.Config {
 	return cfg
 }
 
-// kinds returns the persistent attack-kind rotation for the campaign.
-func (c Config) kinds() []string {
-	ks := []string{KindBitFlip, KindBurst, KindReplay, KindSplice, KindDropWrite}
-	if c.IncludeTransient {
-		ks = append(ks, KindGlitch)
-	}
-	return ks
-}
+// kinds is the campaign's attack-kind rotation.
+var kinds = []string{KindBitFlip, KindBurst, KindReplay, KindSplice, KindDropWrite}
 
 // targetsFor lists the targets an attack kind can aim at. Splice needs two
-// chunks whose contents the campaign controls, so it stays on data;
-// glitches stay on data so exactly one read path consumes the fault.
+// chunks whose contents the campaign controls, so it stays on data.
 func targetsFor(kind string) []string {
-	switch kind {
-	case KindSplice, KindGlitch:
+	if kind == KindSplice {
 		return []string{TargetData}
-	default:
-		return []string{TargetData, TargetNode, TargetRecord}
 	}
+	return []string{TargetData, TargetNode, TargetRecord}
 }
 
 // Run executes the campaign and returns its report. The error is
@@ -181,7 +162,6 @@ func Run(cfg Config) (*Report, error) {
 		Scheme: string(cfg.Scheme),
 		Policy: cfg.Policy,
 	}
-	kinds := cfg.kinds()
 	for i := 0; i < cfg.Injections; i++ {
 		kind := kinds[i%len(kinds)]
 		targets := targetsFor(kind)
@@ -284,12 +264,6 @@ func runInjection(cfg Config, id int, kind, target string, rng *trace.RNG) (*Inj
 	if err := st.inject(inj); err != nil {
 		return nil, err
 	}
-
-	if kind == KindGlitch {
-		st.resolveGlitch(inj)
-		return inj, nil
-	}
-
 	st.observe(inj)
 	return inj, nil
 }
@@ -435,10 +409,6 @@ func (st *campaignState) inject(inj *Injection) error {
 		}
 		m.EvictProtected()
 
-	case KindGlitch:
-		m.EvictProtected()
-		adv.Glitch(victimAddr, victimSize, st.nonzeroMask(), 1)
-
 	default:
 		return fmt.Errorf("unknown attack kind %q", inj.Kind)
 	}
@@ -525,42 +495,4 @@ func (st *campaignState) observe(inj *Injection) {
 	}
 	inj.Observed = st.observed
 	inj.Healed = st.healed
-	st.fillStats(inj)
-}
-
-// resolveGlitch consumes a transient glitch synchronously: one verified
-// load through the glitched region. Under PolicyRetry the re-fetch sees
-// clean memory and suppresses the violation (outcome "transient"); under
-// other policies the glitch is indistinguishable from tampering and is
-// recorded as a detection.
-func (st *campaignState) resolveGlitch(inj *Injection) {
-	m := st.m
-	injectCycle := m.Now()
-	baseViol := m.Sys.Stat.Violations
-	_ = m.LoadBytes(st.sweepOff, make([]byte, st.blk))
-	inj.Accesses = 1
-	switch {
-	case m.Sys.Stat.Violations > baseViol:
-		inj.Outcome = OutcomeDetectedLive
-		inj.LatencyAccesses = 1
-		inj.LatencyCycles = m.Now() - injectCycle
-	case m.Sys.Stat.RetriesTransient > 0:
-		inj.Outcome = OutcomeTransient
-	default:
-		// The glitched read never reached a verifier (it should have: the
-		// sweep offset reads through the glitch region). Treat as missed so
-		// the gate trips.
-		inj.Outcome = OutcomeMissed
-	}
-	inj.Observed = st.observed
-	inj.Healed = st.healed
-	st.fillStats(inj)
-}
-
-// fillStats copies the machine's retry counters into the injection row.
-func (st *campaignState) fillStats(inj *Injection) {
-	s := st.m.Sys.Stat
-	inj.Retries = s.Retries
-	inj.RetriesTransient = s.RetriesTransient
-	inj.RetriesPersistent = s.RetriesPersistent
 }

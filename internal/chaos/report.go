@@ -34,11 +34,6 @@ type Injection struct {
 	// or wrote over the tampered region before classification.
 	Observed bool `json:"observed"`
 	Healed   bool `json:"healed"`
-
-	// Retry-policy counters at classification time.
-	Retries           uint64 `json:"retries"`
-	RetriesTransient  uint64 `json:"retries_transient"`
-	RetriesPersistent uint64 `json:"retries_persistent"`
 }
 
 // Summary aggregates a campaign.
@@ -46,9 +41,8 @@ type Summary struct {
 	Total         int     `json:"total"`
 	DetectedLive  int     `json:"detected_live"`
 	DetectedSweep int     `json:"detected_sweep"`
-	Transient     int     `json:"transient"`
 	Missed        int     `json:"missed"`
-	DetectionRate float64 `json:"detection_rate"` // detected / persistent injections
+	DetectionRate float64 `json:"detection_rate"` // detected / total
 
 	MeanLatencyAccesses float64 `json:"mean_latency_accesses"`
 	MeanLatencyCycles   float64 `json:"mean_latency_cycles"`
@@ -78,8 +72,6 @@ func (r *Report) summarize() {
 			s.DetectedLive++
 		case OutcomeDetectedSweep:
 			s.DetectedSweep++
-		case OutcomeTransient:
-			s.Transient++
 		case OutcomeMissed:
 			s.Missed++
 		}
@@ -92,8 +84,8 @@ func (r *Report) summarize() {
 		}
 	}
 	detected := s.DetectedLive + s.DetectedSweep
-	if persistent := s.Total - s.Transient; persistent > 0 {
-		s.DetectionRate = float64(detected) / float64(persistent)
+	if s.Total > 0 {
+		s.DetectionRate = float64(detected) / float64(s.Total)
 	}
 	if detected > 0 {
 		s.MeanLatencyAccesses = float64(latAcc) / float64(detected)
@@ -105,16 +97,15 @@ func (r *Report) summarize() {
 // WriteCSV writes one header line plus one line per injection.
 func (r *Report) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w,
-		"id,scheme,policy,kind,target,chunk,addr,outcome,accesses,latency_accesses,latency_cycles,resident_accesses,observed,healed,retries,retries_transient,retries_persistent"); err != nil {
+		"id,scheme,policy,kind,target,chunk,addr,outcome,accesses,latency_accesses,latency_cycles,resident_accesses,observed,healed"); err != nil {
 		return err
 	}
 	for _, inj := range r.Injections {
-		if _, err := fmt.Fprintf(w, "%d,%s,%s,%s,%s,%d,%d,%s,%d,%d,%d,%d,%t,%t,%d,%d,%d\n",
+		if _, err := fmt.Fprintf(w, "%d,%s,%s,%s,%s,%d,%d,%s,%d,%d,%d,%d,%t,%t\n",
 			inj.ID, r.Scheme, r.Policy, inj.Kind, inj.Target,
 			inj.Chunk, inj.Addr, inj.Outcome, inj.Accesses,
 			inj.LatencyAccesses, inj.LatencyCycles, inj.ResidentAccesses,
-			inj.Observed, inj.Healed,
-			inj.Retries, inj.RetriesTransient, inj.RetriesPersistent); err != nil {
+			inj.Observed, inj.Healed); err != nil {
 			return err
 		}
 	}
@@ -129,10 +120,10 @@ func (s Summary) MarshalJSON() ([]byte, error) {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, `{"detected_live":%d,"detected_sweep":%d,"detection_rate":%.6f,`+
 		`"max_resident_window":%d,"mean_latency_accesses":%.6f,"mean_latency_cycles":%.6f,`+
-		`"missed":%d,"total":%d,"transient":%d}`,
+		`"missed":%d,"total":%d}`,
 		s.DetectedLive, s.DetectedSweep, s.DetectionRate,
 		s.MaxResidentWindow, s.MeanLatencyAccesses, s.MeanLatencyCycles,
-		s.Missed, s.Total, s.Transient)
+		s.Missed, s.Total)
 	return b.Bytes(), nil
 }
 

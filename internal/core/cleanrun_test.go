@@ -108,47 +108,3 @@ func TestRecordPolicyContinues(t *testing.T) {
 		t.Fatal("violation not recorded")
 	}
 }
-
-// TestRetryPolicyDistinguishes pins the retry policy's classification at
-// machine level: a transient glitch is suppressed (a transient retry, no
-// violation), persistent tampering is flagged (a persistent retry).
-func TestRetryPolicyDistinguishes(t *testing.T) {
-	cfg := cleanConfig(SchemeCached)
-	cfg.ViolationPolicy = "retry"
-	m, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.StoreBytes(0, bytes.Repeat([]byte{0x42}, 64)); err != nil {
-		t.Fatal(err)
-	}
-	m.EvictProtected()
-
-	// Transient: the next read of the chunk sees corrupted bytes, memory
-	// stays clean; the retry probe verifies and suppresses the violation.
-	adv := m.Adversary()
-	base := m.Layout.ChunkAddr(m.Layout.ChunkOf(m.ProgAddr(0)))
-	adv.Glitch(base, uint64(m.Layout.ChunkSize), 0x40, 1)
-	if err := m.LoadBytes(0, make([]byte, 64)); err != nil {
-		t.Fatalf("glitched load flagged a violation despite retry: %v", err)
-	}
-	if got := m.Sys.Stat.RetriesTransient; got != 1 {
-		t.Fatalf("RetriesTransient = %d, want 1", got)
-	}
-	if got := m.Sys.Stat.Violations; got != 0 {
-		t.Fatalf("transient glitch recorded %d violations", got)
-	}
-
-	// Persistent: stored bytes corrupted; the retry probe fails again.
-	m.EvictProtected()
-	adv.Corrupt(m.ProgAddr(7), 0x01)
-	if err := m.LoadBytes(0, make([]byte, 64)); err == nil {
-		t.Fatal("persistent tamper not flagged under retry")
-	}
-	if got := m.Sys.Stat.RetriesPersistent; got == 0 {
-		t.Fatal("persistent tamper did not advance RetriesPersistent")
-	}
-	if got := m.Sys.Stat.Violations; got == 0 {
-		t.Fatal("persistent tamper not recorded as a violation")
-	}
-}

@@ -101,9 +101,7 @@ type Config struct {
 	// ViolationPolicy selects the containment behaviour after a detected
 	// integrity violation: "record" (or empty) counts and continues,
 	// "halt" makes every subsequent LoadBytes/StoreBytes return ErrHalted
-	// (the §5.8 security exception), "retry" re-fetches a failing chunk
-	// once to distinguish transient bus/DRAM faults from persistent
-	// tampering. See integrity.ViolationPolicy.
+	// (the §5.8 security exception). See integrity.ViolationPolicy.
 	ViolationPolicy string
 
 	// Telemetry, when non-nil, attaches the observability layer: every

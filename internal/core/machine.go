@@ -70,9 +70,13 @@ func NewMachine(cfg Config) (*Machine, error) { return newMachine(cfg, nil, nil)
 // keeps its buffer passes a clone, or restores with RestoreState, which
 // copies). Nothing is hashed and nothing is trusted yet: the tree is
 // whatever img holds, and reads verify it against root as they go
-// (VerifyImage checks all of it at once).
+// (VerifyImage checks all of it at once). An invalid cfg is reported
+// before a missing image.
 func NewMachineFromState(cfg Config, img, root []byte) (*Machine, error) {
 	if img == nil {
+		if err := cfg.Validate(); err != nil {
+			return nil, err
+		}
 		return nil, fmt.Errorf("core: NewMachineFromState needs a state image")
 	}
 	return newMachine(cfg, img, root)
@@ -135,7 +139,6 @@ func newMachine(cfg Config, img, root []byte) (*Machine, error) {
 		L2Latency:   cfg.L2Latency,
 		CheckReads:  true,
 		Functional:  cfg.Functional,
-		Policy:      policy,
 		OnViolation: m.noteViolation,
 		VC:          m.VC,
 	}

@@ -152,9 +152,6 @@ func MergeMetrics(ms ...Metrics) Metrics {
 		agg.Violations += is.Violations
 		agg.MACUpdates += is.MACUpdates
 		agg.Evictions += is.Evictions
-		agg.Retries += is.Retries
-		agg.RetriesTransient += is.RetriesTransient
-		agg.RetriesPersistent += is.RetriesPersistent
 		for c := 0; c < len(mt.VCStats.Accesses); c++ {
 			out.VCStats.Accesses[c] += mt.VCStats.Accesses[c]
 			out.VCStats.Misses[c] += mt.VCStats.Misses[c]

@@ -8,7 +8,8 @@ import (
 // TestValidateRejectsBadConfigs pins the contract that every
 // misconfiguration reachable from Config — including geometry the engine
 // and substrate constructors would panic on — comes back from NewMachine
-// as a descriptive error, never a panic.
+// as a descriptive error, never a panic. NewMachineFromState reports the
+// same error even with no image to adopt: the config is checked first.
 func TestValidateRejectsBadConfigs(t *testing.T) {
 	cases := []struct {
 		name string
@@ -45,6 +46,7 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"zero instructions", func(c *Config) { c.Instructions = 0 }, "instruction budget"},
 		{"nothing protected", func(c *Config) { c.ProtectedBytes = 0 }, "nothing to protect"},
 		{"unknown violation policy", func(c *Config) { c.ViolationPolicy = "panic" }, "panic"},
+		{"retry violation policy", func(c *Config) { c.ViolationPolicy = "retry" }, "want record or halt"},
 		{"unknown hash mode", func(c *Config) { c.HashMode = "approximate" }, "approximate"},
 		{"functional region too large", func(c *Config) {
 			c.Functional = true
@@ -70,6 +72,9 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+			if _, err := NewMachineFromState(cfg, nil, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("NewMachineFromState without an image: %v, want an error mentioning %q", err, tc.want)
 			}
 		})
 	}

@@ -133,7 +133,6 @@ func TestSuitesUnderPoison(t *testing.T) {
 		{"FillSurvivesPathConflict", TestFillSurvivesPathConflict},
 		{"SpanCountIdentity", TestSpanCountIdentity},
 		{"CleanRunNoFalsePositives", TestCleanRunNoFalsePositives},
-		{"RetryPolicyDistinguishes", TestRetryPolicyDistinguishes},
 		{"HaltPolicy", TestHaltPolicy},
 	} {
 		t.Run(s.name, s.run)

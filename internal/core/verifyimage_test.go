@@ -96,8 +96,8 @@ func countersOf(m *Machine) counters {
 // the engine sweep it replaces in recovery: on each restored state, the
 // two — each on its own machine built from that state — agree on
 // detected versus clean, for every tree scheme and violation policy. A
-// detection halts a halt-policy machine, a retry-policy detection is a
-// persistent retry, and a clean check charges nothing anywhere. The check
+// detection halts a halt-policy machine, and a clean check charges
+// nothing anywhere. The check
 // runs on every core; the one violation it records is at the chunk the
 // serial walk, forced by an interposed adversary, reports.
 func TestVerifyImageAgreesWithVerifyAll(t *testing.T) {
@@ -107,7 +107,7 @@ func TestVerifyImageAgreesWithVerifyAll(t *testing.T) {
 			cfg := smallCfg(scheme)
 			cfg.ProtectedBytes = 1<<20 - 4096
 			for _, tc := range imageCases(t, cfg) {
-				for _, policy := range []string{"record", "halt", "retry"} {
+				for _, policy := range []string{"record", "halt"} {
 					t.Run(tc.name+"/"+policy, func(t *testing.T) {
 						pcfg := cfg
 						pcfg.ViolationPolicy = policy
@@ -149,17 +149,12 @@ func TestVerifyImageAgreesWithVerifyAll(t *testing.T) {
 						if want := image.Layout.TotalChunks - 1; tc.name == "two-forgeries" && image.Sys.First.Chunk != want {
 							t.Fatalf("violation at chunk %d, want the forged data chunk %d", image.Sys.First.Chunk, want)
 						}
-						switch policy {
-						case "halt":
+						if policy == "halt" {
 							if !image.Halted() || !sweep.Halted() {
 								t.Fatalf("halted: image check %v, sweep %v; want both", image.Halted(), sweep.Halted())
 							}
 							if err := image.VerifyImage(); !errors.Is(err, ErrHalted) {
 								t.Fatalf("check of a halted machine: %v, want ErrHalted", err)
-							}
-						case "retry":
-							if s := image.Sys.Stat; s.Retries != 1 || s.RetriesPersistent != 1 {
-								t.Fatalf("retries %d (persistent %d), want one persistent", s.Retries, s.RetriesPersistent)
 							}
 						}
 					})
@@ -174,15 +169,14 @@ func TestVerifyImageAgreesWithVerifyAll(t *testing.T) {
 // Replay serves the check what it serves a demand read. Here it replays a
 // forged data chunk over memory that holds the genuine one: the check
 // sees the forgery and reports it at that chunk — once, halting a
-// halt-policy machine, persistent under retry — though memory itself is
-// clean.
+// halt-policy machine — though memory itself is clean.
 func TestVerifyImageThroughAdversary(t *testing.T) {
 	atLeastTwoProcs(t)
 	for _, scheme := range []Scheme{SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
 		cfg := smallCfg(scheme)
 		cfg.ProtectedBytes = 1<<20 - 4096
 		clean := imageCases(t, cfg)[0]
-		for _, policy := range []string{"record", "halt", "retry"} {
+		for _, policy := range []string{"record", "halt"} {
 			t.Run(string(scheme)+"/"+policy, func(t *testing.T) {
 				pcfg := cfg
 				pcfg.ViolationPolicy = policy
@@ -206,9 +200,6 @@ func TestVerifyImageThroughAdversary(t *testing.T) {
 				}
 				if m.Halted() != (policy == "halt") {
 					t.Fatalf("halted %v under policy %s", m.Halted(), policy)
-				}
-				if s := m.Sys.Stat; policy == "retry" && (s.Retries != 1 || s.RetriesPersistent != 1) {
-					t.Fatalf("retries %d (persistent %d), want one persistent", s.Retries, s.RetriesPersistent)
 				}
 				adv.StopReplay(h)
 				if policy != "halt" {

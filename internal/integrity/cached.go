@@ -223,35 +223,8 @@ func (e *Cached) readAndCheckChunk(now uint64, c uint64, demandBA uint64) (img [
 	}
 	if s.CheckReads {
 		s.Stat.Checks++
-		if s.Functional {
-			failed := !e.verify(c, img, stored)
-			if failed {
-				detail := "stored record does not match memory image"
-				if s.Policy == PolicyRetry {
-					passed, rdone := s.retryVerify(checkDone, c, true, func(probe []byte) bool {
-						ok := e.verify(c, probe, stored)
-						if ok {
-							// The re-fetch verified clean, so the first
-							// transfer was the faulty one: deliver (and
-							// later cache) the clean bytes, as re-issued
-							// hardware would.
-							copy(img, probe)
-						}
-						return ok
-					})
-					if rdone > checkDone {
-						checkDone = rdone
-					}
-					if passed {
-						failed = false // transient fault; the re-read is clean
-					} else {
-						detail = "stored record does not match memory image (persistent after re-fetch)"
-					}
-				}
-				if failed {
-					s.violation(c, e.scheme, detail)
-				}
-			}
+		if s.Functional && !e.verify(c, img, stored) {
+			s.violation(c, e.scheme, "stored record does not match memory image")
 		}
 	}
 	if s.Trace != nil {

@@ -67,8 +67,7 @@ func (s *System) initializeTree(record func(c uint64, img []byte) []byte) {
 // check newCheck returns. Each stored byte is covered — data, the records
 // of every interior chunk and their unused slots — because every chunk is
 // checked whole. A mismatch is a violation exactly as on a demand read:
-// it goes through System.violation, so the record and halt policies see
-// it, and under PolicyRetry the chunk is re-read once first.
+// it goes through System.violation, so the record and halt policies see it.
 //
 // The verdict is the serial walk's, from the last chunk down to chunk 0:
 // it stops at the first violation it meets — the highest-numbered chunk
@@ -114,15 +113,7 @@ func (s *System) checkTree(scheme string, newCheck func() checkFunc) error {
 		if check(c, img, want) {
 			return true
 		}
-		detail := "stored record does not match memory image"
-		if s.Policy == PolicyRetry {
-			s.Mem.Read(s.Layout.ChunkAddr(c), img)
-			if s.retried(check(c, img, want)) {
-				return true
-			}
-			detail += " (persistent after re-fetch)"
-		}
-		found = s.violation(c, scheme, detail)
+		found = s.violation(c, scheme, "stored record does not match memory image")
 		return false
 	})
 	return found

@@ -65,36 +65,12 @@ func (e *Naive) readChunkMem(c uint64) []byte {
 // checkAgainst verifies chunk cur's memory image curImg against the
 // stored record want, skipped entirely — always passing — in a timing
 // (non-functional) run. The Checks counter advances identically in both.
-// at is the cycle the compared bytes are in hand; the return value is when
-// the check — including any PolicyRetry re-fetch probe — completes.
-func (e *Naive) checkAgainst(at uint64, cur uint64, curImg, want []byte, detail string) uint64 {
+func (e *Naive) checkAgainst(cur uint64, curImg, want []byte, detail string) {
 	s := e.sys
 	s.Stat.Checks++
-	if !s.Functional {
-		return at
-	}
-	if !s.hashMatches(cur, curImg, want) {
-		if s.Policy == PolicyRetry {
-			passed, rdone := s.retryVerify(at, cur, false, func(probe []byte) bool {
-				ok := s.hashMatches(cur, probe, want)
-				if ok && curImg != nil {
-					// Transient fault on the first transfer: replace the
-					// delivered image with the clean re-read.
-					copy(curImg, probe)
-				}
-				return ok
-			})
-			if rdone > at {
-				at = rdone
-			}
-			if passed {
-				return at // transient fault; the re-read is clean
-			}
-			detail += " (persistent after re-fetch)"
-		}
+	if s.Functional && !s.hashMatches(cur, curImg, want) {
 		s.violation(cur, "naive", detail)
 	}
-	return at
 }
 
 // verifyPath checks img (the contents of chunk c as read from memory) and
@@ -122,9 +98,7 @@ func (e *Naive) verifyPath(start uint64, c uint64, img []byte, checkFirst bool) 
 		}
 		if cur == 0 {
 			if s.CheckReads && (checkFirst || cur != c) {
-				if d := e.checkAgainst(done, cur, curImg, s.Root, "root register mismatch"); d > done {
-					done = d
-				}
+				e.checkAgainst(cur, curImg, s.Root, "root register mismatch")
 			}
 			e.anc = ancestors
 			return done, ancestors
@@ -139,9 +113,7 @@ func (e *Naive) verifyPath(start uint64, c uint64, img []byte, checkFirst bool) 
 			if s.Functional {
 				want = s.slotBytes(parentImg, cur)
 			}
-			if d := e.checkAgainst(rdone, cur, curImg, want, "stored hash does not match memory image"); d > done {
-				done = d
-			}
+			e.checkAgainst(cur, curImg, want, "stored hash does not match memory image")
 		}
 		if rdone > done {
 			done = rdone

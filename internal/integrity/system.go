@@ -38,13 +38,6 @@ type Stats struct {
 	MACUpdates uint64
 	// Evictions counts dirty L2 lines processed by the engine.
 	Evictions uint64
-	// Retries counts PolicyRetry re-fetch probes. RetriesTransient are
-	// probes whose re-read verified clean (a transient bus/DRAM fault;
-	// the violation is suppressed), RetriesPersistent probes that failed
-	// again (persistent tampering; the violation is recorded).
-	Retries           uint64
-	RetriesTransient  uint64
-	RetriesPersistent uint64
 }
 
 // ViolationError describes a detected integrity violation — the security
@@ -83,11 +76,6 @@ type System struct {
 	// §5.7.2 runs with it off ("turn on the hashing algorithm for writes
 	// but not for reads") and arms it as its final step.
 	CheckReads bool
-
-	// Policy selects what happens after a failed verification: record and
-	// continue (default), halt the machine, or retry the fetch once to
-	// separate transient faults from tampering. See ViolationPolicy.
-	Policy ViolationPolicy
 
 	// Functional selects whether the engines move and verify real bytes.
 	// Timing never depends on data values, so large parameter sweeps (the

@@ -2,7 +2,7 @@ package mem
 
 // Adversary wraps a Memory and models a physical attacker sitting on the
 // memory bus (§3). The attacker can observe everything and substitute
-// arbitrary values; the four mutators below cover the attack classes the
+// arbitrary values; the mutators below cover the attack classes the
 // paper analyzes:
 //
 //   - Corrupt: flip stored bits directly (simple tampering).
@@ -13,21 +13,17 @@ package mem
 //   - DropWrites: silently discard the processor's writes to a region
 //     ("only the first write to an address is ever actually performed").
 //   - CorruptBurst: flip stored bits across a multi-byte run in one shot.
-//   - Glitch: transient fault — a bounded number of reads observe
-//     corrupted bytes while stored memory stays clean (what PolicyRetry
-//     distinguishes from persistent tampering).
 //   - Schedule: defer any of the above until a chosen number of bus
 //     transactions from now, for attacks timed against live traffic.
 //
 // All mutations affect what readers observe; the integrity machinery is
-// expected to detect every persistent one on protected regions.
+// expected to detect every one on protected regions.
 type Adversary struct {
 	inner Memory
 
 	replays   []replayRegion
 	splices   []spliceRegion
 	drops     []region
-	glitches  []glitchRegion
 	schedules []schedule
 
 	// OnRead and OnWrite, if non-nil, observe every memory transaction the
@@ -59,17 +55,6 @@ type replayRegion struct {
 type spliceRegion struct {
 	region
 	src uint64
-}
-
-// glitchRegion models a transient bus/DRAM fault: reads overlapping the
-// region observe the stored bytes XORed with mask, but the stored bytes
-// themselves are untouched, so a re-fetch of the same address sees clean
-// data again. remaining counts how many more overlapping Read transactions
-// the glitch affects before it evaporates.
-type glitchRegion struct {
-	region
-	mask      byte
-	remaining int
 }
 
 // schedule is a deferred attack: fire f once after `after` more memory
@@ -134,15 +119,6 @@ func (a *Adversary) CorruptBurst(addr uint64, mask []byte) {
 	a.inner.Write(addr, buf)
 }
 
-// Glitch arms a transient fault over [addr, addr+size): the next `reads`
-// Read transactions that overlap the region observe its bytes XORed with
-// mask, after which the fault evaporates. Stored memory is never modified,
-// so a retry/re-fetch sees clean data — the signature PolicyRetry exists
-// to distinguish from persistent tampering.
-func (a *Adversary) Glitch(addr, size uint64, mask byte, reads int) {
-	a.glitches = append(a.glitches, glitchRegion{region: region{addr, size}, mask: mask, remaining: reads})
-}
-
 // Schedule defers f until `after` more memory transactions (reads or
 // writes, counted together) have been observed, then fires it exactly once
 // — before the triggering transaction's data is served, so f can tamper
@@ -152,14 +128,13 @@ func (a *Adversary) Schedule(after uint64, f func()) {
 	a.schedules = append(a.schedules, schedule{at: a.events + after, f: f})
 }
 
-// Reset discards all armed mutations — replays, splices, drops, glitches,
-// and pending schedules — returning the adversary to a transparent
+// Reset discards all armed mutations — replays, splices, drops and
+// pending schedules — returning the adversary to a transparent
 // pass-through. Traffic counters and observer hooks are untouched.
 func (a *Adversary) Reset() {
 	a.replays = a.replays[:0]
 	a.splices = a.splices[:0]
 	a.drops = a.drops[:0]
-	a.glitches = a.glitches[:0]
 	a.schedules = a.schedules[:0]
 }
 
@@ -191,7 +166,7 @@ func (a *Adversary) Read(addr uint64, p []byte) {
 		a.OnRead(addr, len(p))
 	}
 	a.inner.Read(addr, p)
-	if len(a.replays) == 0 && len(a.splices) == 0 && len(a.glitches) == 0 {
+	if len(a.replays) == 0 && len(a.splices) == 0 {
 		return
 	}
 	for i := range p {
@@ -207,20 +182,6 @@ func (a *Adversary) Read(addr uint64, p []byte) {
 			if rp.active && rp.contains(ai) {
 				p[i] = rp.data[ai-rp.addr]
 			}
-		}
-		for gi := range a.glitches {
-			g := &a.glitches[gi]
-			if g.remaining > 0 && g.contains(ai) {
-				p[i] ^= g.mask
-			}
-		}
-	}
-	// A glitch decays once per overlapping Read transaction, not per byte:
-	// one bus transfer observes one transient fault.
-	for gi := range a.glitches {
-		g := &a.glitches[gi]
-		if g.remaining > 0 && addr < g.addr+g.size && addr+uint64(len(p)) > g.addr {
-			g.remaining--
 		}
 	}
 }

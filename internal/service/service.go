@@ -34,13 +34,12 @@ type TenantConfig struct {
 	Store shard.Config
 
 	// PersistDir, when set, checkpoints the tenant through
-	// internal/persist and recovers it at service start. AnchorPath
-	// names the tenant's external trusted-storage anchor (see
-	// persist.Options.AnchorPath); PersistPolicy is persist's
-	// degradation policy ("halt" or "record").
-	PersistDir    string
-	AnchorPath    string
-	PersistPolicy string
+	// internal/persist and recovers it at service start; a checkpoint
+	// that exhausts its I/O retries poisons the tenant's store (persist's
+	// halt degradation). AnchorPath names the tenant's external
+	// trusted-storage anchor (see persist.Options.AnchorPath).
+	PersistDir string
+	AnchorPath string
 }
 
 // Config assembles a Service.
@@ -191,7 +190,6 @@ func (s *Service) buildTenant(tc TenantConfig) (*tenant, error) {
 		popts := persist.Options{
 			Dir:        tc.PersistDir,
 			AnchorPath: tc.AnchorPath,
-			Policy:     tc.PersistPolicy,
 			OnEvent: func(kind string, epoch uint64, detail string) {
 				if fr != nil {
 					fr.Record(kind, -1, epoch, "tenant "+name+": "+detail)

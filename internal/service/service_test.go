@@ -501,6 +501,18 @@ func TestParseTenants(t *testing.T) {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
+
+	// Values are checked where every other configuration path checks
+	// them: the machine's validation refuses a policy other than record
+	// or halt, and New names the tenant.
+	tcs, err = ParseTenants("alpha,t3:policy=retry", base)
+	if err != nil {
+		t.Fatalf("ParseTenants: %v", err)
+	}
+	if _, err := New(Config{Tenants: tcs}); err == nil ||
+		!strings.Contains(err.Error(), "tenant t3") || !strings.Contains(err.Error(), "want record or halt") {
+		t.Fatalf("New with policy=retry: %v, want a refusal naming tenant t3", err)
+	}
 }
 
 // TestSlowHeaderIsShedBatchInFlightIsNot is the slow-loris check on the

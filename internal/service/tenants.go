@@ -20,7 +20,7 @@ import (
 //	shards    shard count
 //	protected total protected bytes
 //	l2        per-shard L2 bytes
-//	policy    violation policy (record, halt, retry)
+//	policy    violation policy (record or halt)
 //	alg       hash algorithm (md5, sha1, fnv128)
 //	chunk     L2 blocks per hash chunk
 //	queue     per-shard queue depth

@@ -423,9 +423,8 @@ func TestNewRefusesAblations(t *testing.T) {
 		tc.set(&cfg)
 		scfg := Config{Machine: cfg, Shards: 2}
 		_, errNew := New(scfg)
-		// Empty, non-nil images: core validates the template before it
-		// looks at an image.
-		_, errState := NewFromState(scfg, [][]byte{{}, {}}, make([][]byte, 2))
+		// No images: core validates the template before it looks for one.
+		_, errState := NewFromState(scfg, make([][]byte, 2), make([][]byte, 2))
 		for name, err := range map[string]error{"New": errNew, "NewFromState": errState} {
 			var se *SettingError
 			switch {

@@ -1,4 +1,4 @@
-// Package stats provides lightweight counters, rate helpers and fixed-width
+// Package stats provides the histogram, geometric mean and fixed-width
 // table formatting shared by the simulator and the benchmark harness.
 package stats
 
@@ -8,34 +8,6 @@ import (
 	"sort"
 	"strings"
 )
-
-// Counter is a monotonically increasing event counter.
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
-// Ratio returns a/b as a float, or 0 when b is zero.
-func Ratio(a, b uint64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
-
-// Percent returns 100*a/b, or 0 when b is zero.
-func Percent(a, b uint64) float64 { return 100 * Ratio(a, b) }
 
 // Histogram is a simple bucketed histogram over non-negative integer samples.
 type Histogram struct {
@@ -74,7 +46,12 @@ func (h *Histogram) Observe(v uint64) {
 func (h *Histogram) Count() uint64 { return h.count }
 
 // Mean returns the arithmetic mean of all samples, or 0 with no samples.
-func (h *Histogram) Mean() float64 { return Ratio(h.sum, h.count) }
+func (h *Histogram) Mean() float64 {
+	if h.count == 0 {
+		return 0
+	}
+	return float64(h.sum) / float64(h.count)
+}
 
 // Max returns the largest sample observed.
 func (h *Histogram) Max() uint64 { return h.max }

@@ -6,33 +6,11 @@ import (
 	"testing"
 )
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Errorf("Value = %d, want 5", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Error("Reset failed")
-	}
-}
-
-func TestRatioPercent(t *testing.T) {
-	if Ratio(1, 4) != 0.25 {
-		t.Error("Ratio(1,4)")
-	}
-	if Ratio(1, 0) != 0 {
-		t.Error("Ratio by zero should be 0")
-	}
-	if Percent(1, 4) != 25 {
-		t.Error("Percent(1,4)")
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram(10, 100)
+	if h.Mean() != 0 {
+		t.Errorf("empty Mean = %f, want 0", h.Mean())
+	}
 	for _, v := range []uint64{1, 5, 9, 10, 50, 99, 100, 1000} {
 		h.Observe(v)
 	}
