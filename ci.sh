@@ -45,59 +45,15 @@ echo "chaos campaign gate OK"
 go run ./cmd/chaos -n 25 -seed 11 -verify-cache 32 -verify-assoc 4 >/dev/null
 echo "verification cache gate OK"
 
-# Sharded-store gate: the loadgen smoke must verify clean traffic (it
-# exits nonzero on any violation or mirror mismatch) for all four tree
-# schemes. The tamper leg asserts the opposite: a corrupted shard must be
-# detected and fail the run. (The store's race-clean equivalence to a
-# single machine runs with the suite above.)
-for scheme in naive c m i; do
-  go run ./cmd/loadgen -scheme "$scheme" -shards 4 -workers 2 -ops 2000 >/dev/null
-done
-if go run ./cmd/loadgen -shards 2 -workers 2 -ops 500 -tamper 1 >/dev/null 2>&1; then
-  echo "FAIL: loadgen did not detect the tampered shard" >&2
-  exit 1
-fi
-echo "sharded store gate OK"
-
 # Persistence gate: a seeded 200-leg campaign (50 per tree scheme: kills
 # at every commit-protocol stage plus on-disk tampering with bases, deltas
 # and the chains between them) must recover every clean crash to the
 # exact sealed root and detect every tamper — cmd/chaos -crash exits
 # nonzero on any false positive, root mismatch, or miss. (The kill-point,
 # chain-is-the-image and short-write properties run race-clean with the
-# suite above.)
+# suite above; the replayed-directory refusal is the service gate's last
+# leg.)
 go run ./cmd/chaos -crash -n 50 -seed 17 >/dev/null
-# End-to-end kill/restart walkthrough: loadgen dies mid-checkpoint (exit 3
-# by contract), restart must classify the crash and keep serving; a replayed
-# stale snapshot under the sealed WAL must classify as a violation, and a
-# clean-recovery expectation on that replay must fail.
-ptmp=$(mktemp -d -t memverify-persist.XXXXXX)
-lg="$ptmp/loadgen"
-go build -o "$lg" ./cmd/loadgen
-set +e
-"$lg" -scheme c -shards 2 -workers 2 -ops 1500 -checkpoint-every 500 \
-  -protected 131072 -persist "$ptmp/store" -kill-after 2 -kill-stage manifest-write >/dev/null 2>&1
-status=$?
-set -e
-if [ "$status" -ne 3 ]; then
-  echo "FAIL: loadgen kill point exited $status, want 3" >&2
-  exit 1
-fi
-"$lg" -scheme c -shards 2 -workers 2 -ops 500 -checkpoint-every 500 \
-  -protected 131072 -persist "$ptmp/store" -restart >/dev/null
-cp -r "$ptmp/store" "$ptmp/stash"
-"$lg" -scheme c -shards 2 -workers 2 -ops 500 -checkpoint-every 500 \
-  -protected 131072 -persist "$ptmp/store" -restart >/dev/null
-rm -f "$ptmp/store"/seg-*
-cp "$ptmp/stash"/seg-* "$ptmp/stash/MANIFEST" "$ptmp/store/"
-if "$lg" -scheme c -shards 2 -workers 2 -ops 500 -protected 131072 \
-  -persist "$ptmp/store" -restart -expect-outcome recovered-clean,recovered-torn >/dev/null 2>&1; then
-  echo "FAIL: stale-snapshot replay was accepted as a clean recovery" >&2
-  exit 1
-fi
-"$lg" -scheme c -shards 2 -workers 2 -ops 500 -protected 131072 \
-  -persist "$ptmp/store" -restart -expect-outcome violation >/dev/null
-rm -rf "$ptmp"
 echo "persistence gate OK"
 
 # Hygiene gate: no compiled or executable blob may be tracked. Shell
@@ -155,83 +111,9 @@ go test -run '^$' -bench '(BenchmarkSimulatorThroughput|BenchmarkTelemetryOverhe
   }'
 echo "telemetry overhead gate OK"
 
-# Live ops gate: a multi-shard loadgen must serve a metricscheck-clean
-# Prometheus exposition while traffic runs — structurally legal text
-# format, counters monotonic across two scrapes — with /healthz healthy
-# and the sampler's progress line on stderr. -ops-listen :0 plus grepping
-# the logged URL keeps the gate parallel-safe.
-otmp=$(mktemp -d -t memverify-ops.XXXXXX)
-go build -o "$otmp/loadgen" ./cmd/loadgen
-go build -o "$otmp/metricscheck" ./cmd/metricscheck
-ops_url() { # $1: stderr log; prints host:port once the server announced it
-  sed -n 's#^ops: listening on http://##p' "$1" | head -1
-}
-"$otmp/loadgen" -scheme c -shards 4 -workers 2 -ops 300000 \
-  -ops-listen 127.0.0.1:0 -sample-every 100ms -ops-linger 15s \
-  >/dev/null 2>"$otmp/lg.log" &
-lgpid=$!
-addr=""
-for _ in $(seq 1 200); do
-  addr=$(ops_url "$otmp/lg.log")
-  [ -n "$addr" ] && break
-  sleep 0.05
-done
-if [ -z "$addr" ]; then
-  echo "FAIL: loadgen never logged its ops URL" >&2
-  exit 1
-fi
-"$otmp/metricscheck" -get "http://$addr/healthz" | grep -q '"status": "healthy"' || {
-  echo "FAIL: /healthz not healthy on a clean run" >&2; exit 1; }
-curl -fsS "http://$addr/metrics" >"$otmp/scrape1.prom"
-sleep 0.3
-curl -fsS "http://$addr/metrics" >"$otmp/scrape2.prom"
-"$otmp/metricscheck" "$otmp/scrape1.prom" >/dev/null
-"$otmp/metricscheck" -prev "$otmp/scrape1.prom" "$otmp/scrape2.prom"
-curl -fsS "http://$addr/vars" | head -c 1 | grep -q '{' || {
-  echo "FAIL: /vars is not JSON" >&2; exit 1; }
-grep -q '^loadgen: status ops/sec=' "$otmp/lg.log" || {
-  echo "FAIL: no sampler progress line on stderr" >&2; exit 1; }
-kill "$lgpid" 2>/dev/null || true
-wait "$lgpid" 2>/dev/null || true
-# Tamper leg: one corrupted shard of four must flip /healthz to degraded
-# (tamper containment — the surviving shards keep serving, so the status
-# stays HTTP 200 with a degraded body) and the flight dump must attribute
-# the violation to the tampered shard and record its halt.
-"$otmp/loadgen" -shards 4 -workers 2 -ops 1500 -policy halt -tamper 1 \
-  -ops-listen 127.0.0.1:0 -ops-linger 5s -flight "$otmp/flight.json" \
-  >/dev/null 2>"$otmp/tamper.log" &
-tpid=$!
-for _ in $(seq 1 200); do
-  grep -q 'ops server lingering' "$otmp/tamper.log" && break
-  sleep 0.05
-done
-taddr=$(ops_url "$otmp/tamper.log")
-if [ -z "$taddr" ]; then
-  echo "FAIL: tamper loadgen never logged its ops URL" >&2
-  exit 1
-fi
-"$otmp/metricscheck" -get "http://$taddr/healthz" >"$otmp/tamper-health.json" || true
-grep -q '"status": "degraded"' "$otmp/tamper-health.json" || {
-  echo "FAIL: tampered store /healthz did not report degraded" >&2; exit 1; }
-grep -q '"halted_shards": 1' "$otmp/tamper-health.json" || {
-  echo "FAIL: tampered store /healthz did not count the halted shard" >&2; exit 1; }
-set +e
-wait "$tpid"
-tstatus=$?
-set -e
-if [ "$tstatus" -eq 0 ]; then
-  echo "FAIL: tamper leg exited 0" >&2
-  exit 1
-fi
-grep -q '"kind": "violation", "seq": [0-9]*, "shard": 1' "$otmp/flight.json" || {
-  echo "FAIL: flight dump does not attribute the violation to shard 1" >&2; exit 1; }
-grep -q '"kind": "shard-halt"' "$otmp/flight.json" || {
-  echo "FAIL: flight dump missing the shard-halt event" >&2; exit 1; }
-rm -rf "$otmp"
-echo "live ops gate OK"
-
-# Ops overhead gate: with -ops-listen up but nobody scraping, store
-# traffic is compared with the no-ops baseline. As with the telemetry
+# Ops overhead gate: with the ops surface's sampler ticking but nobody
+# scraping (memverifyd's default), store traffic is compared with the
+# no-ops baseline. As with the telemetry
 # overhead gate, the ratio is printed against the 2% budget and fails only
 # past the 25% wall-clock bound (its 2% verdict flaked just as often).
 # Min over three repetitions; 30000 iterations span at least one full
@@ -259,8 +141,9 @@ echo "client pool gate OK"
 # remote loadgen traffic for every tenant, contain a tampered tenant to
 # that tenant (503s for it, clean service and a degraded-not-unhealthy
 # /healthz for the rest), survive two metricscheck-clean live scrapes with
-# monotonic counters, and dump a flight record with the signal event on
-# SIGTERM. The daemon and loadgen are race-built: the batch path reuses
+# monotonic counters and a schema-clean /vars, and dump a flight record on
+# SIGTERM that holds the signal, the tampered shard's violation and its
+# halt. memverifyd is the only process that serves the ops surface. The daemon and loadgen are race-built: the batch path reuses
 # per-request state on both ends (a client Batch its request, the service
 # pooled decode state), so every leg below is also a race check of it, and
 # a race in the daemon makes its SIGTERM exit nonzero.
@@ -268,6 +151,7 @@ stmp=$(mktemp -d -t memverify-service.XXXXXX)
 go build -race -o "$stmp/memverifyd" ./cmd/memverifyd
 go build -race -o "$stmp/loadgen" ./cmd/loadgen
 go build -o "$stmp/metricscheck" ./cmd/metricscheck
+go build -o "$stmp/tracecheck" ./cmd/tracecheck
 "$stmp/memverifyd" -listen 127.0.0.1:0 \
   -tenants 't0,t1:scheme=naive,t2:scheme=m,t3:scheme=i;policy=halt' \
   -protected $((1 << 21)) -allow-tamper -sample-every 100ms \
@@ -310,6 +194,9 @@ curl -fsS "http://$saddr/metrics" >"$stmp/scrape1.prom"
 "$stmp/metricscheck" "$stmp/scrape1.prom" >/dev/null
 sleep 0.3
 "$stmp/metricscheck" -url "http://$saddr/metrics" -prev "$stmp/scrape1.prom" >/dev/null
+curl -fsS "http://$saddr/vars" >"$stmp/vars.json"
+"$stmp/tracecheck" -metrics "$stmp/vars.json" >/dev/null || {
+  echo "FAIL: /vars is not a memverify-metrics-v1 JSON snapshot" >&2; exit 1; }
 # Tamper leg: corrupting halt-policy tenant t3 must fail its loadgen run...
 if "$stmp/loadgen" -remote "$saddr" -tenant t3 -workers 2 -ops 500 -tamper 0 >/dev/null 2>&1; then
   echo "FAIL: remote loadgen did not detect the tampered tenant" >&2
@@ -335,6 +222,10 @@ if [ "$mstatus" -ne 0 ]; then
 fi
 grep -q '"kind": "signal"' "$stmp/flight.json" || {
   echo "FAIL: flight dump missing the SIGTERM signal event" >&2; exit 1; }
+grep -q '"tenant t3: .*"kind": "violation", "seq": [0-9]*, "shard": 0,' "$stmp/flight.json" || {
+  echo "FAIL: flight dump does not attribute t3's violation to shard 0" >&2; exit 1; }
+grep -q '"tenant t3: .*"kind": "shard-halt"' "$stmp/flight.json" || {
+  echo "FAIL: flight dump missing t3's shard-halt event" >&2; exit 1; }
 grep -q 'shutdown complete' "$stmp/mvd.log" || {
   echo "FAIL: memverifyd did not log a graceful shutdown" >&2; exit 1; }
 if grep -q 'DATA RACE' "$stmp/mvd.log"; then
@@ -343,7 +234,9 @@ fi
 # Persisted leg: checkpoints every 20 ms freeze each shard's pages and
 # stream them to disk while writing, mirror-checked loadgen traffic keeps
 # storing to those shards; SIGTERM seals a final epoch, and a restart on
-# the same root must recover every tenant clean and serve healthy.
+# the same root must recover every tenant clean and serve healthy. Then
+# t0's earlier checkpoint goes back under the WAL that sealed a later one:
+# the next restart must refuse t0 (its loadgen fails) and recover t1 clean.
 serving_url() { # $1: daemon log; prints host:port once it announced it
   for _ in $(seq 1 200); do
     u=$(sed -n 's#^memverifyd: serving on http://\([^ ]*\).*#\1#p' "$1" | head -1)
@@ -376,6 +269,8 @@ if [ "$pstatus" -ne 0 ] || grep -q 'DATA RACE\|periodic checkpoint:' "$stmp/pd1.
   echo "FAIL: checkpointing memverifyd exited $pstatus, raced, or failed a checkpoint" >&2
   exit 1
 fi
+mkdir "$stmp/stash"
+cp "$stmp/p/t0"/seg-* "$stmp/p/t0/MANIFEST" "$stmp/stash/"
 "$stmp/memverifyd" -listen 127.0.0.1:0 -tenants 't0,t1:scheme=m' \
   -protected $((1 << 21)) -persist "$stmp/p" >"$stmp/pd2.log" 2>&1 &
 pdpid=$!
@@ -393,9 +288,40 @@ set +e
 wait "$pdpid"
 pstatus=$?
 set -e
-if [ "$pstatus" -ne 0 ] || grep -q 'DATA RACE' "$stmp/pd2.log"; then
+if [ "$pstatus" -ne 0 ] || grep -q 'DATA RACE' "$stmp/pd2.log" ||
+  ! grep -q 'final checkpoint sealed' "$stmp/pd2.log"; then
   cat "$stmp/pd2.log" >&2
-  echo "FAIL: restarted memverifyd exited $pstatus or raced" >&2
+  echo "FAIL: restarted memverifyd exited $pstatus, raced, or sealed no final epoch" >&2
+  exit 1
+fi
+rm -f "$stmp/p/t0"/seg-*
+cp "$stmp/stash"/* "$stmp/p/t0/"
+"$stmp/memverifyd" -listen 127.0.0.1:0 -tenants 't0,t1:scheme=m' \
+  -protected $((1 << 21)) -persist "$stmp/p" >"$stmp/pd3.log" 2>&1 &
+pdpid=$!
+paddr=$(serving_url "$stmp/pd3.log") || {
+  echo "FAIL: memverifyd on a replayed t0 never logged its serving URL" >&2; exit 1; }
+if ! grep -q 'tenant t0: recovery outcome=violation' "$stmp/pd3.log" ||
+  ! grep -q 'tenant t0: REFUSING SERVICE' "$stmp/pd3.log" ||
+  ! grep -q 'tenant t1: recovery outcome=recovered-clean' "$stmp/pd3.log"; then
+  cat "$stmp/pd3.log" >&2
+  echo "FAIL: a replayed t0 checkpoint was not refused, or t1 did not recover clean" >&2
+  exit 1
+fi
+if "$stmp/loadgen" -remote "$paddr" -tenant t0 -workers 2 -ops 500 >/dev/null 2>&1; then
+  echo "FAIL: loadgen was served by t0 from a replayed checkpoint" >&2
+  exit 1
+fi
+"$stmp/loadgen" -remote "$paddr" -tenant t1 -workers 2 -ops 500 >/dev/null || {
+  echo "FAIL: t1 stopped serving beside the refused t0" >&2; exit 1; }
+kill -TERM "$pdpid"
+set +e
+wait "$pdpid"
+pstatus=$?
+set -e
+if [ "$pstatus" -ne 0 ] || grep -q 'DATA RACE' "$stmp/pd3.log"; then
+  cat "$stmp/pd3.log" >&2
+  echo "FAIL: memverifyd beside a refused tenant exited $pstatus or raced" >&2
   exit 1
 fi
 rm -rf "$stmp"

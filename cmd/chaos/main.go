@@ -31,10 +31,8 @@ import (
 
 	"memverify/internal/chaos"
 	"memverify/internal/core"
-	"memverify/internal/obs"
 	"memverify/internal/runflags"
 	"memverify/internal/stats"
-	"memverify/internal/telemetry"
 )
 
 // errFailed signals gate failures whose messages were already printed.
@@ -88,28 +86,9 @@ func run() error {
 		defer jsonOut.Close()
 	}
 
-	// Campaign legs run on whatever goroutine the chaos engine uses, so the
-	// live scrape surface reads a locked accumulator that each completed
-	// scheme's summary merges into; the flight recorder keeps one campaign
-	// event per scheme for the post-mortem dump.
-	fr := rf.NewFlightRecorder()
-	defer rf.DumpFlight(fr)
-	var lr *obs.LockedRegistry
-	if rf.OpsEnabled() {
-		lr = obs.NewLockedRegistry()
-	}
-	srv, err := rf.StartOps(obs.Options{Fill: lr.Fill, Flight: fr})
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	fr.Record(obs.EvRunStart, -1, 0,
-		fmt.Sprintf("chaos schemes=%s n=%d crash=%t", *schemes, *n, *crash))
-	defer finishOps(srv, lr, fr)
-
 	if *crash {
 		return runCrashCampaign(*seed, *n, *schemes, *policy,
-			*crashShards, *crashDir, csvOut, jsonOut, rf, lr, fr)
+			*crashShards, *crashDir, csvOut, jsonOut, rf)
 	}
 
 	rec := rf.NewRecorder()
@@ -142,24 +121,15 @@ func run() error {
 			return fmt.Errorf("%s: %w", scheme, err)
 		}
 		s := rep.Summary
-		if reg != nil || lr != nil {
-			point := telemetry.NewRegistry()
+		if reg != nil {
 			pfx := "chaos." + string(scheme) + "."
-			point.Add(pfx+"injections", uint64(s.Total))
-			point.Add(pfx+"detected_live", uint64(s.DetectedLive))
-			point.Add(pfx+"detected_sweep", uint64(s.DetectedSweep))
-			point.Add(pfx+"missed", uint64(s.Missed))
-			point.Add(pfx+"clean_violations", uint64(clean))
-			point.SetGauge(pfx+"detection_rate", s.DetectionRate)
-			if reg != nil {
-				point.MergeInto(reg)
-			}
-			lr.Merge(point)
-			lr.Add("chaos.campaigns_done", 1)
+			reg.Add(pfx+"injections", uint64(s.Total))
+			reg.Add(pfx+"detected_live", uint64(s.DetectedLive))
+			reg.Add(pfx+"detected_sweep", uint64(s.DetectedSweep))
+			reg.Add(pfx+"missed", uint64(s.Missed))
+			reg.Add(pfx+"clean_violations", uint64(clean))
+			reg.SetGauge(pfx+"detection_rate", s.DetectionRate)
 		}
-		fr.Record(obs.EvCampaign, -1, 0, fmt.Sprintf(
-			"scheme=%s injections=%d missed=%d clean_violations=%d",
-			scheme, s.Total, s.Missed, clean))
 		tbl.AddRow(string(scheme), s.Total, s.DetectedLive, s.DetectedSweep,
 			s.Missed, s.DetectionRate,
 			s.MeanLatencyAccesses, s.MeanLatencyCycles, clean)
@@ -212,8 +182,7 @@ func run() error {
 // violation), any root mismatch (clean recovery not reproducing the
 // sealed root), or any missed tamper fails the run.
 func runCrashCampaign(seed uint64, n int, schemes, policy string,
-	shards int, dir string, csvOut, jsonOut *os.File, rf *runflags.Flags,
-	lr *obs.LockedRegistry, fr *obs.FlightRecorder) error {
+	shards int, dir string, csvOut, jsonOut *os.File, rf *runflags.Flags) error {
 
 	reg := rf.NewRegistry()
 	tbl := stats.NewTable("crash campaign (seed "+fmt.Sprint(seed)+")",
@@ -240,27 +209,18 @@ func runCrashCampaign(seed uint64, n int, schemes, policy string,
 			return fmt.Errorf("%s: crash campaign: %w", scheme, err)
 		}
 		s := rep.Summary
-		if reg != nil || lr != nil {
-			point := telemetry.NewRegistry()
+		if reg != nil {
 			pfx := "crash." + string(scheme) + "."
-			point.Add(pfx+"legs", uint64(s.Total))
-			point.Add(pfx+"delta_legs", uint64(s.DeltaLegs))
-			point.Add(pfx+"kills", uint64(s.Kills))
-			point.Add(pfx+"tampers", uint64(s.Tampers))
-			point.Add(pfx+"clean_recoveries", uint64(s.CleanRecoveries))
-			point.Add(pfx+"false_positives", uint64(s.FalsePositives))
-			point.Add(pfx+"root_mismatches", uint64(s.RootMismatches))
-			point.Add(pfx+"missed", uint64(s.Missed))
-			point.SetGauge(pfx+"detection_rate", s.DetectionRate)
-			if reg != nil {
-				point.MergeInto(reg)
-			}
-			lr.Merge(point)
-			lr.Add("chaos.campaigns_done", 1)
+			reg.Add(pfx+"legs", uint64(s.Total))
+			reg.Add(pfx+"delta_legs", uint64(s.DeltaLegs))
+			reg.Add(pfx+"kills", uint64(s.Kills))
+			reg.Add(pfx+"tampers", uint64(s.Tampers))
+			reg.Add(pfx+"clean_recoveries", uint64(s.CleanRecoveries))
+			reg.Add(pfx+"false_positives", uint64(s.FalsePositives))
+			reg.Add(pfx+"root_mismatches", uint64(s.RootMismatches))
+			reg.Add(pfx+"missed", uint64(s.Missed))
+			reg.SetGauge(pfx+"detection_rate", s.DetectionRate)
 		}
-		fr.Record(obs.EvCampaign, -1, 0, fmt.Sprintf(
-			"crash scheme=%s legs=%d kills=%d tampers=%d missed=%d false_positives=%d",
-			scheme, s.Total, s.Kills, s.Tampers, s.Missed, s.FalsePositives))
 		tbl.AddRow(string(scheme), s.Total, s.DeltaLegs, s.Kills, s.Tampers, s.CleanRecoveries,
 			s.FalsePositives, s.RootMismatches, s.Missed, s.DetectionRate)
 		if s.FalsePositives > 0 {
@@ -303,19 +263,6 @@ func runCrashCampaign(seed uint64, n int, schemes, policy string,
 		return errFailed
 	}
 	return nil
-}
-
-// finishOps records the end-of-run flight event and publishes the
-// accumulated campaign registry so a lingering scrape (or the -flight
-// dump) sees the final state. Every callee is nil-safe, so this is a
-// no-op when the ops surface is disabled.
-func finishOps(srv *obs.Server, lr *obs.LockedRegistry, fr *obs.FlightRecorder) {
-	fr.Record(obs.EvRunEnd, -1, 0, "campaign complete")
-	if srv != nil {
-		final := telemetry.NewRegistry()
-		lr.Fill(final)
-		srv.Publish(final)
-	}
 }
 
 // writeCSVRowsOnly appends a report's rows without repeating the header.

@@ -15,7 +15,6 @@ import (
 
 	"memverify/internal/core"
 	"memverify/internal/figures"
-	"memverify/internal/obs"
 	"memverify/internal/runflags"
 	"memverify/internal/telemetry"
 )
@@ -91,37 +90,6 @@ func main() {
 		}
 	}
 
-	// Sweep points run on worker goroutines, so the live scrape surface
-	// reads an accumulator each finished point merges into: /metrics shows
-	// the sweep-wide counters growing and rate.figures.points_done gives a
-	// live points-per-second.
-	var lr *obs.LockedRegistry
-	fr := rf.NewFlightRecorder()
-	defer rf.DumpFlight(fr)
-	if rf.OpsEnabled() {
-		lr = obs.NewLockedRegistry()
-		prev := p.Observer
-		p.Observer = func(cfg core.Config, mt core.Metrics) {
-			if prev != nil {
-				prev(cfg, mt)
-			}
-			point := telemetry.NewRegistry()
-			core.AccumulateMetrics(point, &mt)
-			lr.Merge(point)
-			lr.Add("figures.points_done", 1)
-		}
-	}
-	srv, serr := rf.StartOps(obs.Options{
-		Fill:   lr.Fill,
-		Flight: fr,
-	})
-	if serr != nil {
-		fmt.Fprintln(os.Stderr, serr)
-		os.Exit(1)
-	}
-	defer srv.Close()
-	fr.Record(obs.EvRunStart, -1, 0, "figures sweep")
-
 	all := !(*table1 || *fig3 || *fig4 || *fig5 || *fig6 || *fig7 || *fig8 || *ablations)
 
 	if all || *table1 {
@@ -153,13 +121,6 @@ func main() {
 		fmt.Println(p.AblationHashLatency())
 		fmt.Println(p.AblationAssoc())
 		fmt.Println(p.AblationTreeDepth())
-	}
-
-	fr.Record(obs.EvRunEnd, -1, 0, "figures sweep complete")
-	if srv != nil {
-		final := telemetry.NewRegistry()
-		lr.Fill(final)
-		srv.Publish(final)
 	}
 
 	if rec != nil {

@@ -200,8 +200,7 @@ func run() error {
 		}
 	}
 	// Publish a final registry so a post-shutdown scrape (none — the
-	// listener is gone) would have been consistent; mainly this exercises
-	// the same end-of-run path the other drivers use.
+	// listener is gone) would have been consistent.
 	final := telemetry.NewRegistry()
 	svc.Fill(final)
 	opsSrv.Publish(final)

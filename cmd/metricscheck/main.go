@@ -1,10 +1,10 @@
 // Command metricscheck validates a Prometheus text exposition — the
-// format served by the drivers' -ops-listen /metrics endpoint. It checks
+// format memverifyd serves at /metrics. It checks
 // structural legality (unique metric names, legal characters, HELP/TYPE
 // present for every family, well-formed cumulative histograms) and, given
 // an earlier scrape of the same process, that counters and histogram
-// buckets never move backwards. CI scrapes a live loadgen twice and runs
-// the second scrape through -prev to gate the live surface.
+// buckets never move backwards. CI scrapes a live memverifyd twice and
+// runs the second scrape through -prev to gate the live surface.
 //
 // Usage:
 //

@@ -11,13 +11,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync/atomic"
 
 	"memverify/internal/core"
-	"memverify/internal/integrity"
-	"memverify/internal/obs"
 	"memverify/internal/runflags"
-	"memverify/internal/telemetry"
 	"memverify/internal/trace"
 )
 
@@ -111,50 +107,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The machine runs on this goroutine, so there is no registry that can
-	// be filled live without racing the simulation: the ops server exposes
-	// health (from an atomic violation counter), pprof and the flight
-	// recorder while the run is in progress, and the authoritative
-	// end-of-run registry via Publish once it finishes. /trace is likewise
-	// only capturable after the run.
-	fr := rf.NewFlightRecorder()
-	defer rf.DumpFlight(fr)
-	var violations atomic.Uint64
-	var runDone atomic.Bool
-	var capture func(cycles uint64) ([]*telemetry.Trace, error)
-	if rec != nil {
-		capture = func(cycles uint64) ([]*telemetry.Trace, error) {
-			if !runDone.Load() {
-				return nil, fmt.Errorf("trace capture is only available once the run finishes (the machine owns this process's only goroutine)")
-			}
-			return []*telemetry.Trace{rec.Trace.Tail(cycles)}, nil
-		}
-	}
-	srv, serr := rf.StartOps(obs.Options{
-		Health: func() obs.Health {
-			return obs.Health{
-				Shards:            1,
-				PendingViolations: int(violations.Load()),
-				Detail:            fmt.Sprintf("simulate %s/%s", *scheme, *bench),
-			}
-		},
-		Flight:       fr,
-		CaptureTrace: capture,
-	})
-	if serr != nil {
-		fmt.Fprintln(os.Stderr, serr)
-		os.Exit(1)
-	}
-	defer srv.Close()
-	if fr != nil || srv != nil {
-		m.ObserveViolations(func(v *integrity.ViolationError) {
-			violations.Add(1)
-			fr.Record(obs.EvViolation, 0, 0, v.Error())
-		})
-		fr.Record(obs.EvRunStart, -1, 0,
-			fmt.Sprintf("simulate scheme=%s bench=%s n=%d", *scheme, *bench, *n))
-	}
-
 	var mt core.Metrics
 	if *replay != "" {
 		data, rerr := os.ReadFile(*replay)
@@ -172,22 +124,14 @@ func main() {
 		mt = m.Run()
 	}
 
-	runDone.Store(true)
-	fr.Record(obs.EvRunEnd, -1, 0,
-		fmt.Sprintf("violations=%d cycles=%d", mt.Violations, mt.Result.Cycles))
-
 	if rec != nil {
 		if err := rf.WriteTrace(rec.Trace); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
-	if reg := rf.NewRegistry(); reg != nil || srv != nil {
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
+	if reg := rf.NewRegistry(); reg != nil {
 		m.FillRegistry(reg, &mt)
-		srv.Publish(reg)
 		if err := rf.WriteMetrics(reg); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

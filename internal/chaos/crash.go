@@ -428,7 +428,7 @@ func runCrashLeg(cfg CrashConfig, id int, kind, stage, dir string) (*CrashInject
 		anchorPath = dir + ".anchor"
 		defer os.Remove(anchorPath)
 	}
-	st, err := persist.Open(persist.Options{Dir: dir, FS: ffs, Retry: retry, Policy: cfg.Policy, AnchorPath: anchorPath})
+	st, err := persist.Open(persist.Options{Dir: dir, FS: ffs, Retry: retry, AnchorPath: anchorPath})
 	if err != nil {
 		return nil, err
 	}

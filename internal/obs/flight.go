@@ -31,18 +31,13 @@ const (
 	// EvRetryExhausted: a persistence I/O operation failed even after the
 	// bounded-backoff retries.
 	EvRetryExhausted = "retry-exhausted"
-	// EvKill: the process is dying at an injected crash point (loadgen
-	// -kill-after); recorded immediately before the dump.
-	EvKill = "kill"
-	// EvRunStart / EvRunEnd bracket a driver's traffic phase.
+	// EvRunStart / EvRunEnd bracket the daemon's serving phase.
 	EvRunStart = "run-start"
 	EvRunEnd   = "run-end"
-	// EvTamper: a driver deliberately corrupted a shard (the must-fail
-	// legs); present so a dump distinguishes injected faults from found
-	// ones.
+	// EvTamper: the armed tamper endpoint deliberately corrupted a shard
+	// (the must-fail legs); present so a dump distinguishes injected
+	// faults from found ones.
 	EvTamper = "tamper"
-	// EvCampaign: one chaos campaign's summary line.
-	EvCampaign = "campaign"
 	// EvSignal: the process received SIGINT/SIGTERM and is shutting down
 	// gracefully; recorded before the flight dump so a signal-path dump is
 	// distinguishable from a natural run end.
@@ -63,7 +58,7 @@ type FlightEvent struct {
 
 // FlightRecorder is a bounded, concurrency-safe ring of FlightEvents —
 // the crash flight recorder. The newest events win. A nil recorder is the
-// disabled state: Record on nil is a no-op, so drivers thread one
+// disabled state: Record on nil is a no-op, so callers thread one
 // unconditionally.
 type FlightRecorder struct {
 	mu   sync.Mutex

@@ -60,7 +60,7 @@ func TestFlightRecorderJSONDeterministic(t *testing.T) {
 
 func TestFlightRecorderNil(t *testing.T) {
 	var fr *FlightRecorder
-	fr.Record(EvKill, -1, 0, "no-op")
+	fr.Record(EvSignal, -1, 0, "no-op")
 	if evs := fr.Events(); evs != nil {
 		t.Errorf("nil recorder has events: %+v", evs)
 	}

@@ -7,12 +7,12 @@
 // post-mortems.
 //
 // The layering contract: obs depends only on internal/telemetry and
-// internal/stats. Drivers (cmd/loadgen and friends) glue their stores in
+// internal/stats. The daemon (cmd/memverifyd) glues its stores in
 // through three closures — a Fill func that snapshots live counters into
 // a fresh registry, a HealthFunc, and an optional trace-capture func —
 // so the package never imports the engine and the engine never imports
-// the package. With no ops flags set nothing here is constructed, which
-// is what keeps the disabled path allocation-free.
+// the package. Every method is nil-safe, which is what keeps the
+// disabled path allocation-free.
 package obs
 
 import (
@@ -86,7 +86,8 @@ func (r *ring) points() []Point {
 	return append(out, r.buf[:r.next]...)
 }
 
-// Sample is one sampling round's output, delivered to OnSample.
+// Sample is one sampling round's output, returned by SampleNow and
+// delivered to OnSample.
 type Sample struct {
 	At      time.Time
 	Elapsed time.Duration // since the previous sample (0 on the first)
@@ -111,8 +112,7 @@ type Sampler struct {
 	points int
 
 	// OnSample, when non-nil, receives every completed round (outside the
-	// sampler lock). Set before Start. The loadgen progress line hangs off
-	// this.
+	// sampler lock). Set before Start.
 	OnSample func(Sample)
 
 	now func() time.Time // injectable clock for tests

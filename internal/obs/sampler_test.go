@@ -230,9 +230,9 @@ func TestSamplerConcurrentScrape(t *testing.T) {
 	}
 }
 
-// TestDisabledPathZeroAlloc pins the contract that a run without ops
-// flags allocates nothing on these paths: every nil-receiver method the
-// drivers call unconditionally must be free.
+// TestDisabledPathZeroAlloc pins the contract that a disabled recorder,
+// sampler or server allocates nothing: every nil-receiver method a
+// caller may thread unconditionally must be free.
 func TestDisabledPathZeroAlloc(t *testing.T) {
 	var fr *FlightRecorder
 	var s *Sampler
@@ -244,7 +244,6 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 		s.Rounds()
 		srv.StopSampling()
 		srv.Publish(nil)
-		srv.Addr()
 	})
 	if allocs != 0 {
 		t.Errorf("disabled path allocates %v per op, want 0", allocs)

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -12,14 +11,10 @@ import (
 	"memverify/internal/telemetry"
 )
 
-// Options configures the ops server. Everything beyond Listen is
-// optional: endpoints whose closure is absent answer 404 with a hint
-// instead of being silently wrong.
+// Options configures the ops surface. Every field is optional:
+// endpoints whose closure is absent answer 404 with a hint instead of
+// being silently wrong.
 type Options struct {
-	// Listen is the TCP address to bind, e.g. "127.0.0.1:9090" or
-	// "127.0.0.1:0" for an ephemeral port (CI uses :0 and greps the
-	// logged URL).
-	Listen string
 	// Fill snapshots the driver's live counters into a fresh registry.
 	// It runs on the sampler goroutine and on scrape handlers and must be
 	// safe to call concurrently with the workload.
@@ -29,9 +24,6 @@ type Options struct {
 	// Fill is nil.
 	SampleEvery time.Duration
 	RingPoints  int
-	// OnSample, when set, receives every completed sampling round — the
-	// loadgen progress line.
-	OnSample func(Sample)
 	// Health produces liveness snapshots for /healthz and /readyz. When
 	// nil both endpoints report healthy (the driver has no failure modes
 	// wired).
@@ -44,19 +36,17 @@ type Options struct {
 	// /trace?cycles=N. It must do its own synchronization (the shard
 	// store runs Tail on the owning workers). Nil means tracing is off.
 	CaptureTrace func(cycles uint64) ([]*telemetry.Trace, error)
-	// Logf, when set, receives one line per lifecycle event (listen URL,
-	// shutdown). The drivers pass a stderr logger.
+	// Logf, when set, receives one line per failed endpoint write.
+	// memverifyd passes its stderr logger.
 	Logf func(format string, args ...any)
 }
 
 // Server is the live ops surface: /metrics, /vars, /healthz, /readyz,
-// /flightrecord, /trace and /debug/pprof over one listener, with the
+// /flightrecord, /trace and /debug/pprof behind one handler, with the
 // sampler (when configured) ticking underneath.
 type Server struct {
 	opts    Options
 	sampler *Sampler
-	ln      net.Listener
-	http    *http.Server
 
 	mu        sync.Mutex
 	published *telemetry.Registry
@@ -79,32 +69,14 @@ func NewHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
 }
 
-// Start binds the listener, starts the sampler (when Fill is given) and
-// serves in the background. The returned server's Addr reports the bound
-// address.
-func Start(opts Options) (*Server, error) {
-	ln, err := net.Listen("tcp", opts.Listen)
-	if err != nil {
-		return nil, fmt.Errorf("obs: listen %s: %w", opts.Listen, err)
-	}
-	s, mux := NewEmbedded(opts)
-	s.ln = ln
-	s.http = NewHTTPServer(mux)
-	go s.http.Serve(ln) //nolint:errcheck // ErrServerClosed on shutdown
-	s.logf("ops: listening on http://%s", ln.Addr())
-	return s, nil
-}
-
 // NewEmbedded builds the ops surface without binding a listener: the
-// returned handler serves the same endpoint set as Start and the sampler
-// (when Fill is given) is already ticking. A daemon that owns its own
-// listener (memverifyd) mounts the handler on its mux; Addr reports ""
-// and Close only stops the sampler.
+// returned handler serves the endpoint set and the sampler (when Fill is
+// given) is already ticking. The daemon that owns the listener
+// (memverifyd) mounts the handler on its mux.
 func NewEmbedded(opts Options) (*Server, http.Handler) {
 	s := &Server{opts: opts}
 	if opts.Fill != nil {
 		s.sampler = NewSampler(opts.Fill, opts.SampleEvery, opts.RingPoints)
-		s.sampler.OnSample = opts.OnSample
 	}
 
 	mux := http.NewServeMux()
@@ -131,25 +103,8 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// Addr returns the bound address (host:port). Nil-safe.
-func (s *Server) Addr() string {
-	if s == nil || s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
-// Sampler returns the server's sampler (nil when Fill was not given).
-// Nil-safe.
-func (s *Server) Sampler() *Sampler {
-	if s == nil {
-		return nil
-	}
-	return s.sampler
-}
-
 // StopSampling halts the sampler goroutine without shutting the HTTP
-// surface down — the drivers call this before tearing the store down, so
+// surface down — the daemon calls this before tearing the stores down, so
 // no fill races the teardown while /metrics keeps serving the last (or
 // published) snapshot. Nil-safe.
 func (s *Server) StopSampling() {
@@ -161,8 +116,8 @@ func (s *Server) StopSampling() {
 
 // Publish installs the run's final authoritative registry: from now on
 // /metrics and /vars serve it instead of the sampler's last snapshot
-// (the sampler's derived gauges stay visible). Drivers publish after the
-// store closed and the end-of-run registry is complete. Nil-safe.
+// (the sampler's derived gauges stay visible). The daemon publishes once
+// its end-of-run registry is complete. Nil-safe.
 func (s *Server) Publish(reg *telemetry.Registry) {
 	if s == nil {
 		return
@@ -172,17 +127,12 @@ func (s *Server) Publish(reg *telemetry.Registry) {
 	s.mu.Unlock()
 }
 
-// Close stops the sampler and the HTTP server (when the server owns one —
-// embedded surfaces only stop the sampler). Nil-safe.
-func (s *Server) Close() error {
+// Close stops the sampler; the listener belongs to the caller. Nil-safe.
+func (s *Server) Close() {
 	if s == nil {
-		return nil
+		return
 	}
 	s.sampler.Stop()
-	if s.http == nil {
-		return nil
-	}
-	return s.http.Close()
 }
 
 // snapshot returns the registry to serve: the published final state when

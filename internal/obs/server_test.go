@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,20 +14,24 @@ import (
 	"memverify/internal/telemetry"
 )
 
-func startTestServer(t *testing.T, opts Options) *Server {
-	t.Helper()
-	opts.Listen = "127.0.0.1:0"
-	srv, err := Start(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	return srv
+// testServer is an ops surface mounted on a test listener, the way
+// memverifyd mounts it on its own.
+type testServer struct {
+	*Server
+	url string
 }
 
-func get(t *testing.T, srv *Server, path string) (int, string) {
+func startTestServer(t *testing.T, opts Options) testServer {
 	t.Helper()
-	resp, err := http.Get("http://" + srv.Addr() + path)
+	srv, h := NewEmbedded(opts)
+	ts := httptest.NewServer(h)
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	return testServer{srv, ts.URL}
+}
+
+func get(t *testing.T, srv testServer, path string) (int, string) {
+	t.Helper()
+	resp, err := http.Get(srv.url + path)
 	if err != nil {
 		t.Fatalf("GET %s: %v", path, err)
 	}

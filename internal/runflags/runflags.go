@@ -1,18 +1,14 @@
-// Package runflags bundles the observability flags every driver binary
-// shares — -trace, -metrics, -cpuprofile, -memprofile, and the live ops
-// surface's -ops-listen / -sample-every / -flight — together with the
-// recorder/registry/server construction and file write-out they imply,
-// so cmd/simulate, cmd/figures, cmd/loadgen and cmd/chaos plumb one
-// helper instead of four copies of the same boilerplate.
+// Package runflags bundles the observability flags the batch drivers
+// share — -trace, -metrics, -cpuprofile and -memprofile — together with
+// the recorder/registry construction and file write-out they imply, so
+// cmd/simulate, cmd/figures and cmd/chaos plumb one helper instead of
+// three copies of the same boilerplate. The live ops surface is
+// memverifyd's alone.
 package runflags
 
 import (
 	"flag"
-	"fmt"
-	"os"
-	"time"
 
-	"memverify/internal/obs"
 	"memverify/internal/profiling"
 	"memverify/internal/telemetry"
 )
@@ -20,90 +16,21 @@ import (
 // Flags holds the registered observability flag values. Construct with
 // Add before flag.Parse; read only after it.
 type Flags struct {
-	trace       *string
-	metrics     *string
-	opsListen   *string
-	sampleEvery *time.Duration
-	flight      *string
-	prof        *profiling.Flags
+	trace   *string
+	metrics *string
+	prof    *profiling.Flags
 }
 
 // Add registers -trace and -metrics on the default flag set, plus
-// -cpuprofile / -memprofile via internal/profiling and the live ops
-// flags -ops-listen, -sample-every and -flight. Call before flag.Parse.
+// -cpuprofile / -memprofile via internal/profiling. Call before
+// flag.Parse.
 func Add() *Flags {
 	return &Flags{
 		trace:   flag.String("trace", "", "write a Chrome trace-event JSON of the run (open in Perfetto)"),
 		metrics: flag.String("metrics", "", "write a deterministic JSON metrics snapshot of the run"),
-		opsListen: flag.String("ops-listen", "",
-			"serve live ops HTTP on this address (/metrics, /vars, /healthz, /readyz, /flightrecord, /trace, /debug/pprof); use 127.0.0.1:0 for an ephemeral port"),
-		sampleEvery: flag.Duration("sample-every", obs.DefaultSampleEvery,
-			"telemetry sampling interval for the ops server's windowed rates"),
-		flight: flag.String("flight", "",
-			"dump the flight recorder (violations, checkpoints, recoveries) to this JSON file on exit"),
-		prof: profiling.AddFlags(),
+		prof:    profiling.AddFlags(),
 	}
 }
-
-// TracePath / MetricsPath return the flag values ("" when unset).
-func (f *Flags) TracePath() string   { return *f.trace }
-func (f *Flags) MetricsPath() string { return *f.metrics }
-
-// OpsListen returns the -ops-listen address ("" when the ops surface is
-// disabled); SampleEvery the -sample-every interval; FlightPath the
-// -flight dump path ("" when disabled).
-func (f *Flags) OpsListen() string          { return *f.opsListen }
-func (f *Flags) SampleEvery() time.Duration { return *f.sampleEvery }
-func (f *Flags) FlightPath() string         { return *f.flight }
-
-// OpsEnabled reports whether the live ops surface was requested. When
-// false, no server, sampler or flight recorder is constructed — the
-// disabled path stays allocation-free.
-func (f *Flags) OpsEnabled() bool { return *f.opsListen != "" }
-
-// NewFlightRecorder returns a flight recorder when either the ops server
-// or a -flight dump was requested, else nil (Record on nil is free).
-func (f *Flags) NewFlightRecorder() *obs.FlightRecorder {
-	if *f.opsListen == "" && *f.flight == "" {
-		return nil
-	}
-	return obs.NewFlightRecorder(obs.DefaultFlightEvents)
-}
-
-// DumpFlight writes the recorder to the -flight path (no-op when the
-// flag is unset), logging rather than failing the run on error — the
-// dump is post-mortem evidence, not an output artifact.
-func (f *Flags) DumpFlight(fr *obs.FlightRecorder) {
-	if *f.flight == "" {
-		return
-	}
-	if err := fr.DumpFile(*f.flight); err != nil {
-		fmt.Fprintln(os.Stderr, "flight dump:", err)
-	}
-}
-
-// StartOps starts the ops HTTP server when -ops-listen was given,
-// completing opts with the flag-derived listen address and sampling
-// interval and logging the bound URL to stderr. Returns nil (with no
-// error) when the surface is disabled — every obs.Server method is
-// nil-safe, so callers thread the result unconditionally.
-func (f *Flags) StartOps(opts obs.Options) (*obs.Server, error) {
-	if *f.opsListen == "" {
-		return nil, nil
-	}
-	opts.Listen = *f.opsListen
-	opts.SampleEvery = *f.sampleEvery
-	if opts.Logf == nil {
-		opts.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	return obs.Start(opts)
-}
-
-// TelemetryEnabled reports whether either telemetry output was requested
-// — the condition under which a run needs a recorder attached.
-func (f *Flags) TelemetryEnabled() bool { return *f.trace != "" || *f.metrics != "" }
 
 // StartProfiling begins CPU profiling when -cpuprofile was given and
 // returns the stop function finalizing both profiles; defer it in main.
@@ -113,23 +40,10 @@ func (f *Flags) StartProfiling() (stop func(), err error) { return f.prof.Start(
 // capacity when either telemetry output is requested, else nil (the
 // disabled fast path — attach the nil recorder freely).
 func (f *Flags) NewRecorder() *telemetry.Recorder {
-	if !f.TelemetryEnabled() {
+	if *f.trace == "" && *f.metrics == "" {
 		return nil
 	}
 	return telemetry.NewRecorder(telemetry.DefaultEventCap)
-}
-
-// NewRecorders returns n recorders (one per shard/machine) when either
-// telemetry output is requested, else a nil slice.
-func (f *Flags) NewRecorders(n int) []*telemetry.Recorder {
-	if !f.TelemetryEnabled() {
-		return nil
-	}
-	recs := make([]*telemetry.Recorder, n)
-	for i := range recs {
-		recs[i] = telemetry.NewRecorder(telemetry.DefaultEventCap)
-	}
-	return recs
 }
 
 // NewRegistry returns a metrics registry when -metrics was given, else

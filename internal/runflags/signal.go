@@ -4,7 +4,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 )
 
 // NotifyInterrupt registers for SIGINT/SIGTERM and returns the delivery
@@ -16,26 +15,4 @@ func NotifyInterrupt() (<-chan os.Signal, func()) {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	return ch, func() { signal.Stop(ch) }
-}
-
-// Linger blocks for d or until SIGINT/SIGTERM, whichever comes first, and
-// returns the signal that cut the wait short (nil on natural expiry).
-// This is the signal-aware replacement for the bare time.Sleep a driver
-// would otherwise park in while keeping its ops surface scrapeable: a
-// signal during the window returns control to the caller so deferred
-// closes and the flight dump still run.
-func Linger(d time.Duration) os.Signal {
-	if d <= 0 {
-		return nil
-	}
-	ch, stop := NotifyInterrupt()
-	defer stop()
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case sig := <-ch:
-		return sig
-	case <-t.C:
-		return nil
-	}
 }

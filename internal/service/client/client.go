@@ -2,7 +2,8 @@
 // (internal/service): it dials a tenant, discovers its geometry from
 // GET /v1/tenants, and exposes the same batch surface as a local
 // shard.Store — NewBatch/Load/Store/Wait plus Flush, Verify, Checkpoint
-// and Tamper — so drivers like loadgen run unchanged over the wire.
+// and Tamper — so a driver (cmd/loadgen) keeps store semantics over the
+// wire.
 //
 // A Client is safe for concurrent use; each worker owns its Batches. The
 // client speaks HTTP/1.1 over its own pool of keep-alive connections and

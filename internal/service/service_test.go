@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -639,5 +641,105 @@ func TestTenantListingDuringCheckpoints(t *testing.T) {
 	}
 	if got := list(); got != rounds {
 		t.Fatalf("listed epoch %d after %d checkpoints", got, rounds)
+	}
+}
+
+// TestReplayedDirectoryRefusesOnlyThatTenant puts a persisted tenant's
+// epoch-1 segments and MANIFEST back under a WAL that sealed epoch 2 —
+// an internally valid but stale snapshot — and restarts the service.
+// Recovery must classify the directory as a violation: the tenant stays
+// listed but answers every batch with 503 violation, /healthz reads
+// degraded (not unhealthy), and the neighbour tenant keeps serving.
+func TestReplayedDirectoryRefusesOnlyThatTenant(t *testing.T) {
+	dir := t.TempDir()
+	stash := t.TempDir()
+	alpha := testTenant("alpha", core.SchemeCached, "record", 2)
+	alpha.PersistDir = dir
+	tenants := []TenantConfig{alpha, testTenant("bravo", core.SchemeIncr, "record", 2)}
+	moveSnapshot := func(from, to string) {
+		t.Helper()
+		old, err := filepath.Glob(filepath.Join(to, "seg-*"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range old {
+			if err := os.Remove(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		files, err := filepath.Glob(filepath.Join(from, "seg-*"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no segments in %s (%v)", from, err)
+		}
+		for _, f := range append(files, filepath.Join(from, "MANIFEST")) {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(to, filepath.Base(f)), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	svc, err := New(Config{Tenants: tenants})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for epoch, fill := range []byte{0x11, 0x22} {
+		if err := svc.tenants["alpha"].store.StoreBytes(0, bytes.Repeat([]byte{fill}, 64)); err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint %d: %v", epoch+1, err)
+		}
+		if epoch == 0 {
+			moveSnapshot(dir, stash)
+		}
+	}
+	svc.Close()
+	moveSnapshot(stash, dir)
+
+	svc, ts := newTestService(t, Config{Tenants: tenants})
+	if rec := svc.tenants["alpha"].recovery; rec.Outcome != persist.OutcomeViolation {
+		t.Fatalf("replayed directory recovered %s, want %s", rec.Outcome, persist.OutcomeViolation)
+	}
+
+	resp := postBatch(t, ts.URL, "alpha", []Op{{Off: 0, Data: make([]byte, 64)}})
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("refused tenant batch: status %d, want 503", resp.StatusCode)
+	}
+	if k := errKind(t, resp); k != KindViolation {
+		t.Errorf("refused tenant batch kind %q, want %q", k, KindViolation)
+	}
+	resp.Body.Close()
+
+	ops, h := obs.NewEmbedded(obs.Options{Health: svc.Health})
+	defer ops.Close()
+	hs := httptest.NewServer(h)
+	defer hs.Close()
+	hr, err := http.Get(hs.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(hr.Body)
+	hr.Body.Close()
+	if hr.StatusCode != http.StatusOK || !strings.Contains(string(body), `"status": "degraded"`) ||
+		!strings.Contains(string(body), "tenant alpha") {
+		t.Errorf("/healthz with one refused tenant: HTTP %d %s", hr.StatusCode, body)
+	}
+
+	payload := []byte("the neighbour still serves")
+	nb := []Op{{Write: true, Off: 4096, Data: payload}, {Off: 4096, Data: make([]byte, len(payload))}}
+	resp = postBatch(t, ts.URL, "bravo", nb)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("neighbour batch: status %d", resp.StatusCode)
+	}
+	if err := DecodeResponse(resp.Body, nb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(nb[1].Data, payload) {
+		t.Fatalf("neighbour read %q, wrote %q", nb[1].Data, payload)
 	}
 }

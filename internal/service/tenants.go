@@ -49,8 +49,8 @@ func ParseTenants(spec string, base TenantConfig) ([]TenantConfig, error) {
 				return nil, fmt.Errorf("service: tenant %s: %w", tc.Name, err)
 			}
 		}
-		// Scheme-dependent chunk defaulting, matching the loadgen CLI: m
-		// and i need multi-block chunks unless the spec pinned one.
+		// Scheme-dependent chunk defaulting, as in cmd/simulate: m and i
+		// need multi-block chunks unless the spec pinned one.
 		m := &tc.Store.Machine
 		if m.ChunkBlocks <= 1 && (m.Scheme == core.SchemeMulti || m.Scheme == core.SchemeIncr) {
 			m.ChunkBlocks = 2
