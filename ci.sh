@@ -169,6 +169,19 @@ if [ -z "$saddr" ]; then
 fi
 "$stmp/metricscheck" -get "http://$saddr/healthz" | grep -q '"status": "healthy"' || {
   echo "FAIL: fresh memverifyd /healthz not healthy" >&2; exit 1; }
+# A batch reply sets no header, so its Content-Type is net/http's sniff of
+# the MVR1 bytes: a hand-built one-op MVB1 batch (an 8-byte read at offset
+# 0) must come back as a 200, application/octet-stream, 16 bytes long.
+printf 'MVB1\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x08\x00\x00\x00' >"$stmp/one.mvb1"
+code=$(curl -sS -o "$stmp/one.mvr1" -D "$stmp/one.head" -w '%{http_code}' \
+  -H 'Content-Type: application/octet-stream' --data-binary @"$stmp/one.mvb1" \
+  "http://$saddr/v1/t/t0/batch")
+if [ "$code" != 200 ] || [ "$(wc -c <"$stmp/one.mvr1")" -ne 16 ] ||
+  ! tr -d '\r' <"$stmp/one.head" | grep -qix 'content-type: application/octet-stream'; then
+  cat "$stmp/one.head" >&2
+  echo "FAIL: a one-op batch sent with curl came back HTTP $code, not a 16-byte application/octet-stream 200" >&2
+  exit 1
+fi
 for tenant in t0 t1 t2 t3; do
   "$stmp/loadgen" -remote "$saddr" -tenant "$tenant" -workers 4 -ops 2000 >/dev/null
 done
@@ -342,11 +355,13 @@ done
 echo "persist parser fuzz smoke OK"
 
 # The network half: every parser of bytes a peer or an operator hands us —
-# the batch request, the batch response, the -tenants spec, the scrape
-# checker — takes the same ten seconds each.
+# the batch request, the batch response, the client's response-head
+# reader, the -tenants spec, the scrape checker — takes the same ten
+# seconds each.
 for target in FuzzDecodeRequest FuzzDecodeResponse FuzzParseTenants; do
   go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/service/ >/dev/null
 done
+go test -run '^$' -fuzz '^FuzzReadHead$' -fuzztime 10s ./internal/service/client/ >/dev/null
 go test -run '^$' -fuzz '^FuzzValidateExposition$' -fuzztime 10s ./internal/obs/ >/dev/null
 echo "wire parser fuzz smoke OK"
 

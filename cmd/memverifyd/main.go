@@ -36,7 +36,6 @@ import (
 	"memverify/internal/obs"
 	"memverify/internal/runflags"
 	"memverify/internal/service"
-	"memverify/internal/telemetry"
 	"memverify/internal/trace"
 )
 
@@ -61,7 +60,7 @@ func run() error {
 	persistRoot := flag.String("persist", "", "checkpoint every tenant into ROOT/<name>, anchored at ROOT/anchors/<name>.anchor; tenants recover at boot")
 	ckptEvery := flag.Duration("checkpoint-every", 0, "seal a checkpoint for every persisted tenant at this interval (0 = only at shutdown)")
 	admitTimeout := flag.Duration("admit-timeout", time.Second, "max wait for batch admission before shedding with 429")
-	maxOps := flag.Int("max-batch-ops", service.DefaultMaxBatchOps, "max operations per batch request")
+	maxOps := flag.Int("max-batch-ops", service.DefaultMaxBatchOps, "max operations per batch request (below 16777216)")
 	maxBytes := flag.Int("max-batch-bytes", service.DefaultMaxBatchBytes, "max payload bytes per batch request")
 	allowTamper := flag.Bool("allow-tamper", false, "arm POST /v1/t/{name}/tamper (test/CI adversary endpoint — never in production)")
 	sampleEvery := flag.Duration("sample-every", obs.DefaultSampleEvery, "telemetry sampling interval for the ops surface's windowed rates")
@@ -199,11 +198,6 @@ func run() error {
 			logf("final checkpoint sealed")
 		}
 	}
-	// Publish a final registry so a post-shutdown scrape (none — the
-	// listener is gone) would have been consistent.
-	final := telemetry.NewRegistry()
-	svc.Fill(final)
-	opsSrv.Publish(final)
 	fr.Record(obs.EvRunEnd, -1, 0, "graceful shutdown complete")
 	logf("shutdown complete")
 	return nil

@@ -1,16 +1,14 @@
 // Package obs is the live operations surface over the simulator's
 // telemetry: a periodic sampler that turns the cumulative counters of a
 // telemetry.Registry into windowed rates and rolling quantiles, an HTTP
-// ops server exposing Prometheus text metrics, health endpoints, pprof
-// and on-demand trace capture, and a crash flight recorder that preserves
-// high-significance events (violations, checkpoints, recoveries) for
-// post-mortems.
+// ops server exposing Prometheus text metrics, health endpoints and
+// pprof, and a crash flight recorder that preserves high-significance
+// events (violations, checkpoints, recoveries) for post-mortems.
 //
 // The layering contract: obs depends only on internal/telemetry and
 // internal/stats. The daemon (cmd/memverifyd) glues its stores in
-// through three closures — a Fill func that snapshots live counters into
-// a fresh registry, a HealthFunc, and an optional trace-capture func —
-// so the package never imports the engine and the engine never imports
+// through two closures — a Fill func that snapshots live counters into
+// a fresh registry, and a HealthFunc — so the package never imports the engine and the engine never imports
 // the package. Every method is nil-safe, which is what keeps the
 // disabled path allocation-free.
 package obs

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -70,15 +69,6 @@ func TestServerMetricsAndVars(t *testing.T) {
 	if code != http.StatusOK || !strings.Contains(body, `"shard.ops_submitted": 1234`) {
 		t.Errorf("/vars HTTP %d body %s", code, body)
 	}
-
-	// A published registry takes over the scrape surface.
-	final := telemetry.NewRegistry()
-	final.Add("shard.ops_submitted", 999999)
-	srv.Publish(final)
-	_, body = get(t, srv, "/vars")
-	if !strings.Contains(body, `"shard.ops_submitted": 999999`) {
-		t.Errorf("published registry not served: %s", body)
-	}
 }
 
 func TestServerHealthTransitions(t *testing.T) {
@@ -130,34 +120,10 @@ func TestServerFlightAndTrace(t *testing.T) {
 		t.Errorf("/flightrecord HTTP %d %s", code, body)
 	}
 
-	// No CaptureTrace wired: /trace explains how to enable it.
+	// There is no /trace endpoint: the mux's plain 404.
 	code, body = get(t, srv, "/trace")
-	if code != http.StatusNotFound || !strings.Contains(body, "-trace") {
-		t.Errorf("/trace without capture: HTTP %d %s", code, body)
-	}
-}
-
-func TestServerTraceCapture(t *testing.T) {
-	tr := telemetry.NewTrace(64)
-	tr.Emit(telemetry.TrackIntegrity, telemetry.KindTreeWalk, 10, 20, 0, 0)
-	srv := startTestServer(t, Options{
-		CaptureTrace: func(cycles uint64) ([]*telemetry.Trace, error) {
-			return []*telemetry.Trace{tr.Tail(cycles)}, nil
-		},
-	})
-	code, body := get(t, srv, "/trace?cycles=100")
-	if code != http.StatusOK || !strings.Contains(body, "traceEvents") {
-		t.Errorf("/trace HTTP %d %s", code, body)
-	}
-	if code, _ := get(t, srv, "/trace?cycles=bogus"); code != http.StatusBadRequest {
-		t.Errorf("bad cycles accepted: HTTP %d", code)
-	}
-	capErr := fmt.Errorf("workers busy")
-	srv2 := startTestServer(t, Options{
-		CaptureTrace: func(cycles uint64) ([]*telemetry.Trace, error) { return nil, capErr },
-	})
-	if code, _ := get(t, srv2, "/trace"); code != http.StatusInternalServerError {
-		t.Errorf("capture error not surfaced: HTTP %d", code)
+	if code != http.StatusNotFound || body != "404 page not found\n" {
+		t.Errorf("/trace: HTTP %d %q, want the plain 404", code, body)
 	}
 }
 

@@ -19,6 +19,19 @@
 // request is never sent again: a pooled connection the server closed
 // while it sat idle is found before the write and replaced. hungDaemon is
 // every round trip's deadline, from the write to the response's last byte.
+//
+// The client reads each response head itself, without http.ReadResponse
+// and so without a header map per call. It accepts an "HTTP/1.1 NNN"
+// status line (a reason phrase is optional; 1xx, 204 and 304 are refused),
+// then header lines of a token name and a value free of control bytes but
+// HTAB, each ending in CRLF or LF and fitting the connection's 4 KiB
+// reader, then a blank line. Names compare case-insensitively, and only
+// three fields change anything: Content-Length, Transfer-Encoding
+// (chunked is the one coding) and Connection (its close token). The body
+// must be framed by exactly one of a Content-Length and chunked coding; a
+// chunked body's trailer is read up to its blank line, and a head that
+// declares trailer fields (Trailer) is refused. Anything else fails the
+// call and closes the connection.
 package client
 
 import (
@@ -318,7 +331,7 @@ func (c *Client) roundTrip(req *net.Buffers, ops []service.Op, out any) error {
 	// is answered before its body is read, and the server may close the
 	// connection under the rest of the write: that answer, not the write
 	// error, is what to report.
-	resp, err := http.ReadResponse(cn.br, nil)
+	status, keep, body, err := cn.readHead()
 	if err != nil {
 		cn.nc.Close()
 		if werr != nil {
@@ -327,12 +340,12 @@ func (c *Client) roundTrip(req *net.Buffers, ops []service.Op, out any) error {
 		return fmt.Errorf("client: %w", err)
 	}
 	switch {
-	case resp.StatusCode != http.StatusOK:
-		err = decodeError(resp)
+	case status != http.StatusOK:
+		err = decodeError(status, body)
 	case ops != nil:
-		err = service.DecodeResponse(resp.Body, ops)
+		err = service.DecodeResponse(body, ops)
 	case out != nil:
-		if err = json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if err = json.NewDecoder(body).Decode(out); err != nil {
 			err = fmt.Errorf("client: decoding the response: %w", err)
 		}
 	}
@@ -342,14 +355,14 @@ func (c *Client) roundTrip(req *net.Buffers, ops []service.Op, out any) error {
 	}
 	// Only a body read to its end leaves the connection at the next
 	// response, and a batch's body must end where its ops do.
-	n, rerr := cn.rest(resp.Body)
-	if ops != nil && err == nil {
-		if rerr == nil && n > 0 {
+	n, rerr := cn.rest(body)
+	if err == nil {
+		if rerr == nil && ops != nil && n > 0 {
 			rerr = fmt.Errorf("client: %d bytes after the response's last op", n)
 		}
 		err = rerr
 	}
-	c.put(cn, werr == nil && rerr == nil && !resp.Close)
+	c.put(cn, werr == nil && rerr == nil && keep)
 	return err
 }
 
@@ -396,6 +409,7 @@ type conn struct {
 	nc      net.Conn
 	br      *bufio.Reader
 	peek    peeker
+	fixed   fixedBody // the body of a Content-Length response
 	scratch [512]byte // rest's discard buffer
 }
 
@@ -437,11 +451,11 @@ func (cn *conn) rest(body io.Reader) (int, error) {
 // decodeError turns a non-200 response into its *service.APIError; bodies
 // that are not the JSON envelope degrade to a generic error of the same
 // status.
-func decodeError(resp *http.Response) error {
-	apiErr := &service.APIError{Status: resp.StatusCode, Kind: service.KindInternal}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-	if err := json.Unmarshal(body, apiErr); err != nil || apiErr.Msg == "" {
-		apiErr.Msg = fmt.Sprintf("http %d: %s", resp.StatusCode, strings.TrimSpace(string(body)))
+func decodeError(status int, body io.Reader) error {
+	apiErr := &service.APIError{Status: status, Kind: service.KindInternal}
+	msg, _ := io.ReadAll(io.LimitReader(body, 64<<10))
+	if err := json.Unmarshal(msg, apiErr); err != nil || apiErr.Msg == "" {
+		apiErr.Msg = fmt.Sprintf("http %d: %s", status, strings.TrimSpace(string(msg)))
 	}
 	return apiErr
 }

@@ -52,7 +52,7 @@ type Config struct {
 	AdmitTimeout time.Duration
 
 	// MaxBatchOps / MaxBatchBytes bound one request (zero selects the
-	// protocol defaults).
+	// protocol defaults). New refuses a MaxBatchOps of 1<<24 or more.
 	MaxBatchOps   int
 	MaxBatchBytes int
 
@@ -68,6 +68,12 @@ type Config struct {
 	// Logf, when set, receives one line per lifecycle event.
 	Logf func(format string, args ...any)
 }
+
+// maxSniffedOps bounds Config.MaxBatchOps. A batch reply sets no
+// Content-Type and relies on net/http's sniffer, which names a body with a
+// 0x00 in its first bytes application/octet-stream; the top byte of the
+// op count in "MVR1" | nops(u32 LE) is that 0x00 only below 2^24 ops.
+const maxSniffedOps = 1 << 24
 
 // tenant is one hosted region: the store, its admission semaphore, and
 // the optional persistence handle.
@@ -126,6 +132,10 @@ func New(cfg Config) (*Service, error) {
 	}
 	if cfg.AdmitTimeout <= 0 {
 		cfg.AdmitTimeout = time.Second
+	}
+	if cfg.MaxBatchOps >= maxSniffedOps {
+		return nil, fmt.Errorf("service: MaxBatchOps %d: must be below %d, so that every batch reply sniffs as application/octet-stream",
+			cfg.MaxBatchOps, maxSniffedOps)
 	}
 	s := &Service{cfg: cfg, tenants: make(map[string]*tenant, len(cfg.Tenants))}
 	for _, tc := range cfg.Tenants {
@@ -509,9 +519,11 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request, t *tenant)
 			Tenant: t.name, Msg: err.Error()})
 		return
 	}
+	// A batch reply sets no header, its Content-Type is sniffed (see
+	// maxSniffedOps): w.Header() would make net/http build a header map for
+	// the response and clone it when the head is written.
 	ops := st.ops
 	if len(ops) == 0 {
-		w.Header().Set("Content-Type", "application/octet-stream")
 		EncodeResponse(w, ops) //nolint:errcheck // empty batch
 		return
 	}
@@ -551,7 +563,6 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request, t *tenant)
 		writeError(w, classify(t, werr))
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
 	if err := EncodeResponse(w, ops); err != nil {
 		s.logf("service: tenant %s: writing batch response: %v", t.name, err)
 	}

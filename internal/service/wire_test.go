@@ -1,0 +1,89 @@
+package service
+
+import (
+	"bufio"
+	"bytes"
+	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"strings"
+	"testing"
+
+	"memverify/internal/core"
+)
+
+// TestBatchReplyWireContract pins what a batch reply looks like on the
+// wire, read from a raw keep-alive connection: a 200 with Content-Type
+// application/octet-stream, which net/http's sniffer supplies because the
+// handler sets no header, framed by Content-Length while the reply fits
+// net/http's 2 KiB response buffer and chunked above it.
+func TestBatchReplyWireContract(t *testing.T) {
+	_, ts := newTestService(t, Config{Tenants: []TenantConfig{
+		testTenant("wire", core.SchemeCached, "record", 2),
+	}})
+	addr := ts.Listener.Addr().String()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	for _, n := range []int{0, 1, 2, 100, DefaultMaxBatchOps} {
+		ops := make([]Op, n)
+		for i := range ops {
+			ops[i] = Op{Off: uint64(i%2048) * 64, Data: make([]byte, 64)}
+		}
+		body := EncodeRequest(ops)
+		fmt.Fprintf(nc, "POST /v1/t/wire/batch HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\n\r\n", addr, len(body))
+		if _, err := nc.Write(body); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("%d ops: %v", n, err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%d ops: reading the body: %v", n, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%d ops: status %d: %s", n, resp.StatusCode, raw)
+		}
+		if ct := resp.Header.Values("Content-Type"); len(ct) != 1 || ct[0] != "application/octet-stream" {
+			t.Errorf("%d ops: Content-Type %q, want application/octet-stream", n, ct)
+		}
+		size := 8 + 64*n
+		chunked := len(resp.TransferEncoding) == 1 && resp.TransferEncoding[0] == "chunked"
+		if size <= 2048 && (chunked || resp.ContentLength != int64(size)) ||
+			size > 2048 && !chunked {
+			t.Errorf("%d ops: a %d-byte reply came as Content-Length %d, Transfer-Encoding %q",
+				n, size, resp.ContentLength, resp.TransferEncoding)
+		}
+		if err := DecodeResponse(bytes.NewReader(raw), ops); err != nil || len(raw) != size {
+			t.Errorf("%d ops: %d-byte body (want %d): %v", n, len(raw), size, err)
+		}
+	}
+}
+
+// TestNewRefusesUnsniffableBatchLimit: a batch limit of 2^24 ops or more
+// would let a reply's op count end in a non-zero byte, and its sniffed
+// Content-Type could stop being application/octet-stream, so New refuses
+// it and names the field.
+func TestNewRefusesUnsniffableBatchLimit(t *testing.T) {
+	for _, ops := range []int{1 << 24, 1<<24 + 1, 1 << 30} {
+		_, err := New(Config{Tenants: []TenantConfig{testTenant("t0", core.SchemeCached, "record", 1)}, MaxBatchOps: ops})
+		if err == nil || !strings.Contains(err.Error(), "MaxBatchOps") {
+			t.Errorf("MaxBatchOps %d: %v, want a refusal naming the field", ops, err)
+		}
+	}
+	svc, err := New(Config{Tenants: []TenantConfig{testTenant("t0", core.SchemeCached, "record", 1)}, MaxBatchOps: 1<<24 - 1})
+	if err != nil {
+		t.Fatalf("MaxBatchOps 2^24-1: %v", err)
+	}
+	svc.Close()
+	if got := http.DetectContentType([]byte("MVR1\xff\xff\xff\x00")); got != "application/octet-stream" {
+		t.Errorf("the largest accepted count sniffs as %q", got)
+	}
+}

@@ -177,58 +177,6 @@ func (t *Trace) Dropped() uint64 {
 	return t.seq - uint64(len(t.ring))
 }
 
-// Tail returns a new trace holding the retained events whose spans end
-// within the last `cycles` simulated cycles (relative to the newest
-// retained event's End); cycles == 0 keeps every retained event. Process
-// marks are carried over so each event stays attributed to the machine
-// that emitted it. Tail is the /trace?cycles=N capture primitive: it
-// copies, so the returned trace is safe to export while the original
-// keeps recording — provided Tail itself runs on the goroutine that owns
-// the original (the shard worker, for a live store). A nil receiver
-// returns nil.
-func (t *Trace) Tail(cycles uint64) *Trace {
-	if t == nil {
-		return nil
-	}
-	evs, firstSeq := t.retained()
-	var maxEnd uint64
-	for _, ev := range evs {
-		if ev.End > maxEnd {
-			maxEnd = ev.End
-		}
-	}
-	cut := uint64(0)
-	if cycles > 0 && maxEnd > cycles {
-		cut = maxEnd - cycles
-	}
-	out := NewTrace(len(evs) + 1)
-	// Walk the process marks alongside the events: proc is the name in
-	// effect at the current sequence number, emitted into the copy the
-	// first time an event under it survives the cut.
-	pi := 0
-	proc, procPending := "", false
-	for pi < len(t.procs) && t.procs[pi].Seq <= firstSeq {
-		proc, procPending = t.procs[pi].Name, true
-		pi++
-	}
-	for i, ev := range evs {
-		seq := firstSeq + uint64(i)
-		for pi < len(t.procs) && t.procs[pi].Seq <= seq {
-			proc, procPending = t.procs[pi].Name, true
-			pi++
-		}
-		if ev.End < cut {
-			continue
-		}
-		if procPending && proc != "" {
-			out.BeginProcess(proc)
-			procPending = false
-		}
-		out.Emit(ev.Track, ev.Kind, ev.Begin, ev.End, ev.A, ev.B)
-	}
-	return out
-}
-
 // retained returns the kept events oldest-first along with the sequence
 // number of the first one.
 func (t *Trace) retained() (evs []Event, firstSeq uint64) {

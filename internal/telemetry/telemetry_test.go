@@ -244,3 +244,29 @@ func TestRecorderFillRegistry(t *testing.T) {
 	var nilRec *Recorder
 	nilRec.FillRegistry(reg)
 }
+
+func TestMergeInto(t *testing.T) {
+	src := NewRegistry()
+	src.Add("a", 3)
+	src.SetGauge("g", 1.5)
+	src.AppendSeries("s", 1, 2)
+
+	dst := NewRegistry()
+	dst.Add("a", 1)
+	dst.Add("b", 7)
+	src.MergeInto(dst)
+
+	if dst.Counter("a") != 4 || dst.Counter("b") != 7 {
+		t.Fatalf("counters after merge: a=%d b=%d", dst.Counter("a"), dst.Counter("b"))
+	}
+	if dst.gauges["g"] != 1.5 {
+		t.Fatalf("gauge after merge: %v", dst.gauges["g"])
+	}
+	if len(dst.series["s"]) != 2 {
+		t.Fatalf("series after merge: %v", dst.series["s"])
+	}
+	// The source must be untouched.
+	if src.Counter("a") != 3 || src.Counter("b") != 0 {
+		t.Fatalf("merge mutated the source: a=%d b=%d", src.Counter("a"), src.Counter("b"))
+	}
+}
