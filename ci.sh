@@ -52,8 +52,10 @@ echo "verification cache gate OK"
 # nonzero on any false positive, root mismatch, or miss. (The kill-point,
 # chain-is-the-image and short-write properties run race-clean with the
 # suite above; the replayed-directory refusal is the service gate's last
-# leg.)
+# leg.) The two-shard campaign runs a checkpoint's shard lanes at once
+# under the same kills and tampers.
 go run ./cmd/chaos -crash -n 50 -seed 17 >/dev/null
+go run ./cmd/chaos -crash -n 24 -seed 17 -crash-shards 2 >/dev/null
 echo "persistence gate OK"
 
 # Hygiene gate: no compiled or executable blob may be tracked. Shell

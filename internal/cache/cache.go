@@ -357,31 +357,19 @@ func (c *Cache) Invalidate(addr uint64) Line {
 	return Line{}
 }
 
-// DirtyLines returns a copy of every dirty resident line, without its
-// Data (the bytes stay with the slot that owns them), in no particular
-// order. Used by the initialization procedure's cache flush (§5.7.2).
-func (c *Cache) DirtyLines() []Line {
-	n := 0
+// AppendDirty appends the address of every dirty resident line to dst,
+// in set and way order, and returns the extended slice. Used by the
+// initialization procedure's cache flush (§5.7.2), which passes the same
+// scratch every time.
+func (c *Cache) AppendDirty(dst []uint64) []uint64 {
 	for _, set := range c.sets {
 		for i := range set {
 			if set[i].Valid && set[i].Dirty {
-				n++
+				dst = append(dst, set[i].Addr)
 			}
 		}
 	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Line, 0, n)
-	for _, set := range c.sets {
-		for i := range set {
-			if ln := set[i]; ln.Valid && ln.Dirty {
-				ln.Data = nil
-				out = append(out, ln)
-			}
-		}
-	}
-	return out
+	return dst
 }
 
 // Clean marks the line holding addr as clean, if present.

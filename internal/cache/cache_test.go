@@ -145,12 +145,15 @@ func TestDirtyLinesAndClean(t *testing.T) {
 	c.Fill(0x000, Data, nil)
 	c.Fill(0x040, Data, nil)
 	c.Write(0x000, Data)
-	dirty := c.DirtyLines()
-	if len(dirty) != 1 || dirty[0].Addr != 0 {
-		t.Fatalf("DirtyLines = %+v", dirty)
+	dirty := c.AppendDirty(nil)
+	if len(dirty) != 1 || dirty[0] != 0 {
+		t.Fatalf("AppendDirty = %#x", dirty)
+	}
+	if again := c.AppendDirty(dirty); len(again) != 2 || again[0] != 0 || again[1] != 0 {
+		t.Fatalf("AppendDirty onto %#x = %#x", dirty, again)
 	}
 	c.Clean(0x000)
-	if len(c.DirtyLines()) != 0 {
+	if len(c.AppendDirty(nil)) != 0 {
 		t.Error("Clean did not clean")
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestLineBuffersHaveOneOwner drives a small data-bearing cache through
-// seeded Fill/Write/Invalidate/DirtyLines/Release sequences and checks the
+// seeded Fill/Write/Invalidate/AppendDirty/Release sequences and checks the
 // ownership rule after every step: each line buffer is reachable from
 // exactly one of a resident slot, a line the caller still holds, or the
 // free list. Contents are checked against a model kept from the cache's
@@ -122,20 +122,20 @@ func TestLineBuffersHaveOneOwner(t *testing.T) {
 					held = append(held, ln)
 					delete(model, addr)
 				}
-			case 6: // DirtyLines: descriptions only, never the slots' bytes
+			case 6: // AppendDirty: addresses only, never the slots' bytes
 				dirty := 0
 				for _, r := range model {
 					if r.dirty {
 						dirty++
 					}
 				}
-				lines := c.DirtyLines()
-				if len(lines) != dirty {
-					t.Fatalf("seed %d op %d: DirtyLines %d, model %d", seed, op, len(lines), dirty)
+				addrs := c.AppendDirty(nil)
+				if len(addrs) != dirty {
+					t.Fatalf("seed %d op %d: AppendDirty %d, model %d", seed, op, len(addrs), dirty)
 				}
-				for _, ln := range lines {
-					if ln.Data != nil || !model[ln.Addr].dirty {
-						t.Fatalf("seed %d op %d: DirtyLines entry %#x carries data or is clean", seed, op, ln.Addr)
+				for _, addr := range addrs {
+					if !model[addr].dirty {
+						t.Fatalf("seed %d op %d: AppendDirty entry %#x is clean", seed, op, addr)
 					}
 				}
 			case 7: // Release a held line; sometimes try to do it twice

@@ -101,12 +101,13 @@ func allocateFullWrite(s *System, now uint64, addr uint64, evict func(uint64, ca
 // Flush implements Engine.
 func (e *Base) Flush(now uint64) uint64 {
 	done := now
-	for _, ln := range e.sys.L2.DirtyLines() {
+	e.sys.dirtyScratch = e.sys.L2.AppendDirty(e.sys.dirtyScratch[:0])
+	for _, addr := range e.sys.dirtyScratch {
 		// The line stays resident and keeps its bytes: the plain write
 		// reads them where they sit and cannot re-enter the cache.
-		cur := e.sys.L2.Peek(ln.Addr)
+		cur := e.sys.L2.Peek(addr)
+		ln := *cur
 		cur.Dirty = false
-		ln.Data = cur.Data
 		if d := e.Evict(done, ln); d > done {
 			done = d
 		}
@@ -121,28 +122,29 @@ func (e *Base) Flush(now uint64) uint64 {
 func flushVia(s *System, now uint64, ev func(uint64, cache.Line) uint64) uint64 {
 	done := now
 	for pass := 0; ; pass++ {
-		dirty := s.L2.DirtyLines()
+		dirty := s.L2.AppendDirty(s.dirtyScratch[:0])
 		if s.VC != nil {
-			dirty = append(dirty, s.VC.DirtyLines()...)
+			dirty = s.VC.AppendDirty(dirty)
 		}
+		s.dirtyScratch = dirty
 		if len(dirty) == 0 {
 			return done
 		}
 		if pass > s.Layout.Levels()+2 {
 			panic("integrity: flush failed to converge (engine bug)")
 		}
-		for _, ln := range dirty {
+		for _, addr := range dirty {
 			// The line may have been cleaned or re-dirtied by an earlier
 			// write-back in this pass (m-scheme write-backs clean chunk
 			// siblings; hash updates dirty parents). Re-check, then pull
 			// the line out so Evict sees the same "in hand" state a
 			// replacement victim would have.
-			owner := s.cacheForAddr(ln.Addr)
-			cur := owner.Peek(ln.Addr)
+			owner := s.cacheForAddr(addr)
+			cur := owner.Peek(addr)
 			if cur == nil || !cur.Dirty {
 				continue
 			}
-			victim := owner.Invalidate(ln.Addr)
+			victim := owner.Invalidate(addr)
 			if d := evictAndRelease(owner, done, victim, ev); d > done {
 				done = d
 			}

@@ -20,7 +20,7 @@ func TestWorkloadKeepsTreeConsistent(t *testing.T) {
 			if r.sys.Stat.Violations != 0 {
 				t.Fatalf("false positives during flush: %v", r.sys.First)
 			}
-			if len(r.sys.L2.DirtyLines()) != 0 {
+			if len(r.sys.L2.AppendDirty(nil)) != 0 {
 				t.Fatal("dirty lines remain after flush")
 			}
 			if err := r.verifyMemoryTree(); err != nil {

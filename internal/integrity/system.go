@@ -136,11 +136,14 @@ type System struct {
 	// digestScratch are single buffers, legal only because their contents
 	// are never held across a re-entrant call; blkScratch likewise carries
 	// an unprotected block from memory to the Fill that copies it.
+	// dirtyScratch holds a flush pass's addresses of dirty lines: flushes
+	// do not nest.
 	imgFree       [][]byte
 	recFree       [][]byte
 	memScratch    []int
 	digestScratch []byte
 	blkScratch    []byte
+	dirtyScratch  []uint64
 }
 
 // inflightLine is one write-buffer entry: the block address and the live

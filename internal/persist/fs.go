@@ -119,9 +119,11 @@ type KillRule struct {
 	After int
 }
 
-// FaultFS wraps an FS with deterministic fault injection. It is safe for
-// the single-goroutine access pattern the store guarantees; the mutex only
-// protects the campaign's bookkeeping against inspection from tests.
+// FaultFS wraps an FS with fault injection. Its mutex orders the
+// operations it gates: a checkpoint's shard lanes call it at once, so in a
+// multi-shard store which lane reaches the k-th matching operation, and
+// takes a queued fault, is up to the scheduler. A one-shard store's
+// operations are one sequence, and its injections deterministic.
 type FaultFS struct {
 	inner FS
 

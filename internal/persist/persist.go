@@ -28,6 +28,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"memverify/internal/core"
@@ -61,7 +62,9 @@ type Options struct {
 	// OnEvent, when set, fires once per externally significant protocol
 	// transition with an Event* kind, the epoch it concerns and a short
 	// detail string. It runs synchronously on the goroutine driving the
-	// checkpoint or recovery — the flight-recorder feed.
+	// checkpoint or recovery — the flight-recorder feed — except
+	// EventRetryExhausted, which may fire on a checkpoint's shard lane;
+	// calls never overlap.
 	OnEvent func(kind string, epoch uint64, detail string)
 }
 
@@ -98,7 +101,9 @@ var ErrStoreFailed = errors.New("persist: store failed a checkpoint under the ha
 
 // Source is the state provider a checkpoint drains: one machine, or one
 // machine per shard. WithMachine must run f with exclusive access to
-// shard i's machine at a quiesced point (no in-flight operations).
+// shard i's machine at a quiesced point (no in-flight operations). It may
+// be called concurrently for distinct i: a checkpoint snapshots its
+// shards at once.
 type Source interface {
 	NumShards() int
 	// MachineConfig returns the PER-MACHINE configuration (after any
@@ -170,9 +175,10 @@ func Fingerprint(cfg core.Config, shards int) uint64 {
 	return h.Sum64()
 }
 
-// Store is the checkpoint side of the persistence layer. It is
-// single-goroutine: callers serialize Checkpoint with their own workload
-// barriers (a checkpoint is itself a commit point).
+// Store is the checkpoint side of the persistence layer. Callers
+// serialize Checkpoint with their own workload barriers (a checkpoint is
+// itself a commit point); inside one, the per-shard steps run on one
+// goroutine per shard.
 type Store struct {
 	dir     string
 	fsys    FS
@@ -187,8 +193,9 @@ type Store struct {
 	shards     int    // fixed at the first checkpoint
 	fp         uint64
 	failed     bool
-	// wbuf is the write buffer every segment is streamed through.
-	wbuf []byte
+	// wbufs are the write buffers the segments stream through, one per
+	// shard lane, allocated at the first checkpoint and kept.
+	wbufs [][]byte
 	// chains is each shard's committed chain as of the last checkpoint,
 	// nil whenever that checkpoint did not complete: the next one then
 	// writes bases only.
@@ -213,7 +220,7 @@ func Open(opts Options) (*Store, error) {
 	if err := fsys.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: opts.Dir, fsys: fsys, policy: opts.Policy, onEvent: opts.OnEvent, wbuf: make([]byte, 0, segBufSize)}
+	s := &Store{dir: opts.Dir, fsys: fsys, policy: opts.Policy, onEvent: opts.OnEvent}
 	s.retry = newRetrier(opts.Retry, &s.stats)
 	if s.onEvent != nil {
 		s.retry.onExhausted = func(err error) {
@@ -297,7 +304,11 @@ func (s *Store) Stats() Stats { return s.stats }
 // Epoch returns the last epoch an intent was sealed for.
 func (s *Store) Epoch() uint64 { return s.epoch }
 
-// Checkpoint drains src to a commit point and persists epoch s.Epoch()+1:
+// Checkpoint drains src to a commit point and persists epoch s.Epoch()+1.
+// Steps 1, 3 and 6 run on one lane per shard at once (shard 0's on the
+// calling goroutine), and every lane joins before the next step; steps 2,
+// 4 and 5 are serial. A one-shard store is one lane, so its file
+// operations are one fixed sequence.
 //
 //  1. Snapshot every shard (an implicit Flush barrier per machine): a
 //     frozen view of the lines written since the shard's last segment
@@ -307,7 +318,7 @@ func (s *Store) Epoch() uint64 { return s.epoch }
 //     page.
 //  2. Seal the INTENT record in the WAL (fsync).
 //  3. Write one segment file per shard, base or delta (fsync each),
-//     streamed from its view through the store's write buffer, and
+//     streamed from its view through the lane's write buffer, and
 //     release the view. Names encode the epoch, so earlier epochs'
 //     segments are never touched.
 //  4. Commit: write MANIFEST.tmp, fsync, rename over MANIFEST, fsync
@@ -315,7 +326,8 @@ func (s *Store) Epoch() uint64 { return s.epoch }
 //  5. Seal the COMMIT record in the WAL (fsync).
 //  6. Garbage-collect the segments no shard's chain reaches any more.
 //
-// A crash before step 4's rename leaves the previous epoch fully intact;
+// A crash before step 4's rename leaves the previous epoch fully intact
+// (whichever segments of the new one the lanes had written);
 // a crash after it leaves the new epoch recoverable (roll-forward). The
 // intent/commit pair lets recovery tell a torn checkpoint from a
 // rolled-back committed one — see the WAL format comment.
@@ -376,9 +388,8 @@ func (s *Store) checkpoint(src Source) (uint64, error) {
 		}
 	}()
 	epoch := s.epoch + 1
-	for i := 0; i < n; i++ {
-		i := i
-		if err := src.WithMachine(i, func(m *core.Machine) error {
+	if err := lanes(n, func(i int) error {
+		err := src.WithMachine(i, func(m *core.Machine) error {
 			size := m.StateSize()
 			snap, err := m.SaveStateSince(chains[i].next(size, m.Layout.HashSize))
 			if err != nil {
@@ -391,9 +402,13 @@ func (s *Store) checkpoint(src Source) (uint64, error) {
 			}
 			segs[i], seqs[i], roots[i] = seg, snap.Seq, snap.Root
 			return nil
-		}); err != nil {
-			return 0, fmt.Errorf("persist: snapshot shard %d: %w", i, err)
+		})
+		if err != nil {
+			return fmt.Errorf("persist: snapshot shard %d: %w", i, err)
 		}
+		return nil
+	}); err != nil {
+		return 0, err
 	}
 
 	digest := rootDigest(epoch, roots)
@@ -415,12 +430,21 @@ func (s *Store) checkpoint(src Source) (uint64, error) {
 		s.onEvent(EventIntent, epoch, "WAL intent sealed")
 	}
 
-	for i, seg := range segs {
-		write := func(w io.Writer) error { return seg.writeTo(w, s.wbuf) }
+	for len(s.wbufs) < n {
+		s.wbufs = append(s.wbufs, make([]byte, 0, segBufSize))
+	}
+	if err := lanes(n, func(i int) error {
+		seg := segs[i]
+		write := func(w io.Writer) error { return seg.writeTo(w, s.wbufs[i]) }
 		if err := s.writeFileSync(filepath.Join(s.dir, segName(epoch, i)), write); err != nil {
-			return 0, fmt.Errorf("persist: segment %d: %w", i, err)
+			return fmt.Errorf("persist: segment %d: %w", i, err)
 		}
 		seg.view.Release() // written and synced: the shard's pages are its own again
+		return nil
+	}); err != nil {
+		return 0, err
+	}
+	for _, seg := range segs {
 		s.stats.BytesWritten += uint64(seg.size())
 		if seg.Delta {
 			s.stats.DeltaSegments++
@@ -509,20 +533,53 @@ func writeBytes(p []byte) func(io.Writer) error {
 	}
 }
 
-// gc removes the segments no shard's committed chain reaches. Failures
-// are ignored — the checkpoint is already committed and stray segments
-// are inert: recovery reads only what the manifest's epoch reaches, and
-// the next gc tries again.
+// gc removes the segments no shard's committed chain reaches, each
+// shard's on its own lane in epoch order; names that belong to no shard
+// go on shard 0's. Failures are ignored — the checkpoint is already
+// committed and stray segments are inert: recovery reads only what the
+// manifest's epoch reaches, and the next gc tries again.
 func (s *Store) gc() {
 	names, err := listSegments(s.fsys, s.dir)
 	if err != nil {
 		return
 	}
-	for _, name := range names {
+	dead := make([][]string, len(s.chains))
+	for _, name := range names { // sorted: epoch order within a shard
 		epoch, shard, ok := parseSegName(name)
-		if ok && shard < len(s.chains) && slices.Contains(s.chains[shard].epochs, epoch) {
+		if !ok || shard >= len(s.chains) {
+			shard = 0
+		} else if slices.Contains(s.chains[shard].epochs, epoch) {
 			continue
 		}
-		_ = s.fsys.Remove(filepath.Join(s.dir, name))
+		dead[shard] = append(dead[shard], name)
 	}
+	_ = lanes(len(dead), func(i int) error {
+		for _, name := range dead[i] {
+			_ = s.fsys.Remove(filepath.Join(s.dir, name))
+		}
+		return nil
+	})
+}
+
+// lanes runs f for every shard i < n at once, shard 0 on the calling
+// goroutine, and returns the error of the lowest shard that failed. A
+// one-shard store runs f inline: its operations are one sequence.
+func lanes(n int, f func(i int) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = f(i)
+		}()
+	}
+	errs[0] = f(0)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

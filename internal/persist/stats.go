@@ -3,6 +3,7 @@ package persist
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"memverify/internal/telemetry"
@@ -97,14 +98,17 @@ func (s *Stats) NoteRecovery(rec *Recovery) {
 	}
 }
 
-// retrier applies the policy to one operation at a time, charging retries
-// to the shared stats block.
+// retrier applies the policy to each operation, charging retries to the
+// shared stats block. The shard lanes of a checkpoint call do at once:
+// mu serializes the counts and the onExhausted hook.
 type retrier struct {
 	policy RetryPolicy
 	stats  *Stats
 	sleep  func(time.Duration) // swapped out by tests
 	// onExhausted fires after an operation burned every attempt.
 	onExhausted func(error)
+
+	mu sync.Mutex
 }
 
 func newRetrier(policy RetryPolicy, stats *Stats) *retrier {
@@ -121,7 +125,9 @@ func (r *retrier) do(op func() error) error {
 	var err error
 	for attempt := 0; attempt < r.policy.Attempts; attempt++ {
 		if attempt > 0 {
+			r.mu.Lock()
 			r.stats.Retries++
+			r.mu.Unlock()
 			r.sleep(delay)
 			delay *= 2
 			if delay > r.policy.MaxDelay {
@@ -135,9 +141,11 @@ func (r *retrier) do(op func() error) error {
 			return err
 		}
 	}
+	r.mu.Lock()
 	r.stats.RetryExhausted++
 	if r.onExhausted != nil {
 		r.onExhausted(err)
 	}
+	r.mu.Unlock()
 	return fmt.Errorf("persist: %d attempts exhausted: %w", r.policy.Attempts, err)
 }

@@ -270,7 +270,9 @@ func TestCheckpointUnderConcurrentWrites(t *testing.T) {
 	}
 
 	// Two checkpoints fail past their retries: one before its WAL intent
-	// is written, one while its first segment streams. Before each, every
+	// is written, one while its segments stream — the shards' lanes share
+	// the short writes, so there is one lane's worth of them per shard,
+	// and each lane runs out. Before each, every
 	// written page of every shard is rewritten with its own bytes, so the
 	// checkpoint's views hold them all and the dirty lists have room for
 	// them all; after each, writing them again must allocate nothing.
@@ -281,7 +283,7 @@ func TestCheckpointUnderConcurrentWrites(t *testing.T) {
 		want   Outcome // the outcome of recovering the directory it leaves
 	}{
 		{"before the intent", func() { ffs.FailTransient(fastRetry.Attempts) }, OutcomeClean},
-		{"mid-segment", func() { ffs.FailShort(2, fastRetry.Attempts) }, OutcomeTorn},
+		{"mid-segment", func() { ffs.FailShort(2, fastRetry.Attempts*s.Shards()) }, OutcomeTorn},
 	} {
 		for i := 0; i < s.Shards(); i++ {
 			if n, _ := rewritePages(s, i); n == 0 {

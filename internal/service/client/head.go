@@ -225,6 +225,22 @@ func (b *fixedBody) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// ReadByte reads one byte of the body: DecodeResponse reads the response
+// header through it without a buffer of its own.
+func (b *fixedBody) ReadByte() (byte, error) {
+	if b.n <= 0 {
+		return 0, io.EOF
+	}
+	c, err := b.br.ReadByte()
+	if err == io.EOF {
+		return 0, io.ErrUnexpectedEOF
+	}
+	if err == nil {
+		b.n--
+	}
+	return c, err
+}
+
 // chunkedBody is a chunked body: httputil's chunk decoder, and then the
 // trailer, which must be read too for the connection to stand at the next
 // response.

@@ -226,12 +226,12 @@ func EncodeResponse(w io.Writer, ops []Op) error {
 // DecodeResponse parses an MVR1 response against the ops that produced
 // it, filling each read op's Data buffer in place.
 func DecodeResponse(r io.Reader, ops []Op) error {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr, err := readRespHeader(r)
+	if err != nil {
 		return fmt.Errorf("response header: %w", err)
 	}
 	if [4]byte(hdr[:4]) != respMagic {
-		return fmt.Errorf("bad response magic %q (want %q)", hdr[:4], respMagic[:])
+		return fmt.Errorf("bad response magic %q (want %q)", string(hdr[:4]), respMagic[:])
 	}
 	if got := int(binary.LittleEndian.Uint32(hdr[4:])); got != len(ops) {
 		return fmt.Errorf("response covers %d ops, batch submitted %d", got, len(ops))
@@ -245,6 +245,28 @@ func DecodeResponse(r io.Reader, ops []Op) error {
 		}
 	}
 	return nil
+}
+
+// readRespHeader reads a response's 8-byte header, failing as
+// io.ReadFull does. Through an io.ByteReader the header never leaves the
+// stack; any other reader gets a heap copy to read into, since a slice
+// handed to an io.Reader escapes.
+func readRespHeader(r io.Reader) (hdr [8]byte, err error) {
+	br, ok := r.(io.ByteReader)
+	if !ok {
+		p := new([8]byte)
+		_, err = io.ReadFull(r, p[:])
+		return *p, err
+	}
+	for i := range hdr {
+		if hdr[i], err = br.ReadByte(); err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return hdr, err
+		}
+	}
+	return hdr, nil
 }
 
 // Error kinds carried in the JSON envelope. They are the machine-readable

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"testing"
 )
@@ -92,6 +93,32 @@ func TestProtocolResponseMismatch(t *testing.T) {
 	two := []Op{{Off: 0, Data: make([]byte, 4)}, {Off: 4, Data: make([]byte, 4)}}
 	if err := DecodeResponse(&resp, two); err == nil {
 		t.Error("op-count mismatch: decoded without error")
+	}
+}
+
+// TestResponseHeaderTruncation: a response cut anywhere in its header
+// fails as io.ReadFull fails — io.EOF before its first byte,
+// io.ErrUnexpectedEOF after — whether DecodeResponse reads the header
+// byte by byte (an io.ByteReader) or in one read.
+func TestResponseHeaderTruncation(t *testing.T) {
+	var resp bytes.Buffer
+	if err := EncodeResponse(&resp, nil); err != nil {
+		t.Fatal(err)
+	}
+	wire := resp.Bytes()
+	for n := 0; n <= len(wire); n++ {
+		want := io.ErrUnexpectedEOF
+		switch n {
+		case 0:
+			want = io.EOF
+		case len(wire):
+			want = nil
+		}
+		for _, r := range []io.Reader{bytes.NewReader(wire[:n]), io.LimitReader(bytes.NewReader(wire), int64(n))} {
+			if err := DecodeResponse(r, nil); !errors.Is(err, want) || (want == nil) != (err == nil) {
+				t.Errorf("%T over %d of %d header bytes: %v, want %v", r, n, len(wire), err, want)
+			}
+		}
 	}
 }
 
