@@ -12,12 +12,19 @@
 // A data-bearing line's buffer has exactly one owner at every moment: the
 // slot while the line is resident; the caller, between a Fill or Invalidate
 // that hands a line out with its Data and the Release that hands it back;
-// the free list otherwise. Fill makes no buffer in steady state — a clean
-// victim's is reused where it sits, a dirty victim's replacement comes off
-// the free list the previous write-back's Release fed.
+// the free list otherwise. The cache keeps every buffer it makes for as
+// long as it exists, carved bufsPerChunk at a time from chunks it owns, so
+// Fill makes one only when every buffer made so far is resident or out in
+// a write-back: lines plus write-back nesting bound the count. A clean
+// victim's buffer is reused where it sits, a dirty victim's replacement
+// comes off the free list the previous write-back's Release fed, and the
+// buffers a flush releases are the ones its refills take.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Class labels the contents of a line.
 type Class uint8
@@ -53,12 +60,9 @@ type Config struct {
 	DataBearing bool
 }
 
-// maxFreeBufs bounds the free list. Steady-state traffic needs one buffer
-// per level of write-back nesting (each dirty victim in flight keeps one
-// out); the bound only matters after a flush has invalidated and released
-// a cache's worth of lines, where everything past it is left to the
-// collector instead of being retained.
-const maxFreeBufs = 32
+// bufsPerChunk is how many line buffers a data-bearing cache carves from
+// one allocation; one word of free bits covers a chunk.
+const bufsPerChunk = 64
 
 // PoisonReleased is a testing aid: when set, Release fills every buffer
 // with 0xA5 as it takes it back, so code that keeps using a buffer it has
@@ -73,6 +77,7 @@ type Line struct {
 	Class Class
 	Valid bool
 	Dirty bool
+	buf   uint32 // index of Data among the cache's buffers; fits the padding
 	lru   uint64
 }
 
@@ -108,8 +113,14 @@ type Cache struct {
 	// filledClass tracks residency per traffic class so telemetry can
 	// report how much of the L2 the hash tree occupies (§6.4.1).
 	filledClass [numClasses]int
-	// free holds released line buffers awaiting reuse (at most maxFreeBufs).
-	free [][]byte
+	// Line buffers, data-bearing caches only: chunks holds all made so
+	// far, buffer i at chunks[i/bufsPerChunk]; free lists the released
+	// ones by index, LIFO, and bit i%bufsPerChunk of freeBits[i/bufsPerChunk]
+	// is set while buffer i is on it.
+	chunks   [][]byte
+	made     int
+	free     []uint32
+	freeBits []uint64
 }
 
 // New builds a cache. It panics on an inconsistent geometry, which is a
@@ -290,17 +301,20 @@ func (c *Cache) Fill(addr uint64, class Class, data []byte) Line {
 	if c.cfg.DataBearing {
 		// A clean victim's buffer stays for the incoming block. An empty
 		// slot has none and a dirty victim's leaves with the caller: the
-		// slot takes one off the free list, or makes it when the list is
-		// empty (cold slots, a write-back nested deeper than any before).
+		// slot takes one off the free list, or a never-used one (zero
+		// since its chunk was made) when every buffer is out.
 		zeroed := false
 		switch n := len(c.free); {
 		case evicted.Valid && !evicted.Dirty:
-			nl.Data, evicted.Data = evicted.Data, nil
+			nl.Data, nl.buf, evicted.Data = evicted.Data, evicted.buf, nil
 		case n > 0:
-			nl.Data, c.free[n-1] = c.free[n-1], nil
+			nl.buf = c.free[n-1]
 			c.free = c.free[:n-1]
+			c.freeBits[nl.buf/bufsPerChunk] &^= 1 << (nl.buf % bufsPerChunk)
+			nl.Data = c.buffer(nl.buf)
 		default:
-			nl.Data, zeroed = make([]byte, c.cfg.BlockSize), true
+			nl.buf, zeroed = c.newBuffer(), true
+			nl.Data = c.buffer(nl.buf)
 		}
 		if n := copy(nl.Data, data); !zeroed {
 			clear(nl.Data[n:])
@@ -310,11 +324,33 @@ func (c *Cache) Fill(addr uint64, class Class, data []byte) Line {
 	return evicted
 }
 
+// newBuffer returns the index of a buffer no line has held yet, carving a
+// new chunk when the last is used up. The free list's capacity grows with
+// the chunks, so Release never allocates.
+func (c *Cache) newBuffer() uint32 {
+	i := c.made
+	if i%bufsPerChunk == 0 {
+		c.chunks = append(c.chunks, make([]byte, bufsPerChunk*c.cfg.BlockSize))
+		c.freeBits = append(c.freeBits, 0)
+		c.free = slices.Grow(c.free, i+bufsPerChunk-len(c.free))
+	}
+	c.made++
+	return uint32(i)
+}
+
+// buffer returns buffer i, capped at one block.
+func (c *Cache) buffer(i uint32) []byte {
+	off := int(i%bufsPerChunk) * c.cfg.BlockSize
+	return c.chunks[i/bufsPerChunk][off : off+c.cfg.BlockSize : off+c.cfg.BlockSize]
+}
+
 // Release takes back the buffer of a line Fill or Invalidate handed out
 // and clears ln.Data, so the caller's copy of the line no longer reaches
 // bytes the cache will reuse. A line without Data (timing-only caches,
-// clean victims, an already released line) is a no-op; releasing one
-// buffer twice through two copies of its line is a caller bug and panics.
+// clean victims, an already released line) is a no-op. A buffer this
+// cache did not make, or one released twice through two copies of its
+// line, is a caller bug and panics — the second release is caught as long
+// as no Fill has taken the buffer again.
 func (c *Cache) Release(ln *Line) {
 	buf := ln.Data
 	if buf == nil {
@@ -324,19 +360,21 @@ func (c *Cache) Release(ln *Line) {
 	if len(buf) != c.cfg.BlockSize {
 		panic(fmt.Sprintf("cache %s: released a %d-byte buffer, lines hold %d", c.cfg.Name, len(buf), c.cfg.BlockSize))
 	}
-	for _, f := range c.free {
-		if &f[0] == &buf[0] {
-			panic(fmt.Sprintf("cache %s: line %#x released twice", c.cfg.Name, ln.Addr))
-		}
+	i := ln.buf
+	if int(i) >= c.made || &buf[0] != &c.buffer(i)[0] {
+		panic(fmt.Sprintf("cache %s: line %#x released a buffer the cache did not make", c.cfg.Name, ln.Addr))
 	}
+	w, bit := &c.freeBits[i/bufsPerChunk], uint64(1)<<(i%bufsPerChunk)
+	if *w&bit != 0 {
+		panic(fmt.Sprintf("cache %s: line %#x released twice", c.cfg.Name, ln.Addr))
+	}
+	*w |= bit
 	if PoisonReleased {
 		for i := range buf {
 			buf[i] = 0xA5
 		}
 	}
-	if len(c.free) < maxFreeBufs {
-		c.free = append(c.free, buf)
-	}
+	c.free = append(c.free, i)
 }
 
 // Invalidate drops the line holding addr, returning a copy of it (Valid

@@ -2,7 +2,9 @@ package cache
 
 import (
 	"bytes"
+	"math/bits"
 	"testing"
+	"unsafe"
 
 	"memverify/internal/trace"
 )
@@ -11,9 +13,12 @@ import (
 // seeded Fill/Write/Invalidate/AppendDirty/Release sequences and checks the
 // ownership rule after every step: each line buffer is reachable from
 // exactly one of a resident slot, a line the caller still holds, or the
-// free list. Contents are checked against a model kept from the cache's
-// return values, with released buffers poisoned, so sharing or reuse
-// without a clear would also show up as wrong bytes.
+// free list, and every buffer the cache has made is reachable from one of
+// them — none is lost, however many a burst of invalidations hands back.
+// Every release is followed by a second one through a stale copy of the
+// line, which must panic. Contents are checked against a model kept from
+// the cache's return values, with released buffers poisoned, so sharing or
+// reuse without a clear would also show up as wrong bytes.
 func TestLineBuffersHaveOneOwner(t *testing.T) {
 	PoisonReleased = true
 	defer func() { PoisonReleased = false }()
@@ -67,11 +72,27 @@ func TestLineBuffersHaveOneOwner(t *testing.T) {
 			for _, ln := range held {
 				claim(ln.Data, "a line the caller holds")
 			}
-			for _, buf := range c.free {
-				claim(buf, "the free list")
+			bitsSet := 0
+			for _, i := range c.free {
+				if c.freeBits[i/bufsPerChunk]&(1<<(i%bufsPerChunk)) == 0 {
+					t.Fatalf("seed %d op %d: buffer %d is on the free list without its free bit", seed, op, i)
+				}
+				claim(c.buffer(i), "the free list")
 			}
-			if len(c.free) > maxFreeBufs {
-				t.Fatalf("seed %d op %d: free list grew to %d", seed, op, len(c.free))
+			for _, w := range c.freeBits {
+				bitsSet += bits.OnesCount64(w)
+			}
+			if bitsSet != len(c.free) {
+				t.Fatalf("seed %d op %d: %d free bits set, %d buffers on the free list", seed, op, bitsSet, len(c.free))
+			}
+			// Conservation: every buffer made has exactly one owner.
+			if len(owner) != c.made {
+				t.Fatalf("seed %d op %d: %d buffers made, %d owned", seed, op, c.made, len(owner))
+			}
+			for i := 0; i < c.made; i++ {
+				if _, ok := owner[&c.buffer(uint32(i))[0]]; !ok {
+					t.Fatalf("seed %d op %d: buffer %d has no owner", seed, op, i)
+				}
 			}
 		}
 
@@ -146,13 +167,12 @@ func TestLineBuffersHaveOneOwner(t *testing.T) {
 				ln := held[i]
 				held = append(held[:i], held[i+1:]...)
 				stale := ln
-				onList := len(c.free) < maxFreeBufs
 				c.Release(&ln)
 				if ln.Data != nil {
 					t.Fatalf("seed %d op %d: a released line still reaches its buffer", seed, op)
 				}
 				c.Release(&ln) // the same line again: nothing left to release
-				if onList && !panics(func() { c.Release(&stale) }) {
+				if !panics(func() { c.Release(&stale) }) {
 					t.Fatalf("seed %d op %d: double release through a copy went unnoticed", seed, op)
 				}
 			}
@@ -167,12 +187,39 @@ func panics(f func()) (p bool) {
 	return false
 }
 
-// TestReleaseRejectsForeignBuffer covers the one release error that is not
-// a double release: a buffer that cannot be one of this cache's lines.
+// TestReleaseRejectsForeignBuffer covers the release errors that are not
+// a double release: a buffer that cannot be one of this cache's lines, and
+// a line-sized one the cache did not make — from another cache too.
 func TestReleaseRejectsForeignBuffer(t *testing.T) {
 	c := newTest(t, 1024, 2, 64, true)
 	if !panics(func() { c.Release(&Line{Data: make([]byte, 32)}) }) {
 		t.Error("a 32-byte buffer was accepted by a cache of 64-byte lines")
 	}
 	c.Release(&Line{}) // timing-only lines and clean victims carry nothing
+	if !panics(func() { c.Release(&Line{Data: make([]byte, 64)}) }) {
+		t.Error("a 64-byte buffer the cache never made was accepted (none made yet)")
+	}
+	c.Fill(0x40, Data, nil)
+	if !panics(func() { c.Release(&Line{Data: make([]byte, 64)}) }) {
+		t.Error("a 64-byte buffer the cache never made was accepted")
+	}
+	other := newTest(t, 1024, 2, 64, true)
+	other.Fill(0x40, Data, nil)
+	ln := other.Invalidate(0x40)
+	if !panics(func() { c.Release(&ln) }) {
+		t.Error("another cache's buffer was accepted")
+	}
+	if got := c.Invalidate(0x40); got.Data == nil {
+		t.Fatal("the cache's own line came back without its buffer")
+	} else {
+		c.Release(&got)
+	}
+}
+
+// TestLineSize pins Line at 48 bytes: the buffer index lives in the
+// padding after the flags, so sets stay as dense as before it.
+func TestLineSize(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n != 48 {
+		t.Errorf("a Line is %d bytes, want 48", n)
+	}
 }

@@ -82,51 +82,112 @@ func TestSteadyStateMissAllocs(t *testing.T) {
 	}
 }
 
-// TestSteadyStateFlushAllocs pins the flush's scratch: a warmed machine
-// flushed after each round of stores lists its dirty lines into storage
-// the engines own, pass after pass, so a steady-state Flush allocates
-// nothing. Listing them into a fresh slice on every pass cost svc-log's
-// checkpoints about 0.38 MB each. (A machine with a dedicated
-// verification cache still allocates inside its flush: the write-backs
-// fill parent chunks into slots the flush emptied, and the free list
-// keeps only maxFreeBufs of the buffers it released.)
+// TestSteadyStateFlushAllocs pins a checkpoint's cadence at zero
+// allocations: a warmed machine stores a round and flushes, over and over.
+// The flush lists its dirty lines into storage the engines own, pass after
+// pass, and the refills of the next round take the line buffers the flush
+// released, so neither allocates. Listing the lines into a fresh slice on
+// every pass cost svc-log's checkpoints about 0.38 MB each; a free list
+// that kept only 32 of the buffers a flush released read 85–92
+// allocations in 20 flushes with a dedicated verification cache, and a
+// refill round made back what the flush had dropped.
 func TestSteadyStateFlushAllocs(t *testing.T) {
-	for _, scheme := range []Scheme{SchemeBase, SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
-		t.Run(string(scheme), func(t *testing.T) {
-			cfg := smallCfg(scheme)
-			m, err := NewMachine(cfg)
-			if err != nil {
-				t.Fatal(err)
+	for _, vc := range []int{0, 64} {
+		for _, scheme := range []Scheme{SchemeBase, SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
+			name := string(scheme)
+			if vc > 0 {
+				name += "/verify-cache"
 			}
-			rng := rand.New(rand.NewSource(25))
-			buf := make([]byte, 64)
-			round := func() {
-				for i := 0; i < 400; i++ {
-					if err := m.StoreBytes(uint64(rng.Int63n(int64(cfg.L2Size))), buf[:1+rng.Intn(64)]); err != nil {
-						t.Fatal(err)
+			t.Run(name, func(t *testing.T) {
+				cfg := smallCfg(scheme)
+				cfg.VerifyCacheLines = vc
+				m, err := NewMachine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(25))
+				buf := make([]byte, 64)
+				round := func() {
+					for i := 0; i < 400; i++ {
+						if err := m.StoreBytes(uint64(rng.Int63n(int64(cfg.L2Size))), buf[:1+rng.Intn(64)]); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
+				for i := 0; i < 50; i++ {
+					round()
+					m.Flush()
+				}
+				const rounds = 20
+				var mallocs uint64
+				var before, after runtime.MemStats
+				for i := 0; i < rounds; i++ {
+					runtime.ReadMemStats(&before)
+					round()
+					m.Flush()
+					runtime.ReadMemStats(&after)
+					mallocs += after.Mallocs - before.Mallocs
+				}
+				// Per round, rounded down as testing.AllocsPerRun rounds:
+				// the count is process-wide, and now and then takes in a
+				// stray allocation of the runtime's own.
+				if mallocs/rounds != 0 {
+					t.Errorf("%d allocations in %d steady-state rounds and flushes, want 0 per round", mallocs, rounds)
+				}
+				if v := m.Sys.Stat.Violations; v != 0 {
+					t.Errorf("%d violations on clean traffic", v)
+				}
+			})
+		}
+	}
+}
+
+// TestRefillAfterEvictProtectedAllocs: EvictProtected hands the buffer of
+// every line it drops back to its cache, so reading the emptied caches
+// full again makes no buffer. Dropping them instead made one per line.
+func TestRefillAfterEvictProtectedAllocs(t *testing.T) {
+	for _, vc := range []int{0, 64} {
+		for _, scheme := range []Scheme{SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
+			name := string(scheme)
+			if vc > 0 {
+				name += "/verify-cache"
 			}
-			for i := 0; i < 50; i++ {
-				round()
-				m.Flush()
-			}
-			const rounds = 20
-			var mallocs uint64
-			var before, after runtime.MemStats
-			for i := 0; i < rounds; i++ {
-				round()
-				runtime.ReadMemStats(&before)
-				m.Flush()
-				runtime.ReadMemStats(&after)
-				mallocs += after.Mallocs - before.Mallocs
-			}
-			// Per flush, rounded down as testing.AllocsPerRun rounds: the
-			// count is process-wide, and now and then takes in a stray
-			// allocation of the runtime's own.
-			if mallocs/rounds != 0 {
-				t.Errorf("%d allocations in %d steady-state flushes, want 0 per flush", mallocs, rounds)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				cfg := smallCfg(scheme)
+				cfg.VerifyCacheLines = vc
+				m, err := NewMachine(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				buf := make([]byte, 64)
+				refill := func() {
+					for off := uint64(0); off < uint64(cfg.L2Size); off += 64 {
+						if err := m.LoadBytes(off, buf); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				for i := 0; i < 3; i++ {
+					refill()
+					m.EvictProtected()
+				}
+				const rounds = 5
+				var mallocs uint64
+				var before, after runtime.MemStats
+				for i := 0; i < rounds; i++ {
+					runtime.ReadMemStats(&before)
+					refill()
+					runtime.ReadMemStats(&after)
+					mallocs += after.Mallocs - before.Mallocs
+					m.EvictProtected()
+				}
+				if m.L2.ResidentLines() != 0 {
+					t.Fatal("EvictProtected left lines resident")
+				}
+				if mallocs/rounds != 0 {
+					t.Errorf("%d allocations in %d refills after EvictProtected, want 0 per refill", mallocs, rounds)
+				}
+			})
+		}
 	}
 }

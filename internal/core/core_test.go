@@ -144,11 +144,7 @@ func TestAdversaryTamperDetectedThroughMachine(t *testing.T) {
 			if err := m.StoreBytes(0, payload); err != nil {
 				t.Fatal(err)
 			}
-			m.Flush()
-			// Drop all cached copies, corrupt memory, read back.
-			for ba := uint64(0); ba < m.Layout.Size(); ba += uint64(m.Cfg.L2Block) {
-				m.L2.Invalidate(ba)
-			}
+			m.EvictProtected()
 			m.Adversary().Corrupt(m.ProgAddr(3), 0x40)
 			got := make([]byte, 64)
 			if err := m.LoadBytes(0, got); err == nil {
@@ -166,10 +162,7 @@ func TestBaseDoesNotDetectTampering(t *testing.T) {
 	if err := m.StoreBytes(0, []byte{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	m.Flush()
-	for ba := uint64(0); ba < m.Layout.Size(); ba += uint64(m.Cfg.L2Block) {
-		m.L2.Invalidate(ba)
-	}
+	m.EvictProtected()
 	m.Adversary().Corrupt(m.ProgAddr(0), 0xFF)
 	got := make([]byte, 4)
 	if err := m.LoadBytes(0, got); err != nil {

@@ -45,11 +45,7 @@ func Example_functional() {
 	if err := m.StoreBytes(0, []byte("secret state")); err != nil {
 		panic(err)
 	}
-	m.Flush()
-
-	for ba := uint64(0); ba < m.Layout.Size(); ba += uint64(m.Cfg.L2Block) {
-		m.L2.Invalidate(ba)
-	}
+	m.EvictProtected()
 	m.Adversary().Corrupt(m.ProgAddr(2), 0x80)
 
 	buf := make([]byte, 12)

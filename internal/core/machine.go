@@ -272,10 +272,19 @@ func (m *Machine) ProgSpan() uint64 { return m.dataSize }
 // paper's attack analysis.
 func (m *Machine) EvictProtected() {
 	m.Flush()
+	m.dropProtected()
+}
+
+// dropProtected invalidates every protected line without write-back and
+// hands each buffer back to its cache, where the refills that follow take
+// them again.
+func (m *Machine) dropProtected() {
 	for ba := uint64(0); ba < m.Layout.Size(); ba += uint64(m.Cfg.L2Block) {
-		m.L2.Invalidate(ba)
+		ln := m.L2.Invalidate(ba)
+		m.L2.Release(&ln)
 		if m.VC != nil {
-			m.VC.Invalidate(ba)
+			ln := m.VC.Invalidate(ba)
+			m.VC.Release(&ln)
 		}
 	}
 }

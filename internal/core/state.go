@@ -116,12 +116,7 @@ func (m *Machine) RestoreState(img []byte, root []byte) error {
 	if err := m.installState(img, root, false); err != nil {
 		return err
 	}
-	for ba := uint64(0); ba < m.Layout.Size(); ba += uint64(m.Cfg.L2Block) {
-		m.L2.Invalidate(ba)
-		if m.VC != nil {
-			m.VC.Invalidate(ba)
-		}
-	}
+	m.dropProtected()
 	// No snapshot describes what memory holds now: the next one is full.
 	m.snapSeq = 0
 	// A restore is a reboot: the halt latch clears and detection starts

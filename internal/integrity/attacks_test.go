@@ -6,11 +6,13 @@ import (
 )
 
 // evictAll forces every cached copy of the protected region out so the
-// next read must go to (possibly tampered) memory.
+// next read must go to (possibly tampered) memory. The buffers go back to
+// the cache, as Machine.EvictProtected hands them back.
 func (r *rig) evictAll() {
 	r.flush()
 	for ba := uint64(0); ba < r.sys.Layout.Size(); ba += uint64(r.sys.BlockSize()) {
-		r.sys.L2.Invalidate(ba)
+		ln := r.sys.L2.Invalidate(ba)
+		r.sys.L2.Release(&ln)
 	}
 }
 

@@ -91,6 +91,43 @@ func TestFlushIsIdempotent(t *testing.T) {
 	}
 }
 
+// TestCheckpointCadenceKeepsTreeConsistent drives the serving path's
+// checkpoint cadence: rounds of random stores, each ended by a flush (the
+// §5.7.2 step of a checkpoint) and a check that the stored tree covers
+// memory and that every block reads back what was stored. The flush
+// invalidates each dirty line it writes back and hands its buffer back, so
+// the next round's refills land in the buffers it just released — poisoned,
+// when TestSuitesUnderPoison runs it.
+func TestCheckpointCadenceKeepsTreeConsistent(t *testing.T) {
+	for _, scheme := range []string{"c", "m", "i"} {
+		t.Run(scheme, func(t *testing.T) {
+			r := newRig(t, defaultRig(scheme))
+			blocks := r.dataBlocks()
+			data := make([]byte, r.sys.BlockSize())
+			for round := 0; round < 12; round++ {
+				for i := 0; i < 200; i++ {
+					for j := range data {
+						data[j] = byte(r.rng.Uint64())
+					}
+					r.write(blocks[r.rng.Intn(len(blocks))], data)
+				}
+				r.flush()
+				if err := r.verifyMemoryTree(); err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				for _, ba := range blocks {
+					if !bytes.Equal(r.read(ba), r.shadow[ba]) {
+						t.Fatalf("round %d: block %#x reads back wrong after the flush", round, ba)
+					}
+				}
+			}
+			if v := r.sys.Stat.Violations; v != 0 {
+				t.Fatalf("%d violations on honest traffic: %v", v, r.sys.First)
+			}
+		})
+	}
+}
+
 // TestFlushActsAsBarrier mirrors §5.8: after a flush, everything the
 // program wrote is authenticated in memory, so a signature computed over
 // it would be safe to release.

@@ -74,6 +74,7 @@ func TestSuitesUnderPoison(t *testing.T) {
 		{"RandomGeometriesStayConsistent", TestRandomGeometriesStayConsistent},
 		{"InitializeByTouch", TestInitializeByTouch},
 		{"FlushIsIdempotent", TestFlushIsIdempotent},
+		{"CheckpointCadenceKeepsTreeConsistent", TestCheckpointCadenceKeepsTreeConsistent},
 		{"WriteAllocateReturnsItsImage", TestWriteAllocateReturnsItsImage},
 	} {
 		t.Run(s.name, s.run)

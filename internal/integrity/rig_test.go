@@ -116,12 +116,14 @@ func (r *rig) read(addr uint64) []byte {
 	r.now += 3
 	ba := r.sys.L2.BlockAddr(addr)
 	ln := r.sys.L2.Read(ba, cache.Data)
-	if ln == nil {
-		r.now = r.engine.ReadBlock(r.now, ba)
-		ln = r.sys.L2.Peek(ba)
-		if ln == nil {
+	for try := 0; ln == nil; try++ {
+		// As the machine does: a walk that evicted the block it fetched
+		// leaves the path resident, so a refetch sticks.
+		if try == fillRetries {
 			r.t.Fatalf("block %#x not resident after ReadBlock", ba)
 		}
+		r.now = r.engine.ReadBlock(r.now, ba)
+		ln = r.sys.L2.Peek(ba)
 	}
 	return append([]byte(nil), ln.Data...)
 }
@@ -131,12 +133,12 @@ func (r *rig) write(addr uint64, data []byte) {
 	r.now += 3
 	ba := r.sys.L2.BlockAddr(addr)
 	ln := r.sys.L2.Write(ba, cache.Data)
-	if ln == nil {
-		r.now = r.engine.ReadBlock(r.now, ba)
-		ln = r.sys.L2.Write(ba, cache.Data)
-		if ln == nil {
+	for try := 0; ln == nil; try++ {
+		if try == fillRetries {
 			r.t.Fatalf("block %#x not resident after write-allocate", ba)
 		}
+		r.now = r.engine.ReadBlock(r.now, ba)
+		ln = r.sys.L2.Write(ba, cache.Data)
 	}
 	copy(ln.Data, data)
 	r.shadow[ba] = append([]byte(nil), data...)

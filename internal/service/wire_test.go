@@ -17,7 +17,10 @@ import (
 // wire, read from a raw keep-alive connection: a 200 with Content-Type
 // application/octet-stream, which net/http's sniffer supplies because the
 // handler sets no header, framed by Content-Length while the reply fits
-// net/http's 2 KiB response buffer and chunked above it.
+// net/http's 2 KiB response buffer and chunked above it. The service never
+// reads a request's Content-Type: each batch goes once with none, as the
+// client sends it, and once with application/octet-stream, and both get
+// the same reply.
 func TestBatchReplyWireContract(t *testing.T) {
 	_, ts := newTestService(t, Config{Tenants: []TenantConfig{
 		testTenant("wire", core.SchemeCached, "record", 2),
@@ -29,40 +32,50 @@ func TestBatchReplyWireContract(t *testing.T) {
 	}
 	defer nc.Close()
 	br := bufio.NewReader(nc)
-	for _, n := range []int{0, 1, 2, 100, DefaultMaxBatchOps} {
+	for _, tc := range []struct {
+		n  int
+		ct string
+	}{
+		{0, ""}, {1, ""}, {1, "Content-Type: application/octet-stream\r\n"}, {2, ""},
+		{100, ""}, {100, "Content-Type: application/octet-stream\r\n"}, {DefaultMaxBatchOps, ""},
+	} {
+		n, what := tc.n, fmt.Sprintf("%d ops, no Content-Type", tc.n)
+		if tc.ct != "" {
+			what = fmt.Sprintf("%d ops, Content-Type set", tc.n)
+		}
 		ops := make([]Op, n)
 		for i := range ops {
 			ops[i] = Op{Off: uint64(i%2048) * 64, Data: make([]byte, 64)}
 		}
 		body := EncodeRequest(ops)
-		fmt.Fprintf(nc, "POST /v1/t/wire/batch HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\n\r\n", addr, len(body))
+		fmt.Fprintf(nc, "POST /v1/t/wire/batch HTTP/1.1\r\nHost: %s\r\n%sContent-Length: %d\r\n\r\n", addr, tc.ct, len(body))
 		if _, err := nc.Write(body); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := http.ReadResponse(br, nil)
 		if err != nil {
-			t.Fatalf("%d ops: %v", n, err)
+			t.Fatalf("%s: %v", what, err)
 		}
 		raw, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if err != nil {
-			t.Fatalf("%d ops: reading the body: %v", n, err)
+			t.Fatalf("%s: reading the body: %v", what, err)
 		}
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%d ops: status %d: %s", n, resp.StatusCode, raw)
+			t.Fatalf("%s: status %d: %s", what, resp.StatusCode, raw)
 		}
 		if ct := resp.Header.Values("Content-Type"); len(ct) != 1 || ct[0] != "application/octet-stream" {
-			t.Errorf("%d ops: Content-Type %q, want application/octet-stream", n, ct)
+			t.Errorf("%s: Content-Type %q, want application/octet-stream", what, ct)
 		}
 		size := 8 + 64*n
 		chunked := len(resp.TransferEncoding) == 1 && resp.TransferEncoding[0] == "chunked"
 		if size <= 2048 && (chunked || resp.ContentLength != int64(size)) ||
 			size > 2048 && !chunked {
-			t.Errorf("%d ops: a %d-byte reply came as Content-Length %d, Transfer-Encoding %q",
-				n, size, resp.ContentLength, resp.TransferEncoding)
+			t.Errorf("%s: a %d-byte reply came as Content-Length %d, Transfer-Encoding %q",
+				what, size, resp.ContentLength, resp.TransferEncoding)
 		}
 		if err := DecodeResponse(bytes.NewReader(raw), ops); err != nil || len(raw) != size {
-			t.Errorf("%d ops: %d-byte body (want %d): %v", n, len(raw), size, err)
+			t.Errorf("%s: %d-byte body (want %d): %v", what, len(raw), size, err)
 		}
 	}
 }
