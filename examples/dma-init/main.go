@@ -75,7 +75,8 @@ func main() {
 
 	// The unprotected original can be corrupted silently...
 	m.Adversary().Corrupt(dmaBase, 0xFF)
-	m.L2.Invalidate(dmaBase) // drop the cached copy; re-read memory
+	ln := m.L2.Invalidate(dmaBase) // drop the cached copy; re-read memory
+	m.L2.Release(&ln)
 	if got := readUnprotected(m, dmaBase, &now); got == packet[0] {
 		log.Fatal("corruption of DMA region had no effect?")
 	}
@@ -103,13 +104,14 @@ func readUnprotected(m *core.Machine, addr uint64, now *uint64) byte {
 			log.Fatal("unprotected fill failed")
 		}
 	}
-	return ln.Data[addr-ba]
+	return m.L2.Bytes(ln)[addr-ba]
 }
 
 // dropCaches invalidates every protected block so the next load re-reads
-// memory.
+// memory, handing each line's buffer back to the L2.
 func dropCaches(m *core.Machine) {
 	for ba := uint64(0); ba < m.Layout.Size(); ba += uint64(m.Cfg.L2Block) {
-		m.L2.Invalidate(ba)
+		ln := m.L2.Invalidate(ba)
+		m.L2.Release(&ln)
 	}
 }

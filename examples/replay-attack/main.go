@@ -174,10 +174,7 @@ func replayAgainstTree() error {
 	if err := m.StoreBytes(0, counter(4)); err != nil {
 		return err
 	}
-	m.Flush()
-	for ba := uint64(0); ba < m.Layout.Size(); ba += uint64(m.Cfg.L2Block) {
-		m.L2.Invalidate(ba)
-	}
+	m.EvictProtected() // flush, then drop every cached copy: the load reads memory
 
 	// Replay the old counter (and, generously, all of old memory).
 	adv.Replay(snap)

@@ -11,14 +11,16 @@
 //
 // A data-bearing line's buffer has exactly one owner at every moment: the
 // slot while the line is resident; the caller, between a Fill or Invalidate
-// that hands a line out with its Data and the Release that hands it back;
-// the free list otherwise. The cache keeps every buffer it makes for as
-// long as it exists, carved bufsPerChunk at a time from chunks it owns, so
-// Fill makes one only when every buffer made so far is resident or out in
-// a write-back: lines plus write-back nesting bound the count. A clean
-// victim's buffer is reused where it sits, a dirty victim's replacement
-// comes off the free list the previous write-back's Release fed, and the
-// buffers a flush releases are the ones its refills take.
+// that hands a line out holding its buffer and the Release that hands it
+// back; the free list otherwise. A Line names its buffer by index and
+// Bytes resolves the index on the cache the line came from, so a timing-
+// only cache is nothing but its line array. The cache keeps every buffer
+// it makes for as long as it exists, carved bufsPerChunk at a time from
+// chunks it owns, so Fill makes one only when every buffer made so far is
+// resident or out in a write-back: lines plus write-back nesting bound the
+// count. A clean victim's buffer is reused where it sits, a dirty victim's
+// replacement comes off the free list the previous write-back's Release
+// fed, and the buffers a flush releases are the ones its refills take.
 package cache
 
 import (
@@ -61,7 +63,7 @@ type Config struct {
 }
 
 // bufsPerChunk is how many line buffers a data-bearing cache carves from
-// one allocation; one word of free bits covers a chunk.
+// one allocation; one word of out bits covers a chunk.
 const bufsPerChunk = 64
 
 // PoisonReleased is a testing aid: when set, Release fills every buffer
@@ -70,15 +72,18 @@ const bufsPerChunk = 64
 // instead of bytes that happen to still be right. Only tests set it.
 var PoisonReleased bool
 
-// Line is one cache line. Data is nil in timing-only caches.
+// Line is one cache line: 24 bytes and no pointer, so a cache's line
+// array is a single allocation the collector never scans. A data-bearing
+// line's bytes are Bytes(&line) on the cache it came from; buf, the
+// 1-based index of its buffer there, is 0 in timing-only caches, on clean
+// victims and on released lines, so the zero Line has no bytes.
 type Line struct {
 	Addr  uint64 // block-aligned address
-	Data  []byte
+	lru   uint64
+	buf   uint32
 	Class Class
 	Valid bool
 	Dirty bool
-	buf   uint32 // index of Data among the cache's buffers; fits the padding
-	lru   uint64
 }
 
 // Stats counts cache events, split by traffic class.
@@ -102,26 +107,34 @@ func (s *Stats) MissRate(c Class) float64 {
 
 // Cache is a set-associative write-back cache.
 type Cache struct {
-	cfg    Config
-	sets   [][]Line
-	shift  uint // log2(BlockSize)
-	mask   uint64
-	clock  uint64 // LRU timestamp source
-	nsets  int
-	Stat   Stats
-	filled int
+	cfg       Config
+	lines     []Line // set i is lines[i*ways : (i+1)*ways]
+	ways      int
+	shift     uint   // log2(BlockSize)
+	blockMask uint64 // BlockSize-1
+	mask      uint64 // number of sets - 1
+	clock     uint64 // LRU timestamp source
+	nsets     int
+	Stat      Stats
+	filled    int
 	// filledClass tracks residency per traffic class so telemetry can
 	// report how much of the L2 the hash tree occupies (§6.4.1).
 	filledClass [numClasses]int
-	// Line buffers, data-bearing caches only: chunks holds all made so
-	// far, buffer i at chunks[i/bufsPerChunk]; free lists the released
-	// ones by index, LIFO, and bit i%bufsPerChunk of freeBits[i/bufsPerChunk]
-	// is set while buffer i is on it.
-	chunks   [][]byte
-	made     int
-	free     []uint32
-	freeBits []uint64
+	// Line buffers, data-bearing caches only. Buffer i (1-based, as a
+	// Line's buf) is block (i-1)%bufsPerChunk of chunks[(i-1)/bufsPerChunk];
+	// addrs[i-1] is the block it holds (releasedAddr once it is back), bit
+	// (i-1)%bufsPerChunk of out[(i-1)/bufsPerChunk] is set while a caller
+	// holds it, and free lists the released ones, LIFO.
+	chunks [][]byte
+	made   int
+	addrs  []uint64
+	out    []uint64
+	free   []uint32
 }
+
+// releasedAddr is the address a free buffer holds: no block is at an odd
+// address, so a stale copy of a released line reaches no bytes.
+const releasedAddr = 1
 
 // New builds a cache. It panics on an inconsistent geometry, which is a
 // programming error in the caller's configuration code.
@@ -139,19 +152,14 @@ func New(cfg Config) *Cache {
 	if nsets == 0 || nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a positive power of two", cfg.Name, nsets))
 	}
-	c := &Cache{cfg: cfg, nsets: nsets}
-	// One flat backing array sliced per set: a large L2 has thousands of
-	// sets, and simulation sweeps construct thousands of machines, so the
-	// per-set allocations dominated machine-construction cost.
-	lines := make([]Line, nsets*cfg.Ways)
-	c.sets = make([][]Line, nsets)
-	for i := range c.sets {
-		c.sets[i] = lines[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-	}
+	// One flat line array: simulation sweeps construct thousands of
+	// machines, and their line arrays are most of what a machine costs.
+	c := &Cache{cfg: cfg, nsets: nsets, ways: cfg.Ways, lines: make([]Line, nsets*cfg.Ways)}
 	for bs := cfg.BlockSize; bs > 1; bs >>= 1 {
 		c.shift++
 	}
 	c.mask = uint64(nsets - 1)
+	c.blockMask = uint64(cfg.BlockSize - 1)
 	return c
 }
 
@@ -159,20 +167,27 @@ func New(cfg Config) *Cache {
 func (c *Cache) Config() Config { return c.cfg }
 
 // BlockAddr returns addr rounded down to its block boundary.
-func (c *Cache) BlockAddr(addr uint64) uint64 { return addr &^ (uint64(c.cfg.BlockSize) - 1) }
+func (c *Cache) BlockAddr(addr uint64) uint64 { return addr &^ c.blockMask }
 
-func (c *Cache) set(addr uint64) []Line { return c.sets[(addr>>c.shift)&c.mask] }
+// set returns addr's set. The shift is masked so that the compiler emits
+// no fix-up for shifts of 64 or more: every lookup starts here.
+func (c *Cache) set(addr uint64) []Line {
+	i := int((addr>>(c.shift&63))&c.mask) * c.ways
+	return c.lines[i : i+c.ways]
+}
 
 // Probe returns the line holding addr, updating LRU, or nil on miss.
-// It records no statistics; use Read/Write for accounted accesses.
+// It records no statistics; use Read/Write for accounted accesses. It is
+// written to stay within the compiler's inlining budget, so the L1 and L2
+// lookups of Read and Write make no call.
 func (c *Cache) Probe(addr uint64) *Line {
 	ba := c.BlockAddr(addr)
 	set := c.set(ba)
 	for i := range set {
-		if set[i].Valid && set[i].Addr == ba {
+		if ln := &set[i]; ln.Valid && ln.Addr == ba {
 			c.clock++
-			set[i].lru = c.clock
-			return &set[i]
+			ln.lru = c.clock
+			return ln
 		}
 	}
 	return nil
@@ -253,9 +268,10 @@ func (c *Cache) reclass(ln *Line, class Class) {
 // data is retained only in data-bearing caches, where it is copied; nil
 // data leaves the line all-zero.
 //
-// A dirty victim leaves with its Data: the caller owns that buffer through
-// the write-back and hands it back with Release. A clean victim's buffer
-// stays behind for the incoming block, so its returned copy has no Data.
+// A dirty victim leaves with its buffer: the caller reads it with Bytes,
+// owns it through the write-back and hands it back with Release. A clean
+// victim's buffer stays behind for the incoming block, so its returned
+// copy has no bytes.
 func (c *Cache) Fill(addr uint64, class Class, data []byte) Line {
 	ba := c.BlockAddr(addr)
 	set := c.set(ba)
@@ -266,8 +282,8 @@ func (c *Cache) Fill(addr uint64, class Class, data []byte) Line {
 	for i := range set {
 		if set[i].Valid && set[i].Addr == ba {
 			// Refill of a resident line: refresh contents in place.
-			if c.cfg.DataBearing && data != nil {
-				copy(set[i].Data, data)
+			if set[i].buf != 0 && data != nil {
+				copy(c.buffer(set[i].buf), data)
 			}
 			c.reclass(&set[i], class)
 			c.clock++
@@ -306,18 +322,20 @@ func (c *Cache) Fill(addr uint64, class Class, data []byte) Line {
 		zeroed := false
 		switch n := len(c.free); {
 		case evicted.Valid && !evicted.Dirty:
-			nl.Data, nl.buf, evicted.Data = evicted.Data, evicted.buf, nil
+			nl.buf, evicted.buf = evicted.buf, 0
 		case n > 0:
 			nl.buf = c.free[n-1]
 			c.free = c.free[:n-1]
-			c.freeBits[nl.buf/bufsPerChunk] &^= 1 << (nl.buf % bufsPerChunk)
-			nl.Data = c.buffer(nl.buf)
 		default:
 			nl.buf, zeroed = c.newBuffer(), true
-			nl.Data = c.buffer(nl.buf)
 		}
-		if n := copy(nl.Data, data); !zeroed {
-			clear(nl.Data[n:])
+		if evicted.Dirty {
+			c.handOut(evicted.buf)
+		}
+		c.addrs[nl.buf-1] = ba
+		b := c.buffer(nl.buf)
+		if n := copy(b, data); !zeroed {
+			clear(b[n:])
 		}
 	}
 	set[victim] = nl
@@ -328,57 +346,93 @@ func (c *Cache) Fill(addr uint64, class Class, data []byte) Line {
 // new chunk when the last is used up. The free list's capacity grows with
 // the chunks, so Release never allocates.
 func (c *Cache) newBuffer() uint32 {
-	i := c.made
-	if i%bufsPerChunk == 0 {
+	if c.made%bufsPerChunk == 0 {
 		c.chunks = append(c.chunks, make([]byte, bufsPerChunk*c.cfg.BlockSize))
-		c.freeBits = append(c.freeBits, 0)
-		c.free = slices.Grow(c.free, i+bufsPerChunk-len(c.free))
+		c.addrs = append(c.addrs, make([]uint64, bufsPerChunk)...)
+		c.out = append(c.out, 0)
+		c.free = slices.Grow(c.free, c.made+bufsPerChunk-len(c.free))
 	}
 	c.made++
-	return uint32(i)
+	return uint32(c.made)
+}
+
+// handOut marks buffer i as held by a caller until its Release.
+func (c *Cache) handOut(i uint32) {
+	c.out[(i-1)/bufsPerChunk] |= 1 << ((i - 1) % bufsPerChunk)
 }
 
 // buffer returns buffer i, capped at one block.
 func (c *Cache) buffer(i uint32) []byte {
-	off := int(i%bufsPerChunk) * c.cfg.BlockSize
-	return c.chunks[i/bufsPerChunk][off : off+c.cfg.BlockSize : off+c.cfg.BlockSize]
+	off := int((i-1)%bufsPerChunk) * c.cfg.BlockSize
+	return c.chunks[(i-1)/bufsPerChunk][off : off+c.cfg.BlockSize : off+c.cfg.BlockSize]
+}
+
+// Bytes returns a data-bearing line's bytes: in place for a resident line,
+// the buffer a caller holds for a line Fill or Invalidate handed out. A
+// line without a buffer (timing-only caches, clean victims, released
+// lines) has none. A line whose buffer here holds another block — a line
+// of another cache, or a stale copy of a released one — is a caller bug
+// and panics rather than reach bytes it does not own.
+func (c *Cache) Bytes(ln *Line) []byte {
+	i := ln.buf
+	if i == 0 {
+		return nil
+	}
+	if int(i) > c.made || c.addrs[i-1] != ln.Addr {
+		panic(notHeld{c.cfg.Name, ln.Addr, i})
+	}
+	return c.buffer(i)
+}
+
+// notHeld is Bytes' panic value for a line whose buffer does not hold
+// its block. A value, not a formatted message, so that Bytes inlines.
+type notHeld struct {
+	cache string
+	addr  uint64
+	buf   uint32
+}
+
+func (e notHeld) Error() string {
+	return fmt.Sprintf("cache %s: line %#x names buffer %d, which does not hold it", e.cache, e.addr, e.buf)
 }
 
 // Release takes back the buffer of a line Fill or Invalidate handed out
-// and clears ln.Data, so the caller's copy of the line no longer reaches
-// bytes the cache will reuse. A line without Data (timing-only caches,
-// clean victims, an already released line) is a no-op. A buffer this
-// cache did not make, or one released twice through two copies of its
-// line, is a caller bug and panics — the second release is caught as long
-// as no Fill has taken the buffer again.
+// and clears the caller's copy, so it no longer reaches bytes the cache
+// will reuse. A line without a buffer (timing-only caches, clean victims,
+// an already released line) is a no-op. A buffer the cache did not hand
+// out for this line — one it never made, one that is resident or free
+// again, one holding another block — is a caller bug and panics: a line
+// of another cache, and a second release through a stale copy of a line,
+// are caught unless the buffer is out again holding the same block.
 func (c *Cache) Release(ln *Line) {
-	buf := ln.Data
-	if buf == nil {
+	i := ln.buf
+	if i == 0 {
 		return
 	}
-	ln.Data = nil
-	if len(buf) != c.cfg.BlockSize {
-		panic(fmt.Sprintf("cache %s: released a %d-byte buffer, lines hold %d", c.cfg.Name, len(buf), c.cfg.BlockSize))
+	if int(i) > c.made {
+		panic(fmt.Sprintf("cache %s: line %#x released buffer %d, the cache made %d", c.cfg.Name, ln.Addr, i, c.made))
 	}
-	i := ln.buf
-	if int(i) >= c.made || &buf[0] != &c.buffer(i)[0] {
-		panic(fmt.Sprintf("cache %s: line %#x released a buffer the cache did not make", c.cfg.Name, ln.Addr))
+	w, bit := &c.out[(i-1)/bufsPerChunk], uint64(1)<<((i-1)%bufsPerChunk)
+	if *w&bit == 0 {
+		panic(fmt.Sprintf("cache %s: line %#x released buffer %d, which is not out (released twice?)", c.cfg.Name, ln.Addr, i))
 	}
-	w, bit := &c.freeBits[i/bufsPerChunk], uint64(1)<<(i%bufsPerChunk)
-	if *w&bit != 0 {
-		panic(fmt.Sprintf("cache %s: line %#x released twice", c.cfg.Name, ln.Addr))
+	if c.addrs[i-1] != ln.Addr {
+		panic(fmt.Sprintf("cache %s: line %#x released buffer %d, which holds %#x", c.cfg.Name, ln.Addr, i, c.addrs[i-1]))
 	}
-	*w |= bit
+	*w &^= bit
+	ln.buf = 0
+	c.addrs[i-1] = releasedAddr
 	if PoisonReleased {
-		for i := range buf {
-			buf[i] = 0xA5
+		b := c.buffer(i)
+		for j := range b {
+			b[j] = 0xA5
 		}
 	}
 	c.free = append(c.free, i)
 }
 
 // Invalidate drops the line holding addr, returning a copy of it (Valid
-// false if absent). The caller owns the line's Data, dirty or not, and
+// false if absent). The caller owns the line's buffer, dirty or not, and
 // hands it back with Release once done with it.
 func (c *Cache) Invalidate(addr uint64) Line {
 	ba := c.BlockAddr(addr)
@@ -387,6 +441,9 @@ func (c *Cache) Invalidate(addr uint64) Line {
 		if set[i].Valid && set[i].Addr == ba {
 			ln := set[i]
 			set[i] = Line{}
+			if ln.buf != 0 {
+				c.handOut(ln.buf)
+			}
 			c.filled--
 			c.filledClass[ln.Class]--
 			return ln
@@ -400,11 +457,9 @@ func (c *Cache) Invalidate(addr uint64) Line {
 // initialization procedure's cache flush (§5.7.2), which passes the same
 // scratch every time.
 func (c *Cache) AppendDirty(dst []uint64) []uint64 {
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].Valid && set[i].Dirty {
-				dst = append(dst, set[i].Addr)
-			}
+	for i := range c.lines {
+		if c.lines[i].Valid && c.lines[i].Dirty {
+			dst = append(dst, c.lines[i].Addr)
 		}
 	}
 	return dst

@@ -99,13 +99,13 @@ func TestDirtyEvictionCarriesData(t *testing.T) {
 	if !ev.Valid || !ev.Dirty || ev.Addr != 0 {
 		t.Fatalf("eviction: %+v", ev)
 	}
-	if !bytes.Equal(ev.Data, data) {
+	if !bytes.Equal(c.Bytes(&ev), data) {
 		t.Error("evicted line lost its data")
 	}
 	// The returned copy must not alias the new resident line.
-	ev.Data[0] = 0x00
+	c.Bytes(&ev)[0] = 0x00
 	c.Fill(0x000, Data, data)
-	if ln := c.Peek(0x000); ln != nil && ln.Data[0] != 0xAB {
+	if ln := c.Peek(0x000); ln != nil && c.Bytes(ln)[0] != 0xAB {
 		t.Error("evicted copy aliases cache storage")
 	}
 }
@@ -117,7 +117,7 @@ func TestFillRefreshResident(t *testing.T) {
 	if ev.Valid {
 		t.Error("refill of resident line evicted something")
 	}
-	if ln := c.Peek(0x100); ln.Data[0] != 2 {
+	if ln := c.Peek(0x100); c.Bytes(ln)[0] != 2 {
 		t.Error("refill did not refresh contents")
 	}
 }
@@ -181,7 +181,7 @@ func TestPerClassStats(t *testing.T) {
 func TestTagOnlyHasNoData(t *testing.T) {
 	c := newTest(t, 1024, 2, 64, false)
 	c.Fill(0x100, Data, bytes.Repeat([]byte{7}, 64))
-	if ln := c.Peek(0x100); ln.Data != nil {
+	if ln := c.Peek(0x100); c.Bytes(ln) != nil {
 		t.Error("tag-only cache retained data")
 	}
 }

@@ -109,18 +109,16 @@ func TestClassAccountingInvariant(t *testing.T) {
 				// Brute-force recount of the sets, checked against both the
 				// counters and the model's view of every line's class.
 				var recount [numClasses]int
-				for _, set := range c.sets {
-					for i := range set {
-						if !set[i].Valid {
-							continue
-						}
-						recount[set[i].Class]++
-						if want, ok := model[set[i].Addr]; !ok {
-							t.Fatalf("seed %d op %d: line %#x resident but not in model", seed, op, set[i].Addr)
-						} else if set[i].Class != want {
-							t.Fatalf("seed %d op %d: line %#x class %v, last touch was %v",
-								seed, op, set[i].Addr, set[i].Class, want)
-						}
+				for _, ln := range c.lines {
+					if !ln.Valid {
+						continue
+					}
+					recount[ln.Class]++
+					if want, ok := model[ln.Addr]; !ok {
+						t.Fatalf("seed %d op %d: line %#x resident but not in model", seed, op, ln.Addr)
+					} else if ln.Class != want {
+						t.Fatalf("seed %d op %d: line %#x class %v, last touch was %v",
+							seed, op, ln.Addr, ln.Class, want)
 					}
 				}
 				for cl := Class(0); cl < numClasses; cl++ {

@@ -379,7 +379,7 @@ func (m *Machine) span(off uint64, p []byte, write bool) {
 				m.now = m.Engine.AllocateFullWrite(m.now, a)
 				ln = m.L2.Peek(a)
 			}
-			copy(ln.Data, p[:n])
+			copy(m.L2.Bytes(ln), p[:n])
 		} else {
 			m.now = h.l2data(m.now, a, write, p[:n])
 		}
@@ -493,12 +493,12 @@ func (h *hierarchy) l2write(now uint64, addr uint64) uint64 {
 		}
 	}
 	h.tel.Emit(telemetry.TrackL2, telemetry.KindL2Write, now, done, addr, miss)
-	if ln.Data != nil {
+	if b := h.L2.Bytes(ln); b != nil {
 		// Stamp the stored-to word with a fresh value so write-backs
 		// propagate real changes through the hash machinery.
 		off := (addr - ln.Addr) &^ 7
-		if off+8 <= uint64(len(ln.Data)) {
-			binary.LittleEndian.PutUint64(ln.Data[off:], h.storeSeq|1<<63)
+		if off+8 <= uint64(len(b)) {
+			binary.LittleEndian.PutUint64(b[off:], h.storeSeq|1<<63)
 			h.storeSeq++
 		}
 	}
@@ -538,10 +538,10 @@ func (h *hierarchy) l2data(now uint64, addr uint64, write bool, p []byte) uint64
 			}
 		}
 	}
-	if write {
-		copy(ln.Data[addr-ln.Addr:], p)
+	if b := h.L2.Bytes(ln)[addr-ln.Addr:]; write {
+		copy(b, p)
 	} else {
-		copy(p, ln.Data[addr-ln.Addr:])
+		copy(p, b)
 	}
 	h.tel.Emit(telemetry.TrackL2, kind, now, done, addr, miss)
 	rest := uint64(len(p)) - 1

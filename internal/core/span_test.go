@@ -33,7 +33,7 @@ func refL2Byte(h *hierarchy, now, addr uint64, write bool, p []byte) uint64 {
 			}
 			ln = h.L2.Write(addr, cache.Data)
 		}
-		copy(ln.Data[addr-ln.Addr:], p)
+		copy(h.L2.Bytes(ln)[addr-ln.Addr:], p)
 		h.tel.Emit(telemetry.TrackL2, telemetry.KindL2Write, now, done, addr, miss)
 		return done
 	}
@@ -48,7 +48,7 @@ func refL2Byte(h *hierarchy, now, addr uint64, write bool, p []byte) uint64 {
 		}
 		ln = h.L2.Peek(addr)
 	}
-	copy(p, ln.Data[addr-ln.Addr:])
+	copy(p, h.L2.Bytes(ln)[addr-ln.Addr:])
 	h.tel.Emit(telemetry.TrackL2, telemetry.KindL2Read, now, done, addr, miss)
 	return done
 }
@@ -70,7 +70,7 @@ func refStoreBytes(m *Machine, off uint64, p []byte) error {
 				m.now = m.Engine.AllocateFullWrite(m.now, a)
 				ln = m.L2.Peek(a)
 			}
-			copy(ln.Data, p[:bs])
+			copy(m.L2.Bytes(ln), p[:bs])
 			off += bs
 			p = p[bs:]
 			continue

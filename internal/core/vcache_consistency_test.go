@@ -32,7 +32,7 @@ func vcInvariant(t *testing.T, m *Machine, op int) {
 			}
 			ba := s.L2.BlockAddr(addr)
 			if ln := owner.Peek(ba); ln != nil {
-				got = ln.Data[addr-ba : addr-ba+uint64(l.HashSize)]
+				got = owner.Bytes(ln)[addr-ba : addr-ba+uint64(l.HashSize)]
 			} else {
 				s.Mem.Read(addr, slot)
 				got = slot

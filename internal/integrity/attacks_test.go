@@ -231,7 +231,7 @@ func TestFullWriteAllocationSkipsCheck(t *testing.T) {
 				t.Fatal("full-write allocation did not install a dirty line")
 			}
 			fresh := bytes.Repeat([]byte{0x3C}, r.sys.BlockSize())
-			copy(ln.Data, fresh)
+			copy(r.sys.L2.Bytes(ln), fresh)
 			r.shadow[ba] = fresh
 
 			if got := r.sys.Stat.DemandBlockReads + r.sys.Stat.ExtraBlockReads; got != readsBefore {
@@ -313,7 +313,7 @@ func TestIncrPredictedValueReplayEndToEnd(t *testing.T) {
 		// Write-back happens; the engine reads "old" = N (the lie) and
 		// then writes N (harmlessly, memory already holds it).
 		victim := r.sys.L2.Invalidate(ba)
-		r.engine.Evict(r.now, victim)
+		evictAndRelease(r.sys.L2, r.now, victim, r.engine.Evict)
 
 		// ...and afterwards the stale O is replayed forever.
 		r.adv.Replay(snap)

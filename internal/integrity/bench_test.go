@@ -23,7 +23,8 @@ func BenchmarkEngineReadMiss(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ba := blocks[rng.Intn(len(blocks))]
-				r.sys.L2.Invalidate(ba)
+				ln := r.sys.L2.Invalidate(ba)
+				r.sys.L2.Release(&ln)
 				r.read(ba)
 			}
 		})
@@ -40,7 +41,7 @@ func BenchmarkEngineWriteBack(b *testing.B) {
 				ba := blocks[i%len(blocks)]
 				r.write(ba, data)
 				victim := r.sys.L2.Invalidate(ba)
-				r.engine.Evict(r.now, victim)
+				evictAndRelease(r.sys.L2, r.now, victim, r.engine.Evict)
 			}
 		})
 	}
@@ -72,7 +73,7 @@ func BenchmarkMissWalk(b *testing.B) {
 					r.now = r.engine.ReadBlock(r.now, ba)
 					ln = r.sys.L2.Write(ba, cache.Data)
 				}
-				ln.Data[0]++
+				r.sys.L2.Bytes(ln)[0]++
 			}
 			for i := 0; i < 4*len(blocks); i++ {
 				access() // fill the cache and grow the pools to their depth

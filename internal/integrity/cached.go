@@ -42,7 +42,7 @@ type Cached struct {
 	record func(c uint64, img []byte) []byte
 	// evictFn processes a dirty victim; Incr overrides it with the
 	// constant-work incremental write-back.
-	evictFn func(now uint64, line cache.Line) uint64
+	evictFn evictFunc
 
 	// stFree pools chunkState values across write-backs; a free list
 	// because write-backs nest.
@@ -103,8 +103,8 @@ func (e *Cached) ReadBlock(now uint64, addr uint64) uint64 {
 }
 
 // Evict implements Engine.
-func (e *Cached) Evict(now uint64, line cache.Line) uint64 {
-	return e.evictFn(now, line)
+func (e *Cached) Evict(now uint64, line cache.Line, data []byte) uint64 {
+	return e.evictFn(now, line, data)
 }
 
 // AllocateFullWrite implements Engine. With one block per chunk the old
@@ -257,13 +257,14 @@ func (e *Cached) readValue(now uint64, addr uint64, size int) ([]byte, uint64) {
 	ba := s.L2.BlockAddr(addr)
 	c := s.Layout.ChunkOf(addr)
 	cclass, _ := s.classFor(c)
+	owner := s.cacheFor(c)
 	for attempt := 0; ; attempt++ {
-		if ln := s.cacheFor(c).Read(ba, cclass); ln != nil {
+		if ln := owner.Read(ba, cclass); ln != nil {
 			if !s.Functional {
 				return nil, now + s.L2Latency
 			}
 			off := addr - ba
-			return append(s.getRec(size), ln.Data[off:off+uint64(size)]...), now + s.L2Latency
+			return append(s.getRec(size), owner.Bytes(ln)[off:off+uint64(size)]...), now + s.L2Latency
 		}
 		if data, ok := s.inflightData(ba); ok {
 			if data == nil {
@@ -294,7 +295,8 @@ func (e *Cached) writeValue(now uint64, addr uint64, val []byte) (done uint64, a
 	c := s.Layout.ChunkOf(addr)
 	cclass, _ := s.classFor(c)
 	done = now
-	ln := s.cacheFor(c).Write(ba, cclass)
+	owner := s.cacheFor(c)
+	ln := owner.Write(ba, cclass)
 	if ln == nil {
 		if data, ok := s.inflightData(ba); ok {
 			if s.Trace != nil {
@@ -314,7 +316,7 @@ func (e *Cached) writeValue(now uint64, addr uint64, val []byte) (done uint64, a
 			e.fillChunk(ready, c, img, ba)
 			s.putImg(img)
 			done = ready
-			ln = s.cacheFor(c).Write(ba, cclass)
+			ln = owner.Write(ba, cclass)
 		}
 	}
 	if s.Trace != nil {
@@ -324,8 +326,8 @@ func (e *Cached) writeValue(now uint64, addr uint64, val []byte) (done uint64, a
 		}
 		s.Trace("writeValue", addr, mode)
 	}
-	if ln.Data != nil && val != nil {
-		copy(ln.Data[addr-ba:], val)
+	if b := owner.Bytes(ln); b != nil && val != nil {
+		copy(b[addr-ba:], val)
 	}
 	return done + s.L2Latency, allocated
 }
@@ -435,13 +437,14 @@ func (e *Cached) collectChunk(st *chunkState, c uint64, evIdx int, evData []byte
 	st.present[evIdx] = true
 	st.dirty = append(st.dirty, evIdx)
 	st.count = 1
+	owner := s.cacheFor(c)
 	for i := 0; i < s.chunkBlocks(); i++ {
 		if i == evIdx {
 			continue
 		}
 		ba := base + uint64(i*bs)
-		if ln := s.cacheFor(c).Peek(ba); ln != nil {
-			st.data[i] = ln.Data
+		if ln := owner.Peek(ba); ln != nil {
+			st.data[i] = owner.Bytes(ln)
 			st.present[i] = true
 			st.count++
 			if ln.Dirty {
@@ -458,10 +461,10 @@ func (e *Cached) collectChunk(st *chunkState, c uint64, evIdx int, evData []byte
 // out. If the record update had to write-allocate (running other
 // write-backs in the process), the image is re-collected and the record
 // recomputed, so the final record and the written data always agree.
-func (e *Cached) evictCached(now uint64, line cache.Line) uint64 {
+func (e *Cached) evictCached(now uint64, line cache.Line, data []byte) uint64 {
 	s := e.sys
 	if !s.Protected(line.Addr) {
-		return unprotectedEvict(s, now, line)
+		return unprotectedEvict(s, now, line, data)
 	}
 	s.enter()
 	defer s.leave()
@@ -476,7 +479,7 @@ func (e *Cached) evictCached(now uint64, line cache.Line) uint64 {
 	evIdx := int((line.Addr - base) / uint64(bs))
 
 	// The line now sits in the write buffer; forward accesses to it.
-	s.registerInflight(line.Addr, line.Data)
+	s.registerInflight(line.Addr, data)
 	defer s.unregisterInflight(line.Addr)
 
 	idx, start := s.Unit.WriteBuf.Acquire(now)
@@ -485,7 +488,7 @@ func (e *Cached) evictCached(now uint64, line cache.Line) uint64 {
 	// the missing data. (For the c scheme k==1, so this never triggers.)
 	st := e.getState()
 	defer e.putState(st)
-	e.collectChunk(st, c, evIdx, line.Data)
+	e.collectChunk(st, c, evIdx, data)
 	dataReady := start
 	if st.count < s.chunkBlocks() {
 		img, ready, _ := e.readAndCheckChunk(start, c, noDemand)
@@ -508,7 +511,7 @@ func (e *Cached) evictCached(now uint64, line cache.Line) uint64 {
 	single := s.chunkBlocks() == 1
 	if s.Functional {
 		if single {
-			newImg = line.Data
+			newImg = data
 		} else {
 			newImg = s.getImg()
 			defer s.putImg(newImg)
@@ -518,7 +521,7 @@ func (e *Cached) evictCached(now uint64, line cache.Line) uint64 {
 		recBuf = s.getRec(s.Layout.HashSize)
 	}
 	for attempt := 0; ; attempt++ {
-		e.collectChunk(st, c, evIdx, line.Data)
+		e.collectChunk(st, c, evIdx, data)
 		if s.Functional && !single {
 			// Compose the new image from live state: in-hand blocks carry
 			// the freshest on-chip values; everything else is whatever is
@@ -562,7 +565,7 @@ func (e *Cached) evictCached(now uint64, line cache.Line) uint64 {
 		ba := base + uint64(i*bs)
 		if s.Functional {
 			if i == evIdx {
-				s.Mem.Write(ba, line.Data)
+				s.Mem.Write(ba, data)
 			} else {
 				s.Mem.Write(ba, newImg[i*bs:(i+1)*bs])
 			}
@@ -590,7 +593,7 @@ func (e *Cached) evictCached(now uint64, line cache.Line) uint64 {
 // DRAM fill, no verification (the ReadWithoutChecking path of §5.7.1).
 // Dirty victims — which may themselves be protected — are routed through
 // the owning engine's write-back.
-func unprotectedRead(s *System, now uint64, addr uint64, evict func(uint64, cache.Line) uint64) uint64 {
+func unprotectedRead(s *System, now uint64, addr uint64, evict evictFunc) uint64 {
 	bs := s.BlockSize()
 	ba := s.L2.BlockAddr(addr)
 	var data []byte
@@ -611,11 +614,11 @@ func unprotectedRead(s *System, now uint64, addr uint64, evict func(uint64, cach
 }
 
 // unprotectedEvict writes back a block outside the protected region.
-func unprotectedEvict(s *System, now uint64, line cache.Line) uint64 {
+func unprotectedEvict(s *System, now uint64, line cache.Line, data []byte) uint64 {
 	s.Stat.Evictions++
 	s.Stat.DataBlockWrites++
 	if s.Functional {
-		s.Mem.Write(line.Addr, line.Data)
+		s.Mem.Write(line.Addr, data)
 	}
 	return s.DRAM.Write(now, s.BlockSize(), bus.Data)
 }

@@ -20,9 +20,11 @@ type Engine interface {
 	// now. The block is filled into the L2; the return value is the cycle
 	// its data is available to the processor.
 	ReadBlock(now uint64, addr uint64) uint64
-	// Evict processes a dirty line leaving the L2 and returns the cycle
-	// the write-back (including any hash updates) completes.
-	Evict(now uint64, line cache.Line) uint64
+	// Evict processes a dirty line leaving the L2, holding data (its
+	// bytes, resolved by the caller on the cache the line came from; nil
+	// in timing-only mode), and returns the cycle the write-back
+	// (including any hash updates) completes.
+	Evict(now uint64, line cache.Line, data []byte) uint64
 	// AllocateFullWrite prepares the block containing addr for a write
 	// that overwrites it entirely: the §5.3 optimization — "if write
 	// allocation simply marks unwritten words as invalid rather than
@@ -64,8 +66,8 @@ func (e *Base) ReadBlock(now uint64, addr uint64) uint64 {
 }
 
 // Evict implements Engine.
-func (e *Base) Evict(now uint64, line cache.Line) uint64 {
-	return unprotectedEvict(e.sys, now, line)
+func (e *Base) Evict(now uint64, line cache.Line, data []byte) uint64 {
+	return unprotectedEvict(e.sys, now, line, data)
 }
 
 // AllocateFullWrite implements Engine: the base scheme never needs the
@@ -83,7 +85,7 @@ const fillRetries = 4
 
 // allocateFullWrite installs a dirty, about-to-be-overwritten line with no
 // memory traffic; shared by every engine whose chunk equals one block.
-func allocateFullWrite(s *System, now uint64, addr uint64, evict func(uint64, cache.Line) uint64) uint64 {
+func allocateFullWrite(s *System, now uint64, addr uint64, evict evictFunc) uint64 {
 	ba := s.L2.BlockAddr(addr)
 	for try := 0; ; try++ {
 		if ev := s.L2.Fill(ba, cache.Data, nil); ev.Valid && ev.Dirty {
@@ -108,7 +110,7 @@ func (e *Base) Flush(now uint64) uint64 {
 		cur := e.sys.L2.Peek(addr)
 		ln := *cur
 		cur.Dirty = false
-		if d := e.Evict(done, ln); d > done {
+		if d := e.Evict(done, ln, e.sys.L2.Bytes(cur)); d > done {
 			done = d
 		}
 	}
@@ -119,7 +121,7 @@ func (e *Base) Flush(now uint64) uint64 {
 // the shared L2 and, when configured, the dedicated verification cache,
 // whose lines the write-backs dirty with record updates. Shared by the
 // protected engines.
-func flushVia(s *System, now uint64, ev func(uint64, cache.Line) uint64) uint64 {
+func flushVia(s *System, now uint64, ev evictFunc) uint64 {
 	done := now
 	for pass := 0; ; pass++ {
 		dirty := s.L2.AppendDirty(s.dirtyScratch[:0])

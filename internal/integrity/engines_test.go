@@ -141,7 +141,7 @@ func TestMultiBlockWriteBackCombinesSiblings(t *testing.T) {
 	if !victim.Dirty {
 		t.Fatal("victim should be dirty")
 	}
-	r.engine.Evict(r.now, victim)
+	evictAndRelease(r.sys.L2, r.now, victim, r.engine.Evict)
 
 	// Both blocks must now be in memory, and the sibling marked clean.
 	got := make([]byte, bs)
@@ -180,7 +180,7 @@ func TestIncrementalWriteBackLeavesSiblingDirty(t *testing.T) {
 	r.write(base+bs, d1)
 
 	victim := r.sys.L2.Invalidate(base)
-	r.engine.Evict(r.now, victim)
+	evictAndRelease(r.sys.L2, r.now, victim, r.engine.Evict)
 
 	got := make([]byte, bs)
 	r.sys.Mem.Read(base, got)
@@ -217,7 +217,7 @@ func TestIncrStampsFlipPerWriteBack(t *testing.T) {
 		// The record may be cached (dirty) or in memory; prefer the cache.
 		if ln := r.sys.L2.Peek(slotAddr); ln != nil {
 			off := slotAddr - ln.Addr
-			copy(rec, ln.Data[off:])
+			copy(rec, r.sys.L2.Bytes(ln)[off:])
 		} else {
 			r.sys.Mem.Read(slotAddr, rec)
 		}
@@ -233,7 +233,7 @@ func TestIncrStampsFlipPerWriteBack(t *testing.T) {
 		data := bytes.Repeat([]byte{byte(round)}, r.sys.BlockSize())
 		r.write(base, data)
 		victim := r.sys.L2.Invalidate(base)
-		r.engine.Evict(r.now, victim)
+		evictAndRelease(r.sys.L2, r.now, victim, r.engine.Evict)
 		want := byte(round % 2) // bit 0 flips each write-back
 		if s := readStamp() & 1; s != want {
 			t.Fatalf("round %d: stamp bit %d, want %d", round, s, want)

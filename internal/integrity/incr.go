@@ -92,10 +92,10 @@ func splitBlocks(dst [][]byte, img []byte, bs int) [][]byte {
 }
 
 // evictIncr is the optimized Write-Back of §5.5.
-func (e *Incr) evictIncr(now uint64, line cache.Line) uint64 {
+func (e *Incr) evictIncr(now uint64, line cache.Line, data []byte) uint64 {
 	s := e.sys
 	if !s.Protected(line.Addr) {
-		return unprotectedEvict(s, now, line)
+		return unprotectedEvict(s, now, line, data)
 	}
 	s.enter()
 	defer s.leave()
@@ -113,7 +113,7 @@ func (e *Incr) evictIncr(now uint64, line cache.Line) uint64 {
 	if s.Trace != nil {
 		s.Trace("evictIncr-start", line.Addr, uint64(c))
 	}
-	s.registerInflight(line.Addr, line.Data)
+	s.registerInflight(line.Addr, data)
 	defer s.unregisterInflight(line.Addr)
 
 	idx, start := s.Unit.WriteBuf.Acquire(now)
@@ -172,7 +172,7 @@ func (e *Incr) evictIncr(now uint64, line cache.Line) uint64 {
 		copy(tag[:], tagBytes)
 		old := s.getImg()
 		s.Mem.Read(line.Addr, old[:bs])
-		newTag = e.mac.Update(tag, blockIdx, old[:bs], line.Data)
+		newTag = e.mac.Update(tag, blockIdx, old[:bs], data)
 		s.putImg(old)
 	}
 	if c != 0 {
@@ -213,7 +213,7 @@ func (e *Incr) evictIncr(now uint64, line cache.Line) uint64 {
 		s.Trace("evictIncr-memwrite", line.Addr, uint64(c))
 	}
 	if s.Functional {
-		s.Mem.Write(line.Addr, line.Data)
+		s.Mem.Write(line.Addr, data)
 	}
 	if d := s.DRAM.Write(hdone, bs, bclass); d > done {
 		done = d

@@ -174,10 +174,10 @@ func (e *Naive) releaseAncestors(anc [][]byte) {
 
 // Evict implements Engine: verify the old ancestor path, then write the
 // block and every recomputed hash on the path back to memory.
-func (e *Naive) Evict(now uint64, line cache.Line) uint64 {
+func (e *Naive) Evict(now uint64, line cache.Line, data []byte) uint64 {
 	s := e.sys
 	if !s.Protected(line.Addr) {
-		return unprotectedEvict(s, now, line)
+		return unprotectedEvict(s, now, line, data)
 	}
 	s.Stat.Evictions++
 	s.enterWriteBack()
@@ -201,7 +201,7 @@ func (e *Naive) Evict(now uint64, line cache.Line) uint64 {
 	// hash chain is serial because each parent's new hash depends on the
 	// child's.
 	if s.Functional {
-		s.Mem.Write(line.Addr, line.Data)
+		s.Mem.Write(line.Addr, data)
 	}
 	s.DRAM.Write(t, s.BlockSize(), bus.Data)
 	s.Stat.DataBlockWrites++
@@ -212,7 +212,7 @@ func (e *Naive) Evict(now uint64, line cache.Line) uint64 {
 	// dropped or substituted write must leave the stored hashes covering
 	// what the processor *meant* to write, so the next read detects it.
 	cur := c
-	curImg := line.Data
+	curImg := data
 	for level := 0; ; level++ {
 		var h []byte
 		if s.Functional {

@@ -125,7 +125,7 @@ func (r *rig) read(addr uint64) []byte {
 		r.now = r.engine.ReadBlock(r.now, ba)
 		ln = r.sys.L2.Peek(ba)
 	}
-	return append([]byte(nil), ln.Data...)
+	return append([]byte(nil), r.sys.L2.Bytes(ln)...)
 }
 
 // write performs a processor write of the whole block at addr.
@@ -140,7 +140,7 @@ func (r *rig) write(addr uint64, data []byte) {
 		r.now = r.engine.ReadBlock(r.now, ba)
 		ln = r.sys.L2.Write(ba, cache.Data)
 	}
-	copy(ln.Data, data)
+	copy(r.sys.L2.Bytes(ln), data)
 	r.shadow[ba] = append([]byte(nil), data...)
 }
 

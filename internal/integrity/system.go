@@ -259,11 +259,15 @@ func (s *System) inflightData(ba uint64) ([]byte, bool) {
 	return nil, false
 }
 
+// evictFunc is an engine's write-back of a dirty line holding data.
+type evictFunc func(now uint64, line cache.Line, data []byte) uint64
+
 // evictAndRelease runs a dirty victim that Fill or Invalidate handed out
-// of owner through the write-back evict and then gives its buffer back:
-// the line is this frame's for exactly the write-back's duration.
-func evictAndRelease(owner *cache.Cache, now uint64, line cache.Line, evict func(uint64, cache.Line) uint64) uint64 {
-	done := evict(now, line)
+// of owner through the write-back evict, with its bytes, and then gives
+// its buffer back: the line is this frame's for exactly the write-back's
+// duration.
+func evictAndRelease(owner *cache.Cache, now uint64, line cache.Line, evict evictFunc) uint64 {
+	done := evict(now, line, owner.Bytes(&line))
 	owner.Release(&line)
 	return done
 }
@@ -365,11 +369,12 @@ func (s *System) composeImage(c uint64) (img []byte, memBlocks []int) {
 		img = s.getImg()
 	}
 	memBlocks = s.memScratch[:0]
+	owner := s.cacheFor(c)
 	for i := 0; i < k; i++ {
 		ba := base + uint64(i*bs)
-		if ln := s.cacheFor(c).Peek(ba); ln != nil && !ln.Dirty {
+		if ln := owner.Peek(ba); ln != nil && !ln.Dirty {
 			if img != nil {
-				copy(img[i*bs:(i+1)*bs], ln.Data)
+				copy(img[i*bs:(i+1)*bs], owner.Bytes(ln))
 			}
 			continue
 		}

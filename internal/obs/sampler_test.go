@@ -193,7 +193,11 @@ func TestSamplerSnapshotInto(t *testing.T) {
 
 // TestSamplerConcurrentScrape exercises the scrape surface while the
 // ticker goroutine samples; run under -race this is the locking proof.
+// The scrapers run until the ticker has completed a few rounds (with a
+// deadline that fails the test), so a loaded host only makes it take
+// longer, and a sampler that never ticks fails it.
 func TestSamplerConcurrentScrape(t *testing.T) {
+	const rounds = 3
 	var ops atomic.Uint64
 	s := NewSampler(func(reg *telemetry.Registry) {
 		reg.Add("shard.ops_submitted", ops.Load())
@@ -201,18 +205,13 @@ func TestSamplerConcurrentScrape(t *testing.T) {
 	s.Start()
 	defer s.Stop()
 
+	deadline := time.Now().Add(10 * time.Second)
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for s.Rounds() < rounds && time.Now().Before(deadline) {
 				ops.Add(17)
 				s.Series("rate.shard.ops_submitted")
 				s.Quantile(SeriesOpsPerSec, 0.99)
@@ -222,11 +221,9 @@ func TestSamplerConcurrentScrape(t *testing.T) {
 			}
 		}()
 	}
-	time.Sleep(30 * time.Millisecond)
-	close(stop)
 	wg.Wait()
-	if s.Rounds() == 0 {
-		t.Error("ticker never sampled")
+	if n := s.Rounds(); n < rounds {
+		t.Errorf("ticker completed %d rounds in 10 s of scraping, want %d", n, rounds)
 	}
 }
 

@@ -55,14 +55,13 @@ func (f *Flags) NewRegistry() *telemetry.Registry {
 	return telemetry.NewRegistry()
 }
 
-// WriteTrace writes the given traces to the -trace path (merging
-// multiple traces into one Chrome export, one process per trace). No-op
-// when -trace was not given.
-func (f *Flags) WriteTrace(traces ...*telemetry.Trace) error {
+// WriteTrace writes t to the -trace path as a Chrome export. No-op when
+// -trace was not given.
+func (f *Flags) WriteTrace(t *telemetry.Trace) error {
 	if *f.trace == "" {
 		return nil
 	}
-	return telemetry.WriteTraceFiles(*f.trace, traces...)
+	return telemetry.WriteTraceFile(*f.trace, t)
 }
 
 // WriteMetrics writes reg to the -metrics path. No-op when -metrics was

@@ -43,11 +43,6 @@ type Config struct {
 	// queue is full (backpressure). Defaults to 64.
 	QueueDepth int
 
-	// Recorders, when non-nil, attaches one telemetry recorder per shard
-	// (len must equal Shards). Each shard's trace renders as its own
-	// process in the merged Chrome export (telemetry.WriteChromeTraces).
-	Recorders []*telemetry.Recorder
-
 	// OnViolation, when set, fires once per detected violation with the
 	// shard it hit, the violation itself and whether the halt policy took
 	// the shard down. It runs on the detecting shard's worker goroutine
@@ -166,9 +161,6 @@ func newStore(cfg Config, imgs, roots [][]byte) (*Store, error) {
 	if cfg.Machine.VerifyCacheLines > 0 {
 		return nil, &SettingError{"VerifyCacheLines", cfg.Machine.VerifyCacheLines}
 	}
-	if cfg.Recorders != nil && len(cfg.Recorders) != cfg.Shards {
-		return nil, fmt.Errorf("shard: %d recorders for %d shards", len(cfg.Recorders), cfg.Shards)
-	}
 	per := cfg.Machine
 	per.ProtectedBytes = cfg.Machine.ProtectedBytes / uint64(cfg.Shards)
 	if per.ProtectedBytes == 0 {
@@ -187,18 +179,12 @@ func newStore(cfg Config, imgs, roots [][]byte) (*Store, error) {
 		onViolation: cfg.OnViolation,
 	}
 	for i := range s.shards {
-		c := per
-		if cfg.Recorders != nil {
-			// A distinct benchmark name per shard names the trace process.
-			c.Telemetry = cfg.Recorders[i]
-			c.Benchmark.Name = fmt.Sprintf("%s.s%d", per.Benchmark.Name, i)
-		}
 		var m *core.Machine
 		var err error
 		if imgs != nil {
-			m, err = core.NewMachineFromState(c, imgs[i], roots[i])
+			m, err = core.NewMachineFromState(per, imgs[i], roots[i])
 		} else {
-			m, err = core.NewMachine(c)
+			m, err = core.NewMachine(per)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)

@@ -41,9 +41,6 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	if _, err := New(Config{Machine: nf, Shards: 2}); err == nil {
 		t.Error("non-functional template accepted")
 	}
-	if _, err := New(Config{Machine: good, Shards: 2, Recorders: make([]*telemetry.Recorder, 3)}); err == nil {
-		t.Error("recorder/shard count mismatch accepted")
-	}
 	tiny := good
 	tiny.ProtectedBytes = 4
 	if _, err := New(Config{Machine: tiny, Shards: 8}); err == nil {
@@ -291,40 +288,6 @@ func TestCloseDrainsAndKeepsMetrics(t *testing.T) {
 	}
 	if err := s.StoreBytes(0, []byte{1}); !errors.Is(err, ErrClosed) {
 		t.Errorf("submit on closed store: %v, want ErrClosed", err)
-	}
-}
-
-// TestPerShardRecorders checks the telemetry wiring: each shard renders
-// as its own named process in the merged Chrome export.
-func TestPerShardRecorders(t *testing.T) {
-	recs := []*telemetry.Recorder{telemetry.NewRecorder(256), telemetry.NewRecorder(256)}
-	s, err := New(Config{Machine: storeCfg(core.SchemeCached), Shards: 2, Recorders: recs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.StoreBytes(0, bytes.Repeat([]byte{1}, 256)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.StoreBytes(s.ShardSpan(), bytes.Repeat([]byte{2}, 256)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := telemetry.WriteChromeTraces(&buf, recs[0].Trace, recs[1].Trace); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for i := 0; i < 2; i++ {
-		want := fmt.Sprintf(`"name":"c/shardtest.s%d"`, i)
-		if !strings.Contains(out, want) {
-			t.Errorf("merged trace missing process %s", want)
-		}
-	}
-	if _, err := telemetry.ValidateChromeTrace(strings.NewReader(out)); err != nil {
-		t.Errorf("merged shard trace invalid: %v", err)
 	}
 }
 

@@ -28,53 +28,31 @@ type exportEvent struct {
 // non-overlapping, timestamp-sorted events. The output is deterministic:
 // no map iteration feeds the encoder.
 func (t *Trace) WriteChromeTrace(w io.Writer) error {
-	return WriteChromeTraces(w, t)
-}
+	evs, firstSeq := t.retained()
 
-// WriteChromeTraces merges several traces into one Chrome trace-event
-// file, giving each trace its own disjoint pid range — the per-shard
-// export of the shard store, where every shard owns a single-goroutine
-// Trace and renders as one process. Traces contribute their BeginProcess
-// marks in argument order, so pids (and Perfetto's process sort) follow
-// shard order.
-func WriteChromeTraces(w io.Writer, traces ...*Trace) error {
-	type proc struct{ name string }
-	var procs []proc
-	var out []exportEvent
-	for _, t := range traces {
-		evs, firstSeq := t.retained()
-
-		// Resolve this trace's process names. Marks made before the
-		// retained window still apply: the latest mark at or before
-		// firstSeq owns the window start.
-		base := len(procs)
-		marks := []procMark(nil)
-		if t != nil {
-			marks = t.procs
+	// Resolve process names. Marks made before the retained window still
+	// apply: the latest mark at or before firstSeq owns the window start.
+	var marks []procMark
+	if t != nil {
+		marks = t.procs
+	}
+	procs := []string{"machine"}
+	pidAt := func(seq uint64) int { return 0 }
+	if len(marks) > 0 {
+		procs = procs[:0]
+		for _, m := range marks {
+			procs = append(procs, m.Name)
 		}
-		pidAt := func(seq uint64) int { return base }
-		if len(marks) > 0 {
-			for _, m := range marks {
-				procs = append(procs, proc{name: m.Name})
-			}
-			pidAt = func(seq uint64) int {
-				// Last mark with Seq <= seq; events before the first mark
-				// fold into it.
-				i := sort.Search(len(marks), func(i int) bool { return marks[i].Seq > seq })
-				if i == 0 {
-					return base
-				}
-				return base + i - 1
-			}
-		} else {
-			procs = append(procs, proc{name: "machine"})
-		}
-		for i, ev := range evs {
-			out = append(out, exportEvent{Event: ev, seq: firstSeq + uint64(i), pid: pidAt(firstSeq + uint64(i))})
+		pidAt = func(seq uint64) int {
+			// Last mark with Seq <= seq; events before the first mark
+			// fold into it.
+			return max(sort.Search(len(marks), func(i int) bool { return marks[i].Seq > seq })-1, 0)
 		}
 	}
-	if len(procs) == 0 {
-		procs = []proc{{name: "machine"}}
+	out := make([]exportEvent, len(evs))
+	for i, ev := range evs {
+		seq := firstSeq + uint64(i)
+		out[i] = exportEvent{Event: ev, seq: seq, pid: pidAt(seq)}
 	}
 
 	// Greedy lane assignment per (pid, track): sort by begin time, place
@@ -141,8 +119,8 @@ func WriteChromeTraces(w io.Writer, traces ...*Trace) error {
 
 	// Metadata: process names, then thread names for every used lane,
 	// in deterministic (pid, track, lane) order.
-	for pid, p := range procs {
-		if err := emit(`{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%q}}`, pid, p.name); err != nil {
+	for pid, name := range procs {
+		if err := emit(`{"ph":"M","pid":%d,"tid":0,"name":"process_name","args":{"name":%q}}`, pid, name); err != nil {
 			return err
 		}
 		if err := emit(`{"ph":"M","pid":%d,"tid":0,"name":"process_sort_index","args":{"sort_index":%d}}`, pid, pid); err != nil {

@@ -24,24 +24,6 @@ func WriteTraceFile(path string, t *Trace) error {
 	return nil
 }
 
-// WriteTraceFiles exports several traces (one per shard) into a single
-// Chrome trace file at path, each trace as its own process.
-func WriteTraceFiles(path string, traces ...*Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := WriteChromeTraces(f, traces...)
-	cerr := f.Close()
-	if werr != nil {
-		return fmt.Errorf("writing trace %s: %w", path, werr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("writing trace %s: %w", path, cerr)
-	}
-	return nil
-}
-
 // WriteMetricsFile writes the registry snapshot as deterministic JSON at
 // path — the -metrics flag of the commands.
 func WriteMetricsFile(path string, reg *Registry) error {
