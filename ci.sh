@@ -251,9 +251,11 @@ fi
 # Persisted leg: checkpoints every 20 ms freeze each shard's pages and
 # stream them to disk while writing, mirror-checked loadgen traffic keeps
 # storing to those shards; SIGTERM seals a final epoch, and a restart on
-# the same root must recover every tenant clean and serve healthy. Then
-# t0's earlier checkpoint goes back under the WAL that sealed a later one:
-# the next restart must refuse t0 (its loadgen fails) and recover t1 clean.
+# the same root must recover every tenant clean and serve healthy. t0 (c)
+# and t1 (m) persist their data regions and rebuild their trees, t2 (i)
+# persists its whole image. Then t0's earlier checkpoint goes back under
+# the WAL that sealed a later one: the next restart must refuse t0 (its
+# loadgen fails) and recover t1 and t2 clean.
 serving_url() { # $1: daemon log; prints host:port once it announced it
   for _ in $(seq 1 200); do
     u=$(sed -n 's#^memverifyd: serving on http://\([^ ]*\).*#\1#p' "$1" | head -1)
@@ -262,12 +264,12 @@ serving_url() { # $1: daemon log; prints host:port once it announced it
   done
   return 1
 }
-"$stmp/memverifyd" -listen 127.0.0.1:0 -tenants 't0,t1:scheme=m' \
+"$stmp/memverifyd" -listen 127.0.0.1:0 -tenants 't0,t1:scheme=m,t2:scheme=i' \
   -protected $((1 << 21)) -persist "$stmp/p" -checkpoint-every 20ms >"$stmp/pd1.log" 2>&1 &
 pdpid=$!
 paddr=$(serving_url "$stmp/pd1.log") || {
   echo "FAIL: persisted memverifyd never logged its serving URL" >&2; exit 1; }
-for tenant in t0 t1; do
+for tenant in t0 t1 t2; do
   if ! "$stmp/loadgen" -remote "$paddr" -tenant "$tenant" -workers 4 -ops 4000 >"$stmp/pl-$tenant.log" 2>&1 ||
     grep -q 'DATA RACE' "$stmp/pl-$tenant.log"; then
     cat "$stmp/pl-$tenant.log" >&2
@@ -288,14 +290,14 @@ if [ "$pstatus" -ne 0 ] || grep -q 'DATA RACE\|periodic checkpoint:' "$stmp/pd1.
 fi
 mkdir "$stmp/stash"
 cp "$stmp/p/t0"/seg-* "$stmp/p/t0/MANIFEST" "$stmp/stash/"
-"$stmp/memverifyd" -listen 127.0.0.1:0 -tenants 't0,t1:scheme=m' \
+"$stmp/memverifyd" -listen 127.0.0.1:0 -tenants 't0,t1:scheme=m,t2:scheme=i' \
   -protected $((1 << 21)) -persist "$stmp/p" >"$stmp/pd2.log" 2>&1 &
 pdpid=$!
 paddr=$(serving_url "$stmp/pd2.log") || {
   echo "FAIL: restarted memverifyd never logged its serving URL" >&2; exit 1; }
 "$stmp/metricscheck" -get "http://$paddr/healthz" | grep -q '"status": "healthy"' || {
   echo "FAIL: restarted memverifyd /healthz not healthy" >&2; exit 1; }
-for tenant in t0 t1; do
+for tenant in t0 t1 t2; do
   grep -q "tenant $tenant: recovery outcome=recovered-clean" "$stmp/pd2.log" || {
     cat "$stmp/pd2.log" >&2
     echo "FAIL: tenant $tenant did not recover clean after the checkpointing run" >&2; exit 1; }
@@ -313,24 +315,27 @@ if [ "$pstatus" -ne 0 ] || grep -q 'DATA RACE' "$stmp/pd2.log" ||
 fi
 rm -f "$stmp/p/t0"/seg-*
 cp "$stmp/stash"/* "$stmp/p/t0/"
-"$stmp/memverifyd" -listen 127.0.0.1:0 -tenants 't0,t1:scheme=m' \
+"$stmp/memverifyd" -listen 127.0.0.1:0 -tenants 't0,t1:scheme=m,t2:scheme=i' \
   -protected $((1 << 21)) -persist "$stmp/p" >"$stmp/pd3.log" 2>&1 &
 pdpid=$!
 paddr=$(serving_url "$stmp/pd3.log") || {
   echo "FAIL: memverifyd on a replayed t0 never logged its serving URL" >&2; exit 1; }
 if ! grep -q 'tenant t0: recovery outcome=violation' "$stmp/pd3.log" ||
   ! grep -q 'tenant t0: REFUSING SERVICE' "$stmp/pd3.log" ||
-  ! grep -q 'tenant t1: recovery outcome=recovered-clean' "$stmp/pd3.log"; then
+  ! grep -q 'tenant t1: recovery outcome=recovered-clean' "$stmp/pd3.log" ||
+  ! grep -q 'tenant t2: recovery outcome=recovered-clean' "$stmp/pd3.log"; then
   cat "$stmp/pd3.log" >&2
-  echo "FAIL: a replayed t0 checkpoint was not refused, or t1 did not recover clean" >&2
+  echo "FAIL: a replayed t0 checkpoint was not refused, or t1 or t2 did not recover clean" >&2
   exit 1
 fi
 if "$stmp/loadgen" -remote "$paddr" -tenant t0 -workers 2 -ops 500 >/dev/null 2>&1; then
   echo "FAIL: loadgen was served by t0 from a replayed checkpoint" >&2
   exit 1
 fi
-"$stmp/loadgen" -remote "$paddr" -tenant t1 -workers 2 -ops 500 >/dev/null || {
-  echo "FAIL: t1 stopped serving beside the refused t0" >&2; exit 1; }
+for tenant in t1 t2; do
+  "$stmp/loadgen" -remote "$paddr" -tenant "$tenant" -workers 2 -ops 500 >/dev/null || {
+    echo "FAIL: $tenant stopped serving beside the refused t0" >&2; exit 1; }
+done
 kill -TERM "$pdpid"
 set +e
 wait "$pdpid"

@@ -35,8 +35,8 @@ const (
 	CrashTamperSegment = "tamper-segment"
 	// CrashForgeSegment flips one image byte AND recomputes the file
 	// checksum — a forgery the crash-consistency layer cannot see. Only
-	// the engine's verification walk against the WAL-sealed root catches
-	// it: the adversarial leg that separates checksums from integrity.
+	// the engine's check against the WAL-sealed root catches it: the
+	// adversarial leg that separates checksums from integrity.
 	CrashForgeSegment = "forge-segment"
 	// CrashTruncateWAL chops committed epochs off the log while leaving
 	// the newer snapshot in place.
@@ -55,7 +55,7 @@ const (
 	// The chain legs commit a base and three deltas over it, then attack
 	// the chain recovery has to walk: no link of it is trusted, so each
 	// must end as a violation, raised by the decoder, by the walk or by
-	// the engine's sweep of the folded image against the sealed root.
+	// the engine's check of the folded state against the sealed root.
 
 	// CrashFlipLink flips one byte of one delta of the chain.
 	CrashFlipLink = "flip-link"
@@ -637,10 +637,10 @@ func busyShard(cfg CrashConfig, dir string, epoch uint64, first int) (int, error
 	return 0, fmt.Errorf("no shard wrote any line in epoch %d", epoch)
 }
 
-// flipSegmentByte flips one bit of the image bytes a segment file carries
-// — a base's image, a delta's line bytes — in a byte the leg's generator
-// draws from all of them: interior tree chunks, the code region and the
-// program's data alike. With forge, the file's trailing checksum is
+// flipSegmentByte flips one bit of the extent bytes a segment file
+// carries — a base's extent, a delta's line bytes — in a byte the leg's
+// generator draws from all of them: the code region and the program's
+// data alike, and for i its interior tree chunks too. With forge, the file's trailing checksum is
 // recomputed so every crash-consistency check passes and only the engine's
 // root walk can refuse the state.
 func flipSegmentByte(name string, rng *rand.Rand, forge bool) error {

@@ -50,6 +50,8 @@ type Machine struct {
 	storeSeq uint64
 	now      uint64 // advancing store-stamp clock for direct accesses
 	snapSeq  uint64 // Seq of the latest snapshot; 0 when none is current
+
+	stateStart uint64 // where the persisted extent starts (StateExtent)
 }
 
 // ErrHalted is returned by LoadBytes and StoreBytes once a machine running
@@ -63,15 +65,23 @@ var ErrHalted = errors.New("core: machine halted by integrity violation")
 func NewMachine(cfg Config) (*Machine, error) { return newMachine(cfg, nil, nil) }
 
 // NewMachineFromState assembles a machine from cfg whose protected region
-// is img and whose root register is root — a SaveState snapshot, typically
-// one read back from disk. img becomes the machine's external memory
-// without a copy: the machine owns it from then on, its write-backs land
-// in it, and the caller must neither write nor keep it (a caller that
-// keeps its buffer passes a clone, or restores with RestoreState, which
-// copies). Nothing is hashed and nothing is trusted yet: the tree is
-// whatever img holds, and reads verify it against root as they go
-// (VerifyImage checks all of it at once). An invalid cfg is reported
-// before a missing image.
+// is img and whose root register is root — a saved state, typically one
+// read back from disk — and checks the one against the other before it
+// returns. img is the whole region, Layout.Size() bytes, with the
+// persisted extent (StateExtent) at its address; below the extent's start
+// it is scratch. It becomes the machine's external memory without a copy:
+// the machine owns it from then on, its write-backs land in it, and the
+// caller must neither write nor keep it (a caller that keeps its buffer
+// passes a clone, or restores with RestoreState, which copies).
+//
+// The check is the state's whole check, with the engine's own records:
+// for naive, c and m the interior is rebuilt from img's data before img
+// is adopted, and the rebuilt root is compared with root — a mismatch is
+// one violation at chunk 0, the only chunk a rebuilt tree can fail; for i
+// the adopted image is checked whole (VerifyImage's walk). A violation is
+// recorded under cfg's policy — Sys.Stat, Sys.First, a halt — and is not
+// an error: the machine is returned for the caller to inspect. An invalid
+// cfg is reported before a missing image.
 func NewMachineFromState(cfg Config, img, root []byte) (*Machine, error) {
 	if img == nil {
 		if err := cfg.Validate(); err != nil {
@@ -119,6 +129,7 @@ func newMachine(cfg Config, img, root []byte) (*Machine, error) {
 		return nil, err
 	}
 	m.Layout = layout
+	m.stateStart = stateStart(cfg.Scheme, layout)
 
 	alg, err := hashFor(cfg.HashAlg)
 	if err != nil {
@@ -172,7 +183,7 @@ func newMachine(cfg Config, img, root []byte) (*Machine, error) {
 	}
 	switch {
 	case img != nil:
-		if err := m.installState(img, root, true); err != nil {
+		if err := m.adoptState(img, root); err != nil {
 			return nil, err
 		}
 	case cfg.Functional && cfg.Scheme != SchemeBase:

@@ -4,22 +4,59 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"memverify/internal/htree"
+	"memverify/internal/integrity"
 	"memverify/internal/mem"
 )
 
 // This file is the machine side of the persistence layer (internal/persist):
-// a functional machine's complete authenticated state is its external-memory
-// image — data chunks plus the interior chunks holding every stored
-// hash/MAC record, including the scheme-i records whose stamp bits live in
-// the record bytes — together with the secure on-chip root register.
-// Everything else (caches, the pending-check window) is
-// reconstructible or must be empty at a commit point anyway.
+// a functional machine's authenticated state is its external-memory image
+// — data chunks and the interior chunks holding every stored hash/MAC
+// record — together with the secure on-chip root register. What of the
+// image a checkpoint keeps, its persisted extent, is the engine's to say.
+// Where every stored record is the hash of its chunk's image (naive, c and
+// m, whose records are integrity.System.hashRecord), the interior is a
+// function of the data: the extent is the data region alone, and a
+// machine built from it rebuilds the tree (integrity.System.DeriveTree,
+// the §5.7.2 computation) and checks the root it gets against the saved
+// one. The i scheme's records carry write-back stamps that the data does
+// not determine, so its extent is the whole image, interior included.
+// Everything else (caches, the pending-check window) is reconstructible
+// or must be empty at a commit point anyway.
+
+// StateExtent returns the persisted extent of a machine cfg builds: the
+// byte range [start, end) of its protected region that SaveStateSince
+// captures and RestoreState takes back. start is the first data line for
+// naive, c and m — the data region's start, rounded down to a
+// mem.LineSize line — and 0 for i; end is the region's size. It fails
+// only on an invalid cfg.
+func StateExtent(cfg Config) (start, end uint64, err error) {
+	if err := cfg.Validate(); err != nil {
+		return 0, 0, err
+	}
+	l, err := htree.NewLayout(cfg.L2Block*cfg.ChunkBlocks, cfg.HashSize, cfg.ProtectedBytes)
+	if err != nil {
+		return 0, 0, err
+	}
+	return stateStart(cfg.Scheme, l), l.Size(), nil
+}
+
+// stateStart returns where scheme's persisted extent starts in layout l.
+func stateStart(scheme Scheme, l *htree.Layout) uint64 {
+	if !treeDerived(scheme) {
+		return 0
+	}
+	return l.DataStart() &^ (mem.LineSize - 1)
+}
+
+// treeDerived reports whether scheme's interior is rebuilt from its data
+// rather than persisted: every scheme's but i's.
+func treeDerived(scheme Scheme) bool { return scheme != SchemeIncr }
 
 // Snapshot is one commit-point capture of a machine's protected state:
-// a frozen view of the whole external-memory image of the hash-tree
-// region ([0, Layout.Size())), or of only the lines of it written since
-// an earlier snapshot, and in both cases a copy of the secure root
-// register.
+// a frozen view of its persisted extent ([start, Layout.Size()) of
+// StateExtent), or of only the lines of it written since an earlier
+// snapshot, and in both cases a copy of the secure root register.
 type Snapshot struct {
 	// Seq names this snapshot to the machine that took it. Passed back as
 	// since, it asks for the changes made after this snapshot — and is
@@ -27,13 +64,14 @@ type Snapshot struct {
 	Seq  uint64
 	Root []byte
 	// View holds the captured bytes in place until it is released. A full
-	// view's Image is the image; a delta view's runs (AppendRuns) are the
+	// view's Image is the extent; a delta view's runs (AppendRuns) are the
 	// maximal runs of 64-byte lines written since snapshot since,
-	// ascending, and its Lines the bytes those lines hold, run after run
-	// (the image's last line may be short). Applied in place over the
-	// image of snapshot since, they give the image of this one. Whoever
-	// takes the snapshot releases the view; until then, the machine's
-	// first write to each page the view holds copies that page.
+	// ascending and numbered from the extent's start, and its Lines the
+	// bytes those lines hold, run after run (the extent's last line may be
+	// short). Applied in place over the extent of snapshot since, they
+	// give the extent of this one. Whoever takes the snapshot releases the
+	// view; until then, the machine's first write to each page the view
+	// holds copies that page.
 	View *mem.Frozen
 }
 
@@ -68,21 +106,21 @@ func (m *Machine) SaveStateSince(since uint64, maxLines int) (Snapshot, error) {
 	if m.halted {
 		return Snapshot{}, fmt.Errorf("%w (%v)", ErrHalted, m.haltCause)
 	}
-	size := m.Layout.Size()
-	delta := since != 0 && since == m.snapSeq && m.backing.DirtyLines(size) <= maxLines
+	start, end := m.stateStart, m.Layout.Size()
+	delta := since != 0 && since == m.snapSeq && m.backing.DirtyLines(start, end) <= maxLines
 	m.snapSeq = snapshotSeq.Add(1)
-	return Snapshot{Seq: m.snapSeq, Root: append([]byte(nil), m.Sys.Root...), View: m.backing.Freeze(size, delta)}, nil
+	return Snapshot{Seq: m.snapSeq, Root: append([]byte(nil), m.Sys.Root...), View: m.backing.Freeze(start, end, delta)}, nil
 }
 
 // SaveState is SaveStateSince since nothing, materialized: it returns a
-// copy of the full image and the root.
+// copy of the persisted extent and the root.
 func (m *Machine) SaveState() (img []byte, root []byte, err error) {
 	snap, err := m.SaveStateSince(0, 0)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer snap.View.Release()
-	img = make([]byte, 0, m.Layout.Size())
+	img = make([]byte, 0, m.StateSize())
 	snap.View.Image(func(p []byte) error { img = append(img, p...); return nil })
 	return img, snap.Root, nil
 }
@@ -94,28 +132,42 @@ func (m *Machine) Root() []byte {
 	return append([]byte(nil), m.Sys.Root...)
 }
 
-// StateSize returns the size in bytes of the protected-state image
-// SaveState and RestoreState exchange.
-func (m *Machine) StateSize() uint64 { return m.Layout.Size() }
+// StateSize returns the size in bytes of the persisted extent SaveState
+// and RestoreState exchange (StateExtent).
+func (m *Machine) StateSize() uint64 { return m.Layout.Size() - m.stateStart }
 
-// RestoreState installs a previously saved protected-state image and root
-// register, replacing whatever state the machine holds. The image bytes
-// are copied straight into external memory (img stays the caller's),
-// every protected line is dropped from the caches without write-back (a
-// stale dirty line must not resurface over the restored bytes), and the
-// root register is loaded from root — the trusted anchor the restored
-// tree is subsequently verified against.
+// RestoreState installs a previously saved persisted extent and root
+// register, replacing whatever state the machine holds. The extent's
+// bytes are copied into external memory (img stays the caller's) — for
+// naive, c and m with the interior rebuilt from them below — every
+// protected line is dropped from the caches without write-back (a stale
+// dirty line must not resurface over the restored bytes), and the root
+// register is loaded from root — the trusted anchor the restored tree is
+// subsequently verified against.
 //
 // RestoreState does not verify anything itself: reads after it go through
-// the ordinary verification walk, so a restored image that disagrees with
+// the ordinary verification walk, so a restored state that disagrees with
 // root (tampering, or a rolled-back snapshot) is detected on consumption;
-// VerifyImage (or VerifyAll) forces that detection eagerly. Recovery does not come through
-// here: internal/persist builds its machines from the saved state
-// (NewMachineFromState) rather than restoring over a fresh one.
+// VerifyImage (or VerifyAll) forces that detection eagerly. Recovery does
+// not come through here: internal/persist builds its machines from the
+// saved state (NewMachineFromState) rather than restoring over a fresh
+// one.
 func (m *Machine) RestoreState(img []byte, root []byte) error {
-	if err := m.installState(img, root, false); err != nil {
+	if err := m.persistable(); err != nil {
 		return err
 	}
+	if err := m.checkState(uint64(len(img)), m.StateSize(), root); err != nil {
+		return err
+	}
+	if treeDerived(m.Cfg.Scheme) {
+		whole := make([]byte, m.Layout.Size())
+		copy(whole[m.stateStart:], img)
+		m.Sys.DeriveTree(whole)
+		m.backing.Adopt(whole)
+	} else {
+		m.backing.Write(0, img)
+	}
+	m.Sys.Root = append(m.Sys.Root[:0], root...)
 	m.dropProtected()
 	// No snapshot describes what memory holds now: the next one is full.
 	m.snapSeq = 0
@@ -127,28 +179,41 @@ func (m *Machine) RestoreState(img []byte, root []byte) error {
 	return nil
 }
 
-// installState puts a saved image into external memory — copied, or
-// adopted as that memory when adopt is set — and loads the root register:
-// all of RestoreState that a machine with empty caches (one under
-// construction) needs.
-func (m *Machine) installState(img, root []byte, adopt bool) error {
+// adoptState makes img, a whole image of the protected region, the
+// external memory of a machine under construction and checks it against
+// root, loaded into the root register: for naive, c and m the interior is
+// first rebuilt from img's data and the rebuilt root compared with root,
+// for i the image is checked whole (CheckTree). A mismatch is recorded as
+// a violation, under the machine's policy.
+func (m *Machine) adoptState(img, root []byte) error {
 	if err := m.persistable(); err != nil {
 		return err
 	}
-	if uint64(len(img)) != m.Layout.Size() {
-		return fmt.Errorf("core: state image is %d bytes, protected region needs %d",
-			len(img), m.Layout.Size())
+	if err := m.checkState(uint64(len(img)), m.Layout.Size(), root); err != nil {
+		return err
+	}
+	m.Sys.Root = append(m.Sys.Root[:0], root...)
+	if treeDerived(m.Cfg.Scheme) {
+		rebuilt := m.Sys.DeriveTree(img)
+		m.backing.Adopt(img)
+		m.Sys.CheckRoot(rebuilt, m.Engine.Name())
+		return nil
+	}
+	m.backing.Adopt(img)
+	m.Engine.(integrity.TreeWalker).CheckTree()
+	return nil
+}
+
+// checkState refuses a state whose image is not want bytes long or whose
+// root is not one stored record.
+func (m *Machine) checkState(got, want uint64, root []byte) error {
+	if got != want {
+		return fmt.Errorf("core: state image is %d bytes, the %s scheme's state needs %d", got, m.Cfg.Scheme, want)
 	}
 	if len(root) != m.Layout.HashSize {
 		return fmt.Errorf("core: root is %d bytes, layout stores %d-byte records",
 			len(root), m.Layout.HashSize)
 	}
-	if adopt {
-		m.backing.Adopt(img)
-	} else {
-		m.backing.Write(0, img)
-	}
-	m.Sys.Root = append(m.Sys.Root[:0], root...)
 	return nil
 }
 

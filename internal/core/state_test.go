@@ -57,7 +57,7 @@ func TestSaveStateSince(t *testing.T) {
 			size := int(m.StateSize())
 			truth := func() []byte {
 				img := make([]byte, size)
-				m.backing.Read(0, img)
+				m.backing.Read(m.stateStart, img)
 				return img
 			}
 			rng := rand.New(rand.NewSource(3))
@@ -156,7 +156,8 @@ func TestSaveStateSince(t *testing.T) {
 // TestStateOwnership pins who owns an image handed to a machine:
 // RestoreState copies it, so the caller's buffer is untouched by what the
 // machine does after; NewMachineFromState adopts it as the machine's
-// external memory, so the machine's flushed state lands in that buffer.
+// external memory — the interior it rebuilds in front of the extent
+// included — so the machine's flushed state lands in that buffer.
 func TestStateOwnership(t *testing.T) {
 	cfg := smallCfg(SchemeCached)
 	m, err := NewMachine(cfg)
@@ -170,7 +171,7 @@ func TestStateOwnership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept := bytes.Clone(img)
+	kept, saved := bytes.Clone(img), memImage(m)
 	storeAll := func(m *Machine) {
 		for off := uint64(0); off < m.ProgSpan(); off += 4099 {
 			if err := m.StoreBytes(off, []byte{1, 2, 3}); err != nil {
@@ -188,16 +189,28 @@ func TestStateOwnership(t *testing.T) {
 		t.Fatal("stores after RestoreState changed the caller's image")
 	}
 
-	adopter, err := NewMachineFromState(cfg, img, root)
+	whole := make([]byte, m.Layout.Size())
+	copy(whole[m.stateStart:], img)
+	adopter, err := NewMachineFromState(cfg, whole, root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if adopter.Sys.Stat.Violations != 0 || !bytes.Equal(whole, saved) {
+		t.Fatal("NewMachineFromState did not rebuild the tree the state was saved under")
+	}
 	storeAll(adopter)
-	now := make([]byte, len(img))
-	adopter.backing.Read(0, now)
-	if bytes.Equal(img, kept) || !bytes.Equal(img, now) {
+	if bytes.Equal(whole[m.stateStart:], kept) || !bytes.Equal(whole, memImage(adopter)) {
 		t.Fatal("NewMachineFromState's image is not the machine's memory")
 	}
+}
+
+// memImage returns m's whole protected region as its external memory
+// holds it, after a flush.
+func memImage(m *Machine) []byte {
+	m.Flush()
+	img := make([]byte, m.Layout.Size())
+	m.backing.Read(0, img)
+	return img
 }
 
 // TestTimingRunWritesNoMemory runs a timing-only machine over a 4 GiB

@@ -10,15 +10,18 @@ import (
 	"memverify/internal/integrity"
 )
 
-// imageCase is one restored state: the image and root a recovered machine
-// is built from, and whether the state is the one the root seals.
+// imageCase is one memory state: the whole image and root a machine's
+// memory and root register hold, whether the state is the one the root
+// seals, and whether it differs from that one only below the data region
+// — in bytes naive, c and m rebuild rather than persist.
 type imageCase struct {
 	name      string
 	img, root []byte
 	clean     bool
+	interior  bool
 }
 
-// imageCases builds the restored states TestVerifyImageAgreesWithVerifyAll
+// imageCases builds the memory states TestVerifyImageAgreesWithVerifyAll
 // runs: a clean image, single-byte forgeries in data, code and records,
 // an older image under a newer root, and a wrong root.
 func imageCases(t *testing.T, cfg Config) []imageCase {
@@ -35,15 +38,9 @@ func imageCases(t *testing.T, cfg Config) []imageCase {
 		}
 	}
 	store(1)
-	oldImg, _, err := m.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	oldImg := memImage(m)
 	store(101)
-	img, root, err := m.SaveState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, root := memImage(m), m.Root()
 	l := m.Layout
 	flipped := func(b []byte, at uint64) []byte {
 		b = bytes.Clone(b)
@@ -58,18 +55,18 @@ func imageCases(t *testing.T, cfg Config) []imageCase {
 		t.Fatalf("layout of %d chunks fills its last interior chunk; pick a size that leaves a tail slot", l.TotalChunks)
 	}
 	return []imageCase{
-		{"clean", img, root, true},
-		{"data-byte", flipped(img, m.ProgAddr(4099*3+7)), root, false},
-		{"code-byte", flipped(img, l.DataStart()+10), root, false},
-		{"interior-record", flipped(img, record), root, false},
-		{"unused-tail-slot", flipped(img, tail), root, false},
-		{"stale-image", oldImg, root, false},
-		{"wrong-root", img, flipped(root, 0), false},
+		{"clean", img, root, true, false},
+		{"data-byte", flipped(img, m.ProgAddr(4099*3+7)), root, false, false},
+		{"code-byte", flipped(img, l.DataStart()+10), root, false, false},
+		{"interior-record", flipped(img, record), root, false, true},
+		{"unused-tail-slot", flipped(img, tail), root, false, true},
+		{"stale-image", oldImg, root, false, false},
+		{"wrong-root", img, flipped(root, 0), false, false},
 		// Two forgeries far apart, in the last data chunk and in the
 		// first data chunk's record, so that the check's workers meet
 		// them in different runs of chunks: the data byte's chunk is the
 		// higher-numbered, so it is the one reported.
-		{"two-forgeries", flipped(flipped(img, l.Size()-1), record), root, false},
+		{"two-forgeries", flipped(flipped(img, l.Size()-1), record), root, false, false},
 	}
 }
 
@@ -93,31 +90,54 @@ func countersOf(m *Machine) counters {
 }
 
 // TestVerifyImageAgreesWithVerifyAll holds the one-pass image check to
-// the engine sweep it replaces in recovery: on each restored state, the
-// two — each on its own machine built from that state — agree on
-// detected versus clean, for every tree scheme and violation policy. A
-// detection halts a halt-policy machine, and a clean check charges
-// nothing anywhere. The check
-// runs on every core; the one violation it records is at the chunk the
-// serial walk, forced by an interposed adversary, reports.
+// the engine sweep: on each memory state, the two — each on its own
+// machine whose memory holds that state — agree on detected versus clean,
+// for every tree scheme and violation policy. A detection halts a
+// halt-policy machine, and a clean check charges nothing anywhere. The
+// check runs on every core; the one violation it records is at the chunk
+// the serial walk, forced by an interposed adversary, reports.
+//
+// A machine built from the state (NewMachineFromState) checks it as it
+// is built, and agrees too — except where naive, c and m rebuild the
+// forged bytes: a forgery below the data region is not part of their
+// state, and their rebuilt tree passes. Their one violation is at chunk 0.
 func TestVerifyImageAgreesWithVerifyAll(t *testing.T) {
 	atLeastTwoProcs(t)
 	for _, scheme := range []Scheme{SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
 		t.Run(string(scheme), func(t *testing.T) {
 			cfg := smallCfg(scheme)
 			cfg.ProtectedBytes = 1<<20 - 4096
-			for _, tc := range imageCases(t, cfg) {
+			cases := imageCases(t, cfg)
+			clean := cases[0]
+			for _, tc := range cases {
 				for _, policy := range []string{"record", "halt"} {
 					t.Run(tc.name+"/"+policy, func(t *testing.T) {
 						pcfg := cfg
 						pcfg.ViolationPolicy = policy
 						build := func() *Machine {
-							// The machine adopts its image: each gets its own.
-							m, err := NewMachineFromState(pcfg, bytes.Clone(tc.img), tc.root)
+							// A machine built from the clean state, whose
+							// memory and root register then take the case's.
+							m, err := NewMachineFromState(pcfg, bytes.Clone(clean.img), clean.root)
 							if err != nil {
 								t.Fatal(err)
 							}
+							m.backing.Write(0, tc.img)
+							m.Sys.Root = bytes.Clone(tc.root)
 							return m
+						}
+						built, err := NewMachineFromState(pcfg, bytes.Clone(tc.img), tc.root)
+						if err != nil {
+							t.Fatal(err)
+						}
+						derived := scheme != SchemeIncr
+						if n, want := built.Sys.Stat.Violations, !tc.clean && !(derived && tc.interior); (n == 1) != want || n > 1 {
+							t.Fatalf("built from the state: %d violations, want detection %v", n, want)
+						}
+						if built.Sys.Stat.Violations > 0 && derived && built.Sys.First.Chunk != 0 {
+							t.Fatalf("built from the state: violation at chunk %d, want the root's, chunk 0", built.Sys.First.Chunk)
+						}
+						if built.Halted() != (policy == "halt" && built.Sys.Stat.Violations > 0) {
+							t.Fatalf("built from the state: halted %v under policy %s", built.Halted(), policy)
 						}
 						sweep, image := build(), build()
 						sweepErr := sweep.VerifyAll()

@@ -59,6 +59,7 @@ func NewCached(sys *System) *Cached {
 		panic(fmt.Sprintf("integrity: chunk size %d not a multiple of block size %d",
 			sys.Layout.ChunkSize, sys.BlockSize()))
 	}
+	sys.blocksPerChunk = sys.Layout.ChunkSize / sys.BlockSize()
 	e := &Cached{sys: sys}
 	if sys.chunkBlocks() == 1 {
 		e.scheme = "c"

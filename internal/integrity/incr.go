@@ -42,6 +42,7 @@ func NewIncr(sys *System, key []byte) *Incr {
 	if k > hashalg.MaxMACBlocks {
 		panic(fmt.Sprintf("integrity: chunk spans %d blocks, max %d", k, hashalg.MaxMACBlocks))
 	}
+	sys.blocksPerChunk = k
 	e := &Incr{mac: hashalg.NewXorMAC(sys.Alg, key)}
 	e.sys = sys
 	e.scheme = "i"

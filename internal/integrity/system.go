@@ -144,6 +144,8 @@ type System struct {
 	digestScratch []byte
 	blkScratch    []byte
 	dirtyScratch  []uint64
+
+	blocksPerChunk int // chunkBlocks' value
 }
 
 // inflightLine is one write-buffer entry: the block address and the live
@@ -347,8 +349,9 @@ func (s *System) cacheForAddr(addr uint64) *cache.Cache {
 	return s.L2
 }
 
-// chunkBlocks returns how many L2 blocks one chunk spans.
-func (s *System) chunkBlocks() int { return s.Layout.ChunkSize / s.BlockSize() }
+// chunkBlocks returns how many L2 blocks one chunk spans: set by the
+// engine constructors that split chunks into blocks (NewCached, NewIncr).
+func (s *System) chunkBlocks() int { return s.blocksPerChunk }
 
 // composeImage assembles chunk c's memory-state image: blocks that are
 // clean in the L2 are taken from the cache (they match memory and cost no

@@ -51,14 +51,15 @@ func (p *BufferPool) Acquire(now uint64) (entry int, start uint64) {
 		}
 		p.Occ.Observe(busy)
 	}
+	least := p.busyUntil[0]
 	for i, b := range p.busyUntil {
-		if b < p.busyUntil[best] {
-			best = i
+		if b < least {
+			best, least = i, b
 		}
 	}
 	start = now
-	if p.busyUntil[best] > start {
-		start = p.busyUntil[best]
+	if least > start {
+		start = least
 		p.waits++
 	}
 	// Claim the entry for at least one cycle so that simultaneous

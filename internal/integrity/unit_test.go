@@ -1,6 +1,9 @@
 package integrity
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func TestBufferPoolImmediateWhenFree(t *testing.T) {
 	p := NewBufferPool(2)
@@ -36,6 +39,46 @@ func TestBufferPoolReleaseMonotonic(t *testing.T) {
 	_, start := p.Acquire(0)
 	if start != 100 {
 		t.Errorf("start %d, want 100", start)
+	}
+}
+
+// TestBufferPoolMatchesReferenceScan drives pools of one to six entries
+// through random schedules of acquisitions and releases — small clocks,
+// so entries tie often — and holds each acquisition to a reference: the
+// lowest-numbered entry free earliest, starting at now or when it frees,
+// a wait counted when that is later than now.
+func TestBufferPoolMatchesReferenceScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for n := 1; n <= 6; n++ {
+		p := NewBufferPool(n)
+		ref := make([]uint64, n)
+		var waits uint64
+		for step := 0; step < 20000; step++ {
+			now := uint64(rng.Intn(64))
+			if rng.Intn(3) == 0 {
+				e, at := rng.Intn(n), uint64(rng.Intn(96))
+				p.Release(e, at)
+				ref[e] = max(ref[e], at)
+				continue
+			}
+			best := 0
+			for i := range ref {
+				if ref[i] < ref[best] {
+					best = i
+				}
+			}
+			start := max(now, ref[best])
+			if ref[best] > now {
+				waits++
+			}
+			ref[best] = start + 1
+			if e, s := p.Acquire(now); e != best || s != start {
+				t.Fatalf("%d entries, step %d: Acquire(%d) = entry %d at %d, the reference scan gives %d at %d", n, step, now, e, s, best, start)
+			}
+		}
+		if p.Waits() != waits {
+			t.Fatalf("%d entries: %d waits, the reference counts %d", n, p.Waits(), waits)
+		}
 	}
 }
 

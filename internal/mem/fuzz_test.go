@@ -39,9 +39,9 @@ func runOps(t *testing.T, ops []byte) {
 			}
 			switch op := ops[i+3]; {
 			case op&1 == 0 && op&6 == 6:
-				// A snapshot boundary, at a limit the op stream picks.
+				// A snapshot boundary, over a span the op stream picks.
 				limit := addr + uint64(n)
-				v := freezeRef(t, s, ref, dirty, limit, op&8 != 0)
+				v := freezeRef(t, s, ref, dirty, viewStart(addr, op), limit, op&8 != 0)
 				v.check(t)
 				v.f.Release()
 			case op&1 == 0:
@@ -53,7 +53,7 @@ func runOps(t *testing.T, ops []byte) {
 				}
 			case op&0x0F == 0x0F:
 				// A view kept open while the stream goes on.
-				views = append(views, freezeRef(t, s, ref, dirty, addr+uint64(n), op&0x10 != 0))
+				views = append(views, freezeRef(t, s, ref, dirty, viewStart(addr, op), addr+uint64(n), op&0x10 != 0))
 			case op&0x0F == 0x0D && len(views) > 0:
 				k := int(addr) % len(views)
 				views[k].check(t)
@@ -75,57 +75,67 @@ func runOps(t *testing.T, ops []byte) {
 		if !bytes.Equal(got, ref) {
 			t.Fatal("memory diverged from reference")
 		}
-		freezeRef(t, s, ref, dirty, space, true).check(t)
+		freezeRef(t, s, ref, dirty, 0, space, true).check(t)
 	}
 }
 
+// viewStart is the start of a view the op stream takes ending past addr:
+// 0, or with bit 5 of op set the line at half addr.
+func viewStart(addr uint64, op byte) uint64 {
+	if op&0x20 == 0 {
+		return 0
+	}
+	return addr / 2 &^ (LineSize - 1)
+}
+
 // refView is a frozen view beside the reference's state when it was
-// taken: the bytes below its limit and the dirty lines.
+// taken: the bytes in its span and the dirty lines.
 type refView struct {
 	f     *Frozen
+	start uint64
 	img   []byte
 	dirty []bool
 }
 
-// freezeRef checks DirtyLines against the reference's dirty set below
-// limit, freezes s below limit, and clears the reference's dirty set as
-// Freeze clears the memory's.
-func freezeRef(t *testing.T, s *Sparse, ref []byte, dirty []bool, limit uint64, delta bool) refView {
+// freezeRef checks DirtyLines against the reference's dirty set in
+// [start, limit), freezes s there, and clears the reference's dirty set
+// as Freeze clears the memory's.
+func freezeRef(t *testing.T, s *Sparse, ref []byte, dirty []bool, start, limit uint64, delta bool) refView {
 	t.Helper()
 	lines := 0
 	for l, d := range dirty {
-		if d && uint64(l)*LineSize < limit {
+		if lo := uint64(l) * LineSize; d && lo >= start && lo < limit {
 			lines++
 		}
 	}
-	if got := s.DirtyLines(limit); got != lines {
-		t.Fatalf("DirtyLines(%d) = %d, want %d", limit, got, lines)
+	if got := s.DirtyLines(start, limit); got != lines {
+		t.Fatalf("DirtyLines(%d, %d) = %d, want %d", start, limit, got, lines)
 	}
-	v := refView{f: s.Freeze(limit, delta), img: bytes.Clone(ref[:limit]), dirty: slices.Clone(dirty)}
+	v := refView{f: s.Freeze(start, limit, delta), start: start, img: bytes.Clone(ref[start:limit]), dirty: slices.Clone(dirty)}
 	clear(dirty)
 	return v
 }
 
-// check compares the view's runs and line bytes with the dirty lines
-// below its limit when it was taken and, for a full view, its image with
-// the bytes then.
+// check compares the view's runs and line bytes with the dirty lines in
+// its span when it was taken and, for a full view, its image with the
+// bytes then.
 func (v refView) check(t *testing.T) {
 	t.Helper()
-	limit := v.f.Limit()
+	limit := v.start + v.f.Len()
 	if !v.f.Delta() && !bytes.Equal(viewImage(v.f), v.img) {
-		t.Fatalf("full view below %d diverged from the reference when taken", limit)
+		t.Fatalf("full view of [%d, %d) diverged from the reference when taken", v.start, limit)
 	}
 	var want []byte
 	lines := 0
 	for l, d := range v.dirty {
 		lo := uint64(l) * LineSize
-		if d && lo < limit {
+		if d && lo >= v.start && lo < limit {
 			lines++
-			want = append(want, v.img[lo:min(lo+LineSize, limit)]...)
+			want = append(want, v.img[lo-v.start:min(lo+LineSize, limit)-v.start]...)
 		}
 	}
 	if data := viewLines(v.f); !bytes.Equal(data, want) || v.f.LineBytes() != uint64(len(want)) {
-		t.Fatalf("view's dirty bytes below %d diverged from the reference when taken", limit)
+		t.Fatalf("view's dirty bytes in [%d, %d) diverged from the reference when taken", v.start, limit)
 	}
 	runs := v.f.AppendRuns(nil)
 	next, covered := uint64(0), 0
@@ -133,8 +143,8 @@ func (v refView) check(t *testing.T) {
 		if r.Count == 0 || (covered > 0 && uint64(r.Line) <= next) {
 			t.Fatalf("runs %v are not maximal, ascending and non-empty", runs)
 		}
-		for l := r.Line; l < r.Line+r.Count; l++ {
-			if !v.dirty[l] {
+		for l := r.Line; l < r.Line+r.Count; l++ { // numbered from the view's start
+			if !v.dirty[uint64(l)+v.start/LineSize] {
 				t.Fatalf("run %v covers clean line %d", r, l)
 			}
 		}

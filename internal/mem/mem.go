@@ -186,27 +186,30 @@ func (s *Sparse) View(addr uint64, n int) (b []byte, ok bool) {
 // asserting that sparse simulation stays sparse.
 func (s *Sparse) PageCount() int { return s.count }
 
-// dirtyBelow returns page pageNum's dirty mask restricted to the lines
-// that start below limit.
-func (s *Sparse) dirtyBelow(pageNum, limit uint64) uint64 {
+// dirtyIn returns page pageNum's dirty mask restricted to the lines that
+// start in [start, limit); start is a multiple of LineSize.
+func (s *Sparse) dirtyIn(pageNum, start, limit uint64) uint64 {
 	mask := s.pages[pageNum].mask
 	base := pageNum << pageShift
-	switch {
-	case base >= limit:
+	if base >= limit || base+pageSize <= start {
 		return 0
-	case limit-base < pageSize:
+	}
+	if limit-base < pageSize {
 		lines := (limit - base + LineSize - 1) >> lineShift
 		mask &= ^uint64(0) >> (64 - lines)
+	}
+	if start > base {
+		mask &^= ^uint64(0) >> (64 - (start-base)>>lineShift)
 	}
 	return mask
 }
 
-// DirtyLines returns how many lines starting below limit were written
-// since the last Freeze.
-func (s *Sparse) DirtyLines(limit uint64) int {
+// DirtyLines returns how many lines starting in [start, limit) were
+// written since the last Freeze; start is a multiple of LineSize.
+func (s *Sparse) DirtyLines(start, limit uint64) int {
 	n := 0
 	for _, pageNum := range s.dirty {
-		n += bits.OnesCount64(s.dirtyBelow(pageNum, limit))
+		n += bits.OnesCount64(s.dirtyIn(pageNum, start, limit))
 	}
 	return n
 }
@@ -219,27 +222,28 @@ func (s *Sparse) clearDirty() {
 	s.dirty = s.dirty[:0]
 }
 
-// Frozen is a frozen view of a Sparse below a limit: the bytes the memory
-// held, and the lines written since the last Freeze, at the moment the
-// view was taken. It copies page entries, not bytes. While the view is
-// open, the first Write to a page it holds moves the memory to a fresh
-// copy of that page and leaves the view the old one; every other write
-// lands in place. Release ends that: the view must not be used after it.
+// Frozen is a frozen view of a Sparse over [start, limit): the bytes the
+// memory held there, and the lines written since the last Freeze, at the
+// moment the view was taken. It copies page entries, not bytes. While the
+// view is open, the first Write to a page it holds moves the memory to a
+// fresh copy of that page and leaves the view the old one; every other
+// write lands in place. Release ends that: the view must not be used
+// after it.
 //
 // Only the memory's owner takes views and writes; an open view may be
 // read from another goroutine while the owner writes, and released from
 // it. Views may overlap, and be released in any order.
 type Frozen struct {
-	limit uint64
-	delta bool
-	pages []frozenPage
-	// lineBytes is the length of the dirty lines' bytes below limit.
+	start, limit uint64
+	delta        bool
+	pages        []frozenPage
+	// lineBytes is the length of the dirty lines' bytes in the view.
 	lineBytes uint64
 	hold      *hold
 }
 
 // frozenPage is one page a view holds: its number, its bytes and its
-// dirty mask restricted to lines that start below the view's limit.
+// dirty mask restricted to lines that start in the view.
 type frozenPage struct {
 	num  uint64
 	data *[pageSize]byte
@@ -249,21 +253,22 @@ type frozenPage struct {
 // zeroPage is every unwritten page of a view's image.
 var zeroPage [pageSize]byte
 
-// Freeze takes a frozen view of the memory below limit and clears every
-// dirty mask. A delta view holds only the pages with lines dirty below
-// limit; a full one holds every written page below it. Lines are numbered
-// in 32 bits: limit must not exceed 1<<38.
-func (s *Sparse) Freeze(limit uint64, delta bool) *Frozen {
-	f := s.frozen(limit, delta)
+// Freeze takes a frozen view of the memory over [start, limit) and clears
+// every dirty mask, inside the view or not. A delta view holds only the
+// pages with lines dirty in [start, limit); a full one holds every
+// written page there. start is a multiple of LineSize, and lines are
+// numbered in 32 bits from it: limit-start must not exceed 1<<38.
+func (s *Sparse) Freeze(start, limit uint64, delta bool) *Frozen {
+	f := s.frozen(start, limit, delta)
 	s.clearDirty()
 	return f
 }
 
 // frozen is Freeze without the clearDirty.
-func (s *Sparse) frozen(limit uint64, delta bool) *Frozen {
-	f := &Frozen{limit: limit, delta: delta, hold: new(hold)}
+func (s *Sparse) frozen(start, limit uint64, delta bool) *Frozen {
+	f := &Frozen{start: start, limit: limit, delta: delta, hold: new(hold)}
 	take := func(pageNum uint64) {
-		mask := s.dirtyBelow(pageNum, limit)
+		mask := s.dirtyIn(pageNum, start, limit)
 		if delta && mask == 0 {
 			return
 		}
@@ -291,9 +296,10 @@ func (s *Sparse) frozen(limit uint64, delta bool) *Frozen {
 		}
 		return f
 	}
+	first := min(uint64(len(s.pages)), start>>pageShift)
 	n := min(uint64(len(s.pages)), (limit+pageMask)>>pageShift)
-	f.pages = make([]frozenPage, 0, min(uint64(s.count), n))
-	for pageNum := uint64(0); pageNum < n; pageNum++ {
+	f.pages = make([]frozenPage, 0, min(uint64(s.count), n-first))
+	for pageNum := first; pageNum < n; pageNum++ {
 		if s.pages[pageNum].data != nil {
 			take(pageNum)
 		}
@@ -304,39 +310,43 @@ func (s *Sparse) frozen(limit uint64, delta bool) *Frozen {
 // Delta reports whether the view holds only the dirty lines' pages.
 func (f *Frozen) Delta() bool { return f.delta }
 
-// Limit returns the limit the view was taken below: its image's length.
-func (f *Frozen) Limit() uint64 { return f.limit }
+// Len returns the length of the view's image: limit-start.
+func (f *Frozen) Len() uint64 { return f.limit - f.start }
 
 // LineBytes returns the length of the bytes Lines yields.
 func (f *Frozen) LineBytes() uint64 { return f.lineBytes }
 
-// Image calls fn with the image below the limit page by page, in address
-// order — an unwritten page as a shared page of zeros, the last page cut
-// at the limit — and stops at fn's first error. It is the whole image only
-// of a full view; of a delta view, only the dirty pages hold their bytes.
-// fn must not keep or write the slices.
+// Image calls fn with the view's image, [start, limit), page by page in
+// address order — an unwritten page as a shared page of zeros, the first
+// page cut at start and the last at limit — and stops at fn's first
+// error. It is the whole image only of a full view; of a delta view, only
+// the dirty pages hold their bytes. fn must not keep or write the slices.
 func (f *Frozen) Image(fn func([]byte) error) error {
 	held := f.pages
-	for base := uint64(0); base < f.limit; base += pageSize {
+	for at := f.start; at < f.limit; {
+		pageNum, off := at>>pageShift, at&pageMask
 		p := zeroPage[:]
-		if len(held) > 0 && held[0].num == base>>pageShift {
+		if len(held) > 0 && held[0].num == pageNum {
 			p, held = held[0].data[:], held[1:]
 		}
-		if err := fn(p[:min(pageSize, f.limit-base)]); err != nil {
+		end := min(pageSize, off+f.limit-at)
+		if err := fn(p[off:end]); err != nil {
 			return err
 		}
+		at += end - off
 	}
 	return nil
 }
 
 // AppendRuns appends to runs the maximal runs of the view's dirty lines in
-// ascending address order, growing runs at most once.
+// ascending address order, growing runs at most once. Lines are numbered
+// from the view's start: line 0 is bytes [start, start+LineSize).
 func (f *Frozen) AppendRuns(runs []LineRun) []LineRun {
 	if n := f.runCount(); cap(runs)-len(runs) < n {
 		runs = append(make([]LineRun, 0, len(runs)+n), runs...)
 	}
 	f.eachRun(func(pg *frozenPage, first, count uint64) {
-		line := pg.num<<(pageShift-lineShift) + first
+		line := pg.num<<(pageShift-lineShift) + first - f.start>>lineShift
 		if k := len(runs) - 1; k >= 0 && uint64(runs[k].Line)+uint64(runs[k].Count) == line {
 			runs[k].Count += uint32(count)
 		} else {

@@ -200,7 +200,7 @@ func BenchmarkSparseWrite(b *testing.B) {
 // dirtyNow returns the runs and bytes of s's dirty lines below limit, as
 // a delta view taken now holds them, without clearing them.
 func dirtyNow(s *Sparse, limit uint64) ([]LineRun, []byte) {
-	f := s.frozen(limit, true)
+	f := s.frozen(0, limit, true)
 	defer f.Release()
 	return f.AppendRuns(nil), viewLines(f)
 }
@@ -221,7 +221,7 @@ func viewImage(f *Frozen) []byte {
 
 func TestSparseDirtyLines(t *testing.T) {
 	s := NewSparse()
-	if n := s.DirtyLines(1 << 20); n != 0 {
+	if n := s.DirtyLines(0, 1<<20); n != 0 {
 		t.Fatalf("fresh memory has %d dirty lines", n)
 	}
 	s.Write(4096-64, bytes.Repeat([]byte{1}, 128)) // last line of page 0, first of page 1
@@ -241,7 +241,7 @@ func TestSparseDirtyLines(t *testing.T) {
 	if len(data) != 5*LineSize || data[100-64] != 2 || data[64] != 1 || data[3*64+63] != 3 || data[4*64] != 4 {
 		t.Fatalf("dirty bytes do not match what was written (%d bytes)", len(data))
 	}
-	if n := s.DirtyLines(1 << 20); n != 5 {
+	if n := s.DirtyLines(0, 1<<20); n != 5 {
 		t.Fatalf("DirtyLines = %d, want 5", n)
 	}
 	// A limit inside a line clips that line's bytes; a line starting at or
@@ -250,11 +250,11 @@ func TestSparseDirtyLines(t *testing.T) {
 	if len(runs) != 2 || runs[1] != (LineRun{Line: 63, Count: 2}) || len(data) != 2*LineSize+10 {
 		t.Fatalf("clipped: runs %v, %d bytes", runs, len(data))
 	}
-	if n := s.DirtyLines(4096); n != 2 {
+	if n := s.DirtyLines(0, 4096); n != 2 {
 		t.Fatalf("DirtyLines(4096) = %d, want 2", n)
 	}
 	s.clearDirty()
-	if n := s.DirtyLines(1 << 40); n != 0 {
+	if n := s.DirtyLines(0, 1<<40); n != 0 {
 		t.Fatalf("%d lines dirty after clearDirty", n)
 	}
 	s.Write(0, make([]byte, 2*4096)) // whole pages: one run across the boundary
@@ -288,7 +288,7 @@ func TestSparseSeededOps(t *testing.T) {
 			s.clearDirty()
 		case 1, 2: // a query below a random limit
 			limit := next() % (3 << 20)
-			n := s.DirtyLines(limit)
+			n := s.DirtyLines(0, limit)
 			lines += n
 			h.Write(binary.LittleEndian.AppendUint64(nil, uint64(n)))
 			runs, data := dirtyNow(s, limit)
@@ -338,7 +338,7 @@ func TestSparseAdopt(t *testing.T) {
 		t.Fatalf("PageCount = %d after Adopt, %d after Write", got, want)
 	}
 	for _, limit := range []uint64{size, 4096, 1 << 20} {
-		if got, want := adopted.DirtyLines(limit), written.DirtyLines(limit); got != want {
+		if got, want := adopted.DirtyLines(0, limit), written.DirtyLines(0, limit); got != want {
 			t.Fatalf("DirtyLines(%d) = %d after Adopt, %d after Write", limit, got, want)
 		}
 		runsA, dataA := dirtyNow(adopted, limit)
@@ -379,7 +379,7 @@ func TestSparseView(t *testing.T) {
 	}
 	// While a frozen view holds the page, a write moves the memory to a
 	// copy: the slice stays on the bytes the view froze.
-	f := s.Freeze(1<<20, false)
+	f := s.Freeze(0, 1<<20, false)
 	s.Write(4096+128, []byte{8})
 	if b[0] != 9 {
 		t.Fatal("a write under an open frozen view reached an earlier View's page")
@@ -410,8 +410,8 @@ func TestFrozenView(t *testing.T) {
 	s.Write(1<<20, []byte{3})                 // beyond the limit
 	want := make([]byte, limit)
 	s.Read(0, want)
-	full := s.Freeze(limit, false)
-	if n := s.DirtyLines(1 << 30); n != 0 {
+	full := s.Freeze(0, limit, false)
+	if n := s.DirtyLines(0, 1<<30); n != 0 {
 		t.Fatalf("%d lines dirty after Freeze", n)
 	}
 	pages := s.PageCount()
@@ -432,7 +432,7 @@ func TestFrozenView(t *testing.T) {
 		t.Fatalf("PageCount = %d, want %d: copies are not new pages", s.PageCount(), pages+1)
 	}
 
-	delta := s.Freeze(limit, true)
+	delta := s.Freeze(0, limit, true)
 	runs := delta.AppendRuns(nil)
 	if fmt.Sprint(runs) != "[{1 4} {128 1} {193 1}]" {
 		t.Fatalf("delta view runs = %v", runs)
@@ -465,7 +465,7 @@ func TestWriteAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { s.Write(4096+300, buf) }); n != 0 {
 		t.Errorf("a write with no view open made %v allocations", n)
 	}
-	s.Freeze(pages*4096, false).Release()
+	s.Freeze(0, pages*4096, false).Release()
 	next := uint64(0)
 	if n := testing.AllocsPerRun(pages-1, func() { s.Write(next*4096+500, buf); next++ }); n != 0 {
 		t.Errorf("a first write to a page of a released view made %v allocations", n)
@@ -491,10 +491,10 @@ func TestOverlappingViews(t *testing.T) {
 			}
 			s.Write(0, bytes.Repeat([]byte{1}, limit))
 			imgA := image()
-			a := s.Freeze(limit, false)
+			a := s.Freeze(0, limit, false)
 			s.Write(4096, []byte{2}) // page 1 moves to a copy a does not hold
 			imgB := image()
-			b := s.Freeze(limit, false) // shares pages 0, 2 and 3 with a
+			b := s.Freeze(0, limit, false) // shares pages 0, 2 and 3 with a
 			out, open, openImg := a, b, imgB
 			if firstOut == "newer" {
 				out, open, openImg = b, a, imgA

@@ -50,7 +50,8 @@ func (c chain) head() uint64 { return c.epochs[len(c.epochs)-1] }
 // next returns what to ask the shard's machine for: the snapshot to take
 // the changes since, and the most dirty lines the answer may have and
 // still be a delta. since 0 asks for the full image outright. rootLen is
-// the shard's root record size, imageSize its image's.
+// the shard's root record size, imageSize its image's: here and above,
+// the image is the shard's persisted extent (core.StateExtent).
 func (c chain) next(imageSize uint64, rootLen int) (since uint64, maxLines int) {
 	if c.seq == 0 || len(c.epochs) > maxChainLinks {
 		return 0, 0

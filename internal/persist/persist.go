@@ -1,21 +1,23 @@
 // Package persist makes the verification engine's protected state durable
-// and crash-consistent. A checkpoint serializes each machine's complete
-// authenticated state — data chunks, interior tree chunks with every
-// stored hash/MAC record (scheme i's stamp bits live inside those record
-// bytes), and the secure root register — into per-shard segment files,
-// committed atomically by a manifest rename and sealed by a write-ahead
-// log of root transitions. Recovery replays the WAL, restores the last
-// committed snapshot, checks it against the sealed root with the
-// engine's own read check, and classifies the outcome: recovered-clean,
-// recovered-torn (a crash mid-checkpoint, resolved deterministically by
-// rolling forward or back), or violation (on-disk tampering or a
-// rollback/replay of committed state — detected, never silently accepted).
+// and crash-consistent. A checkpoint serializes each machine's persisted
+// extent (core.StateExtent) — the data chunks for naive, c and m, whose
+// interior is the hashes of the data; the whole image for i, whose
+// records carry stamp bits the data does not determine — and the secure
+// root register into per-shard segment files, committed atomically by a
+// manifest rename and sealed by a write-ahead log of root transitions.
+// Recovery replays the WAL, restores the last committed snapshot, checks
+// it against the sealed root with the engine's own records, and
+// classifies the outcome: recovered-clean, recovered-torn (a crash
+// mid-checkpoint, resolved deterministically by rolling forward or back),
+// or violation (on-disk tampering or a rollback/replay of committed state
+// — detected, never silently accepted).
 //
 // Two trust layers stack: checksums on every structure give crash
-// consistency (they catch torn writes and bit rot), and the engine's
-// bottom-up check of the restored image against the WAL-sealed root
-// gives adversarial integrity — a forged image that passes every checksum
-// still cannot produce the sealed root.
+// consistency (they catch torn writes and bit rot), and the machine's
+// check of the restored state against the WAL-sealed root — the tree
+// rebuilt from the data and its root compared, or the whole image
+// checked bottom-up — gives adversarial integrity: a forged state that
+// passes every checksum still cannot produce the sealed root.
 package persist
 
 import (
@@ -52,13 +54,10 @@ type Options struct {
 	// consistent directory whose anchor disagrees classifies as
 	// violation.
 	AnchorPath string
-	// Retry bounds the exponential backoff on transient I/O failures.
+	// Retry bounds the exponential backoff on transient I/O failures. A
+	// checkpoint that fails anyway poisons the store: every later
+	// Checkpoint fails fast with ErrStoreFailed.
 	Retry RetryPolicy
-	// Policy selects degradation after retry exhaustion, mirroring
-	// core.Config.ViolationPolicy: "halt" (or empty) poisons the store —
-	// every later Checkpoint fails fast with ErrStoreFailed — while
-	// "record" counts the failure and lets the next checkpoint try again.
-	Policy string
 	// OnEvent, when set, fires once per externally significant protocol
 	// transition with an Event* kind, the epoch it concerns and a short
 	// detail string. It runs synchronously on the goroutine driving the
@@ -95,9 +94,8 @@ func (o Options) note(kind string, epoch uint64, detail string) {
 	}
 }
 
-// ErrStoreFailed reports a store poisoned by an exhausted-retry I/O
-// failure under the halt policy.
-var ErrStoreFailed = errors.New("persist: store failed a checkpoint under the halt policy")
+// ErrStoreFailed reports a store poisoned by a failed checkpoint.
+var ErrStoreFailed = errors.New("persist: store failed a checkpoint")
 
 // Source is the state provider a checkpoint drains: one machine, or one
 // machine per shard. WithMachine must run f with exclusive access to
@@ -184,7 +182,6 @@ type Store struct {
 	fsys    FS
 	wal     *wal
 	retry   *retrier
-	policy  string
 	onEvent func(kind string, epoch uint64, detail string)
 
 	epoch      uint64 // last epoch this store sealed an intent for
@@ -220,7 +217,7 @@ func Open(opts Options) (*Store, error) {
 	if err := fsys.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: opts.Dir, fsys: fsys, policy: opts.Policy, onEvent: opts.OnEvent}
+	s := &Store{dir: opts.Dir, fsys: fsys, onEvent: opts.OnEvent}
 	s.retry = newRetrier(opts.Retry, &s.stats)
 	if s.onEvent != nil {
 		s.retry.onExhausted = func(err error) {
@@ -311,11 +308,11 @@ func (s *Store) Epoch() uint64 { return s.epoch }
 // operations are one fixed sequence.
 //
 //  1. Snapshot every shard (an implicit Flush barrier per machine): a
-//     frozen view of the lines written since the shard's last segment
-//     when chain.next allows a delta, of the whole image otherwise. The
-//     view copies the shard's page table, not its bytes; until it is
-//     released, the shard's first write to a page it holds copies that
-//     page.
+//     frozen view of the extent's lines written since the shard's last
+//     segment when chain.next allows a delta, of the whole extent
+//     otherwise. The view copies the shard's page table, not its bytes;
+//     until it is released, the shard's first write to a page it holds
+//     copies that page.
 //  2. Seal the INTENT record in the WAL (fsync).
 //  3. Write one segment file per shard, base or delta (fsync each),
 //     streamed from its view through the lane's write buffer, and
@@ -332,9 +329,11 @@ func (s *Store) Epoch() uint64 { return s.epoch }
 // intent/commit pair lets recovery tell a torn checkpoint from a
 // rolled-back committed one — see the WAL format comment.
 //
-// Transient I/O errors are retried with bounded backoff; exhaustion
-// degrades per Options.Policy. An error from the snapshot itself (halted
-// machine, non-persistable config) aborts before anything is written.
+// Transient I/O errors are retried with bounded backoff. A checkpoint
+// that fails — retries exhausted, or the snapshot itself refused (halted
+// machine, non-persistable config) before anything is written — poisons
+// the store, unless the failure is a kill: the process is gone either
+// way, and recovery takes over.
 func (s *Store) Checkpoint(src Source) (uint64, error) {
 	if s.failed {
 		return 0, ErrStoreFailed
@@ -344,9 +343,7 @@ func (s *Store) Checkpoint(src Source) (uint64, error) {
 	s.stats.CheckpointNanos += uint64(time.Since(start))
 	if err != nil {
 		s.stats.CheckpointFails++
-		if s.policy != "record" && !errors.Is(err, ErrKilled) {
-			// Halt (the default): poison the store. A kill is not a
-			// store failure — the process is gone either way.
+		if !errors.Is(err, ErrKilled) {
 			s.failed = true
 		}
 		return 0, err

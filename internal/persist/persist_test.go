@@ -442,16 +442,17 @@ type killScript struct {
 }
 
 // killScripts puts the killed checkpoint, in turn, on every branch of the
-// base-or-delta choice. The test machine's image is 341 lines; a 64-byte
-// store at an 8-byte-aligned offset dirties two data lines and its path
-// of the tree.
+// base-or-delta choice. The test machine's persisted extent is 256 lines
+// for naive, c and m, where a 64-byte store at an 8-byte-aligned offset
+// dirties two of them, and 294 for i, where it also dirties its path of
+// the tree.
 func killScripts(stage string) []killScript {
 	idle := make([]int, maxChainLinks+2) // a base, then a delta per idle epoch up to the cap
 	idle[0], idle[len(idle)-1] = 16, 4
 	scripts := []killScript{
 		{name: "delta", writes: []int{16, 4}, delta: true},
 		{name: "base-half-image", writes: []int{16, 4, 400}, deltas: 1},
-		{name: "base-cumulative-bytes", writes: []int{16, 30, 30, 30, 30}, deltas: 3},
+		{name: "base-cumulative-bytes", writes: []int{16, 40, 40, 40, 40}, deltas: 3},
 		{name: "base-link-cap", writes: idle, deltas: maxChainLinks},
 	}
 	if stage == StageSegWrite {
@@ -713,7 +714,7 @@ func TestRetryBackoff(t *testing.T) {
 		dir := t.TempDir()
 		ffs := NewFaultFS(nil)
 		m := newMachine(t, cfg)
-		st := openStore(t, Options{Dir: dir, FS: ffs, Retry: RetryPolicy{Attempts: 2, BaseDelay: 1, MaxDelay: 1}, Policy: "halt"})
+		st := openStore(t, Options{Dir: dir, FS: ffs, Retry: RetryPolicy{Attempts: 2, BaseDelay: 1, MaxDelay: 1}})
 		writeN(t, m, rand.New(rand.NewSource(1)), 16)
 		ffs.FailTransient(100)
 		if _, err := st.Checkpoint(MachineSource{m}); err == nil {
@@ -727,22 +728,33 @@ func TestRetryBackoff(t *testing.T) {
 		}
 	})
 
-	t.Run("exhaustion-record-policy", func(t *testing.T) {
+	t.Run("exhaustion-restart", func(t *testing.T) {
 		dir := t.TempDir()
 		ffs := NewFaultFS(nil)
 		m := newMachine(t, cfg)
-		st := openStore(t, Options{Dir: dir, FS: ffs, Retry: RetryPolicy{Attempts: 2, BaseDelay: 1, MaxDelay: 1}, Policy: "record"})
+		opts := Options{Dir: dir, FS: ffs, Retry: RetryPolicy{Attempts: 2, BaseDelay: 1, MaxDelay: 1}}
+		st := openStore(t, opts)
 		writeN(t, m, rand.New(rand.NewSource(1)), 16)
+		if _, err := st.Checkpoint(MachineSource{m}); err != nil {
+			t.Fatal(err)
+		}
+		sealed := m.Root()
+		writeN(t, m, rand.New(rand.NewSource(2)), 16)
 		ffs.FailTransient(100)
 		if _, err := st.Checkpoint(MachineSource{m}); err == nil {
 			t.Fatal("checkpoint succeeded despite exhausted retries")
 		}
 		ffs.FailTransient(-100) // drain the queue the failed run left
-		if _, err := st.Checkpoint(MachineSource{m}); err != nil {
-			t.Fatalf("record policy must allow the next checkpoint: %v", err)
+		st.Close()
+		// The restart: recovery finds the last sealed epoch, and the store
+		// reopened on its directory checkpoints again.
+		r, rec, err := RecoverMachine(opts, cfg)
+		if err != nil || rec.Outcome != OutcomeClean || rec.Epoch != 1 || !bytes.Equal(r.Root(), sealed) {
+			t.Fatalf("restart after an exhausted checkpoint: %v / %+v", err, rec)
 		}
-		if st.Stats().CheckpointFails != 1 || st.Stats().Checkpoints != 1 {
-			t.Fatalf("stats = %+v", st.Stats())
+		st = openStore(t, opts)
+		if _, err := st.Checkpoint(MachineSource{r}); err != nil {
+			t.Fatalf("the reopened store must checkpoint: %v", err)
 		}
 	})
 }

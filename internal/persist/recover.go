@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -87,25 +88,29 @@ var errFingerprint = errors.New("persist: config fingerprint mismatch")
 func IsFingerprintMismatch(err error) bool { return errors.Is(err, errFingerprint) }
 
 // RecoverMachine builds a machine from the last committed state in
-// opts.Dir — its segment's image and the WAL-sealed root — and checks the
-// whole image against that root with the engine's own read check
-// (Machine.VerifyImage), before the first operation. The image, decoded
-// and delta-folded in the buffer its segment was read into, becomes the
-// machine's memory without a copy (core.NewMachineFromState). The
-// returned Recovery classifies what happened; when there is no state to
-// restore (fresh, rolled back to nothing, or an on-disk violation) the
+// opts.Dir — its chain folded into the persisted extent, and the
+// WAL-sealed root — which checks that state against the root before the
+// first operation (core.NewMachineFromState): for naive, c and m it
+// rebuilds the interior from the data and compares the rebuilt root with
+// the sealed one, for i it checks the whole image with the engine's own
+// read check. The state, decoded and delta-folded in the buffer its base
+// segment was read into, becomes the machine's memory without a copy.
+// The returned Recovery classifies what happened; when there is no state
+// to restore (fresh, rolled back to nothing, or an on-disk violation) the
 // machine is returned fresh so the caller can inspect it, but its state
 // is NOT the persisted state.
 //
-// A hard error (unreadable directory, fingerprint mismatch, invalid cfg)
-// is returned as err with a nil machine; an invalid cfg is refused before
-// anything in opts.Dir is read or repaired.
+// A hard error (unreadable directory, fingerprint mismatch, a segment in
+// another format or extent — a *FormatError — invalid cfg) is returned as
+// err with a nil machine; an invalid cfg is refused before anything in
+// opts.Dir is read or repaired.
 func RecoverMachine(opts Options, cfg core.Config) (*core.Machine, *Recovery, error) {
-	if err := cfg.Validate(); err != nil {
+	ext, err := extentOf(cfg)
+	if err != nil {
 		return nil, nil, err
 	}
 	start := time.Now()
-	rec, imgs, roots, err := recoverState(opts, Fingerprint(cfg, 1), 1)
+	rec, imgs, roots, err := recoverState(opts, Fingerprint(cfg, 1), 1, ext)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -119,9 +124,7 @@ func RecoverMachine(opts Options, cfg core.Config) (*core.Machine, *Recovery, er
 		return nil, nil, err
 	}
 	if imgs != nil {
-		before := m.Sys.Stat.Violations
-		verr := m.VerifyImage()
-		rec.engineVerdict(int(m.Sys.Stat.Violations-before), verr)
+		rec.engineVerdict(int(m.Sys.Stat.Violations))
 		if rec.Outcome != OutcomeViolation {
 			rec.Roots = [][]byte{m.Root()}
 		}
@@ -131,10 +134,9 @@ func RecoverMachine(opts Options, cfg core.Config) (*core.Machine, *Recovery, er
 }
 
 // RecoverStore is RecoverMachine for a sharded store: each shard's machine
-// is built from its segment, adopting its image the same way, and the
-// check runs through Store.VerifyImage, so one tampered shard is
-// contained — healthy shards restore and verify clean, and under the halt
-// policy only the violated shard halts.
+// is built from its chain and checks it the same way (shard.NewFromState),
+// so one tampered shard is contained — healthy shards restore clean, and
+// under the halt policy only the violated shard halts.
 func RecoverStore(opts Options, scfg shard.Config) (*shard.Store, *Recovery, error) {
 	if scfg.Shards < 1 {
 		return nil, nil, fmt.Errorf("persist: need at least one shard, got %d", scfg.Shards)
@@ -142,10 +144,11 @@ func RecoverStore(opts Options, scfg shard.Config) (*shard.Store, *Recovery, err
 	start := time.Now()
 	per := scfg.Machine
 	per.ProtectedBytes = scfg.Machine.ProtectedBytes / uint64(scfg.Shards)
-	if err := per.Validate(); err != nil {
+	ext, err := extentOf(per)
+	if err != nil {
 		return nil, nil, err
 	}
-	rec, imgs, roots, err := recoverState(opts, Fingerprint(per, scfg.Shards), scfg.Shards)
+	rec, imgs, roots, err := recoverState(opts, Fingerprint(per, scfg.Shards), scfg.Shards, ext)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -159,12 +162,10 @@ func RecoverStore(opts Options, scfg shard.Config) (*shard.Store, *Recovery, err
 		return nil, nil, err
 	}
 	if imgs != nil {
-		verr := s.VerifyImage()
-		rec.engineVerdict(len(s.Violations()), verr)
+		rec.engineVerdict(len(s.Violations()))
 		if rec.Outcome != OutcomeViolation {
 			rec.Roots = make([][]byte, scfg.Shards)
 			for i := range rec.Roots {
-				i := i
 				s.WithShard(i, func(m *core.Machine) { rec.Roots[i] = m.Root() })
 			}
 		}
@@ -173,17 +174,34 @@ func RecoverStore(opts Options, scfg shard.Config) (*shard.Store, *Recovery, err
 	return s, rec, nil
 }
 
-// engineVerdict records the adversarial half of recovery: what the
-// engine's check of the restored image (Machine.VerifyImage) found. The root
-// register came from the WAL; any image that cannot reproduce it (stale
-// snapshot, flipped tree node, spliced segment) fails here even though
-// every file checksum passed.
-func (rec *Recovery) engineVerdict(violations int, err error) {
+// engineVerdict records the adversarial half of recovery: the violations
+// the machines' check of the restored state against the sealed root
+// found. The root register came from the WAL; any state that cannot
+// reproduce it (stale snapshot, forged data, spliced segment) fails here
+// even though every file checksum passed.
+func (rec *Recovery) engineVerdict(violations int) {
 	rec.Violations = violations
-	if violations > 0 || err != nil {
+	if violations > 0 {
 		rec.Outcome = OutcomeViolation
-		rec.Detail = "restored image fails engine verification against the sealed root"
+		rec.Detail = "restored state fails engine verification against the sealed root"
 	}
+}
+
+// extent is a shard machine's persisted extent, [start, end) of its
+// protected region (core.StateExtent).
+type extent struct{ start, end uint64 }
+
+// isFormatError reports whether err refuses a segment's format: a hard
+// error of recovery, not a violation.
+func isFormatError(err error) bool {
+	var fe *FormatError
+	return errors.As(err, &fe)
+}
+
+// extentOf returns the persisted extent of the machines cfg builds.
+func extentOf(cfg core.Config) (extent, error) {
+	start, end, err := core.StateExtent(cfg)
+	return extent{start, end}, err
 }
 
 // Recover runs the filesystem-level half of recovery without building any
@@ -197,8 +215,12 @@ func Recover(opts Options, cfg core.Config, shards int) (*Recovery, error) {
 	if shards < 1 {
 		shards = 1
 	}
+	ext, err := extentOf(cfg)
+	if err != nil {
+		return nil, err
+	}
 	start := time.Now()
-	rec, _, _, err := recoverState(opts, Fingerprint(cfg, shards), shards)
+	rec, _, _, err := recoverState(opts, Fingerprint(cfg, shards), shards, ext)
 	finishRecovery(opts, rec, start)
 	return rec, err
 }
@@ -235,7 +257,7 @@ func Recover(opts Options, cfg core.Config, shards int) (*Recovery, error) {
 // and is truncated; a malformed INTERIOR record cannot result from a
 // crash and classifies as a violation. The commit record of an epoch must
 // carry the same root digest as its intent; disagreement is tampering.
-func recoverState(opts Options, expectFP uint64, expectShards int) (*Recovery, [][]byte, [][]byte, error) {
+func recoverState(opts Options, expectFP uint64, expectShards int, ext extent) (*Recovery, [][]byte, [][]byte, error) {
 	fsys := opts.FS
 	if fsys == nil {
 		fsys = OS{}
@@ -386,7 +408,10 @@ func recoverState(opts Options, expectFP uint64, expectShards int) (*Recovery, [
 		// Died between the intent seal and the manifest rename. Epoch I
 		// was never committed, so both resolutions are honest; which one
 		// applies is decided by what landed.
-		segs, loadErr := loadSegments(fsys, opts.Dir, I, expectFP, expectShards)
+		segs, loadErr := loadSegments(fsys, opts.Dir, I, expectFP, expectShards, ext)
+		if isFormatError(loadErr) {
+			return nil, nil, nil, loadErr
+		}
 		if loadErr == nil && segmentsMatch(I, segs, intents[I]) {
 			rec.Outcome = OutcomeTorn
 			rec.RolledForward = true
@@ -463,7 +488,10 @@ func recoverState(opts Options, expectFP uint64, expectShards int) (*Recovery, [
 
 	// 4. Load and validate the target epoch's segments against the sealed
 	// root digest.
-	segs, err := loadSegments(fsys, opts.Dir, target, expectFP, expectShards)
+	segs, err := loadSegments(fsys, opts.Dir, target, expectFP, expectShards, ext)
+	if isFormatError(err) {
+		return nil, nil, nil, err
+	}
 	if err != nil {
 		return violation(fmt.Sprintf("epoch %d: %v", target, err))
 	}
@@ -484,13 +512,14 @@ func recoverState(opts Options, expectFP uint64, expectShards int) (*Recovery, [
 
 // loadSegments reads every shard's state at epoch e: the shard's chain,
 // walked from its epoch-e segment through the back-pointers to its base
-// and folded, oldest delta first, into the base's image. What comes back
-// is, per shard, that image under the head's root — the segment a base
-// written at epoch e would have been.
-func loadSegments(fsys FS, dir string, e uint64, fp uint64, shards int) ([]*segment, error) {
+// and folded, oldest delta first, into the base's extent. What comes back
+// is, per shard, the whole region's image with that extent at its
+// address — below it, scratch for the machine to rebuild — under the
+// head's root.
+func loadSegments(fsys FS, dir string, e uint64, fp uint64, shards int, ext extent) ([]*segment, error) {
 	segs := make([]*segment, shards)
 	for i := 0; i < shards; i++ {
-		s, err := loadChain(fsys, dir, e, i, fp)
+		s, err := loadChain(fsys, dir, e, i, fp, ext)
 		if err != nil {
 			return nil, fmt.Errorf("segment %d: %w", i, err)
 		}
@@ -502,19 +531,24 @@ func loadSegments(fsys FS, dir string, e uint64, fp uint64, shards int) ([]*segm
 // loadChain reads one shard's chain. Everything in it is untrusted: the
 // walk is bounded by the link cap and by the bytes a chain may hold (the
 // limits chain.next writes under), every link must carry the labels its
-// file name promises, and what the folded image is worth is for the
+// file name promises and an extent of the configuration's length (a
+// *FormatError otherwise), and what the folded state is worth is for the
 // engine's check against the sealed root to say — a link that was
-// flipped, forged, dropped, reordered or replayed yields an image that
+// flipped, forged, dropped, reordered or replayed yields a state that
 // cannot reproduce that root.
-func loadChain(fsys FS, dir string, e uint64, shard int, fp uint64) (*segment, error) {
+func loadChain(fsys FS, dir string, e uint64, shard int, fp uint64, ext extent) (*segment, error) {
 	var deltas []*segment
 	var deltaBytes uint64
+	size := ext.end - ext.start
 	for at := e; ; {
-		buf, err := readFile(fsys, filepath.Join(dir, segName(at, shard)))
+		buf, off, err := readSegment(fsys, filepath.Join(dir, segName(at, shard)), ext.start)
 		if err != nil {
 			return nil, fmt.Errorf("epoch %d link missing or unreadable: %w", at, err)
 		}
-		s, err := decodeSegment(buf)
+		s, err := decodeSegment(buf[off:])
+		if errors.Is(err, errFormat1) {
+			return nil, &FormatError{Epoch: at, Shard: shard, Detail: err.Error()}
+		}
 		if err != nil {
 			return nil, fmt.Errorf("epoch %d link: %w", at, err)
 		}
@@ -522,15 +556,36 @@ func loadChain(fsys FS, dir string, e uint64, shard int, fp uint64) (*segment, e
 			return nil, fmt.Errorf("link labeled epoch %d shard %d fp %016x, want epoch %d shard %d fp %016x",
 				s.Epoch, s.Shard, s.Fingerprint, at, shard, fp)
 		}
+		got := uint64(len(s.Image))
+		if s.Delta {
+			got = s.ImageSize
+		}
+		if got != size {
+			return nil, &FormatError{Epoch: at, Shard: shard, Detail: fmt.Sprintf(
+				"%s carries a %d-byte extent, the configuration persists %d bytes from byte %d", s.kind(), got, size, ext.start)}
+		}
 		if !s.Delta {
 			for i := len(deltas) - 1; i >= 0; i-- {
-				if err := deltas[i].applyTo(s.Image); err != nil {
-					return nil, err
-				}
+				deltas[i].applyTo(s.Image)
 			}
 			if len(deltas) > 0 {
 				s.Epoch, s.Root = e, deltas[0].Root
+			} else {
+				s.Root = bytes.Clone(s.Root) // it lies where the interior is rebuilt
 			}
+			if off != int(ext.start) {
+				// The file changed under the read after its magic: give
+				// the extent its headroom by a copy.
+				whole := make([]byte, ext.end)
+				copy(whole[ext.start:], s.Image)
+				s.Image = whole
+				return s, nil
+			}
+			// The extent ends the file but for its checksum, and its start
+			// in headroom bytes lie before the file: the region's image
+			// ends where the extent does.
+			end := len(buf) - 8
+			s.Image = buf[end-int(ext.end) : end]
 			return s, nil
 		}
 		deltaBytes += uint64(len(buf))

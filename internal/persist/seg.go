@@ -6,59 +6,90 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"memverify/internal/mem"
 )
 
-// Segment files hold one shard's protected state for one epoch: the data
-// chunks AND the interior tree chunks (every stored hash/MAC record,
-// including scheme i's stamped records), plus the shard's root record.
-// Names encode epoch and shard (seg-%06d-%03d.dat), so a checkpoint never
-// overwrites an earlier epoch's segments — the commit point is the
-// manifest rename, and segments are garbage-collected only after the
-// commit record is sealed, and only when no committed chain reaches them.
+// Segment files hold one shard's protected state for one epoch: the
+// shard machine's persisted extent (core.StateExtent) and its root record.
+// For naive, c and m the extent is the data region alone — their interior
+// chunks are the hashes of the data, rebuilt at recovery — and for i it
+// is the whole image, interior chunks and their stamped MAC records
+// included. Names encode epoch and shard (seg-%06d-%03d.dat), so a
+// checkpoint never overwrites an earlier epoch's segments — the commit
+// point is the manifest rename, and segments are garbage-collected only
+// after the commit record is sealed, and only when no committed chain
+// reaches them.
 //
-// A segment is one of two kinds. A BASE carries the whole image. A DELTA
-// carries only the 64-byte lines written since the shard's previous
-// segment — the link it applies to, named by epoch — so a shard's state at
-// an epoch is a chain: head → … → base through the back-pointers, the
-// deltas applied oldest first over the base's image. Which kind a shard
-// writes is decided per epoch by chain.next (chain.go).
+// A segment is one of two kinds. A BASE carries the whole extent. A DELTA
+// carries only the 64-byte lines of the extent written since the shard's
+// previous segment — the link it applies to, named by epoch — so a
+// shard's state at an epoch is a chain: head → … → base through the
+// back-pointers, the deltas applied oldest first over the base's extent.
+// Which kind a shard writes is decided per epoch by chain.next
+// (chain.go).
+//
+// This is format 2, named by its magics. Format 1 (magics MVSG and MVSD)
+// carried the whole image for every scheme; recovery refuses its files
+// with a FormatError and has no reader for them.
 //
 // Base layout (little-endian):
 //
-//	[0:4]    magic "MVSG"
+//	[0:4]    magic "MVB2"
 //	[4:12]   epoch
 //	[12:16]  shard index
 //	[16:24]  config fingerprint
 //	[24:28]  root length
 //	[...]    root bytes
-//	[...:+8] image length
-//	[...]    image bytes
+//	[...:+8] extent length
+//	[...]    extent bytes
 //	[...:+8] checksum (Checksum64) of everything above
 //
 // Delta layout (little-endian):
 //
-//	[0:4]    magic "MVSD"
+//	[0:4]    magic "MVD2"
 //	[4:12]   epoch
 //	[12:16]  shard index
 //	[16:24]  config fingerprint
 //	[24:28]  root length
 //	[...]    root bytes
 //	[...:+8] epoch of the link this delta applies to (< epoch)
-//	[...:+8] length of the image it applies to
+//	[...:+8] length of the extent it applies to
 //	[...:+4] run count
 //	[...:+8] line-bytes length
 //	[...]    run table: per run, first line u32 and line count u32 —
-//	         ascending, non-empty, non-overlapping, within the image
-//	[...]    line bytes, run after run (the image's last line may be short)
+//	         numbered from the extent's start, ascending, non-empty,
+//	         non-overlapping, within the extent
+//	[...]    line bytes, run after run (the extent's last line may be
+//	         short)
 //	[...:+8] checksum (Checksum64) of everything above
 var (
-	segMagic   = [4]byte{'M', 'V', 'S', 'G'}
-	deltaMagic = [4]byte{'M', 'V', 'S', 'D'}
+	segMagic   = [4]byte{'M', 'V', 'B', '2'}
+	deltaMagic = [4]byte{'M', 'V', 'D', '2'}
+	// v1Magics are format 1's base and delta magics.
+	v1Magics = [2][4]byte{{'M', 'V', 'S', 'G'}, {'M', 'V', 'S', 'D'}}
 )
+
+// errFormat1 is decodeSegment's refusal of a format-1 file.
+var errFormat1 = errors.New("segment format 1 (the whole image for every scheme); this build reads format 2")
+
+// FormatError is recovery's refusal of a segment this build does not
+// read: a format-1 file, or one whose extent is not the length the
+// configuration's persisted extent has (a whole image for c, say). It is
+// a hard error, not a violation: nothing was adopted and nothing checked.
+type FormatError struct {
+	Epoch  uint64
+	Shard  int
+	Detail string
+}
+
+func (e *FormatError) Error() string {
+	return fmt.Sprintf("persist: epoch %d segment %d: %s", e.Epoch, e.Shard, e.Detail)
+}
 
 const (
 	// segFixed is the size of the header fields before the root bytes.
@@ -75,11 +106,12 @@ type segment struct {
 	Shard       uint32
 	Fingerprint uint64
 	Root        []byte
-	// Image is a base's whole image; nil in a delta.
+	// Image is a base's extent; nil in a delta. A chain loadChain folds
+	// holds the whole region's image here instead.
 	Image []byte
 
 	// The rest is a delta's: the epoch of the link it applies to, the
-	// length of the image it applies to, and the changed lines.
+	// length of the extent it applies to, and the changed lines.
 	Delta     bool
 	Prev      uint64
 	ImageSize uint64
@@ -113,14 +145,14 @@ func (s *segment) size() int {
 	return segFixed + len(s.Root) + 8 + s.bodyLen() + 8
 }
 
-// bodyLen returns the length of the segment's body: a base's image, a
+// bodyLen returns the length of the segment's body: a base's extent, a
 // delta's line bytes.
 func (s *segment) bodyLen() int {
 	switch {
 	case s.view != nil && s.Delta:
 		return int(s.view.LineBytes())
 	case s.view != nil:
-		return int(s.view.Limit())
+		return int(s.view.Len())
 	case s.Delta:
 		return len(s.Lines)
 	}
@@ -155,7 +187,7 @@ func (s *segment) kind() string {
 const segBufSize = 64 << 10
 
 // writeTo writes the segment to w through buf, a bounded write buffer
-// (one of segBufSize when nil): a base as header, image, trailer; a delta
+// (one of segBufSize when nil): a base as header, extent, trailer; a delta
 // as header, run table, line bytes, trailer — each part flushed on its
 // own, a part larger than buf in buf-sized writes. The body goes from
 // where it lies — the checkpoint's view, or the segment's buffer — to the
@@ -253,6 +285,9 @@ func (w *segWriter) flush() {
 // length — so applying a decoded delta can never index beyond the image it
 // names or the line bytes it carries.
 func decodeSegment(buf []byte) (*segment, error) {
+	if len(buf) >= 4 && slices.Contains(v1Magics[:], [4]byte(buf[0:4])) {
+		return nil, errFormat1
+	}
 	if len(buf) < segFixed+8+8 {
 		return nil, errors.New("persist: segment truncated")
 	}
@@ -278,7 +313,7 @@ func decodeSegment(buf []byte) (*segment, error) {
 	rest := body[segFixed+rl:]
 	if !delta {
 		if binary.LittleEndian.Uint64(rest) != uint64(len(rest)-8) {
-			return nil, errors.New("persist: segment image length out of range")
+			return nil, errors.New("persist: segment extent length out of range")
 		}
 		s.Image = rest[8:]
 		return s, nil
@@ -308,12 +343,12 @@ func decodeSegment(buf []byte) (*segment, error) {
 		}
 		lo, hi := uint64(r.Line)*mem.LineSize, (uint64(r.Line)+uint64(r.Count))*mem.LineSize
 		if r.Count == 0 || uint64(r.Line) < next || lo >= s.ImageSize {
-			return nil, fmt.Errorf("persist: delta segment run %d is empty, out of order or outside the image", i)
+			return nil, fmt.Errorf("persist: delta segment run %d is empty, out of order or outside the extent", i)
 		}
 		if hi > s.ImageSize {
-			// Only the image's last line may be short.
+			// Only the extent's last line may be short.
 			if hi-s.ImageSize >= mem.LineSize {
-				return nil, fmt.Errorf("persist: delta segment run %d extends beyond the image", i)
+				return nil, fmt.Errorf("persist: delta segment run %d extends beyond the extent", i)
 			}
 			hi = s.ImageSize
 		}
@@ -326,23 +361,44 @@ func decodeSegment(buf []byte) (*segment, error) {
 	return s, nil
 }
 
-// applyTo writes the delta's lines over img, the image of the link the
-// delta points back to.
-func (s *segment) applyTo(img []byte) error {
-	if uint64(len(img)) != s.ImageSize {
-		return fmt.Errorf("delta of epoch %d applies to a %d-byte image, its chain's base holds %d",
-			s.Epoch, s.ImageSize, len(img))
-	}
+// applyTo writes the delta's lines over img, the extent of the link the
+// delta points back to, which loadChain has checked is ImageSize bytes.
+func (s *segment) applyTo(img []byte) {
 	lines := s.Lines
 	for _, r := range s.Runs {
 		n := copy(img[uint64(r.Line)*mem.LineSize:], lines[:min(uint64(r.Count)*mem.LineSize, uint64(len(lines)))])
 		lines = lines[n:]
 	}
-	return nil
 }
 
-// SegmentImage returns the image bytes the segment file buf carries,
-// aliasing it — a base's whole image, a delta's line bytes: where a tool
+// readSegment reads the segment file name into buf[at:]. A base is read
+// after headroom bytes of scratch, at = headroom, so that its extent
+// sits where it does in the whole region's image: recovery rebuilds the
+// interior in front of it without a copy. Any other file is read at 0.
+func readSegment(fsys FS, name string, headroom uint64) (buf []byte, at int, err error) {
+	f, err := fsys.OpenFile(name, os.O_RDONLY, 0)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, 0, err
+	}
+	var magic [4]byte
+	if n, _ := f.ReadAt(magic[:], 0); n == len(magic) && magic == segMagic {
+		at = int(headroom)
+	}
+	buf = make([]byte, at+int(info.Size()))
+	n, err := f.ReadAt(buf[at:], 0)
+	if err != nil && at+n != len(buf) {
+		return nil, 0, err
+	}
+	return buf[:at+n], at, nil
+}
+
+// SegmentImage returns the extent bytes the segment file buf carries,
+// aliasing it — a base's whole extent, a delta's line bytes: where a tool
 // that tampers with a segment aims.
 func SegmentImage(buf []byte) ([]byte, error) {
 	s, err := decodeSegment(buf)

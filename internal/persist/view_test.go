@@ -3,6 +3,7 @@ package persist
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -80,9 +81,10 @@ func checkStreamed(t *testing.T, name string, seg *segment, want []byte) {
 
 // TestStreamedSegmentsMatchReference holds the segments a checkpoint
 // streams from frozen views to the bytes of the reference encoder: a base
-// whose image has never-written pages and a short last page, a delta with
-// a run that crosses a page boundary, an idle delta with no lines, and an
-// image whose last line is short — as a base and as a delta.
+// whose extent starts mid-page and has never-written pages and a short
+// last page, a delta with a run that crosses a page boundary, an idle
+// delta with no lines, and an extent whose last line is short — as a
+// base and as a delta.
 func TestStreamedSegmentsMatchReference(t *testing.T) {
 	hdr := segment{Epoch: 7, Shard: 2, Fingerprint: 0xfeed, Root: []byte{9, 8, 7, 6, 5}}
 	t.Run("machine", func(t *testing.T) {
@@ -91,8 +93,9 @@ func TestStreamedSegmentsMatchReference(t *testing.T) {
 		m := newMachine(t, cfg)
 		writeN(t, m, rand.New(rand.NewSource(5)), 32)
 		size := m.StateSize()
-		if size%4096 == 0 {
-			t.Fatalf("image of %d bytes has no short last page", size)
+		start, end, err := core.StateExtent(cfg)
+		if err != nil || start%4096 == 0 || end%4096 == 0 {
+			t.Fatalf("extent [%d, %d) (%v) starts on a page boundary or has no short last page", start, end, err)
 		}
 
 		base, err := m.SaveStateSince(0, 0)
@@ -127,7 +130,7 @@ func TestStreamedSegmentsMatchReference(t *testing.T) {
 		runs := delta.View.AppendRuns(nil)
 		crosses := false
 		for _, r := range runs {
-			first, last := uint64(r.Line)*mem.LineSize/4096, (uint64(r.Line+r.Count)*mem.LineSize-1)/4096
+			first, last := (start+uint64(r.Line)*mem.LineSize)/4096, (start+uint64(r.Line+r.Count)*mem.LineSize-1)/4096
 			crosses = crosses || first != last
 		}
 		if !crosses {
@@ -156,30 +159,31 @@ func TestStreamedSegmentsMatchReference(t *testing.T) {
 	})
 
 	t.Run("memory", func(t *testing.T) {
-		// Pages 1 and 3 are never written; page 4 is short, and so is its
-		// last line.
-		const limit = 4*4096 + 1000
+		// The extent starts 17 lines into page 0; pages 1 and 3 are never
+		// written; page 4 is short, and so is its last line.
+		const start, limit = 17 * 64, 4*4096 + 1000
 		s := mem.NewSparse()
 		s.Write(100, bytes.Repeat([]byte{1}, 3000))
 		s.Write(2*4096+64, []byte{2})
 		s.Write(limit-10, bytes.Repeat([]byte{3}, 20))
-		img := make([]byte, limit)
-		s.Read(0, img)
+		img := make([]byte, limit-start)
+		s.Read(start, img)
 		want := refEncode(&hdr, img, nil, nil)
-		view := s.Freeze(limit, false)
+		view := s.Freeze(start, limit, false)
 		s.Write(0, bytes.Repeat([]byte{4}, limit)) // after the freeze: not in the view
 		seg := hdr
 		seg.view = view
 		checkStreamed(t, "base", &seg, want)
 
-		s.Freeze(limit, true).Release()
+		s.Freeze(0, limit, true).Release()
 		s.Write(limit-1, []byte{5})
 		s.Write(4096-1, []byte{5, 5})
-		s.Read(0, img)
-		view = s.Freeze(limit, true)
+		s.Write(start-64, []byte{5}) // below the extent: not in the delta
+		s.Read(start, img)
+		view = s.Freeze(start, limit, true)
 		runs := view.AppendRuns(nil)
 		seg = hdr
-		seg.view, seg.Delta, seg.Prev, seg.ImageSize, seg.Runs = view, true, 6, limit, runs
+		seg.view, seg.Delta, seg.Prev, seg.ImageSize, seg.Runs = view, true, 6, limit-start, runs
 		want = refEncode(&seg, nil, runs, runLines(img, runs))
 		s.Write(0, bytes.Repeat([]byte{6}, limit))
 		checkStreamed(t, "delta", &seg, want)
@@ -207,7 +211,8 @@ func TestCheckpointUnderConcurrentWrites(t *testing.T) {
 	defer s.Close()
 	dir := t.TempDir()
 	ffs := NewFaultFS(noSync{})
-	st := openStore(t, Options{Dir: dir, FS: ffs, Retry: fastRetry, Policy: "record"})
+	opts := Options{Dir: dir, FS: ffs, Retry: fastRetry}
+	st := openStore(t, opts)
 
 	// Writer w owns the 64-byte slots k with k % writers == w, spread over
 	// every shard, and mirrors what it stored there.
@@ -313,6 +318,16 @@ func TestCheckpointUnderConcurrentWrites(t *testing.T) {
 		if rec.Outcome != fail.want || rec.Epoch != last || rec.RolledForward {
 			t.Fatalf("%s: outcome %s at epoch %d forward=%v (%s), want %s at %d", fail.name, rec.Outcome, rec.Epoch, rec.RolledForward, rec.Detail, fail.want, last)
 		}
+		// The failure poisoned the store: it is reopened, as a restart
+		// would, on the directory recovery normalized.
+		if _, err := st.Checkpoint(StoreSource{s}); !errors.Is(err, ErrStoreFailed) {
+			t.Fatalf("%s: checkpoint on the poisoned store: %v, want ErrStoreFailed", fail.name, err)
+		}
+		st.Close()
+		if rec, err := Recover(opts, StoreSource{s}.MachineConfig(), s.Shards()); err != nil || rec.Outcome != fail.want {
+			t.Fatalf("%s: recovering the live directory: %v / %+v", fail.name, err, rec)
+		}
+		st = openStore(t, opts)
 	}
 	epoch, err := st.Checkpoint(StoreSource{s})
 	if err != nil {
@@ -395,7 +410,7 @@ func TestCheckpointAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 4 MiB machine")
 	}
-	cfg := benchConfig()
+	cfg := benchConfig(core.SchemeCached)
 	cfg.ProtectedBytes = 4 << 20
 	m := newMachine(t, cfg)
 	st := openStore(t, Options{Dir: t.TempDir(), FS: noSync{}, Retry: fastRetry})

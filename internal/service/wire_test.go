@@ -20,7 +20,10 @@ import (
 // net/http's 2 KiB response buffer and chunked above it. The service never
 // reads a request's Content-Type: each batch goes once with none, as the
 // client sends it, and once with application/octet-stream, and both get
-// the same reply.
+// the same reply. Every batch goes on the one connection: the handler
+// closes a body its decode read to EOF, so net/http has nothing to drain
+// after it, and no reply may close the connection. The last leg is a
+// store and a load of what it stored, back to back.
 func TestBatchReplyWireContract(t *testing.T) {
 	_, ts := newTestService(t, Config{Tenants: []TenantConfig{
 		testTenant("wire", core.SchemeCached, "record", 2),
@@ -61,8 +64,8 @@ func TestBatchReplyWireContract(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: reading the body: %v", what, err)
 		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d: %s", what, resp.StatusCode, raw)
+		if resp.StatusCode != http.StatusOK || resp.Close {
+			t.Fatalf("%s: status %d, Connection: close %v: %s", what, resp.StatusCode, resp.Close, raw)
 		}
 		if ct := resp.Header.Values("Content-Type"); len(ct) != 1 || ct[0] != "application/octet-stream" {
 			t.Errorf("%s: Content-Type %q, want application/octet-stream", what, ct)
@@ -76,6 +79,27 @@ func TestBatchReplyWireContract(t *testing.T) {
 		}
 		if err := DecodeResponse(bytes.NewReader(raw), ops); err != nil || len(raw) != size {
 			t.Errorf("%s: %d-byte body (want %d): %v", what, len(raw), size, err)
+		}
+	}
+
+	stored := bytes.Repeat([]byte{0x5A}, 64)
+	for _, op := range []Op{{Write: true, Off: 4096, Data: stored}, {Off: 4096, Data: make([]byte, 64)}} {
+		body := EncodeRequest([]Op{op})
+		fmt.Fprintf(nc, "POST /v1/t/wire/batch HTTP/1.1\r\nHost: %s\r\nContent-Length: %d\r\n\r\n", addr, len(body))
+		if _, err := nc.Write(body); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("write=%v on the reused connection: %v", op.Write, err)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || resp.Close {
+			t.Fatalf("write=%v: status %d, Connection: close %v, %v: %s", op.Write, resp.StatusCode, resp.Close, err, raw)
+		}
+		if err := DecodeResponse(bytes.NewReader(raw), []Op{op}); err != nil || !bytes.Equal(op.Data, stored) {
+			t.Fatalf("write=%v: read back %x (%v), want what the store wrote", op.Write, op.Data[:4], err)
 		}
 	}
 }

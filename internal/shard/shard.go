@@ -125,9 +125,10 @@ func New(cfg Config) (*Store, error) { return newStore(cfg, nil, nil) }
 
 // NewFromState assembles a store whose shard i is built from the saved
 // image imgs[i] and root register roots[i] (core.NewMachineFromState,
-// which adopts the image as the shard's memory: the caller gives the
-// images up): the recovery constructor. Nothing is verified yet;
-// VerifyImage does that.
+// which adopts the image as the shard's memory — the caller gives the
+// images up — and checks it against the root): the recovery constructor.
+// A shard whose check failed is on record in Violations, and halted under
+// the halt policy, when the store is returned.
 func NewFromState(cfg Config, imgs, roots [][]byte) (*Store, error) {
 	if len(imgs) != cfg.Shards || len(roots) != cfg.Shards {
 		return nil, fmt.Errorf("shard: %d images and %d roots for %d shards", len(imgs), len(roots), cfg.Shards)
@@ -191,6 +192,9 @@ func newStore(cfg Config, imgs, roots [][]byte) (*Store, error) {
 		}
 		w := &worker{s: s, idx: i, m: m, reqs: make(chan request, depth), exited: make(chan struct{})}
 		m.ObserveViolations(w.noteViolation)
+		if v := m.Sys.First; v != nil {
+			w.noteViolation(v) // the check of a state it was built from
+		}
 		s.shards[i] = w
 	}
 	s.shardSpan = s.shards[0].m.ProgSpan()
@@ -492,14 +496,6 @@ func (s *Store) Flush() error {
 // its neighbors.
 func (s *Store) VerifyAll() error {
 	return s.doAll(func(_ int, m *core.Machine) error { return m.VerifyAll() })
-}
-
-// VerifyImage runs Machine.VerifyImage on every shard concurrently: the
-// one-pass check of each shard's external-memory image against its root,
-// the recovery check for a store built by NewFromState. Violations are
-// contained per shard exactly as in VerifyAll.
-func (s *Store) VerifyImage() error {
-	return s.doAll(func(_ int, m *core.Machine) error { return m.VerifyImage() })
 }
 
 // WithShard runs f against shard i's machine on that shard's worker
