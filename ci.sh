@@ -45,7 +45,8 @@ echo "chaos campaign gate OK"
 go run ./cmd/chaos -n 25 -seed 11 -verify-cache 32 -verify-assoc 4 >/dev/null
 echo "verification cache gate OK"
 
-# Persistence gate: a seeded 200-leg campaign (50 per tree scheme: kills
+# Persistence gate: a seeded 150-leg campaign (50 per persisted scheme,
+# naive, c and m: kills
 # at every commit-protocol stage plus on-disk tampering with bases, deltas
 # and the chains between them) must recover every clean crash to the
 # exact sealed root and detect every tamper — cmd/chaos -crash exits
@@ -154,8 +155,17 @@ go build -race -o "$stmp/memverifyd" ./cmd/memverifyd
 go build -race -o "$stmp/loadgen" ./cmd/loadgen
 go build -o "$stmp/metricscheck" ./cmd/metricscheck
 go build -o "$stmp/tracecheck" ./cmd/tracecheck
+# A store serves naive, c and m only: a tenant naming i, whose XOR-MAC key
+# is compiled into the program, must stop the daemon at start with the
+# store's refusal of the Scheme field.
+if "$stmp/memverifyd" -listen 127.0.0.1:0 -tenants 't0:scheme=i' >"$stmp/refuse.log" 2>&1; then
+  echo "FAIL: memverifyd started a scheme=i tenant" >&2; exit 1
+fi
+grep -q 'tenant t0: shard: Machine.Scheme = i: .*public' "$stmp/refuse.log" || {
+  cat "$stmp/refuse.log" >&2
+  echo "FAIL: memverifyd's refusal of scheme=i does not name the tenant, the field and the reason" >&2; exit 1; }
 "$stmp/memverifyd" -listen 127.0.0.1:0 \
-  -tenants 't0,t1:scheme=naive,t2:scheme=m,t3:scheme=i;policy=halt' \
+  -tenants 't0,t1:scheme=naive,t2:scheme=m,t3:policy=halt' \
   -protected $((1 << 21)) -allow-tamper -sample-every 100ms \
   -flight "$stmp/flight.json" >"$stmp/mvd.log" 2>&1 &
 mvdpid=$!
@@ -251,11 +261,11 @@ fi
 # Persisted leg: checkpoints every 20 ms freeze each shard's pages and
 # stream them to disk while writing, mirror-checked loadgen traffic keeps
 # storing to those shards; SIGTERM seals a final epoch, and a restart on
-# the same root must recover every tenant clean and serve healthy. t0 (c)
-# and t1 (m) persist their data regions and rebuild their trees, t2 (i)
-# persists its whole image. Then t0's earlier checkpoint goes back under
-# the WAL that sealed a later one: the next restart must refuse t0 (its
-# loadgen fails) and recover t1 and t2 clean.
+# the same root must recover every tenant clean and serve healthy. t0 (c),
+# t1 (m) and t2 (naive) persist their data regions and rebuild their
+# trees. Then t0's earlier checkpoint goes back under the WAL that sealed
+# a later one: the next restart must refuse t0 (its loadgen fails) and
+# recover t1 and t2 clean.
 serving_url() { # $1: daemon log; prints host:port once it announced it
   for _ in $(seq 1 200); do
     u=$(sed -n 's#^memverifyd: serving on http://\([^ ]*\).*#\1#p' "$1" | head -1)
@@ -264,7 +274,7 @@ serving_url() { # $1: daemon log; prints host:port once it announced it
   done
   return 1
 }
-"$stmp/memverifyd" -listen 127.0.0.1:0 -tenants 't0,t1:scheme=m,t2:scheme=i' \
+"$stmp/memverifyd" -listen 127.0.0.1:0 -tenants 't0,t1:scheme=m,t2:scheme=naive' \
   -protected $((1 << 21)) -persist "$stmp/p" -checkpoint-every 20ms >"$stmp/pd1.log" 2>&1 &
 pdpid=$!
 paddr=$(serving_url "$stmp/pd1.log") || {
@@ -290,7 +300,7 @@ if [ "$pstatus" -ne 0 ] || grep -q 'DATA RACE\|periodic checkpoint:' "$stmp/pd1.
 fi
 mkdir "$stmp/stash"
 cp "$stmp/p/t0"/seg-* "$stmp/p/t0/MANIFEST" "$stmp/stash/"
-"$stmp/memverifyd" -listen 127.0.0.1:0 -tenants 't0,t1:scheme=m,t2:scheme=i' \
+"$stmp/memverifyd" -listen 127.0.0.1:0 -tenants 't0,t1:scheme=m,t2:scheme=naive' \
   -protected $((1 << 21)) -persist "$stmp/p" >"$stmp/pd2.log" 2>&1 &
 pdpid=$!
 paddr=$(serving_url "$stmp/pd2.log") || {
@@ -315,7 +325,7 @@ if [ "$pstatus" -ne 0 ] || grep -q 'DATA RACE' "$stmp/pd2.log" ||
 fi
 rm -f "$stmp/p/t0"/seg-*
 cp "$stmp/stash"/* "$stmp/p/t0/"
-"$stmp/memverifyd" -listen 127.0.0.1:0 -tenants 't0,t1:scheme=m,t2:scheme=i' \
+"$stmp/memverifyd" -listen 127.0.0.1:0 -tenants 't0,t1:scheme=m,t2:scheme=naive' \
   -protected $((1 << 21)) -persist "$stmp/p" >"$stmp/pd3.log" 2>&1 &
 pdpid=$!
 paddr=$(serving_url "$stmp/pd3.log") || {
@@ -382,8 +392,8 @@ go test -run '^$' -bench 'BenchmarkFillEvict|BenchmarkMissWalk' -benchtime 1x \
   ./internal/cache/ ./internal/integrity/ >/dev/null
 echo "line-buffer ownership gate OK"
 
-# Recovery at realistic size under the race detector: the image check
-# runs on every core, straight from the memory that adopted the segment
-# image, for a machine and for a two-shard store.
+# Recovery at realistic size under the race detector: the tree rebuild
+# runs on every core, straight in the buffer the segment image was read
+# into, for a machine and for a two-shard store.
 go test -race -run '^$' -bench 'BenchmarkRecover' -benchtime 1x ./internal/persist/ >/dev/null
 echo "parallel recovery check race gate OK"

@@ -17,7 +17,7 @@
 //	chaos                          # 100 injections per tree scheme
 //	chaos -n 1000 -schemes c,i     # bigger campaign, two schemes
 //	chaos -policy halt             # halt on the first violation
-//	chaos -crash -n 50 -schemes c  # kill/restart + disk-tamper campaign
+//	chaos -crash -n 50 -schemes c  # kill/restart + disk-tamper campaign (naive, c or m)
 //	chaos -csv out.csv -json out.json
 package main
 
@@ -51,7 +51,7 @@ func run() error {
 	var (
 		seed        = flag.Uint64("seed", 1, "campaign RNG seed")
 		n           = flag.Int("n", 100, "injections per scheme")
-		schemes     = flag.String("schemes", "naive,c,m,i", "comma-separated verification schemes")
+		schemes     = flag.String("schemes", "", "comma-separated verification schemes (default naive,c,m,i; with -crash naive,c,m, the persisted ones)")
 		policy      = flag.String("policy", "record", "violation policy: record or halt")
 		warm        = flag.Int("warm", 24, "warm accesses before each injection")
 		post        = flag.Int("post", 24, "random accesses after each injection")
@@ -87,10 +87,16 @@ func run() error {
 	}
 
 	if *crash {
+		if *schemes == "" {
+			*schemes = "naive,c,m"
+		}
 		return runCrashCampaign(*seed, *n, *schemes, *policy,
 			*crashShards, *crashDir, csvOut, jsonOut, rf)
 	}
 
+	if *schemes == "" {
+		*schemes = "naive,c,m,i"
+	}
 	rec := rf.NewRecorder()
 	reg := rf.NewRegistry()
 

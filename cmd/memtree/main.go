@@ -48,7 +48,7 @@ func main() {
 	rootHex := fs.String("root", "", "expected root hash (hex)")
 	chunk := fs.Uint64("chunk", 0, "data chunk index (prove)")
 	proofPath := fs.String("proof", "", "proof file (check)")
-	algName := fs.String("alg", "sha1", "hash algorithm: md5, sha1, fnv128")
+	algName := fs.String("alg", "sha1", "hash algorithm: sha256, md5, sha1, fnv128")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}

@@ -50,12 +50,12 @@ func run() error {
 	cfg := core.DefaultConfig()
 	listen := flag.String("listen", "127.0.0.1:8380", "TCP address to serve on (127.0.0.1:0 for an ephemeral port)")
 	tenants := flag.String("tenants", "t0", "tenant specs: name[:key=val[;key=val]...],... (keys: scheme, shards, protected, l2, policy, alg, chunk, queue)")
-	scheme := flag.String("scheme", "c", "default verification scheme: naive, c, m, i")
+	scheme := flag.String("scheme", "c", "default verification scheme: naive, c, m (i runs in the simulator only)")
 	shards := flag.Int("shards", 4, "default shards per tenant")
 	protected := flag.Uint64("protected", 8<<20, "default protected bytes per tenant")
 	l2 := flag.Int("l2", 256<<10, "default per-shard L2 size in bytes")
 	policy := flag.String("policy", "record", "default violation policy: record or halt")
-	alg := flag.String("alg", cfg.HashAlg, "default hash algorithm: md5, sha1, fnv128")
+	alg := flag.String("alg", cfg.HashAlg, "default hash algorithm: sha256, md5, sha1, fnv128")
 	queueDepth := flag.Int("queue-depth", 64, "default per-shard request queue depth")
 	persistRoot := flag.String("persist", "", "checkpoint every tenant into ROOT/<name>, anchored at ROOT/anchors/<name>.anchor; tenants recover at boot")
 	ckptEvery := flag.Duration("checkpoint-every", 0, "seal a checkpoint for every persisted tenant at this interval (0 = only at shutdown)")

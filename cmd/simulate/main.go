@@ -30,7 +30,7 @@ func main() {
 	buffers := flag.Int("hash-buffers", cfg.HashBuffers, "hash read/write buffer entries")
 	protected := flag.Uint64("protected", cfg.ProtectedBytes, "protected memory bytes")
 	functional := flag.Bool("functional", false, "move and verify real bytes (small protected regions only)")
-	alg := flag.String("alg", cfg.HashAlg, "hash algorithm: md5, sha1, fnv128")
+	alg := flag.String("alg", cfg.HashAlg, "hash algorithm: sha256, md5, sha1, fnv128")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	table1 := flag.Bool("table1", false, "print Table 1 (architectural parameters) and exit")
 	record := flag.String("record", "", "record the workload's first -n instructions to a trace file and exit")

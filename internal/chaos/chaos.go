@@ -119,7 +119,7 @@ func (c Config) machineConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Scheme = c.Scheme
 	cfg.Functional = true
-	cfg.HashAlg = "fnv128" // fastest algorithm; 16-byte records satisfy scheme i
+	cfg.HashAlg = "sha256"
 	cfg.ViolationPolicy = c.Policy
 	cfg.ProtectedBytes = c.ProtectedBytes
 	cfg.L2Size = c.L2Size

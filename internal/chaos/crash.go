@@ -159,13 +159,13 @@ func (c CrashConfig) machineCrashConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Scheme = c.Scheme
 	cfg.Functional = true
-	cfg.HashAlg = "fnv128"
+	cfg.HashAlg = "sha256"
 	cfg.ViolationPolicy = c.Policy
 	cfg.ProtectedBytes = c.ProtectedBytes
 	cfg.L2Size = c.L2Size
 	cfg.Benchmark = trace.Uniform("crash", per/2)
 	cfg.Benchmark.CodeSet = per / 4
-	if c.Scheme == core.SchemeMulti || c.Scheme == core.SchemeIncr {
+	if c.Scheme == core.SchemeMulti {
 		cfg.ChunkBlocks = 2
 	}
 	return cfg
@@ -299,6 +299,9 @@ func RunCrash(cfg CrashConfig) (*CrashReport, error) {
 	}
 	if cfg.Shards < 1 {
 		cfg.Shards = 1
+	}
+	if err := shard.CheckScheme(cfg.Scheme); err != nil {
+		return nil, err // i is not persisted
 	}
 	root := cfg.Dir
 	if root == "" {

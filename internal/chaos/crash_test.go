@@ -3,9 +3,12 @@ package chaos
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"os"
 	"testing"
 
 	"memverify/internal/core"
+	"memverify/internal/shard"
 )
 
 // testCrashConfig shrinks the campaign for test runtime: 30 legs cover
@@ -45,9 +48,25 @@ func assertCrashGates(t *testing.T, rep *CrashReport) {
 	}
 }
 
+// TestCrashCampaignAllSchemes runs the campaign's gates over every
+// persisted scheme. The i leg checks the refusal instead: i is not
+// persisted, so the campaign refuses it with the store's
+// *shard.SettingError before it writes anything.
 func TestCrashCampaignAllSchemes(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.SchemeNaive, core.SchemeCached, core.SchemeMulti, core.SchemeIncr} {
 		t.Run(string(scheme), func(t *testing.T) {
+			if scheme == core.SchemeIncr {
+				cfg := testCrashConfig(scheme)
+				cfg.Dir = t.TempDir()
+				var se *shard.SettingError
+				if rep, err := RunCrash(cfg); !errors.As(err, &se) || se.Field != "Scheme" || rep != nil {
+					t.Fatalf("RunCrash for scheme i: %v, want the Scheme refusal", err)
+				}
+				if entries, _ := os.ReadDir(cfg.Dir); len(entries) != 0 {
+					t.Fatalf("the refused campaign wrote %d entries", len(entries))
+				}
+				return
+			}
 			rep, err := RunCrash(testCrashConfig(scheme))
 			if err != nil {
 				t.Fatalf("RunCrash: %v", err)

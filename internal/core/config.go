@@ -68,7 +68,7 @@ type Config struct {
 	HashLatency       uint64  // hash pipeline latency in cycles
 	HashBytesPerCycle float64 // hash throughput (GB/s at the 1 GHz clock)
 	HashBuffers       int     // read and write buffer entries
-	HashAlg           string  // "md5", "sha1" or "fnv128"
+	HashAlg           string  // "sha256", "md5", "sha1" or "fnv128"
 
 	// TLB configures the instruction and data translation buffers.
 	TLB tlb.Config
@@ -145,7 +145,7 @@ func DefaultConfig() Config {
 		HashLatency:       80,
 		HashBytesPerCycle: 3.2, // 3.2 GB/s = one 64 B hash per 20 cycles
 		HashBuffers:       16,
-		HashAlg:           "fnv128",
+		HashAlg:           "sha256",
 
 		TLB: tlb.DefaultConfig(),
 

@@ -50,8 +50,6 @@ type Machine struct {
 	storeSeq uint64
 	now      uint64 // advancing store-stamp clock for direct accesses
 	snapSeq  uint64 // Seq of the latest snapshot; 0 when none is current
-
-	stateStart uint64 // where the persisted extent starts (StateExtent)
 }
 
 // ErrHalted is returned by LoadBytes and StoreBytes once a machine running
@@ -74,14 +72,13 @@ func NewMachine(cfg Config) (*Machine, error) { return newMachine(cfg, nil, nil)
 // caller must neither write nor keep it (a caller that keeps its buffer
 // passes a clone, or restores with RestoreState, which copies).
 //
-// The check is the state's whole check, with the engine's own records:
-// for naive, c and m the interior is rebuilt from img's data before img
-// is adopted, and the rebuilt root is compared with root — a mismatch is
-// one violation at chunk 0, the only chunk a rebuilt tree can fail; for i
-// the adopted image is checked whole (VerifyImage's walk). A violation is
-// recorded under cfg's policy — Sys.Stat, Sys.First, a halt — and is not
-// an error: the machine is returned for the caller to inspect. An invalid
-// cfg is reported before a missing image.
+// The check is the state's whole check: the interior is rebuilt from
+// img's data before img is adopted, and the rebuilt root is compared with
+// root — a mismatch is one violation at chunk 0, the only chunk a rebuilt
+// tree can fail. A violation is recorded under cfg's policy — Sys.Stat,
+// Sys.First, a halt — and is not an error: the machine is returned for the
+// caller to inspect. An invalid cfg is reported before a missing image,
+// and a scheme that is not persisted (base, i) is refused.
 func NewMachineFromState(cfg Config, img, root []byte) (*Machine, error) {
 	if img == nil {
 		if err := cfg.Validate(); err != nil {
@@ -129,7 +126,6 @@ func newMachine(cfg Config, img, root []byte) (*Machine, error) {
 		return nil, err
 	}
 	m.Layout = layout
-	m.stateStart = stateStart(cfg.Scheme, layout)
 
 	alg, err := hashFor(cfg.HashAlg)
 	if err != nil {
@@ -420,34 +416,6 @@ func (m *Machine) VerifyAll() error {
 		}
 	}
 	return nil
-}
-
-// VerifyImage drains the machine to a commit point and then checks the
-// whole external-memory image against the root register in one
-// bottom-up pass (the engine's TreeWalker.CheckTree): every chunk, the
-// code region and every interior record included, is checked with the
-// engine's own read check against the record its parent stores. It is
-// what VerifyAll establishes, at the cost of one read and one hash per
-// chunk: no block goes through the caches, the bus or the DRAM model, no
-// cycle is charged and no counter but the violation policy's moves. It
-// stops at the first violation, which it returns (as it returns
-// ErrHalted from a machine the halt policy has stopped).
-//
-// After the flush, external memory is the machine's whole state, so the
-// check decides what VerifyAll decides on a machine whose caches hold no
-// protected line — one built by NewMachineFromState. On a running machine
-// it is stricter: memory tampered under a clean cached copy, which the
-// engine trusts and never re-reads, fails it too.
-func (m *Machine) VerifyImage() error {
-	m.Flush()
-	if err := m.beginAccess("VerifyImage"); err != nil {
-		return err
-	}
-	t, ok := m.Engine.(integrity.TreeWalker)
-	if !ok {
-		return nil // base: no tree to check
-	}
-	return t.CheckTree()
 }
 
 // Port exposes the machine's memory hierarchy as a cpu.MemPort, letting

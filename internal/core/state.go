@@ -5,53 +5,45 @@ import (
 	"sync/atomic"
 
 	"memverify/internal/htree"
-	"memverify/internal/integrity"
 	"memverify/internal/mem"
 )
 
 // This file is the machine side of the persistence layer (internal/persist):
 // a functional machine's authenticated state is its external-memory image
-// — data chunks and the interior chunks holding every stored hash/MAC
-// record — together with the secure on-chip root register. What of the
-// image a checkpoint keeps, its persisted extent, is the engine's to say.
-// Where every stored record is the hash of its chunk's image (naive, c and
-// m, whose records are integrity.System.hashRecord), the interior is a
-// function of the data: the extent is the data region alone, and a
-// machine built from it rebuilds the tree (integrity.System.DeriveTree,
-// the §5.7.2 computation) and checks the root it gets against the saved
-// one. The i scheme's records carry write-back stamps that the data does
-// not determine, so its extent is the whole image, interior included.
-// Everything else (caches, the pending-check window) is reconstructible
-// or must be empty at a commit point anyway.
+// — data chunks and the interior chunks holding every stored hash record —
+// together with the secure on-chip root register. Every persisted scheme
+// (naive, c and m) stores the hash of each chunk's image
+// (integrity.System.hashRecord), so the interior is a function of the
+// data: a checkpoint keeps the data region alone, its persisted extent,
+// and a machine built from it rebuilds the tree
+// (integrity.System.DeriveTree, the §5.7.2 computation) and checks the
+// root it gets against the saved one. Everything else (caches, the
+// pending-check window) is reconstructible or must be empty at a commit
+// point anyway. The i scheme is not persisted: its XOR-MAC key is
+// compiled into the program, so it is public, and a record an attacker
+// who holds the disk could recompute would protect nothing (DESIGN §5.1).
 
 // StateExtent returns the persisted extent of a machine cfg builds: the
 // byte range [start, end) of its protected region that SaveStateSince
-// captures and RestoreState takes back. start is the first data line for
-// naive, c and m — the data region's start, rounded down to a
-// mem.LineSize line — and 0 for i; end is the region's size. It fails
-// only on an invalid cfg.
+// captures and RestoreState takes back — the data region, its start
+// rounded down to a mem.LineSize line. It fails on an invalid cfg and on
+// a scheme that is not persisted (base, i).
 func StateExtent(cfg Config) (start, end uint64, err error) {
 	if err := cfg.Validate(); err != nil {
+		return 0, 0, err
+	}
+	if err := persistableScheme(cfg.Scheme); err != nil {
 		return 0, 0, err
 	}
 	l, err := htree.NewLayout(cfg.L2Block*cfg.ChunkBlocks, cfg.HashSize, cfg.ProtectedBytes)
 	if err != nil {
 		return 0, 0, err
 	}
-	return stateStart(cfg.Scheme, l), l.Size(), nil
+	return extentStart(l), l.Size(), nil
 }
 
-// stateStart returns where scheme's persisted extent starts in layout l.
-func stateStart(scheme Scheme, l *htree.Layout) uint64 {
-	if !treeDerived(scheme) {
-		return 0
-	}
-	return l.DataStart() &^ (mem.LineSize - 1)
-}
-
-// treeDerived reports whether scheme's interior is rebuilt from its data
-// rather than persisted: every scheme's but i's.
-func treeDerived(scheme Scheme) bool { return scheme != SchemeIncr }
+// extentStart returns where the persisted extent starts in layout l.
+func extentStart(l *htree.Layout) uint64 { return l.DataStart() &^ (mem.LineSize - 1) }
 
 // Snapshot is one commit-point capture of a machine's protected state:
 // a frozen view of its persisted extent ([start, Layout.Size()) of
@@ -106,7 +98,7 @@ func (m *Machine) SaveStateSince(since uint64, maxLines int) (Snapshot, error) {
 	if m.halted {
 		return Snapshot{}, fmt.Errorf("%w (%v)", ErrHalted, m.haltCause)
 	}
-	start, end := m.stateStart, m.Layout.Size()
+	start, end := extentStart(m.Layout), m.Layout.Size()
 	delta := since != 0 && since == m.snapSeq && m.backing.DirtyLines(start, end) <= maxLines
 	m.snapSeq = snapshotSeq.Add(1)
 	return Snapshot{Seq: m.snapSeq, Root: append([]byte(nil), m.Sys.Root...), View: m.backing.Freeze(start, end, delta)}, nil
@@ -134,24 +126,22 @@ func (m *Machine) Root() []byte {
 
 // StateSize returns the size in bytes of the persisted extent SaveState
 // and RestoreState exchange (StateExtent).
-func (m *Machine) StateSize() uint64 { return m.Layout.Size() - m.stateStart }
+func (m *Machine) StateSize() uint64 { return m.Layout.Size() - extentStart(m.Layout) }
 
 // RestoreState installs a previously saved persisted extent and root
 // register, replacing whatever state the machine holds. The extent's
-// bytes are copied into external memory (img stays the caller's) — for
-// naive, c and m with the interior rebuilt from them below — every
-// protected line is dropped from the caches without write-back (a stale
-// dirty line must not resurface over the restored bytes), and the root
-// register is loaded from root — the trusted anchor the restored tree is
-// subsequently verified against.
+// bytes are copied into external memory (img stays the caller's) with the
+// interior rebuilt from them, every protected line is dropped from the
+// caches without write-back (a stale dirty line must not resurface over
+// the restored bytes), and the root register is loaded from root — the
+// trusted anchor the restored tree is subsequently verified against.
 //
 // RestoreState does not verify anything itself: reads after it go through
 // the ordinary verification walk, so a restored state that disagrees with
 // root (tampering, or a rolled-back snapshot) is detected on consumption;
-// VerifyImage (or VerifyAll) forces that detection eagerly. Recovery does
-// not come through here: internal/persist builds its machines from the
-// saved state (NewMachineFromState) rather than restoring over a fresh
-// one.
+// VerifyAll forces that detection eagerly. Recovery does not come through
+// here: internal/persist builds its machines from the saved state
+// (NewMachineFromState), which checks the rebuilt root as it builds.
 func (m *Machine) RestoreState(img []byte, root []byte) error {
 	if err := m.persistable(); err != nil {
 		return err
@@ -159,14 +149,10 @@ func (m *Machine) RestoreState(img []byte, root []byte) error {
 	if err := m.checkState(uint64(len(img)), m.StateSize(), root); err != nil {
 		return err
 	}
-	if treeDerived(m.Cfg.Scheme) {
-		whole := make([]byte, m.Layout.Size())
-		copy(whole[m.stateStart:], img)
-		m.Sys.DeriveTree(whole)
-		m.backing.Adopt(whole)
-	} else {
-		m.backing.Write(0, img)
-	}
+	whole := make([]byte, m.Layout.Size())
+	copy(whole[extentStart(m.Layout):], img)
+	m.Sys.DeriveTree(whole)
+	m.backing.Adopt(whole)
 	m.Sys.Root = append(m.Sys.Root[:0], root...)
 	m.dropProtected()
 	// No snapshot describes what memory holds now: the next one is full.
@@ -181,10 +167,9 @@ func (m *Machine) RestoreState(img []byte, root []byte) error {
 
 // adoptState makes img, a whole image of the protected region, the
 // external memory of a machine under construction and checks it against
-// root, loaded into the root register: for naive, c and m the interior is
-// first rebuilt from img's data and the rebuilt root compared with root,
-// for i the image is checked whole (CheckTree). A mismatch is recorded as
-// a violation, under the machine's policy.
+// root, loaded into the root register: the interior is first rebuilt from
+// img's data and the rebuilt root compared with root. A mismatch is
+// recorded as a violation, under the machine's policy.
 func (m *Machine) adoptState(img, root []byte) error {
 	if err := m.persistable(); err != nil {
 		return err
@@ -193,14 +178,9 @@ func (m *Machine) adoptState(img, root []byte) error {
 		return err
 	}
 	m.Sys.Root = append(m.Sys.Root[:0], root...)
-	if treeDerived(m.Cfg.Scheme) {
-		rebuilt := m.Sys.DeriveTree(img)
-		m.backing.Adopt(img)
-		m.Sys.CheckRoot(rebuilt, m.Engine.Name())
-		return nil
-	}
+	rebuilt := m.Sys.DeriveTree(img)
 	m.backing.Adopt(img)
-	m.Engine.(integrity.TreeWalker).CheckTree()
+	m.Sys.CheckRoot(rebuilt, m.Engine.Name())
 	return nil
 }
 
@@ -217,14 +197,23 @@ func (m *Machine) checkState(got, want uint64, root []byte) error {
 	return nil
 }
 
-// persistable checks the configuration constraints shared by SaveState
-// and RestoreState.
+// persistable checks the configuration constraints shared by SaveState,
+// RestoreState and NewMachineFromState.
 func (m *Machine) persistable() error {
 	if !m.Cfg.Functional {
 		return fmt.Errorf("core: state persistence requires a functional machine")
 	}
-	if m.Cfg.Scheme == SchemeBase {
+	return persistableScheme(m.Cfg.Scheme)
+}
+
+// persistableScheme refuses the schemes whose state is not persisted: base
+// has no root to seal, and i's records are keyed with a public key.
+func persistableScheme(s Scheme) error {
+	switch s {
+	case SchemeBase:
 		return fmt.Errorf("core: the base scheme has no authenticated state to persist")
+	case SchemeIncr:
+		return fmt.Errorf("core: the i scheme is not persisted: its XOR-MAC key is compiled into the program, so anyone who holds the disk could forge its records; i runs in the simulator only")
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"memverify/internal/mem"
@@ -40,7 +41,8 @@ func fullImage(s Snapshot) []byte {
 // over the snapshot it was taken since is byte for byte the full image,
 // whoever wrote to memory in between, and a since the machine no longer
 // recognises as its latest — stale, foreign, zero, or invalidated by a
-// restore — yields the full image.
+// restore — yields the full image. The i scheme is not persisted: its leg
+// checks that every state routine refuses it.
 func TestSaveStateSince(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeNaive, SchemeCached, SchemeMulti, SchemeIncr} {
 		t.Run(string(scheme), func(t *testing.T) {
@@ -50,6 +52,18 @@ func TestSaveStateSince(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if scheme == SchemeIncr {
+				_, errSave := m.SaveStateSince(0, 0)
+				errRestore := m.RestoreState(make([]byte, m.Layout.Size()), m.Root())
+				_, errBuild := NewMachineFromState(cfg, make([]byte, m.Layout.Size()), m.Root())
+				_, _, errExtent := StateExtent(cfg)
+				for _, err := range []error{errSave, errRestore, errBuild, errExtent} {
+					if err == nil || !strings.Contains(err.Error(), "i scheme is not persisted") {
+						t.Fatalf("state routine on an i machine: %v, want the refusal", err)
+					}
+				}
+				return
+			}
 			other, err := NewMachine(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -57,7 +71,7 @@ func TestSaveStateSince(t *testing.T) {
 			size := int(m.StateSize())
 			truth := func() []byte {
 				img := make([]byte, size)
-				m.backing.Read(m.stateStart, img)
+				m.backing.Read(extentStart(m.Layout), img)
 				return img
 			}
 			rng := rand.New(rand.NewSource(3))
@@ -190,7 +204,7 @@ func TestStateOwnership(t *testing.T) {
 	}
 
 	whole := make([]byte, m.Layout.Size())
-	copy(whole[m.stateStart:], img)
+	copy(whole[extentStart(m.Layout):], img)
 	adopter, err := NewMachineFromState(cfg, whole, root)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +213,7 @@ func TestStateOwnership(t *testing.T) {
 		t.Fatal("NewMachineFromState did not rebuild the tree the state was saved under")
 	}
 	storeAll(adopter)
-	if bytes.Equal(whole[m.stateStart:], kept) || !bytes.Equal(whole, memImage(adopter)) {
+	if bytes.Equal(whole[extentStart(m.Layout):], kept) || !bytes.Equal(whole, memImage(adopter)) {
 		t.Fatal("NewMachineFromState's image is not the machine's memory")
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"testing/quick"
 )
 
-func allAlgorithms() []Algorithm { return []Algorithm{MD5{}, SHA1{}, FNV128{}} }
+func allAlgorithms() []Algorithm { return []Algorithm{MD5{}, SHA1{}, SHA256{}, FNV128{}} }
 
 // TestAppendSumMatchesSum checks the two entry points agree on arbitrary
 // inputs and arbitrary destination prefixes.

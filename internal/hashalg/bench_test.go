@@ -29,6 +29,7 @@ func BenchmarkFNV128Chunk64(b *testing.B) { benchAlg(b, FNV128{}, 64) }
 func BenchmarkMD5Chunk4K(b *testing.B)    { benchAlg(b, MD5{}, 4096) }
 
 func BenchmarkSHA1AppendChunk64(b *testing.B)   { benchAppend(b, SHA1{}, 64) }
+func BenchmarkSHA256AppendChunk64(b *testing.B) { benchAppend(b, SHA256{}, 64) }
 func BenchmarkFNV128AppendChunk64(b *testing.B) { benchAppend(b, FNV128{}, 64) }
 func BenchmarkMD5AppendChunk64(b *testing.B)    { benchAppend(b, MD5{}, 64) }
 func BenchmarkMD5AppendChunk4K(b *testing.B)    { benchAppend(b, MD5{}, 4096) }

@@ -34,13 +34,6 @@ func NewFeistel(alg Algorithm, key []byte) *Feistel {
 	return f
 }
 
-// clone returns a Feistel with f's round keys and scratch of its own.
-func (f *Feistel) clone() *Feistel {
-	c := *f
-	c.in, c.sum = nil, nil
-	return &c
-}
-
 // round computes the 64-bit round function F(subkey, half).
 func (f *Feistel) round(r int, half uint64) uint64 {
 	f.in = binary.LittleEndian.AppendUint64(append(f.in[:0], f.subkeys[r]...), half)

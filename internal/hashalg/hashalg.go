@@ -1,6 +1,7 @@
 // Package hashalg implements the cryptographic primitives the secure
-// processor's hash unit models: MD5 (RFC 1321) and SHA-1 (RFC 3174) from
-// the standard library, a fast non-cryptographic 128-bit hash, and the
+// processor's hash unit models: MD5 (RFC 1321), SHA-1 (RFC 3174) and
+// SHA-256 (FIPS 180-4) from the standard library, a fast
+// non-cryptographic 128-bit hash, and the
 // incremental XOR-MAC of Bellare, Guérin and Rogaway used by the paper's
 // `i` scheme (§5.5).
 //
@@ -32,14 +33,16 @@ type Algorithm interface {
 	AppendSum(dst, data []byte) []byte
 }
 
-// New returns the algorithm registered under name: "md5", "sha1" or
-// "fnv128". It returns an error for unknown names.
+// New returns the algorithm registered under name: "md5", "sha1",
+// "sha256" or "fnv128". It returns an error for unknown names.
 func New(name string) (Algorithm, error) {
 	switch name {
 	case "md5":
 		return MD5{}, nil
 	case "sha1":
 		return SHA1{}, nil
+	case "sha256":
+		return SHA256{}, nil
 	case "fnv128":
 		return FNV128{}, nil
 	}

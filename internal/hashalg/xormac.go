@@ -55,15 +55,6 @@ func NewXorMAC(alg Algorithm, key []byte) *XorMAC {
 	return &XorMAC{alg: alg, k1: k1, e: NewFeistel(alg, k2), Timestamps: true}
 }
 
-// Clone returns an XorMAC with m's keys and Timestamps setting and
-// scratch of its own, for use on another goroutine.
-func (m *XorMAC) Clone() *XorMAC {
-	c := *m
-	c.in, c.sum = nil, nil
-	c.e = m.e.clone()
-	return &c
-}
-
 // term computes h_{k1}(index, block, stamp), truncated to MACSize bytes
 // with the final byte cleared (that byte is reserved for the packed
 // timestamps in the accumulator).

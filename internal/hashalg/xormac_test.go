@@ -1,7 +1,6 @@
 package hashalg
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -28,33 +27,6 @@ func TestXorMACVerify(t *testing.T) {
 	if m.Stamps(tag) != 0b0101 {
 		t.Fatalf("Stamps = %08b, want 0101", m.Stamps(tag))
 	}
-}
-
-// TestXorMACClone holds a clone to the original: the same tags under the
-// same Timestamps setting, from scratch of its own, so the two can verify
-// side by side on different goroutines.
-func TestXorMACClone(t *testing.T) {
-	m := NewXorMAC(MD5{}, []byte("key"))
-	m.Timestamps = false
-	c := m.Clone()
-	blocks := macBlocks(4, 64, 1)
-	if c.Timestamps || c.Compute(blocks, 0b0110) != m.Compute(blocks, 0b0110) {
-		t.Fatal("the clone computes other tags than the original")
-	}
-	var wg sync.WaitGroup
-	for _, mac := range []*XorMAC{m, c} {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for range 100 {
-				if tag := mac.Compute(blocks, 0b1001); !mac.Verify(tag, blocks) {
-					t.Error("a tag does not verify while a clone runs beside it")
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func TestXorMACDetectsBlockTampering(t *testing.T) {

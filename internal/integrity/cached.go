@@ -83,10 +83,6 @@ func (e *Cached) System() *System { return e.sys }
 // initialize by touch, §5.7.2's footnote).
 func (e *Cached) InitializeTree() { e.sys.initializeTree(e.record) }
 
-// CheckTree implements TreeWalker with the hash compare of c's and m's
-// read check (Incr has its own).
-func (e *Cached) CheckTree() error { return e.sys.checkTree(e.scheme, e.sys.hashCheck) }
-
 // ReadBlock implements Engine: the ReadAndCheck algorithm of §5.3/§5.4 for
 // a processor-demanded block.
 func (e *Cached) ReadBlock(now uint64, addr uint64) uint64 {

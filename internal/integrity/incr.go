@@ -46,7 +46,13 @@ func NewIncr(sys *System, key []byte) *Incr {
 	e := &Incr{mac: hashalg.NewXorMAC(sys.Alg, key)}
 	e.sys = sys
 	e.scheme = "i"
-	e.verify = e.macCheck(e.mac)
+	var views [][]byte // the read check's block views
+	e.verify = func(_ uint64, img, stored []byte) bool {
+		var tag [hashalg.MACSize]byte
+		copy(tag[:], stored)
+		views = splitBlocks(views, img, sys.BlockSize())
+		return e.mac.Verify(tag, views)
+	}
 	e.record = func(_ uint64, img []byte) []byte {
 		// Fresh record over a full image. Preserving individual stamps is
 		// unnecessary here: a full-chunk write-back re-stamps every block
@@ -58,25 +64,6 @@ func NewIncr(sys *System, key []byte) *Incr {
 	}
 	e.evictFn = e.evictIncr
 	return e
-}
-
-// CheckTree implements TreeWalker with the engine's read check, the
-// XOR-MAC check, stamps included: each goroutine of the check verifies
-// with a clone of the engine's MAC.
-func (e *Incr) CheckTree() error {
-	return e.sys.checkTree(e.scheme, func() checkFunc { return e.macCheck(e.mac.Clone()) })
-}
-
-// macCheck returns the read check against mac, with block views of its
-// own.
-func (e *Incr) macCheck(mac *hashalg.XorMAC) checkFunc {
-	var blocks [][]byte
-	return func(_ uint64, img, stored []byte) bool {
-		var tag [hashalg.MACSize]byte
-		copy(tag[:], stored)
-		blocks = splitBlocks(blocks, img, e.sys.BlockSize())
-		return mac.Verify(tag, blocks)
-	}
 }
 
 // MAC exposes the underlying XOR-MAC, used by attack-demonstration tests

@@ -46,10 +46,6 @@ func (e *Naive) System() *System { return e.sys }
 // InitializeTree implements TreeWalker: every stored hash, bottom-up.
 func (e *Naive) InitializeTree() { e.sys.initializeTree(e.sys.hashRecord) }
 
-// CheckTree implements TreeWalker with the hash compare every path
-// verification makes.
-func (e *Naive) CheckTree() error { return e.sys.checkTree("naive", e.sys.hashCheck) }
-
 // readChunkMem reads chunk c's bytes from external memory into a pooled
 // image buffer the caller releases with putImg (functional mode only;
 // timing-only runs return nil).

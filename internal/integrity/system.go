@@ -406,16 +406,6 @@ func (s *System) hashMatches(_ uint64, img, stored []byte) bool {
 	return bytes.Equal(s.hashChunkScratch(img), stored)
 }
 
-// hashCheck returns hashMatches with a digest buffer of its own, so that
-// each goroutine of checkTree hashes into its own.
-func (s *System) hashCheck() checkFunc {
-	var digest []byte
-	return func(_ uint64, img, stored []byte) bool {
-		digest = s.Alg.AppendSum(digest[:0], img)
-		return bytes.Equal(digest[:s.Layout.HashSize], stored)
-	}
-}
-
 // hashChunkScratch computes the stored-form hash of a chunk image into the
 // system's digest scratch: zero allocations, but the result is only valid
 // until the next hashChunkScratch call, so it must not be held across any

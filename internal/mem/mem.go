@@ -164,24 +164,6 @@ func (s *Sparse) Adopt(img []byte) {
 	s.Write(whole<<pageShift, img[whole<<pageShift:])
 }
 
-// View returns the n bytes at addr in place, without copying: a slice of
-// the page that holds them, valid until the next Adopt, read-only for the
-// caller. It sees every later Write except those made while a frozen view
-// (Freeze) holds the page: the first of those moves the memory to a fresh
-// copy of the page, and the slice stays on the old one. So a caller must
-// not keep a View across a Write. Views taken while nothing writes are
-// safe from any number of goroutines. ok is false, and the slice nil,
-// when the bytes span two pages or lie in a page nothing was written to;
-// Read gives them then. An aligned chunk of a power-of-two size up to a
-// page — a 64- or 128-byte hash chunk — always lies in one page.
-func (s *Sparse) View(addr uint64, n int) (b []byte, ok bool) {
-	pageNum, off := addr>>pageShift, addr&pageMask
-	if off+uint64(n) > pageSize || pageNum >= uint64(len(s.pages)) || s.pages[pageNum].data == nil {
-		return nil, false
-	}
-	return s.pages[pageNum].data[off : off+uint64(n) : off+uint64(n)], true
-}
-
 // PageCount returns the number of pages materialized so far. Useful for
 // asserting that sparse simulation stays sparse.
 func (s *Sparse) PageCount() int { return s.count }

@@ -364,40 +364,6 @@ func TestSparseAdopt(t *testing.T) {
 	}
 }
 
-// TestSparseView lends bytes in place: a written page's own bytes, and
-// nothing where no page was written or across a page boundary.
-func TestSparseView(t *testing.T) {
-	s := NewSparse()
-	s.Write(4096+128, []byte{1, 2, 3})
-	b, ok := s.View(4096+128, 64)
-	if !ok || !bytes.Equal(b[:4], []byte{1, 2, 3, 0}) {
-		t.Fatalf("View of written bytes = %v, %v", b, ok)
-	}
-	s.Write(4096+128, []byte{9})
-	if b[0] != 9 {
-		t.Fatal("a View is a copy, not the page's bytes")
-	}
-	// While a frozen view holds the page, a write moves the memory to a
-	// copy: the slice stays on the bytes the view froze.
-	f := s.Freeze(0, 1<<20, false)
-	s.Write(4096+128, []byte{8})
-	if b[0] != 9 {
-		t.Fatal("a write under an open frozen view reached an earlier View's page")
-	}
-	if b2, _ := s.View(4096+128, 64); b2[0] != 8 {
-		t.Fatal("a View after the copy does not see the write")
-	}
-	f.Release()
-	for _, addr := range []uint64{0, 3 * 4096, 1 << 40, 2*4096 - 64} {
-		if b, ok := s.View(addr, 128); ok || b != nil {
-			t.Fatalf("View(%#x, 128) lent %d bytes of no page, or of two", addr, len(b))
-		}
-	}
-	if s.PageCount() != 1 {
-		t.Fatalf("PageCount = %d, want 1: View must not materialize", s.PageCount())
-	}
-}
-
 // TestFrozenView holds a view to the moment it was taken: its image, runs
 // and line bytes stay what the memory held then, whatever is written
 // after, and a first write to a held page copies it without making a new

@@ -18,7 +18,8 @@ const (
 	// EvViolation: one detected integrity violation, attributed to its
 	// shard. Detail carries the engine's message.
 	EvViolation = "violation"
-	// EvShardHalt: a shard tripped the halt policy and stopped serving.
+	// EvShardHalt: a shard tripped the halt policy, or faulted (a panic
+	// on its worker), and stopped serving.
 	EvShardHalt = "shard-halt"
 	// EvCheckpointIntent / EvCheckpointCommit / EvCheckpointSeal: the
 	// persistence commit protocol's three externally visible transitions —

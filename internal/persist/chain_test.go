@@ -50,7 +50,7 @@ func (r chainRig) on(t *testing.T, i int, f func(m *core.Machine) error) {
 // legacyMode legs also require every committed epoch's directory to be
 // refused, untouched, under a config naming the deleted mode.
 func TestChainIsTheImage(t *testing.T) {
-	for _, scheme := range []core.Scheme{core.SchemeNaive, core.SchemeCached, core.SchemeMulti, core.SchemeIncr} {
+	for _, scheme := range []core.Scheme{core.SchemeNaive, core.SchemeCached, core.SchemeMulti} {
 		for _, mode := range []string{"full", legacyMode} {
 			for _, shards := range []int{1, 2} {
 				t.Run(fmt.Sprintf("%s/%s/%d-shard", scheme, mode, shards), func(t *testing.T) {

@@ -67,13 +67,11 @@ func forgeImageByte(t *testing.T, dir string, epoch uint64, shard int, cfg core.
 }
 
 // TestRecoveryVerifiesWholeDataRegion is the regression for the sweep that
-// started at ProgAddr(0): for every tree scheme, a forged byte anywhere in
-// the data region — the code region below the program's data included —
-// must fail recovery as one violation, whether the byte is in the chain's
-// base or in a delta over it. For naive, c and m, which persist only the
-// data, the violation is at chunk 0: the root rebuilt from the forged
-// data is not the sealed one. The i scheme persists its interior too, and
-// a forged interior record fails there as well.
+// started at ProgAddr(0): for every persisted scheme, a forged byte
+// anywhere in the data region — the code region below the program's data
+// included — must fail recovery as one violation, whether the byte is in
+// the chain's base or in a delta over it. The violation is at chunk 0:
+// the root rebuilt from the forged data is not the sealed one.
 func TestRecoveryVerifiesWholeDataRegion(t *testing.T) {
 	// Each spot is a region address, given the machine's layout and the
 	// directory the two epochs were sealed in.
@@ -98,8 +96,6 @@ func TestRecoveryVerifiesWholeDataRegion(t *testing.T) {
 			start, _, _ := core.StateExtent(m.Cfg)
 			return start + uint64(seg.Runs[0].Line)*mem.LineSize + 5
 		}},
-		// Only i keeps its interior on disk.
-		{"interior-node", []core.Scheme{core.SchemeIncr}, func(_ *testing.T, m *core.Machine, _ string) uint64 { return m.Layout.DataStart() / 2 }},
 	}
 	kinds := map[core.Scheme]map[string]bool{}
 	for _, spot := range spots {
@@ -123,7 +119,7 @@ func TestRecoveryVerifiesWholeDataRegion(t *testing.T) {
 						t.Fatalf("forged byte at %d (in a %s): outcome %s with %d violations, want one violation",
 							addr, forged, rec.Outcome, rec.Violations)
 					}
-					if v := r.Sys.First; scheme != core.SchemeIncr && v.Chunk != 0 {
+					if v := r.Sys.First; v.Chunk != 0 {
 						t.Fatalf("violation at chunk %d, want the root's, chunk 0", v.Chunk)
 					}
 				})
@@ -137,9 +133,9 @@ func TestRecoveryVerifiesWholeDataRegion(t *testing.T) {
 	}
 }
 
-// treeSchemes is every scheme with a tree: naive, c and m, whose trees
-// are derived from their data, and i.
-var treeSchemes = []core.Scheme{core.SchemeNaive, core.SchemeCached, core.SchemeMulti, core.SchemeIncr}
+// treeSchemes is every persisted scheme: naive, c and m, whose trees are
+// derived from their data.
+var treeSchemes = []core.Scheme{core.SchemeNaive, core.SchemeCached, core.SchemeMulti}
 
 // TestRecoverStoreVerifiesCodeRegion is the same forgery on the sharded
 // path: one shard's code region is forged, that shard alone is refused.
@@ -277,8 +273,7 @@ func TestSegmentTearAtEveryWrite(t *testing.T) {
 
 // TestBaseSegmentBytesUnchanged pins format 2's base to its bytes: a
 // small segment whole, and the first checkpoint of a seeded machine per
-// scheme by length and FNV-1a — for naive, c and m a header and the data
-// region, for i a header and the whole image.
+// scheme by length and FNV-1a: a header and the data region.
 func TestBaseSegmentBytesUnchanged(t *testing.T) {
 	small := &segment{Epoch: 3, Shard: 1, Fingerprint: 42, Root: []byte{1, 2, 3, 4}, Image: []byte("sixteen byte img")}
 	const want = "4d5642320300000000000000010000002a0000000000000004000000010203041000000000000000" +
@@ -294,7 +289,6 @@ func TestBaseSegmentBytesUnchanged(t *testing.T) {
 		{core.SchemeNaive, 16444, 0xa61d647bb7ec8a3f},
 		{core.SchemeCached, 16444, 0x3ce4b21d964632d1},
 		{core.SchemeMulti, 16444, 0xa98aaa4c865a2550},
-		{core.SchemeIncr, 18876, 0x2519e0a104d66466},
 	} {
 		dir := t.TempDir()
 		m := newMachine(t, testConfig(g.scheme))
@@ -317,9 +311,8 @@ func TestBaseSegmentBytesUnchanged(t *testing.T) {
 }
 
 // TestSegmentCarriesTheExtent: what a segment carries is the machine's
-// persisted extent — Size()−DataStart() bytes for naive, c and m, whose
-// interior is rebuilt from the data, and Size() bytes for i — and a
-// store's bytes written follow it.
+// persisted extent — Size()−DataStart() bytes, the interior being rebuilt
+// from the data — and a store's bytes written follow it.
 func TestSegmentCarriesTheExtent(t *testing.T) {
 	for _, scheme := range treeSchemes {
 		t.Run(string(scheme), func(t *testing.T) {
@@ -327,9 +320,6 @@ func TestSegmentCarriesTheExtent(t *testing.T) {
 			dir := t.TempDir()
 			_, m := checkpointEpochs(t, dir, cfg, 1)
 			want := m.Layout.Size() - m.Layout.DataStart()
-			if scheme == core.SchemeIncr {
-				want = m.Layout.Size()
-			}
 			buf, err := os.ReadFile(filepath.Join(dir, segName(1, 0)))
 			if err != nil {
 				t.Fatal(err)
@@ -352,8 +342,7 @@ func TestSegmentCarriesTheExtent(t *testing.T) {
 // loudly — a *FormatError from RecoverMachine, RecoverStore and Recover,
 // no machine built, never a violation — whether its segments are format 1
 // (the whole image under the old magics) or carry an extent of the wrong
-// length (a whole image for c, a data region for i), in a base or in a
-// delta.
+// length (a whole image for c), in a base or in a delta.
 func TestOtherFormatsRefused(t *testing.T) {
 	// rewrite re-encodes segment e of dir through f and recomputes its
 	// checksum.
@@ -405,13 +394,6 @@ func TestOtherFormatsRefused(t *testing.T) {
 		{"whole-image-for-c", core.SchemeCached, 1, func(cfg core.Config) func(*segment, []byte) []byte {
 			_, end, _ := core.StateExtent(cfg)
 			return resized(end)
-		}},
-		{"data-region-for-i", core.SchemeIncr, 1, func(cfg core.Config) func(*segment, []byte) []byte {
-			probe, err := core.NewMachine(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return resized(probe.Layout.Size() - probe.Layout.DataStart())
 		}},
 		{"delta-over-another-extent", core.SchemeMulti, 2, func(core.Config) func(*segment, []byte) []byte {
 			return func(seg *segment, buf []byte) []byte {
@@ -532,11 +514,9 @@ func TestOldFormatRefused(t *testing.T) {
 	}
 }
 
-// benchConfig is the benchmarks' tenant machine: scheme over 8 MiB. The
-// benchmarks run a c leg, whose segments carry the data region, and an i
-// leg, whose segments carry the whole image.
-func benchConfig(scheme core.Scheme) core.Config {
-	cfg := testConfig(scheme)
+// benchConfig is the benchmarks' tenant machine: c over 8 MiB.
+func benchConfig() core.Config {
+	cfg := testConfig(core.SchemeCached)
 	cfg.ProtectedBytes = 8 << 20
 	cfg.L2Size = 256 << 10
 	cfg.Benchmark = trace.Uniform("bench", 32<<10)
@@ -544,47 +524,40 @@ func benchConfig(scheme core.Scheme) core.Config {
 	return cfg
 }
 
-// benchSchemes are the benchmarks' legs.
-var benchSchemes = []core.Scheme{core.SchemeCached, core.SchemeIncr}
-
 // BenchmarkCheckpoint seals one epoch of an 8 MiB machine whose every line
 // was rewritten since the last, per iteration: a base. MB/s is over the
 // persisted extent (SetBytes); B/op is one extent's view, streamed into
 // the file as it lies.
 func BenchmarkCheckpoint(b *testing.B) {
-	for _, scheme := range benchSchemes {
-		b.Run(string(scheme), func(b *testing.B) {
-			m, err := core.NewMachine(benchConfig(scheme))
-			if err != nil {
-				b.Fatal(err)
-			}
-			st, err := Open(Options{Dir: b.TempDir()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			img, root, err := m.SaveState()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(m.StateSize()))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				if err := m.RestoreState(img, root); err != nil { // dirties every line
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				if _, err := st.Checkpoint(MachineSource{m}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if s := st.Stats(); s.DeltaSegments != 0 {
-				b.Fatalf("an all-dirty epoch was written as a delta: %+v", s)
-			}
-		})
+	m, err := core.NewMachine(benchConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := Open(Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	img, root, err := m.SaveState()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(m.StateSize()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := m.RestoreState(img, root); err != nil { // dirties every line
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := st.Checkpoint(MachineSource{m}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if s := st.Stats(); s.DeltaSegments != 0 {
+		b.Fatalf("an all-dirty epoch was written as a delta: %+v", s)
 	}
 }
 
@@ -607,7 +580,7 @@ func rewriteLines(b *testing.B, m *core.Machine, n, round int) {
 // dirties per shard per epoch. MB/s is over the bytes persisted, so it
 // compares with BenchmarkCheckpoint's; the win is in ns/op and B/op.
 func BenchmarkCheckpointDelta(b *testing.B) {
-	m, err := core.NewMachine(benchConfig(core.SchemeCached))
+	m, err := core.NewMachine(benchConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -642,17 +615,12 @@ func BenchmarkCheckpointDelta(b *testing.B) {
 
 // BenchmarkRecoverMachine recovers that machine: segments read and
 // checksummed, machine built from the state and checked against the
-// sealed root (for c the tree rebuilt from the data, for i the whole
-// image checked in one bottom-up pass) — from a lone base, and from a
-// chain whose deltas have all but used up what a chain may hold, the most
-// recovery ever reads. MB/s is over the persisted extent.
+// sealed root (the tree rebuilt from the data) — from a lone base, and
+// from a chain whose deltas have all but used up what a chain may hold,
+// the most recovery ever reads. MB/s is over the persisted extent.
 func BenchmarkRecoverMachine(b *testing.B) {
 	for _, leg := range []string{"base", "longest-chain"} {
-		for _, scheme := range benchSchemes {
-			b.Run(leg+"/"+string(scheme), func(b *testing.B) {
-				benchRecoverMachine(b, leg, benchConfig(scheme))
-			})
-		}
+		b.Run(leg, func(b *testing.B) { benchRecoverMachine(b, leg, benchConfig()) })
 	}
 }
 
@@ -725,41 +693,37 @@ func benchRecoverMachine(b *testing.B, leg string, cfg core.Config) {
 // (shard.NewFromState) before the store is handed back. MB/s is over the
 // shards' persisted extents.
 func BenchmarkRecoverStore(b *testing.B) {
-	for _, scheme := range benchSchemes {
-		b.Run(string(scheme), func(b *testing.B) {
-			scfg := shard.Config{Machine: benchConfig(scheme), Shards: 2}
-			s, err := shard.New(scfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := Options{Dir: b.TempDir()}
-			st, err := Open(opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := st.Checkpoint(StoreSource{s}); err != nil {
-				b.Fatal(err)
-			}
-			if err := st.Close(); err != nil {
-				b.Fatal(err)
-			}
-			var extent int64
-			for i := 0; i < scfg.Shards; i++ {
-				s.WithShard(i, func(m *core.Machine) { extent += int64(m.StateSize()) })
-			}
-			s.Close()
-			b.SetBytes(extent)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r, rec, err := RecoverStore(opts, scfg)
-				if err != nil || rec.Outcome != OutcomeClean {
-					b.Fatalf("recovery: %v / %+v", err, rec)
-				}
-				b.StopTimer()
-				r.Close()
-				b.StartTimer()
-			}
-		})
+	scfg := shard.Config{Machine: benchConfig(), Shards: 2}
+	s, err := shard.New(scfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := Options{Dir: b.TempDir()}
+	st, err := Open(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := st.Checkpoint(StoreSource{s}); err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	var extent int64
+	for i := 0; i < scfg.Shards; i++ {
+		s.WithShard(i, func(m *core.Machine) { extent += int64(m.StateSize()) })
+	}
+	s.Close()
+	b.SetBytes(extent)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, rec, err := RecoverStore(opts, scfg)
+		if err != nil || rec.Outcome != OutcomeClean {
+			b.Fatalf("recovery: %v / %+v", err, rec)
+		}
+		b.StopTimer()
+		r.Close()
+		b.StartTimer()
 	}
 }

@@ -1,9 +1,8 @@
 // Package persist makes the verification engine's protected state durable
 // and crash-consistent. A checkpoint serializes each machine's persisted
-// extent (core.StateExtent) — the data chunks for naive, c and m, whose
-// interior is the hashes of the data; the whole image for i, whose
-// records carry stamp bits the data does not determine — and the secure
-// root register into per-shard segment files, committed atomically by a
+// extent (core.StateExtent) — the data chunks, since the interior of
+// every persisted scheme (naive, c and m; i is refused) is the hashes of
+// the data — and the secure root register into per-shard segment files, committed atomically by a
 // manifest rename and sealed by a write-ahead log of root transitions.
 // Recovery replays the WAL, restores the last committed snapshot, checks
 // it against the sealed root with the engine's own records, and
@@ -15,8 +14,8 @@
 // Two trust layers stack: checksums on every structure give crash
 // consistency (they catch torn writes and bit rot), and the machine's
 // check of the restored state against the WAL-sealed root — the tree
-// rebuilt from the data and its root compared, or the whole image
-// checked bottom-up — gives adversarial integrity: a forged state that
+// rebuilt from the data and its root compared — gives adversarial
+// integrity: a forged state that
 // passes every checksum still cannot produce the sealed root.
 package persist
 
@@ -136,16 +135,14 @@ type StoreSource struct{ S *shard.Store }
 func (s StoreSource) NumShards() int { return s.S.Shards() }
 
 // MachineConfig implements Source.
-func (s StoreSource) MachineConfig() core.Config {
-	var cfg core.Config
-	s.S.WithShard(0, func(m *core.Machine) { cfg = m.Cfg })
-	return cfg
-}
+func (s StoreSource) MachineConfig() core.Config { return s.S.MachineConfig() }
 
 // WithMachine implements Source.
 func (s StoreSource) WithMachine(i int, f func(*core.Machine) error) error {
 	var err error
-	s.S.WithShard(i, func(m *core.Machine) { err = f(m) })
+	if ferr := s.S.WithShard(i, func(m *core.Machine) { err = f(m) }); ferr != nil {
+		return ferr // a faulted shard: its state is not checkpointed
+	}
 	return err
 }
 

@@ -83,11 +83,21 @@ func openStore(t *testing.T, opts Options) *Store {
 	return s
 }
 
+// TestCheckpointRecoverRoundtrip seals an epoch of each persisted scheme
+// and recovers it: the sealed root and every program byte come back. The
+// i leg checks the refusal instead: i is not persisted, so both recovery
+// constructors refuse it with a *shard.SettingError naming the scheme,
+// before they read or create anything in the directory, and a checkpoint
+// of an i machine fails.
 func TestCheckpointRecoverRoundtrip(t *testing.T) {
 	for _, scheme := range []core.Scheme{core.SchemeNaive, core.SchemeCached, core.SchemeMulti, core.SchemeIncr} {
 		t.Run(string(scheme), func(t *testing.T) {
 			cfg := testConfig(scheme)
 			dir := t.TempDir()
+			if scheme == core.SchemeIncr {
+				refusesIncr(t, dir, cfg)
+				return
+			}
 			m := newMachine(t, cfg)
 			rng := rand.New(rand.NewSource(7))
 			writeN(t, m, rng, 48)
@@ -129,6 +139,36 @@ func TestCheckpointRecoverRoundtrip(t *testing.T) {
 				t.Fatalf("recovered data differs from checkpointed data")
 			}
 		})
+	}
+}
+
+// refusesIncr checks that recovery and checkpoints refuse cfg, an i
+// configuration, and leave dir empty.
+func refusesIncr(t *testing.T, dir string, cfg core.Config) {
+	t.Helper()
+	refused := func(what string, err error) {
+		t.Helper()
+		var se *shard.SettingError
+		if !errors.As(err, &se) || se.Field != "Scheme" || !strings.Contains(err.Error(), "Scheme = i") {
+			t.Fatalf("%s: %v, want the *shard.SettingError refusing scheme i", what, err)
+		}
+	}
+	m, rec, err := RecoverMachine(Options{Dir: dir}, cfg)
+	refused("RecoverMachine", err)
+	if m != nil || rec != nil {
+		t.Fatal("RecoverMachine built a machine for scheme i")
+	}
+	s, rec, err := RecoverStore(Options{Dir: dir}, shard.Config{Machine: cfg, Shards: 2})
+	refused("RecoverStore", err)
+	if s != nil || rec != nil {
+		t.Fatal("RecoverStore built a store for scheme i")
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("the refusals touched the directory: %v, %d entries", err, len(entries))
+	}
+	st := openStore(t, Options{Dir: dir, Retry: fastRetry})
+	if _, err := st.Checkpoint(MachineSource{newMachine(t, cfg)}); err == nil || !strings.Contains(err.Error(), "i scheme is not persisted") {
+		t.Fatalf("Checkpoint of an i machine: %v, want the refusal", err)
 	}
 }
 
@@ -442,10 +482,8 @@ type killScript struct {
 }
 
 // killScripts puts the killed checkpoint, in turn, on every branch of the
-// base-or-delta choice. The test machine's persisted extent is 256 lines
-// for naive, c and m, where a 64-byte store at an 8-byte-aligned offset
-// dirties two of them, and 294 for i, where it also dirties its path of
-// the tree.
+// base-or-delta choice. The test machine's persisted extent is 256 lines,
+// of which a 64-byte store at an 8-byte-aligned offset dirties two.
 func killScripts(stage string) []killScript {
 	idle := make([]int, maxChainLinks+2) // a base, then a delta per idle epoch up to the cap
 	idle[0], idle[len(idle)-1] = 16, 4
@@ -523,7 +561,7 @@ func TestKillPointProperty(t *testing.T) {
 		StageSegWrite, StageSegSync,
 		StageManifestWrite, StageManifestRename,
 	}
-	schemes := []core.Scheme{core.SchemeNaive, core.SchemeCached, core.SchemeMulti, core.SchemeIncr}
+	schemes := []core.Scheme{core.SchemeNaive, core.SchemeCached, core.SchemeMulti}
 	modes := []string{"full", legacyMode}
 	for _, scheme := range schemes {
 		for _, mode := range modes {

@@ -90,10 +90,9 @@ func IsFingerprintMismatch(err error) bool { return errors.Is(err, errFingerprin
 // RecoverMachine builds a machine from the last committed state in
 // opts.Dir — its chain folded into the persisted extent, and the
 // WAL-sealed root — which checks that state against the root before the
-// first operation (core.NewMachineFromState): for naive, c and m it
-// rebuilds the interior from the data and compares the rebuilt root with
-// the sealed one, for i it checks the whole image with the engine's own
-// read check. The state, decoded and delta-folded in the buffer its base
+// first operation (core.NewMachineFromState): it rebuilds the interior
+// from the data and compares the rebuilt root with the sealed one. The
+// state, decoded and delta-folded in the buffer its base
 // segment was read into, becomes the machine's memory without a copy.
 // The returned Recovery classifies what happened; when there is no state
 // to restore (fresh, rolled back to nothing, or an on-disk violation) the
@@ -101,9 +100,9 @@ func IsFingerprintMismatch(err error) bool { return errors.Is(err, errFingerprin
 // is NOT the persisted state.
 //
 // A hard error (unreadable directory, fingerprint mismatch, a segment in
-// another format or extent — a *FormatError — invalid cfg) is returned as
-// err with a nil machine; an invalid cfg is refused before anything in
-// opts.Dir is read or repaired.
+// another format or extent — a *FormatError — invalid cfg, the i scheme —
+// a *shard.SettingError) is returned as err with a nil machine; a cfg is
+// refused before anything in opts.Dir is read or repaired.
 func RecoverMachine(opts Options, cfg core.Config) (*core.Machine, *Recovery, error) {
 	ext, err := extentOf(cfg)
 	if err != nil {
@@ -198,8 +197,12 @@ func isFormatError(err error) bool {
 	return errors.As(err, &fe)
 }
 
-// extentOf returns the persisted extent of the machines cfg builds.
+// extentOf returns the persisted extent of the machines cfg builds,
+// refusing a scheme that is not persisted.
 func extentOf(cfg core.Config) (extent, error) {
+	if err := shard.CheckScheme(cfg.Scheme); err != nil {
+		return extent{}, err
+	}
 	start, end, err := core.StateExtent(cfg)
 	return extent{start, end}, err
 }

@@ -16,10 +16,9 @@ import (
 
 // Segment files hold one shard's protected state for one epoch: the
 // shard machine's persisted extent (core.StateExtent) and its root record.
-// For naive, c and m the extent is the data region alone — their interior
-// chunks are the hashes of the data, rebuilt at recovery — and for i it
-// is the whole image, interior chunks and their stamped MAC records
-// included. Names encode epoch and shard (seg-%06d-%03d.dat), so a
+// The extent is the data region alone: the interior chunks of every
+// persisted scheme are the hashes of the data, rebuilt at recovery.
+// Names encode epoch and shard (seg-%06d-%03d.dat), so a
 // checkpoint never overwrites an earlier epoch's segments — the commit
 // point is the manifest rename, and segments are garbage-collected only
 // after the commit record is sealed, and only when no committed chain

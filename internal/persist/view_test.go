@@ -410,7 +410,7 @@ func TestCheckpointAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a 4 MiB machine")
 	}
-	cfg := benchConfig(core.SchemeCached)
+	cfg := benchConfig()
 	cfg.ProtectedBytes = 4 << 20
 	m := newMachine(t, cfg)
 	st := openStore(t, Options{Dir: t.TempDir(), FS: noSync{}, Retry: fastRetry})

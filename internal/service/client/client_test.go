@@ -27,7 +27,7 @@ func testMachine(scheme core.Scheme, policy string) core.Config {
 	cfg.ViolationPolicy = policy
 	cfg.Benchmark = trace.Uniform("client", 16<<10)
 	cfg.Benchmark.CodeSet = 4 << 10
-	if scheme == core.SchemeMulti || scheme == core.SchemeIncr {
+	if scheme == core.SchemeMulti {
 		cfg.ChunkBlocks = 2
 	}
 	return cfg
@@ -65,7 +65,7 @@ func startServer(t *testing.T, cfg service.Config, wrap func(http.Handler) http.
 // byte-identical reads: the service layer must be a transparent window
 // onto the same verified-memory semantics.
 func TestRemoteMatchesLocal(t *testing.T) {
-	for _, scheme := range []core.Scheme{core.SchemeCached, core.SchemeIncr} {
+	for _, scheme := range []core.Scheme{core.SchemeCached, core.SchemeMulti} {
 		t.Run(string(scheme), func(t *testing.T) {
 			mcfg := testMachine(scheme, "record")
 			scfg := shard.Config{Machine: mcfg, Shards: 2}

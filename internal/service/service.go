@@ -98,6 +98,10 @@ type tenant struct {
 	pstats  persist.Stats
 	epoch   uint64
 
+	// faulted marks, per shard, a fault the service has recorded
+	// (noteFault).
+	faulted []atomic.Bool
+
 	// failed marks a tenant whose recovery classified as violation: the
 	// persisted state must not be trusted, so every request is refused
 	// with 503/violation until an operator intervenes. The other tenants
@@ -232,6 +236,7 @@ func (s *Service) buildTenant(tc TenantConfig) (*tenant, error) {
 		depth = 64
 	}
 	t.sem = newSem(t.store.Shards() * depth)
+	t.faulted = make([]atomic.Bool, t.store.Shards())
 	t.states.New = func() any { return &batchState{sb: t.store.NewBatch()} }
 	return t, nil
 }
@@ -255,6 +260,7 @@ func (s *Service) Checkpoint() error {
 			continue
 		}
 		if _, err := t.checkpoint(); err != nil {
+			s.noteFault(t, err)
 			errs = append(errs, fmt.Errorf("tenant %s: %w", name, err))
 		}
 	}
@@ -461,8 +467,10 @@ func (s *Service) handleTenants(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(infos) //nolint:errcheck // best-effort body
 }
 
-// classify maps a store error onto the wire contract.
-func classify(t *tenant, err error) *APIError {
+// classify maps a store error onto the wire contract. A faulted shard's
+// *shard.InternalError answers as a halt.
+func (s *Service) classify(t *tenant, err error) *APIError {
+	s.noteFault(t, err)
 	switch {
 	case errors.Is(err, core.ErrHalted):
 		return &APIError{Status: http.StatusServiceUnavailable, Kind: KindHalted,
@@ -478,6 +486,20 @@ func classify(t *tenant, err error) *APIError {
 	}
 	return &APIError{Status: http.StatusInternalServerError, Kind: KindInternal,
 		Tenant: t.name, Msg: err.Error()}
+}
+
+// noteFault records the first report of each shard's fault that reaches
+// the service: a shard-halt flight event naming the tenant, the shard and
+// the panic, and a log line with the stack.
+func (s *Service) noteFault(t *tenant, err error) {
+	var ie *shard.InternalError
+	if !errors.As(err, &ie) || t.faulted[ie.Shard].Swap(true) {
+		return
+	}
+	if s.cfg.Flight != nil {
+		s.cfg.Flight.Record(obs.EvShardHalt, ie.Shard, 0, fmt.Sprintf("tenant %s: internal error: %v", t.name, ie.Value))
+	}
+	s.logf("service: tenant %s: shard %d halted by an internal error: %v\n%s", t.name, ie.Shard, ie.Value, ie.Stack)
 }
 
 // batchState is what one batch request needs beyond its bytes on the
@@ -565,7 +587,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request, t *tenant)
 	// under every policy: the bytes such a batch carried are not
 	// trustworthy, so it never reports success.
 	if werr != nil {
-		writeError(w, classify(t, werr))
+		writeError(w, s.classify(t, werr))
 		return
 	}
 	if err := EncodeResponse(w, ops); err != nil {
@@ -575,7 +597,7 @@ func (s *Service) handleBatch(w http.ResponseWriter, r *http.Request, t *tenant)
 
 func (s *Service) handleFlush(w http.ResponseWriter, r *http.Request, t *tenant) {
 	if err := t.store.Flush(); err != nil {
-		writeError(w, classify(t, err))
+		writeError(w, s.classify(t, err))
 		return
 	}
 	writeOK(w, map[string]any{"ok": true})
@@ -587,7 +609,7 @@ func (s *Service) handleVerify(w http.ResponseWriter, r *http.Request, t *tenant
 	_, _, vAfter := t.store.Health()
 	switch {
 	case err != nil:
-		writeError(w, classify(t, err))
+		writeError(w, s.classify(t, err))
 	case vAfter > vBefore:
 		writeError(w, &APIError{Status: http.StatusServiceUnavailable, Kind: KindViolation,
 			Tenant: t.name, Msg: fmt.Sprintf("%d integrity violation(s) detected during verification", vAfter-vBefore)})
@@ -604,7 +626,7 @@ func (s *Service) handleCheckpoint(w http.ResponseWriter, r *http.Request, t *te
 	}
 	epoch, err := t.checkpoint()
 	if err != nil {
-		writeError(w, classify(t, err))
+		writeError(w, s.classify(t, err))
 		return
 	}
 	writeOK(w, map[string]any{"ok": true, "epoch": epoch})
@@ -638,10 +660,13 @@ func (s *Service) handleTamper(w http.ResponseWriter, r *http.Request, t *tenant
 			Tenant: t.name, Msg: fmt.Sprintf("bad xor %q", q.Get("xor"))})
 		return
 	}
-	t.store.WithShard(sh, func(m *core.Machine) {
+	if err := t.store.WithShard(sh, func(m *core.Machine) {
 		m.EvictProtected()
 		m.Adversary().Corrupt(m.ProgAddr(uint64(off)), byte(xor))
-	})
+	}); err != nil {
+		writeError(w, s.classify(t, err))
+		return
+	}
 	if s.cfg.Flight != nil {
 		s.cfg.Flight.Record(obs.EvTamper, sh, 0,
 			fmt.Sprintf("tenant %s: injected corruption at offset %d", t.name, off))

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -17,6 +18,7 @@ import (
 	"time"
 
 	"memverify/internal/core"
+	"memverify/internal/integrity"
 	"memverify/internal/obs"
 	"memverify/internal/persist"
 	"memverify/internal/shard"
@@ -34,7 +36,7 @@ func testMachine(scheme core.Scheme, policy string) core.Config {
 	cfg.ViolationPolicy = policy
 	cfg.Benchmark = trace.Uniform("service", 16<<10)
 	cfg.Benchmark.CodeSet = 4 << 10
-	if scheme == core.SchemeMulti || scheme == core.SchemeIncr {
+	if scheme == core.SchemeMulti {
 		cfg.ChunkBlocks = 2
 	}
 	return cfg
@@ -165,8 +167,8 @@ func TestServiceRefusesTrailingFlood(t *testing.T) {
 }
 
 // TestCloseLeavesNoGoroutines: a persisted 2-shard tenant checkpoints,
-// then a second service recovers it (persist.RecoverStore, whose image
-// check runs on GOMAXPROCS workers inside VerifyImage), serves a few
+// then a second service recovers it (persist.RecoverStore, whose tree
+// rebuild runs on GOMAXPROCS workers), serves a few
 // batches and closes. Afterwards no goroutine the two services, their
 // stores, the recovery check or their HTTP servers started is left.
 func TestCloseLeavesNoGoroutines(t *testing.T) {
@@ -345,7 +347,7 @@ func TestServiceBackpressureBoundedLatency(t *testing.T) {
 func TestServiceTenantListing(t *testing.T) {
 	_, ts := newTestService(t, Config{Tenants: []TenantConfig{
 		testTenant("alpha", core.SchemeCached, "record", 2),
-		testTenant("bravo", core.SchemeIncr, "halt", 1),
+		testTenant("bravo", core.SchemeMulti, "halt", 1),
 	}})
 	resp, err := http.Get(ts.URL + "/v1/tenants")
 	if err != nil {
@@ -362,7 +364,7 @@ func TestServiceTenantListing(t *testing.T) {
 	if infos[0].Shards != 2 || infos[0].Span == 0 || infos[0].ShardSpan != infos[0].Span/2 {
 		t.Errorf("alpha geometry %+v", infos[0])
 	}
-	if infos[1].Scheme != "i" || infos[1].Policy != "halt" {
+	if infos[1].Scheme != "m" || infos[1].Policy != "halt" {
 		t.Errorf("bravo config %+v", infos[1])
 	}
 }
@@ -396,6 +398,123 @@ func TestServiceRefusesTimingTenant(t *testing.T) {
 	}, AllowTamper: true})
 	if err == nil || !strings.Contains(err.Error(), "tenant t2") || !strings.Contains(err.Error(), `"timing"`) {
 		t.Fatalf("New with a timing tenant: %v, want a refusal of the mode naming tenant t2", err)
+	}
+}
+
+// TestServiceRefusesSchemeI: a tenant spec naming the i scheme, whose MAC
+// key is public, fails New with the store's *shard.SettingError for the
+// Scheme field, wrapped with the tenant's name — with persistence and
+// without.
+func TestServiceRefusesSchemeI(t *testing.T) {
+	base := testTenant("", core.SchemeCached, "record", 1)
+	for _, persisted := range []bool{false, true} {
+		tcs, err := ParseTenants("t0, t1:scheme=i", base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if persisted {
+			for i := range tcs {
+				tcs[i].PersistDir = t.TempDir()
+			}
+		}
+		_, err = New(Config{Tenants: tcs})
+		var se *shard.SettingError
+		if !errors.As(err, &se) || se.Field != "Scheme" || !strings.Contains(err.Error(), "tenant t1") ||
+			!strings.Contains(err.Error(), "public") {
+			t.Fatalf("New with a scheme=i tenant (persisted %v): %v, want the Scheme refusal naming tenant t1", persisted, err)
+		}
+	}
+}
+
+// TestPanicHaltsOneTenant is the per-tenant fault boundary: a panic on a
+// shard worker — here tenant t1's OnViolation hook, on a tampered read —
+// halts that shard and answers 503 halted, while the neighbour tenant t0
+// keeps round-tripping bytes. The flight recorder names the tenant and
+// the shard, t1's next checkpoint is refused rather than sealing the
+// faulted state, and a restart recovers t1's last sealed epoch clean.
+func TestPanicHaltsOneTenant(t *testing.T) {
+	t0 := testTenant("t0", core.SchemeCached, "record", 2)
+	t1 := testTenant("t1", core.SchemeCached, "record", 2)
+	t0.PersistDir, t1.PersistDir = t.TempDir(), t.TempDir()
+	tenants := []TenantConfig{t0, t1}
+	t1.Store.OnViolation = func(int, *integrity.ViolationError, bool) { panic("observer bug") }
+	fr := obs.NewFlightRecorder(64)
+	svc, ts := newTestService(t, Config{Tenants: []TenantConfig{t0, t1}, AllowTamper: true, Flight: fr})
+
+	sealed := bytes.Repeat([]byte{0x3c}, 64)
+	resp := postBatch(t, ts.URL, "t1", []Op{{Write: true, Off: 0, Data: sealed}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("seed write: status %d", resp.StatusCode)
+	}
+	if err := svc.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	tam, err := http.Post(ts.URL+"/v1/t/t1/tamper?shard=0&off=0&xor=255", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tam.Body.Close()
+	resp = postBatch(t, ts.URL, "t1", []Op{{Off: 0, Data: make([]byte, 64)}})
+	if resp.StatusCode != http.StatusServiceUnavailable || errKind(t, resp) != KindHalted {
+		t.Fatalf("read that panicked: status %d, want 503 halted", resp.StatusCode)
+	}
+	resp.Body.Close()
+	resp = postBatch(t, ts.URL, "t1", []Op{{Off: 0, Data: make([]byte, 64)}})
+	if resp.StatusCode != http.StatusServiceUnavailable || errKind(t, resp) != KindHalted {
+		t.Fatalf("read on the faulted shard: status %d, want 503 halted", resp.StatusCode)
+	}
+	resp.Body.Close()
+
+	payload := []byte("the neighbour still serves")
+	nb := []Op{{Write: true, Off: 0, Data: payload}, {Off: 0, Data: make([]byte, len(payload))}}
+	resp = postBatch(t, ts.URL, "t0", nb)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("neighbour batch: status %d", resp.StatusCode)
+	}
+	if err := DecodeResponse(resp.Body, nb); err != nil || !bytes.Equal(nb[1].Data, payload) {
+		t.Fatalf("neighbour read %q (%v), wrote %q", nb[1].Data, err, payload)
+	}
+	resp.Body.Close()
+
+	var dump bytes.Buffer
+	if err := fr.WriteJSON(&dump); err != nil {
+		t.Fatal(err)
+	}
+	found := 0
+	for _, ev := range fr.Events() {
+		if ev.Kind == obs.EvShardHalt && ev.Shard == 0 && strings.Contains(ev.Detail, "tenant t1") &&
+			strings.Contains(ev.Detail, "observer bug") {
+			found++
+		}
+	}
+	if found != 1 || !strings.Contains(dump.String(), "tenant t1: internal error") {
+		t.Fatalf("%d shard-halt events name tenant t1, shard 0 and the panic, want 1; dump %s", found, dump.String())
+	}
+	if st := svc.Health().State(); st != obs.Degraded {
+		t.Errorf("health with a faulted shard: %v, want degraded", st)
+	}
+	err = svc.Checkpoint()
+	var ie *shard.InternalError
+	if !errors.As(err, &ie) || !strings.Contains(err.Error(), "tenant t1") || strings.Contains(err.Error(), "tenant t0") {
+		t.Fatalf("checkpoint with t1 faulted: %v, want t1's InternalError alone", err)
+	}
+	svc.Close()
+
+	restarted, ts2 := newTestService(t, Config{Tenants: tenants})
+	for _, name := range []string{"t0", "t1"} {
+		if rec := restarted.tenants[name].recovery; rec.Outcome != persist.OutcomeClean {
+			t.Fatalf("restart: tenant %s recovered %s (%s), want clean", name, rec.Outcome, rec.Detail)
+		}
+	}
+	read := []Op{{Off: 0, Data: make([]byte, 64)}}
+	resp = postBatch(t, ts2.URL, "t1", read)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("t1 after the restart: status %d", resp.StatusCode)
+	}
+	if err := DecodeResponse(resp.Body, read); err != nil || !bytes.Equal(read[0].Data, sealed) {
+		t.Fatalf("t1 after the restart read %x (%v), want the sealed %x", read[0].Data, err, sealed)
 	}
 }
 
@@ -473,7 +592,7 @@ func TestServiceRecordPolicyNeighbourBatchesClean(t *testing.T) {
 
 func TestParseTenants(t *testing.T) {
 	base := testTenant("", core.SchemeCached, "record", 2)
-	tcs, err := ParseTenants("alpha, bravo:scheme=i;policy=halt;shards=4, charlie:queue=8;alg=sha1", base)
+	tcs, err := ParseTenants("alpha, bravo:scheme=m;policy=halt;shards=4, charlie:queue=8;alg=sha1", base)
 	if err != nil {
 		t.Fatalf("ParseTenants: %v", err)
 	}
@@ -484,7 +603,7 @@ func TestParseTenants(t *testing.T) {
 	if a.Name != "alpha" || a.Store.Machine.Scheme != core.SchemeCached || a.Store.Shards != 2 {
 		t.Errorf("alpha %+v", a)
 	}
-	if b.Store.Machine.Scheme != core.SchemeIncr || b.Store.Machine.ViolationPolicy != "halt" ||
+	if b.Store.Machine.Scheme != core.SchemeMulti || b.Store.Machine.ViolationPolicy != "halt" ||
 		b.Store.Shards != 4 || b.Store.Machine.ChunkBlocks != 2 {
 		t.Errorf("bravo %+v", b.Store)
 	}
@@ -655,7 +774,7 @@ func TestReplayedDirectoryRefusesOnlyThatTenant(t *testing.T) {
 	stash := t.TempDir()
 	alpha := testTenant("alpha", core.SchemeCached, "record", 2)
 	alpha.PersistDir = dir
-	tenants := []TenantConfig{alpha, testTenant("bravo", core.SchemeIncr, "record", 2)}
+	tenants := []TenantConfig{alpha, testTenant("bravo", core.SchemeMulti, "record", 2)}
 	moveSnapshot := func(from, to string) {
 		t.Helper()
 		old, err := filepath.Glob(filepath.Join(to, "seg-*"))

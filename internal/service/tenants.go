@@ -21,11 +21,11 @@ import (
 //	protected total protected bytes
 //	l2        per-shard L2 bytes
 //	policy    violation policy (record or halt)
-//	alg       hash algorithm (md5, sha1, fnv128)
+//	alg       hash algorithm (sha256, md5, sha1, fnv128)
 //	chunk     L2 blocks per hash chunk
 //	queue     per-shard queue depth
 //
-// e.g. "alpha,bravo:scheme=i;policy=halt,charlie:shards=8".
+// e.g. "alpha,bravo:scheme=m;policy=halt,charlie:shards=8".
 // Persistence placement (PersistDir/AnchorPath) is the daemon's concern —
 // it derives per-tenant paths from its -persist root after parsing.
 func ParseTenants(spec string, base TenantConfig) ([]TenantConfig, error) {
@@ -49,10 +49,10 @@ func ParseTenants(spec string, base TenantConfig) ([]TenantConfig, error) {
 				return nil, fmt.Errorf("service: tenant %s: %w", tc.Name, err)
 			}
 		}
-		// Scheme-dependent chunk defaulting, as in cmd/simulate: m and i
-		// need multi-block chunks unless the spec pinned one.
+		// Scheme-dependent chunk defaulting, as in cmd/simulate: m needs
+		// multi-block chunks unless the spec pinned one.
 		m := &tc.Store.Machine
-		if m.ChunkBlocks <= 1 && (m.Scheme == core.SchemeMulti || m.Scheme == core.SchemeIncr) {
+		if m.ChunkBlocks <= 1 && m.Scheme == core.SchemeMulti {
 			m.ChunkBlocks = 2
 		}
 		out = append(out, tc)

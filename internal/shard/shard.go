@@ -17,6 +17,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -81,6 +82,9 @@ type worker struct {
 	// machine's violation observer notes what it finds there. Only the
 	// worker goroutine touches it.
 	cur *Batch
+	// fault is the shard's *InternalError once a panic has halted it. The
+	// worker goroutine writes it; others read it after exited closes.
+	fault error
 }
 
 // ErrClosed is reported (wrapped with the target shard) by operations
@@ -102,6 +106,7 @@ type Store struct {
 	shardSpan uint64 // bytes of program data per shard
 	span      uint64 // total program data bytes
 	halt      bool   // template policy is "halt"
+	machine   core.Config
 
 	// closeMu orders queue sends against Close: senders hold it for read
 	// around the channel send, Close holds it for write while flipping
@@ -139,17 +144,50 @@ func NewFromState(cfg Config, imgs, roots [][]byte) (*Store, error) {
 // SettingError is the constructors' refusal of a machine template that
 // strays from the paper's serving configuration: a store verifies every
 // byte it returns, blocks on each check, and keeps tree nodes in the
-// shared L2 (§5.3–5.5). The dedicated verification cache is a simulator
-// ablation; core runs it, a store does not.
+// shared L2 (§5.3–5.5), with a scheme whose records an attacker who
+// controls memory or disk cannot recompute. The dedicated verification
+// cache is a simulator ablation, and the i scheme keys its XOR-MAC with a
+// key compiled into the program; core runs both, a store does not.
 type SettingError struct {
 	Field string // the core.Config field, e.g. "VerifyCacheLines"
 	Value any
 }
 
 func (e *SettingError) Error() string {
-	return fmt.Sprintf("shard: Machine.%s = %v: a store verifies, blocks and keeps tree nodes in the shared L2; that setting is a simulator ablation",
-		e.Field, e.Value)
+	why := "a store verifies, blocks and keeps tree nodes in the shared L2; that setting is a simulator ablation"
+	if e.Field == "Scheme" {
+		why = "the i scheme's XOR-MAC key is compiled into the program, so it is public and anyone who controls memory or disk could forge its records; a store serves naive, c or m"
+	}
+	return fmt.Sprintf("shard: Machine.%s = %v: %s", e.Field, e.Value, why)
 }
+
+// CheckScheme refuses, with a *SettingError, a scheme a store does not
+// serve or persist: i.
+func CheckScheme(scheme core.Scheme) error {
+	if scheme == core.SchemeIncr {
+		return &SettingError{"Scheme", scheme}
+	}
+	return nil
+}
+
+// InternalError is a shard's fault boundary: a panic on the shard's
+// worker, recovered there. The shard is halted from then on — every later
+// operation on it fails with this error, which errors.Is reports as
+// core.ErrHalted — and its neighbours, and every other store, keep
+// serving. Nothing touches the shard's machine again, so a checkpoint
+// cannot seal the state the panic left.
+type InternalError struct {
+	Shard int
+	Value any    // what the worker panicked with
+	Stack []byte // the worker's stack at the panic
+}
+
+func (e *InternalError) Error() string {
+	return fmt.Sprintf("shard %d: internal error, shard halted: %v", e.Shard, e.Value)
+}
+
+// Unwrap makes a faulted shard answer as a halted one.
+func (e *InternalError) Unwrap() error { return core.ErrHalted }
 
 // newStore is the one constructor; imgs is nil for fresh machines.
 func newStore(cfg Config, imgs, roots [][]byte) (*Store, error) {
@@ -161,6 +199,9 @@ func newStore(cfg Config, imgs, roots [][]byte) (*Store, error) {
 	}
 	if cfg.Machine.VerifyCacheLines > 0 {
 		return nil, &SettingError{"VerifyCacheLines", cfg.Machine.VerifyCacheLines}
+	}
+	if err := CheckScheme(cfg.Machine.Scheme); err != nil {
+		return nil, err
 	}
 	per := cfg.Machine
 	per.ProtectedBytes = cfg.Machine.ProtectedBytes / uint64(cfg.Shards)
@@ -176,6 +217,7 @@ func newStore(cfg Config, imgs, roots [][]byte) (*Store, error) {
 	s := &Store{
 		shards:      make([]*worker, cfg.Shards),
 		halt:        cfg.Machine.ViolationPolicy == "halt",
+		machine:     per,
 		halted:      make([]bool, cfg.Shards),
 		onViolation: cfg.OnViolation,
 	}
@@ -207,21 +249,19 @@ func newStore(cfg Config, imgs, roots [][]byte) (*Store, error) {
 
 // run drains one shard's queue on its dedicated goroutine — the only
 // goroutine that ever touches the shard's machine while the store is open.
+// Once the shard has faulted, requests are answered with the fault and
+// the machine is left alone.
 func (w *worker) run() {
 	defer close(w.exited)
 	for req := range w.reqs {
+		err := w.fault
+		if err == nil {
+			err = w.exec(req)
+		}
 		if req.call != nil {
-			req.done <- req.call(w.m)
+			req.done <- err
 			continue
 		}
-		w.cur = req.batch
-		var err error
-		if req.write {
-			err = w.m.StoreBytes(req.off, req.data)
-		} else {
-			err = w.m.LoadBytes(req.off, req.data)
-		}
-		w.cur = nil
 		// A violation the load returns already reached the batch through
 		// the observer; only the other errors (ErrHalted) are new.
 		if err != nil && !isViolation(err) {
@@ -229,6 +269,41 @@ func (w *worker) run() {
 		}
 		req.batch.wg.Done()
 	}
+}
+
+// exec runs one request on the machine. A panic on the way — in the
+// engine, the caches, a control call or the OnViolation hook — is
+// recovered here: it faults the shard and is returned as its
+// *InternalError.
+func (w *worker) exec(req request) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			w.cur = nil
+			err = w.faulted(v)
+		}
+	}()
+	if req.call != nil {
+		return req.call(w.m)
+	}
+	w.cur = req.batch
+	if req.write {
+		err = w.m.StoreBytes(req.off, req.data)
+	} else {
+		err = w.m.LoadBytes(req.off, req.data)
+	}
+	w.cur = nil
+	return err
+}
+
+// faulted halts the shard on the panic value v, with the stack it was
+// raised on, and returns the fault.
+func (w *worker) faulted(v any) error {
+	w.fault = &InternalError{Shard: w.idx, Value: v, Stack: debug.Stack()}
+	s := w.s
+	s.mu.Lock()
+	s.halted[w.idx] = true
+	s.mu.Unlock()
+	return w.fault
 }
 
 // isViolation is errors.As for a ViolationError, kept out of run so its
@@ -263,6 +338,10 @@ func (w *worker) noteViolation(v *integrity.ViolationError) {
 func (s *Store) Shards() int       { return len(s.shards) }
 func (s *Store) Span() uint64      { return s.span }
 func (s *Store) ShardSpan() uint64 { return s.shardSpan }
+
+// MachineConfig returns the configuration each shard's machine was built
+// from: the template with its protected bytes split across the shards.
+func (s *Store) MachineConfig() core.Config { return s.machine }
 
 // ShardFor returns the shard owning global offset off (offsets wrap
 // modulo Span, mirroring Machine.ProgAddr).
@@ -445,10 +524,19 @@ func (s *Store) StoreBytes(off uint64, p []byte) error {
 func (s *Store) do(i int, f func(*core.Machine) error) error {
 	done := make(chan error, 1)
 	if err := s.send(i, request{call: f, done: done}); err != nil {
-		<-s.shards[i].exited
-		return f(s.shards[i].m)
+		return s.shards[i].afterClose(f)
 	}
 	return <-done
+}
+
+// afterClose runs f on the worker's machine once the worker has exited,
+// unless the shard faulted.
+func (w *worker) afterClose(f func(*core.Machine) error) error {
+	<-w.exited
+	if w.fault != nil {
+		return w.fault
+	}
+	return f(w.m)
 }
 
 // doAll runs f on every shard concurrently (or directly, after Close) and
@@ -460,9 +548,9 @@ func (s *Store) doAll(f func(int, *core.Machine) error) error {
 	for i, w := range s.shards {
 		i, m := i, w.m
 		dones[i] = make(chan error, 1)
-		if err := s.send(i, request{call: func(*core.Machine) error { return f(i, m) }, done: dones[i]}); err != nil {
-			<-w.exited
-			dones[i] <- f(i, m)
+		call := func(*core.Machine) error { return f(i, m) }
+		if err := s.send(i, request{call: call, done: dones[i]}); err != nil {
+			dones[i] <- w.afterClose(call)
 		}
 	}
 	for i := range dones {
@@ -501,9 +589,10 @@ func (s *Store) VerifyAll() error {
 // WithShard runs f against shard i's machine on that shard's worker
 // goroutine, after every previously enqueued request on that shard has
 // drained — the safe way to attach an adversary or inspect machine state
-// while the store is live.
-func (s *Store) WithShard(i int, f func(*core.Machine)) {
-	_ = s.do(i, func(m *core.Machine) error { f(m); return nil })
+// while the store is live. It returns the shard's *InternalError, without
+// running f, once the shard has faulted, or when f panics.
+func (s *Store) WithShard(i int, f func(*core.Machine)) error {
+	return s.do(i, func(m *core.Machine) error { f(m); return nil })
 }
 
 // Violations returns every violation detected so far, in detection order,
@@ -516,7 +605,7 @@ func (s *Store) Violations() []Violation {
 	return out
 }
 
-// Halted reports whether shard i tripped the halt policy.
+// Halted reports whether shard i tripped the halt policy or faulted.
 func (s *Store) Halted(i int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -524,7 +613,7 @@ func (s *Store) Halted(i int) bool {
 }
 
 // Health returns the store's liveness counts: total shards, shards the
-// halt policy took down, and violations on record. Safe to call from any
+// halt policy or a fault took down, and violations on record. Safe to call from any
 // goroutine while the store serves — the /healthz source.
 func (s *Store) Health() (shards, haltedShards, violations int) {
 	s.mu.Lock()

@@ -371,8 +371,9 @@ func TestBatchReportsOwnStoreViolation(t *testing.T) {
 }
 
 // TestNewRefusesAblations: a store runs the serving configuration, so
-// both constructors refuse the dedicated verification cache with a
-// SettingError naming the field, and a hash mode other than full (which
+// both constructors refuse the dedicated verification cache and the i
+// scheme, whose MAC key is public, with a SettingError naming the field
+// and giving its reason, and a hash mode other than full (which
 // core.Config.Validate rejects) with an error naming the mode.
 func TestNewRefusesAblations(t *testing.T) {
 	for _, tc := range []struct {
@@ -380,6 +381,7 @@ func TestNewRefusesAblations(t *testing.T) {
 		set   func(*core.Config)
 	}{
 		{"VerifyCacheLines", func(c *core.Config) { c.VerifyCacheLines = 64 }},
+		{"Scheme", func(c *core.Config) { c.Scheme = core.SchemeIncr; c.ChunkBlocks = 2 }},
 		{"HashMode", func(c *core.Config) { c.HashMode = "timing" }},
 	} {
 		cfg := storeCfg(core.SchemeCached)
@@ -397,6 +399,8 @@ func TestNewRefusesAblations(t *testing.T) {
 				t.Errorf("%s with %s: %v, want an error naming the mode", name, tc.field, err)
 			case tc.field != "HashMode" && (!errors.As(err, &se) || se.Field != tc.field):
 				t.Errorf("%s with %s: %v, want a SettingError naming %s", name, tc.field, err, tc.field)
+			case tc.field == "Scheme" && (!strings.Contains(err.Error(), "public") || strings.Contains(err.Error(), "ablation")):
+				t.Errorf("%s with scheme i: %v, want the public key as the reason", name, err)
 			}
 		}
 	}
@@ -407,4 +411,66 @@ func TestNewRefusesAblations(t *testing.T) {
 		t.Fatalf("hash mode full refused: %v", err)
 	}
 	s.Close()
+}
+
+// TestPanicFaultsOneShard: a panic on a shard's worker — here the
+// OnViolation hook's, on a tampered read under the record policy — is
+// recovered there. The operation that raised it and every later one on
+// that shard fail with the shard's *InternalError, which carries the panic
+// value and stack and reads as core.ErrHalted; nothing runs on the
+// faulted machine again, not even a WithShard call; the other shards keep
+// serving; and the store still closes and reports metrics.
+func TestPanicFaultsOneShard(t *testing.T) {
+	const victim = 1
+	s, err := New(Config{Machine: storeCfg(core.SchemeCached), Shards: 3,
+		OnViolation: func(int, *integrity.ViolationError, bool) { panic("observer bug") }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	p := bytes.Repeat([]byte{0x5a}, 256)
+	for i := 0; i < 3; i++ {
+		lo, _ := s.ShardRange(i)
+		if err := s.StoreBytes(lo, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.WithShard(victim, func(m *core.Machine) {
+		m.EvictProtected()
+		m.Adversary().Corrupt(m.ProgAddr(0), 0xFF)
+	})
+	lo, _ := s.ShardRange(victim)
+	buf := make([]byte, len(p))
+	err = s.LoadBytes(lo, buf)
+	var ie *InternalError
+	if !errors.As(err, &ie) || ie.Shard != victim || ie.Value != "observer bug" ||
+		!bytes.Contains(ie.Stack, []byte("TestPanicFaultsOneShard")) || !errors.Is(err, core.ErrHalted) {
+		t.Fatalf("read that panicked: %v, want shard %d's InternalError with the panic and its stack", err, victim)
+	}
+	if !s.Halted(victim) {
+		t.Fatal("the faulted shard is not halted")
+	}
+	if err := s.StoreBytes(lo, p); !errors.As(err, &ie) {
+		t.Fatalf("store on the faulted shard: %v, want its InternalError", err)
+	}
+	ran := false
+	if err := s.WithShard(victim, func(*core.Machine) { ran = true }); ran || !errors.As(err, &ie) {
+		t.Fatalf("WithShard on the faulted shard ran %v, returned %v", ran, err)
+	}
+	for i := 0; i < 3; i++ {
+		if i == victim {
+			continue
+		}
+		nlo, _ := s.ShardRange(i)
+		if err := s.LoadBytes(nlo, buf); err != nil || !bytes.Equal(buf, p) || s.Halted(i) {
+			t.Fatalf("neighbour shard %d: %v, halted %v", i, err, s.Halted(i))
+		}
+	}
+	if n, halted, _ := s.Health(); n != 3 || halted != 1 {
+		t.Fatalf("Health: %d shards, %d halted; want 3, 1", n, halted)
+	}
+	s.Close()
+	if agg := s.Metrics(); agg.Shards != 3 {
+		t.Fatalf("metrics after close: %+v", agg)
+	}
 }

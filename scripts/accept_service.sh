@@ -31,7 +31,7 @@ if [ "${PERSIST:-0}" = "1" ]; then
 fi
 
 "$tmp/memverifyd" -listen 127.0.0.1:0 \
-  -tenants 'naive:scheme=naive,cached:scheme=c,multi:scheme=m,incr:scheme=i' \
+  -tenants 'naive:scheme=naive,cached:scheme=c,multi:scheme=m,guard:scheme=c;policy=halt' \
   -protected $((8 << 20)) -allow-tamper -sample-every 250ms \
   -flight "$tmp/flight.json" "${persist_args[@]}" >"$tmp/mvd.log" 2>&1 &
 mvdpid=$!
@@ -46,7 +46,7 @@ echo "memverifyd up at $addr ($WORKERS workers x $OPS ops x 4 tenants = $((4 * W
 
 # The 100-connection barrage: four loadgens in parallel, one per tenant.
 pids=()
-for tenant in naive cached multi incr; do
+for tenant in naive cached multi guard; do
   "$tmp/loadgen" -remote "$addr" -tenant "$tenant" -workload mixed \
     -workers "$WORKERS" -ops "$OPS" >"$tmp/$tenant.out" 2>&1 &
   pids+=($!)
@@ -70,7 +70,7 @@ grep -h 'ops_per_sec' "$tmp"/*.out
 
 # Containment: tamper one tenant, its leg must fail while another still
 # serves and overall health only degrades.
-if "$tmp/loadgen" -remote "$addr" -tenant incr -workers 2 -ops 500 -tamper 0 >/dev/null 2>&1; then
+if "$tmp/loadgen" -remote "$addr" -tenant guard -workers 2 -ops 500 -tamper 0 >/dev/null 2>&1; then
   echo "FAIL: tampered tenant passed its loadgen leg" >&2
   exit 1
 fi
